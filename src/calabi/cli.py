@@ -31,6 +31,7 @@ from .blaschke import GeometryError
 from .checks import CheckReport, GaugeError
 from .dsl import (ImmersionDef, ImmersionSyntaxError,
                   ImmersionValidationError, parse_program, print_immersion)
+from .jets import JetDomainError
 
 BUILTIN_GRIDS = {
     "g9": (3, -0.4, 0.4),
@@ -352,7 +353,8 @@ def _cmd_detect(args, project: dict) -> tuple[dict, bool]:
         "reports": rows,
         "verdict": _verdict_json(verdict),
     }
-    return payload, any(not row["pass"] for row in rows)
+    # No report at all means the geometry refused the sphere test itself.
+    return payload, not rows or any(not row["pass"] for row in rows)
 
 
 def _csv_text(samples: np.ndarray) -> str:
@@ -440,8 +442,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, grid: bool = True) -> None:
         p.add_argument("--project", help="JSON project file with named "
                                          "immersions, grids and options")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--restarts", type=int, default=32)
+        # None means "not given": the project file's options, then the
+        # built-in defaults, fill it in main.
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--restarts", type=int, default=None)
         p.add_argument("--tol", action="append", default=[],
                        metavar="NAME=VALUE",
                        help="override a tolerance, repeatable")
@@ -502,21 +506,20 @@ def main(argv=None) -> int:
 
     try:
         project = _load_project(args.project)
-        if "options" in project:
-            opts = project["options"]
-            if "seed" in opts and "--seed" not in (argv or sys.argv):
-                args.seed = int(opts["seed"])
-            if "restarts" in opts:
-                args.restarts = int(opts["restarts"])
-            if "tolerances" in opts and hasattr(args, "tol"):
-                args.tol = [f"{k}={v}" for k, v in
-                            sorted(opts["tolerances"].items())] + args.tol
+        opts = project.get("options", {})
+        if args.seed is None:
+            args.seed = int(opts.get("seed", 42))
+        if args.restarts is None:
+            args.restarts = int(opts.get("restarts", 32))
+        if "tolerances" in opts and hasattr(args, "tol"):
+            args.tol = [f"{k}={v}" for k, v in
+                        sorted(opts["tolerances"].items())] + args.tol
         payload, failed = _COMMANDS[args.command](args, project)
     except (UsageError, ImmersionSyntaxError,
             ImmersionValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GeometryError, decompose.VerdictError,
+    except (GeometryError, JetDomainError, decompose.VerdictError,
             construct.ProvenanceError) as exc:
         print(json.dumps({
             "command": args.command,

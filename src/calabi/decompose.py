@@ -23,9 +23,7 @@ relative to the d1 = d2 = 1 constants the constructors emit.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +33,7 @@ from .checks import CheckReport
 from .construct import base_coefficients
 from .dsl import (ImmersionDef, const, eval_components, mul, substitute,
                   _free_vars)
+from .jets import JetDomainError
 
 QUADRIC_K_TOL = 1e-7
 AXIS_RESIDUAL_TOL = 1e-8
@@ -47,7 +46,7 @@ class NotHyperbolicError(GeometryError):
 
 
 class BracketError(GeometryError):
-    """Homothety bisection could not bracket H = -1."""
+    """The closed-form homothety misses H = -1."""
 
 
 class VerdictError(ValueError):
@@ -73,10 +72,10 @@ def _scaled_def(defn: ImmersionDef, c: float) -> ImmersionDef:
 def normalize_homothety(defn: ImmersionDef, probe=None) -> HomothetyResult:
     """Rescale phi -> c phi so the mean curvature becomes -1.
 
-    The exact scaling law H(c phi) = c^(-2(n+1)/(n+2)) H(phi) seeds the
-    bracket; the scale itself is then found by bisection and the sign
-    pattern of H + 1 at the bracket ends doubles as a monotonicity
-    check.
+    The exact scaling law H(c phi) = c^(-2(n+1)/(n+2)) H(phi) gives the
+    scale in closed form, c = |H|^((n+2)/(2(n+1))) with H read at the
+    probe point. One frame of the scaled definition at the probe point
+    verifies the result.
     """
     n = defn.nvars
     if probe is None:
@@ -87,27 +86,17 @@ def normalize_homothety(defn: ImmersionDef, probe=None) -> HomothetyResult:
             f"{defn.name!r} has H = {h0:.6g} >= 0 at the probe point; "
             "only hyperbolic spheres can be rescaled to H = -1"
         )
-    seed = abs(h0) ** ((n + 2) / (2.0 * (n + 1)))
-    lo, hi = 0.5 * seed, 2.0 * seed
-
-    def offset(c: float) -> float:
-        return blaschke.full_frame(_scaled_def(defn, c), probe).H + 1.0
-
-    f_lo, f_hi = offset(lo), offset(hi)
-    if not (f_lo < 0.0 < f_hi):
-        raise BracketError(
-            f"H + 1 does not change sign on [{lo:.6g}, {hi:.6g}] "
-            f"(values {f_lo:.3g}, {f_hi:.3g})"
-        )
-    scale = numerics.find_root_bisection(offset, lo, hi, tol=1e-13)
-    if abs(offset(scale)) > 1e-9:
-        raise BracketError(
-            f"bisection stalled: H = -1 missed by {offset(scale):.3g}"
-        )
+    scale = abs(h0) ** ((n + 2) / (2.0 * (n + 1)))
     if abs(scale - 1.0) < 1e-12:
         return HomothetyResult(def_scaled=defn, scale=1.0)
-    return HomothetyResult(def_scaled=_scaled_def(defn, scale),
-                           scale=float(scale))
+    scaled = _scaled_def(defn, scale)
+    miss = blaschke.full_frame(scaled, probe).H + 1.0
+    if abs(miss) > 1e-9:
+        raise BracketError(
+            f"scale {scale:.6g} misses H = -1 by {miss:.3g} at the probe "
+            "point; H does not follow the homothety law"
+        )
+    return HomothetyResult(def_scaled=scaled, scale=float(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +174,25 @@ def _axis_newton(frame: BlaschkeFrame, x0: np.ndarray, mu0: float,
 
 
 def _canonical_sign(x: np.ndarray, mu: float):
-    for comp in x:
-        if abs(comp) > 1e-8:
-            if comp < 0.0:
-                return -x, -mu
-            return x, mu
-    return x, mu
+    lead = next((comp for comp in x if abs(comp) > 1e-8), 0.0)
+    return (-x, -mu) if lead < 0.0 else (x, mu)
+
+
+def _track_axis(frame: BlaschkeFrame,
+                t_prev: np.ndarray) -> CandidateAxis | None:
+    """The axis one Newton solve reaches from t_prev, sign-matched to
+    t_prev; None when the solve fails."""
+    mu_seed = float(np.einsum("ijk,i,j->k", frame.K, t_prev, t_prev)
+                    @ frame.h @ t_prev)
+    sol = _axis_newton(frame, t_prev, mu_seed)
+    if sol is None:
+        return None
+    t_vec, mu = sol
+    if float(t_vec @ t_prev) < 0.0:
+        t_vec, mu = -t_vec, -mu
+    resid_vec = np.einsum("ijk,i,j->k", frame.K, t_vec, t_vec) - mu * t_vec
+    return CandidateAxis(T=t_vec, lambda1=float(mu),
+                         axis_residual=_h_norm(frame.h, resid_vec))
 
 
 def find_axes(frame: BlaschkeFrame, restarts: int = 32,
@@ -373,14 +375,6 @@ class DecompositionVerdict:
     notes: tuple = ()
 
 
-def _thread_map(fn, items):
-    workers = int(os.environ.get("CALABI_THREADS", "1") or "1")
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _none_verdict(note, evidence=(), orientation_ok=False, def_scaled=None,
                   scale=1.0):
     return DecompositionVerdict(
@@ -426,11 +420,15 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
            restarts: int = 32, seed: int = 42) -> DecompositionVerdict:
     """Decide whether the surface is a Calabi product and of which kind.
 
-    Never raises on structural mismatch: every failure mode is a verdict
-    with kind None and an explanatory note.
+    Never raises on structural mismatch or on geometry the frame
+    pipeline refuses: every failure mode is a verdict with kind None and
+    an explanatory note.
     """
-    work, scale, frames, evidence, failure, orientation_ok = _prepare(
-        defn, grid)
+    try:
+        work, scale, frames, evidence, failure, orientation_ok = _prepare(
+            defn, grid)
+    except (GeometryError, JetDomainError) as exc:
+        return _none_verdict(str(exc))
     if failure is not None:
         return _none_verdict(failure, evidence, orientation_ok,
                              work if frames is not None else None, scale)
@@ -441,11 +439,10 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
             "K ≈ 0: quadric, no canonical axis",
             evidence, True, work, scale)
 
-    searches = _thread_map(
-        lambda fr: find_axes(fr, restarts=restarts, seed=seed), frames)
-    if searches[0].note is not None:
-        return _none_verdict(searches[0].note, evidence, True, work, scale)
-    if not searches[0]:
+    search = find_axes(frames[0], restarts=restarts, seed=seed)
+    if search.note is not None:
+        return _none_verdict(search.note, evidence, True, work, scale)
+    if not search:
         return _none_verdict("no axis direction solves K(X,X) = mu X",
                              evidence, True, work, scale)
 
@@ -453,7 +450,7 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
     # (the orthant hypersurface is the extreme case); prefer the finer
     # two-cluster split, then the smallest combined residual.
     scored = []
-    for cand in searches[0]:
+    for cand in search:
         structure = classify_spectrum(frames[0], cand, tol)
         if structure.pattern == "unclassified":
             continue
@@ -471,34 +468,43 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
             evidence, True, work, scale)
     base_best = min(scored, key=lambda item: (item[0], item[1]))[2]
 
-    structures = [base_best]
+    def mismatch(structure: SpectralStructure) -> str | None:
+        if ((structure.pattern, structure.n2, structure.n3)
+                != (base_best.pattern, base_best.n2, base_best.n3)):
+            return "axis spectrum changes shape across the grid"
+        if any(r > tol for r in structure.relation_residuals.values()):
+            return "eigenvalue relations fail away from the base point"
+        return None
+
     prev_t = base_best.axis.T
     drift = 0.0
-    for frame, search in zip(frames[1:], searches[1:]):
-        if not search:
-            return _none_verdict(
-                f"axis disappears at grid point {tuple(frame.u)}",
-                evidence, True, work, scale)
-        aligned = max(search, key=lambda c: abs(float(c.T @ prev_t)))
-        if float(aligned.T @ prev_t) < 0.0:
-            aligned = aligned.flipped()
-        structure = classify_spectrum(frame, aligned, tol)
-        if (structure.pattern != base_best.pattern
-                or structure.n2 != base_best.n2
-                or structure.n3 != base_best.n3):
-            return _none_verdict(
-                "axis spectrum changes shape across the grid",
-                evidence, True, work, scale)
-        if any(r > tol for r in structure.relation_residuals.values()):
-            return _none_verdict(
-                "eigenvalue relations fail away from the base point",
-                evidence, True, work, scale)
-        drift = max(drift, abs(structure.lambda1 - base_best.lambda1))
-        drift = max(drift, abs(structure.lambda2 - base_best.lambda2))
+    for frame in frames[1:]:
+        # Track the axis from the previous point; search this point in
+        # full only when the tracked axis fails a check.
+        structure = None
+        tracked = _track_axis(frame, prev_t)
+        if tracked is not None and tracked.axis_residual <= AXIS_RESIDUAL_TOL:
+            structure = classify_spectrum(frame, tracked, tol)
+            if mismatch(structure) is not None:
+                structure = None
+        if structure is None:
+            search = find_axes(frame, restarts=restarts, seed=seed)
+            if not search:
+                return _none_verdict(
+                    f"axis disappears at grid point {tuple(frame.u)}",
+                    evidence, True, work, scale)
+            aligned = max(search, key=lambda c: abs(float(c.T @ prev_t)))
+            if float(aligned.T @ prev_t) < 0.0:
+                aligned = aligned.flipped()
+            structure = classify_spectrum(frame, aligned, tol)
+            failure = mismatch(structure)
+            if failure is not None:
+                return _none_verdict(failure, evidence, True, work, scale)
+        drift = max(drift, abs(structure.lambda1 - base_best.lambda1),
+                    abs(structure.lambda2 - base_best.lambda2))
         if base_best.lambda3 is not None:
             drift = max(drift, abs(structure.lambda3 - base_best.lambda3))
         prev_t = structure.axis.T
-        structures.append(structure)
 
     if drift > tol:
         return _none_verdict(
@@ -662,15 +668,11 @@ class _PointData:
 
 def _per_point_structure(frame: BlaschkeFrame, t_prev: np.ndarray,
                          lam2: float, lam3: float, tol: float) -> _PointData:
-    mu_seed = float(np.einsum("ijk,i,j->k", frame.K, t_prev, t_prev)
-                    @ frame.h @ t_prev)
-    sol = _axis_newton(frame, t_prev, mu_seed)
-    if sol is None:
+    axis = _track_axis(frame, t_prev)
+    if axis is None:
         raise GeometryError(
             f"axis tracking lost at grid point {tuple(frame.u)}")
-    t_vec, mu = sol
-    if float(t_vec @ t_prev) < 0.0:
-        t_vec, mu = -t_vec, -mu
+    t_vec, mu = axis.T, axis.lambda1
     a = np.einsum("i,ijk->jk", t_vec, frame.C)
     eig = numerics.solve_sym_eig_generalized(a, frame.h)
     overlaps = np.abs(eig.vectors.T @ frame.h @ t_vec)
@@ -760,15 +762,12 @@ def _metric_ratio(defn: ImmersionDef, base_pd: _PointData, lam2: float,
 
     def first_derivative_at(u, v_coord):
         frame = blaschke.full_frame(defn, tuple(u))
-        sol = _axis_newton(frame, base_pd.t_vec, base_pd.mu)
-        if sol is None:
+        axis = _track_axis(frame, base_pd.t_vec)
+        if axis is None:
             raise GeometryError("axis tracking lost during differencing")
-        t_vec, mu = sol
-        if float(t_vec @ base_pd.t_vec) < 0.0:
-            t_vec, mu = -t_vec, -mu
-        dT = _axis_field_derivative(frame, t_vec, mu)
+        dT = _axis_field_derivative(frame, axis.T, axis.lambda1)
         return (-lam3 * _ambient(frame, v_coord)
-                + _ambient_axis_derivative(frame, dT, t_vec, v_coord))
+                + _ambient_axis_derivative(frame, dT, axis.T, v_coord))
 
     u0 = np.asarray(fr.u, dtype=float)
     ratios = []

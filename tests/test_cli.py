@@ -1,25 +1,20 @@
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from calabi import blaschke, dsl
+from calabi import blaschke, cli, decompose, dsl
 from conftest import HYPERBOLA_B_SRC, HYPERBOLA_SRC, QUADRIC_SRC
 
 REPORT_KEYS = {"name", "max_residual", "tolerance", "pass", "worst_point"}
 
 
-def run_cli(*args: str, threads: str | None = None):
-    env = dict(os.environ)
-    if threads is not None:
-        env["CALABI_THREADS"] = threads
+def run_cli(*args: str):
     return subprocess.run(
-        [sys.executable, "-m", "calabi.cli", *args],
-        capture_output=True, env=env)
+        [sys.executable, "-m", "calabi.cli", *args], capture_output=True)
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +93,7 @@ def test_detect_is_byte_deterministic(workdir, tmp_path):
     for idx in (1, 2):
         out = tmp_path / f"verdict{idx}.json"
         res = run_cli("detect", str(workdir / "pair.immersion"),
-                      "--grid", "g27", "--seed", "42", "-o", str(out),
-                      threads="2")
+                      "--grid", "g27", "--seed", "42", "-o", str(out))
         assert res.returncode == 0
         runs.append((res.stdout, out.read_bytes()))
     assert runs[0][0] == runs[1][0]
@@ -242,6 +236,68 @@ def test_project_file_names_and_options(workdir, tmp_path):
     assert payload["inputs"] == ["prod"]
     assert payload["seed"] == 7
     assert payload["verdict"]["kind"] == "PairProduct"
+
+
+def _project(tmp_path, options: dict) -> str:
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps({"options": options}), encoding="utf-8")
+    return str(path)
+
+
+def test_seed_flag_beats_project_file(workdir, tmp_path, capsys):
+    quadric = str(workdir / "quadric.immersion")
+    project = _project(tmp_path, {"seed": 7})
+    for flags, seed in ((["--seed=3"], 3), (["--seed", "5"], 5),
+                        ([], 7)):
+        assert cli.main(["detect", quadric, "--grid", "g9",
+                         "--project", project, *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == seed
+    assert cli.main(["detect", quadric, "--grid", "g9"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 42
+
+
+def test_restarts_flag_beats_project_file(workdir, tmp_path, capsys,
+                                          monkeypatch):
+    seen = []
+    real_detect = decompose.detect
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["restarts"])
+        return real_detect(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "detect", spy)
+    quadric = str(workdir / "quadric.immersion")
+    project = _project(tmp_path, {"restarts": 5})
+    for flags in (["--restarts=9"], ["--restarts", "8"], []):
+        cli.main(["detect", quadric, "--grid", "g9", "--project", project,
+                  *flags])
+    cli.main(["detect", quadric, "--grid", "g9"])
+    capsys.readouterr()
+    assert seen == [9, 8, 5, 32]
+
+
+def test_detect_refused_geometry_is_a_failed_verdict(tmp_path, capsys):
+    saddle = tmp_path / "saddle.immersion"
+    saddle.write_text(
+        "immersion saddle { vars: u, v; components: (u, v, u*v); }\n",
+        encoding="utf-8")
+    assert cli.main(["detect", str(saddle), "--grid", "g9"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reports"] == []
+    assert payload["verdict"]["kind"] == "None"
+    assert "not definite" in payload["verdict"]["note"]
+
+
+def test_check_jet_domain_error_is_json_error(tmp_path):
+    path = tmp_path / "lg.immersion"
+    path.write_text(
+        "immersion lg { vars: u, v; "
+        "components: (u, v, log(u) + 3*u*u + v*v); }\n", encoding="utf-8")
+    res = run_cli("check", str(path), "--grid", "g9")
+    assert res.returncode == 1
+    assert b"Traceback" not in res.stderr
+    payload = json.loads(res.stdout)
+    assert "log of nonpositive value" in payload["error"]
 
 
 def test_inline_grid_spec(workdir):

@@ -30,13 +30,18 @@ def mixed_verdict(mixed_product):
 # homothety
 
 
-def test_normalize_homothety_closed_form():
+def test_normalize_homothety_closed_form(pair_product):
     defn = parse_immersion(
         "immersion hyp { vars: s; components: (exp(s), exp(-s)); }")
     result = decompose.normalize_homothety(defn)
     assert result.scale == pytest.approx(1 / math.sqrt(2), abs=1e-10)
     frame = blaschke.full_frame(result.def_scaled, (0.3,))
     assert frame.H == pytest.approx(-1.0, abs=1e-9)
+    # c * phi at H = -1 must come back with scale 1/c to rounding
+    for c in (1.7, 1e3, 1e6):
+        scaled = decompose._scaled_def(pair_product, c)
+        result = decompose.normalize_homothety(scaled)
+        assert abs(result.scale * c - 1.0) <= 1e-13, c
 
 
 def test_normalize_homothety_is_idempotent(pair_product):
@@ -176,6 +181,15 @@ def test_detect_perturbed_product_fails_sphere_gate(pair_product):
                    if rep.name == "sphere")
 
 
+def test_detect_returns_verdict_on_indefinite_metric():
+    saddle = parse_immersion(
+        "immersion saddle { vars: u, v; components: (u, v, u*v); }")
+    verdict = decompose.detect(saddle, make_grid(-0.3, 0.3, 3, 2))
+    assert verdict.kind is None
+    assert verdict.notes == ("tentative second fundamental form is not "
+                             "definite",)
+
+
 def test_detect_normalizes_off_gauge_input(hyperbola, hyperbola_b):
     """A product scaled off the H = -1 gauge is still detected, with the
     homothety scale reported."""
@@ -188,6 +202,63 @@ def test_detect_normalizes_off_gauge_input(hyperbola, hyperbola_b):
     assert verdict.kind == "PairProduct"
     assert verdict.scale == pytest.approx(1 / 1.7, rel=1e-9)
     assert verdict.spectrum.lambda2 == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# work counts: deterministic, so a lost optimization fails without timing
+
+
+def _counted(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(decompose, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, name, wrapper)
+    return calls
+
+
+def _frames_computed() -> int:
+    return blaschke._full_frame_cached.cache_info().misses
+
+
+def test_detect_searches_once_and_computes_each_frame_once(pair_product,
+                                                           monkeypatch):
+    searches = _counted(monkeypatch, "find_axes")
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(pair_product, make_grid(-0.3, 0.3, 3, 3))
+    assert verdict.kind == "PairProduct"
+    assert len(searches) == 1
+    assert _frames_computed() == 27
+
+
+def test_normalize_homothety_computes_at_most_two_frames(pair_product):
+    scaled = decompose._scaled_def(pair_product, 1.7)
+    blaschke.clear_frame_cache()
+    result = decompose.normalize_homothety(scaled)
+    assert result.scale == pytest.approx(1 / 1.7, rel=1e-13)
+    assert _frames_computed() <= 2
+
+
+def test_detect_falls_back_to_search_when_tracking_fails(pair_product,
+                                                         pair_verdict,
+                                                         monkeypatch):
+    tracked, grid = pair_verdict
+    monkeypatch.setattr(decompose, "_track_axis",
+                        lambda frame, t_prev: None)
+    searches = _counted(monkeypatch, "find_axes")
+    verdict = decompose.detect(pair_product, grid)
+    assert len(searches) == len(grid)
+    assert verdict.kind == tracked.kind
+    assert verdict.notes == tracked.notes
+    for attr in ("lambda1", "lambda2", "lambda3", "n2", "n3",
+                 "cross_residual", "relation_residuals"):
+        assert getattr(verdict.spectrum, attr) == getattr(
+            tracked.spectrum, attr), attr
+    assert verdict.constancy_residual == pytest.approx(
+        tracked.constancy_residual, abs=1e-12)
 
 
 def test_detect_invariant_under_unimodular_map(point_product):
