@@ -12,6 +12,19 @@ write on paper, and each differentiation lowers the jet order by one.
 The orders work out so that S, the curvature tensor and hat nabla K are
 still exact at the point; no finite differences are involved.
 
+The pipeline runs on a batch of points at once, with jet matrices as
+coefficient arrays of shape (points, rows, cols, size) (see `jets`);
+`full_frame`, `blaschke_metric_and_normal` and `tentative_decomposition`
+are the one-point case. A jet matrix A = A0 + N, A0 its constant term,
+is inverted as A^-1 = sum_{k <= order} (-A0^-1 N)^k A0^-1, exact at the
+jet order since N has no constant term, so LAPACK only inverts the A0.
+The cross product and det gtilde use a division-free Laplace expansion:
+minors that vanish at a point are harmless.
+
+Frames are cached per (definition, point) in an LRU of 4096 entries,
+`_full_frame_cached`; `frames_on_grid` computes only its misses, in one
+batch, and `cache_info().misses` counts one miss per frame computed.
+
 Index conventions for the stored arrays: tensors with one contravariant
 slot keep it last, so gamma[i, j, k] is Gamma^k_ij, K[i, j, k] is
 K^k_ij, Rhat[i, j, k, l] is the l-component of R(d_i, d_j) d_k, and
@@ -21,13 +34,17 @@ S[k, i] is the matrix with S(d_i) = S[k, i] d_k.
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .dsl import ImmersionDef
-from .jets import Jet, eval_jets, jet_sqrt
+from .jets import (Jet, JetDomainError, eval_jets, grad, jet_sqrt, matmul, mul,
+                   space_of)
 
 
 class GeometryError(ValueError):
@@ -47,68 +64,61 @@ class ArityError(GeometryError):
     """Component count is not (number of variables) + 1."""
 
 
-# --- jet-valued dense linear algebra -------------------------------------
+# --- batched jet-matrix algebra ------------------------------------------
 
 
-def _jet_det(rows: list[list[Jet]]):
-    """Determinant by Laplace expansion with memoization on column
-    subsets. Division free, so singular leading minors are harmless."""
-    n = len(rows)
-    cols0 = tuple(range(n))
-    memo: dict[tuple[int, tuple[int, ...]], object] = {}
-
-    def rec(r: int, cols: tuple[int, ...]):
-        if r == n:
-            return 1.0
-        key = (r, cols)
-        if key in memo:
-            return memo[key]
-        total = None
-        for pos, j in enumerate(cols):
-            sub = rec(r + 1, cols[:pos] + cols[pos + 1 :])
-            term = rows[r][j] * sub
-            if pos % 2 == 1:
-                term = -term
-            total = term if total is None else total + term
-        memo[key] = total
-        return total
-
-    return rec(0, cols0)
+@lru_cache(maxsize=None)
+def _laplace(m: int, s: int):
+    """Column subsets of size s of range(m), in combinations order, and
+    for each subset and position the index of the subset without that
+    column among the subsets of size s - 1."""
+    subsets = list(combinations(range(m), s))
+    prev = {c: k for k, c in enumerate(combinations(range(m), s - 1))}
+    sub = [[prev[c[:p] + c[p + 1:]] for p in range(s)] for c in subsets]
+    return np.array(subsets), np.array(sub), np.where(np.arange(s) % 2, -1.0, 1.0)
 
 
-def _jet_solve(a: list[list[Jet]], rhs: list[list[Jet]]) -> list[list[Jet]]:
-    """Solve A X = B for jet matrices by Gaussian elimination with
-    partial pivoting on the constant terms."""
-    n = len(a)
-    m = [[a[i][j] for j in range(n)] + [rhs[i][k] for k in range(len(rhs[0]))]
-         for i in range(n)]
-    width = n + len(rhs[0])
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(_val(m[r][col])))
-        if abs(_val(m[piv][col])) < 1e-13:
-            raise DegenerateSurfaceError("singular jet system (degenerate frame)")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = 1.0 / m[col][col]
-        for j in range(col, width):
-            m[col][j] = m[col][j] * inv
-        for r in range(n):
-            if r == col:
-                continue
-            factor = m[r][col]
-            if isinstance(factor, float) and factor == 0.0:
-                continue
-            for j in range(col, width):
-                m[r][j] = m[r][j] - factor * m[col][j]
-    return [[m[i][n + k] for k in range(width - n)] for i in range(n)]
+def _minors(a: np.ndarray, n: int) -> np.ndarray:
+    """All maximal minors of jet matrices (P, r, m, size), one per r-subset
+    of the m columns in combinations order, by Laplace expansion from the
+    bottom row up."""
+    r, m = a.shape[1], a.shape[2]
+    d = a[:, r - 1]
+    for s in range(2, r + 1):
+        cols, sub, sign = _laplace(m, s)
+        terms = mul(a[:, r - s][:, cols], d[:, sub], n)
+        d = (terms * sign[:, None]).sum(axis=2)
+    return d
 
 
-def _val(x) -> float:
-    return x.value if isinstance(x, Jet) else float(x)
+def _solve(a: np.ndarray, b, n: int) -> np.ndarray:
+    """A^-1 B = sum_{k <= order} (-A0^-1 N)^k A0^-1 B for jet matrices
+    A = A0 + N (P, m, m, size) and B (P, m, c, size); B = None stands for
+    the identity."""
+    if b is None:
+        b = np.zeros(a.shape)
+        b[..., 0] = np.eye(a.shape[1])
+    size = min(a.shape[-1], b.shape[-1])
+    a, a0 = a[..., :size], a[..., 0]
+    try:
+        inv0 = np.linalg.inv(a0)
+    except np.linalg.LinAlgError:
+        inv0 = np.full(a0.shape, np.inf)
+    # the conditioning of A0, not the size of its pivots: scale free
+    cond = np.abs(a0).sum(-1).max(-1) * np.abs(inv0).sum(-1).max(-1)
+    if not np.all(cond <= 1e13):
+        raise DegenerateSurfaceError("singular jet system (degenerate frame)")
+    y = np.einsum("pik,pkjt->pijt", inv0, b[..., :size])
+    step = np.einsum("pik,pkjt->pijt", -inv0, a)   # -A0^-1 N
+    step[..., 0] = 0.0
+    x = y
+    for _ in range(space_of(n, size).order):
+        x = y + matmul(step, x, n)
+    return x
 
 
-def _vals(grid) -> np.ndarray:
-    return np.array([[_val(x) for x in row] for row in grid])
+def _values(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a[..., 0])   # values, detached from the jets
 
 
 # --- result types ---------------------------------------------------------
@@ -159,249 +169,231 @@ class BlaschkeFrame:
 # --- pipeline -------------------------------------------------------------
 
 
-def _component_jets(definition: ImmersionDef, u, order: int = 4) -> list[Jet]:
+def _component_jets(definition: ImmersionDef, points, order: int) -> np.ndarray:
+    """Component jets at a batch of points, shape (P, n + 1, size)."""
     n = definition.nvars
     if definition.ncomponents != n + 1:
         raise ArityError(
             f"hypersurface needs {n + 1} components for {n} variables, "
             f"got {definition.ncomponents}"
         )
-    return eval_jets(definition, u, order)
+    shape = (len(points), math.comb(n + order, order))
+    comps = eval_jets(definition, points, order)
+    return np.stack([np.broadcast_to(
+        c.c if isinstance(c, Jet) else Jet.constant(c, n, order).c, shape)
+        for c in comps], axis=1)
 
 
-def _tentative(comps: list[Jet], n: int):
+def _tentative(comps: np.ndarray, n: int):
     """Shared first stage: tangent jets, unit normal, gtilde, Dvol."""
-    tang = [[comps[a].deriv(i) for a in range(n + 1)] for i in range(n)]
-    second = [[[tang[i][a].deriv(j) for a in range(n + 1)] for j in range(n)]
-              for i in range(n)]
+    P = comps.shape[0]
+    tang = np.swapaxes(grad(comps, n), 1, 2)      # tang[p, i, a] = d_i phi^a
+    idx = np.arange(n)
+    second = np.swapaxes(grad(tang, n), 2, 3)     # second[p, i, j, a]
+    second = second[:, np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)]
 
-    # generalized cross product: zhat_a = (-1)^(n+a) det(tangent minus column a)
-    zhat = []
-    for a in range(n + 1):
-        minor = [[tang[i][b] for b in range(n + 1) if b != a] for i in range(n)]
-        d = _jet_det(minor)
-        zhat.append(d if (n + a) % 2 == 0 else -d)
-    norm2 = zhat[0] * zhat[0]
-    for a in range(1, n + 1):
-        norm2 = norm2 + zhat[a] * zhat[a]
-    if norm2.value < 1e-20:
+    # generalized cross product: zhat_a = (-1)^(n+a) det(tangent minus column
+    # a), at the order of the second derivatives, all that its uses need
+    low = tang[..., : second.shape[-1]]
+    signs = (-1.0) ** (n + np.arange(n + 1))
+    zhat = _minors(low, n)[:, ::-1] * signs[:, None]
+    norm2 = mul(zhat, zhat, n).sum(axis=1)
+    # |zhat| is the volume of the tangent vectors, at most prod_i |d_i phi|
+    lengths2 = np.prod(np.sum(tang[..., 0] ** 2, axis=2), axis=1)
+    if np.any(norm2[:, 0] <= 1e-20 * lengths2):
         raise DegenerateSurfaceError("tangent map is degenerate at this point")
-    norm = jet_sqrt(norm2)
-    zeta = [z / norm for z in zhat]
+    norm = jet_sqrt(Jet(space_of(n, norm2.shape[-1]), norm2))
+    zeta = mul(zhat, (1.0 / norm).c[:, None], n)
 
     # decompose d_i d_j phi = gamma_tilde^k_ij d_k phi + gtilde_ij zeta
-    basis = [[tang[i][a] for i in range(n)] + [zeta[a]] for a in range(n + 1)]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    rhs = [[second[i][j][a] for (i, j) in pairs] for a in range(n + 1)]
-    sol = _jet_solve(basis, rhs)
+    basis = np.concatenate([low, zeta[:, None]], axis=1).swapaxes(1, 2)
+    rhs = second.reshape(P, n * n, n + 1, -1).swapaxes(1, 2)
+    sol = _solve(basis, rhs, n)
+    gam = sol[:, :n].reshape(P, n, n, n, -1).transpose(0, 2, 3, 1, 4)
+    gt = sol[:, n].reshape(P, n, n, -1)
 
-    gam = [[[None] * n for _ in range(n)] for _ in range(n)]
-    gt = [[None] * n for _ in range(n)]
-    for col, (i, j) in enumerate(pairs):
-        for k in range(n):
-            gam[i][j][k] = sol[k][col]
-            gam[j][i][k] = sol[k][col]
-        gt[i][j] = sol[n][col]
-        gt[j][i] = sol[n][col]
-
-    gt_vals = _vals(gt)
-    scale = max(np.max(np.abs(gt_vals)), 1e-30)
-    eig = np.linalg.eigvalsh(0.5 * (gt_vals + gt_vals.T))
-    flip = False
-    if np.all(eig < -1e-12 * scale):
-        flip = True
-        zeta = [-z for z in zeta]
-        gt = [[-x for x in row] for row in gt]
-        gt_vals = -gt_vals
-    elif not np.all(eig > 1e-12 * scale):
+    gt0 = gt[..., 0]
+    scale = np.maximum(np.max(np.abs(gt0), axis=(1, 2)), 1e-30)
+    eig = np.linalg.eigvalsh(0.5 * (gt0 + gt0.swapaxes(1, 2))) / scale[:, None]
+    flip = np.all(eig < -1e-12, axis=1)
+    if not np.all(flip | np.all(eig > 1e-12, axis=1)):
         raise IndefiniteMetricError(
             "tentative second fundamental form is not definite"
         )
-    det_gt = _jet_det(gt)
-    if abs(det_gt.value) < 1e-12:
+    sign = np.where(flip, -1.0, 1.0)
+    gt = gt * sign[:, None, None, None]
+    det_gt = _minors(gt, n)[:, 0]
+    if np.any(np.abs(det_gt[:, 0]) < 1e-12 * scale ** n):
         raise DegenerateSurfaceError("second fundamental form is degenerate")
-    dvol = -norm if flip else norm
-    return tang, second, zeta, gam, gt, det_gt, dvol
+    dvol = norm.c * sign[:, None]
+    return tang, second, gam, gt, det_gt, dvol
 
 
 def tentative_decomposition(definition: ImmersionDef, u) -> TentativeDecomposition:
     """Second fundamental data with the Euclidean unit normal as the
     transversal, oriented so the form is positive definite."""
-    n = definition.nvars
-    comps = _component_jets(definition, u, order=2)
-    _, _, _, gam, gt, _, dvol = _tentative(comps, n)
-    gamma_tilde = np.array(
-        [[[_val(gam[i][j][k]) for k in range(n)] for j in range(n)] for i in range(n)]
-    )
+    comps = _component_jets(definition, [u], order=2)
+    _, _, gam, gt, _, dvol = _tentative(comps, definition.nvars)
     return TentativeDecomposition(
-        gtilde=_vals(gt), gamma_tilde=gamma_tilde, dvol=_val(dvol)
+        gtilde=_values(gt)[0], gamma_tilde=_values(gam)[0], dvol=float(dvol[0, 0])
     )
 
 
-def _metric_and_levi(comps, n):
-    tang, second, zeta, gam_t, gt, det_gt, dvol = _tentative(comps, n)
+def _metric_and_levi(comps: np.ndarray, n: int):
+    tang, second, _gam, gt, det_gt, dvol = _tentative(comps, n)
+    P = comps.shape[0]
 
     # Blaschke normalization: h = (Dvol^2 / det gtilde)^(1/(n+2)) gtilde
-    factor = (dvol * dvol / det_gt) ** (1.0 / (n + 2))
-    h = [[factor * gt[i][j] for j in range(n)] for i in range(n)]
+    dv = Jet(space_of(n, dvol.shape[-1]), dvol)
+    factor = (dv * dv / Jet(space_of(n, det_gt.shape[-1]), det_gt)) ** (1.0 / (n + 2))
+    h = mul(factor.c[:, None, None], gt, n)
+    h_inv = _solve(h, None, n)
 
-    ident = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    h_inv = _jet_solve(h, ident)
-
-    dh = [[[h[i][j].deriv(k) for j in range(n)] for i in range(n)] for k in range(n)]
-    gamma_hat = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                acc = None
-                for l in range(n):
-                    term = h_inv[k][l] * (dh[i][j][l] + dh[j][i][l] - dh[l][i][j])
-                    acc = term if acc is None else acc + term
-                val = 0.5 * acc
-                gamma_hat[i][j][k] = val
-                gamma_hat[j][i][k] = val
+    # gamma_hat^k_ij = h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2
+    dh = grad(h, n)                               # dh[p, i, j, k] = d_k h_ij
+    christ = dh.transpose(0, 3, 1, 2, 4) + dh.transpose(0, 1, 3, 2, 4) - dh
+    gamma_hat = 0.5 * matmul(christ.reshape(P, n * n, n, -1), h_inv.swapaxes(1, 2),
+                             n).reshape(P, n, n, n, -1)
 
     # affine normal: n xi = Laplace_h phi = h^ij (dd phi - gamma_hat d phi)
-    xi = []
-    for a in range(n + 1):
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                inner = second[i][j][a]
-                for k in range(n):
-                    inner = inner - gamma_hat[i][j][k] * tang[k][a]
-                term = h_inv[i][j] * inner
-                acc = term if acc is None else acc + term
-        xi.append(acc * (1.0 / n))
-    return tang, second, zeta, h, h_inv, dh, gamma_hat, xi
+    drift = matmul(gamma_hat.reshape(P, n * n, n, -1), tang, n)
+    inner = second.reshape(P, n * n, n + 1, -1)[..., : drift.shape[-1]] - drift
+    xi = matmul(h_inv.reshape(P, 1, n * n, -1), inner, n)[:, 0] * (1.0 / n)
+    return tang, second, h, h_inv, dh, gamma_hat, xi
 
 
 def blaschke_metric_and_normal(definition: ImmersionDef, u) -> MetricNormal:
     """Affine metric and affine normal at a point (order-3 jets)."""
+    comps = _component_jets(definition, [u], order=3)
+    _, _, h, _, _, _, xi = _metric_and_levi(comps, definition.nvars)
+    return MetricNormal(h=_values(h)[0], xi=_values(xi)[0])
+
+
+def _frame_batch(definition: ImmersionDef, points: np.ndarray) -> list[BlaschkeFrame]:
+    """Complete Blaschke frames at a batch of points (order-4 jets)."""
     n = definition.nvars
-    comps = _component_jets(definition, u, order=3)
-    _, _, _, h, _, _, _, xi = _metric_and_levi(comps, n)
-    return MetricNormal(h=_vals(h), xi=np.array([_val(x) for x in xi]))
-
-
-def full_frame(definition: ImmersionDef, u) -> BlaschkeFrame:
-    """Complete Blaschke frame at a point (order-4 jets).
-
-    Results are cached per (definition, point).
-    """
-    return _full_frame_cached(definition, tuple(float(x) for x in u))
-
-
-@lru_cache(maxsize=4096)
-def _full_frame_cached(definition: ImmersionDef, u: tuple) -> BlaschkeFrame:
-    n = definition.nvars
-    comps = _component_jets(definition, u, order=4)
-    tang, second, zeta, h, h_inv, dh, gamma_hat, xi = _metric_and_levi(comps, n)
+    P = len(points)
+    comps = _component_jets(definition, points, order=4)
+    tang, second, h, h_inv, dh, gamma_hat, xi = _metric_and_levi(comps, n)
 
     # induced connection: decompose second derivatives against (d phi, xi)
-    basis = [[tang[i][a] for i in range(n)] + [xi[a]] for a in range(n + 1)]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    rhs = [[second[i][j][a] for (i, j) in pairs] for a in range(n + 1)]
-    sol = _jet_solve(basis, rhs)
-    gamma = np.zeros((n, n, n))
-    recon = 0.0
-    for col, (i, j) in enumerate(pairs):
-        for k in range(n):
-            gamma[i, j, k] = _val(sol[k][col])
-            gamma[j, i, k] = gamma[i, j, k]
-        recon = max(recon, abs(_val(sol[n][col]) - _val(h[i][j])))
-
-    K_jets = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for col, (i, j) in enumerate(pairs):
-        for k in range(n):
-            kij = sol[k][col] - gamma_hat[i][j][k]
-            K_jets[i][j][k] = kij
-            K_jets[j][i][k] = kij
-
-    K = np.array([[[_val(K_jets[i][j][k]) for k in range(n)]
-                   for j in range(n)] for i in range(n)])
-    gamma_hat_vals = np.array(
-        [[[_val(gamma_hat[i][j][k]) for k in range(n)] for j in range(n)]
-         for i in range(n)]
-    )
-    h_vals = _vals(h)
-    h_inv_vals = _vals(h_inv)
-    C = np.einsum("ijl,lk->ijk", K, h_vals)
+    basis = np.concatenate([tang[..., :xi.shape[-1]], xi[:, None]], 1).swapaxes(1, 2)
+    sol = _solve(basis, second.reshape(P, n * n, n + 1, -1).swapaxes(1, 2), n)
+    gamma = _values(sol[:, :n]).reshape(P, n, n, n).transpose(0, 2, 3, 1)
+    recon = np.max(np.abs(sol[:, n, :, 0] - h[..., 0].reshape(P, n * n)), axis=1)
+    K_jets = (sol[:, :n].reshape(P, n, n, n, -1).transpose(0, 2, 3, 1, 4)
+              - gamma_hat[..., : sol.shape[-1]])
+    K, gh, h_vals = _values(K_jets), _values(gamma_hat), _values(h)
+    C = np.einsum("pijl,plk->pijk", K, h_vals)
 
     # shape operator from d_i xi = -S^k_i d_k phi (+ transversal defect)
-    dxi = [[xi[a].deriv(i) for a in range(n + 1)] for i in range(n)]
-    basis_vals = np.array(
-        [[_val(tang[i][a]) for i in range(n)] + [_val(xi[a])] for a in range(n + 1)]
-    )
-    S = np.zeros((n, n))
-    defect = 0.0
-    for i in range(n):
-        coeffs = np.linalg.solve(basis_vals, np.array([_val(dxi[i][a])
-                                                       for a in range(n + 1)]))
-        S[:, i] = -coeffs[:n]
-        defect = max(defect, abs(coeffs[n]))
-    H = float(np.trace(S) / n)
+    coeffs = np.linalg.solve(basis[..., 0], grad(xi, n)[..., 0])
+    S = -coeffs[:, :n]
+    defect = np.max(np.abs(coeffs[:, n]), axis=1)
+    H = np.trace(S, axis1=1, axis2=2) / n
 
-    # derivative tensors
-    dgh = np.array(
-        [[[[_val(gamma_hat[i][j][k].deriv(m)) for k in range(n)]
-           for j in range(n)] for i in range(n)] for m in range(n)]
-    )
-    dK = np.array(
-        [[[[_val(K_jets[i][j][k].deriv(m)) for k in range(n)]
-           for j in range(n)] for i in range(n)] for m in range(n)]
-    )
-    dh_vals = np.array(
-        [[[_val(dh[k][i][j]) for j in range(n)] for i in range(n)] for k in range(n)]
-    )
+    # derivative tensors, derivative index first: dK[p, m, i, j, k] = d_m K^k_ij
+    dgh = np.moveaxis(grad(gamma_hat, n)[..., 0], 4, 1)
+    dK = np.moveaxis(grad(K_jets, n)[..., 0], 4, 1)
 
     # curvature: R[i,j,k,l] = d_i Gh[j,k,l] - d_j Gh[i,k,l]
     #            + Gh[j,k,m] Gh[i,m,l] - Gh[i,k,m] Gh[j,m,l]
-    Rhat = (
-        dgh
-        - dgh.transpose(1, 0, 2, 3)
-        + np.einsum("jkm,iml->ijkl", gamma_hat_vals, gamma_hat_vals)
-        - np.einsum("ikm,jml->ijkl", gamma_hat_vals, gamma_hat_vals)
-    )
+    Rhat = (dgh - dgh.transpose(0, 2, 1, 3, 4)
+            + np.einsum("pjkm,piml->pijkl", gh, gh)
+            - np.einsum("pikm,pjml->pijkl", gh, gh))
 
     # hat nabla K: dK + Gh K - K Gh - K Gh, all slots
-    nabla_K = (
-        dK
-        + np.einsum("iml,jkm->ijkl", gamma_hat_vals, K)
-        - np.einsum("ijm,mkl->ijkl", gamma_hat_vals, K)
-        - np.einsum("ikm,jml->ijkl", gamma_hat_vals, K)
-    )
+    nabla_K = (dK + np.einsum("piml,pjkm->pijkl", gh, K)
+               - np.einsum("pijm,pmkl->pijkl", gh, K)
+               - np.einsum("pikm,pjml->pijkl", gh, K))
 
-    second_vals = np.array(
-        [[[_val(second[i][j][a]) for a in range(n + 1)] for j in range(n)]
-         for i in range(n)]
-    )
-    return BlaschkeFrame(
-        u=np.array(u, dtype=float),
-        position=np.array([c.value for c in comps]),
-        tangent=np.array([[_val(tang[i][a]) for a in range(n + 1)] for i in range(n)]),
-        second=second_vals,
-        h=h_vals,
-        h_inv=h_inv_vals,
-        xi=np.array([_val(x) for x in xi]),
-        gamma=gamma,
-        gamma_hat=gamma_hat_vals,
-        K=K,
-        C=C,
-        S=S,
-        H=H,
-        Rhat=Rhat,
-        nabla_K=nabla_K,
-        dh=dh_vals,
-        dK=dK,
-        recon_residual=float(recon),
-        normal_defect=float(defect),
-    )
+    position, tangent, second_vals = _values(comps), _values(tang), _values(second)
+    h_inv_vals, xi_vals = _values(h_inv), _values(xi)
+    dh_vals = np.moveaxis(dh[..., 0], 3, 1)       # dh[p, k, i, j] = d_k h_ij
+    return [
+        BlaschkeFrame(
+            u=points[p], position=position[p], tangent=tangent[p],
+            second=second_vals[p], h=h_vals[p], h_inv=h_inv_vals[p],
+            xi=xi_vals[p], gamma=gamma[p], gamma_hat=gh[p], K=K[p], C=C[p],
+            S=S[p], H=float(H[p]), Rhat=Rhat[p], nabla_K=nabla_K[p],
+            dh=dh_vals[p], dK=dK[p], recon_residual=float(recon[p]),
+            normal_defect=float(defect[p]),
+        )
+        for p in range(P)
+    ]
+
+
+# --- frame cache ----------------------------------------------------------
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _FrameCache:
+    """LRU of frames keyed by (definition, point tuple). `misses` counts
+    frames computed, one per frame; `hits` counts lookups it served."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.frames: dict = {}
+        self.hits = self.misses = 0
+
+    def get(self, key):
+        frame = self.frames.pop(key, None)
+        if frame is not None:
+            self.frames[key] = frame      # most recently used goes last
+            self.hits += 1
+        return frame
+
+    def put(self, key, frame: BlaschkeFrame) -> None:
+        self.misses += 1
+        self.frames[key] = frame
+        if len(self.frames) > self.maxsize:
+            del self.frames[next(iter(self.frames))]
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, self.maxsize, len(self.frames))
+
+    def cache_clear(self) -> None:
+        self.frames.clear()
+        self.hits = self.misses = 0
+
+
+_full_frame_cached = _FrameCache(maxsize=4096)
+
+
+def _computed(definition: ImmersionDef, points: list[tuple]) -> list[BlaschkeFrame]:
+    """Compute and cache the frames at `points` in one batch. When the
+    batch fails, the points go one at a time, so the error raised is the
+    one of the first failing point."""
+    try:
+        frames = _frame_batch(definition, np.array(points, dtype=float))
+    except (GeometryError, JetDomainError):
+        if len(points) == 1:
+            raise
+        return [_computed(definition, [u])[0] for u in points]
+    for u, frame in zip(points, frames):
+        _full_frame_cached.put((definition, u), frame)
+    return frames
+
+
+def full_frame(definition: ImmersionDef, u) -> BlaschkeFrame:
+    """Complete Blaschke frame at a point (order-4 jets), cached."""
+    key = (definition, tuple(float(x) for x in u))
+    frame = _full_frame_cached.get(key)
+    return frame if frame is not None else _computed(definition, [key[1]])[0]
 
 
 def frames_on_grid(definition: ImmersionDef, grid) -> list[BlaschkeFrame]:
-    """Frames at every point of an iterable of parameter points."""
-    return [full_frame(definition, u) for u in grid]
+    """Frames at every point of an iterable of parameter points; the
+    points missing from the cache are computed together in one batch."""
+    keys = [(definition, tuple(float(x) for x in u)) for u in grid]
+    found = {key: _full_frame_cached.get(key) for key in keys}
+    missing = [key[1] for key, frame in found.items() if frame is None]
+    if missing:
+        found.update(((definition, u), frame) for u, frame
+                     in zip(missing, _computed(definition, missing)))
+    return [found[key] for key in keys]
 
 
 def clear_frame_cache() -> None:

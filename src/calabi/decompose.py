@@ -390,20 +390,25 @@ def _prepare(defn: ImmersionDef, grid):
     Returns (work_def, scale, frames, evidence, failure_note,
     orientation_ok)."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    sphere = checks.sphere_residual(defn, grid)
-    evidence = [sphere]
-    if not sphere.passed:
-        return defn, 1.0, None, evidence, "not an affine sphere", False
     h0 = blaschke.full_frame(defn, tuple(grid[0])).H
     if h0 >= 0.0:
-        return defn, 1.0, None, evidence, (
-            f"not hyperbolic (H = {h0:.6g} >= 0)"), False
+        # the input frames only choose which of the two gates failed
+        sphere = checks.sphere_residual(defn, grid)
+        note = ("not an affine sphere" if not sphere.passed
+                else f"not hyperbolic (H = {h0:.6g} >= 0)")
+        return defn, 1.0, None, [sphere], note, False
     if abs(h0 + 1.0) > 1e-9:
         scaled = normalize_homothety(defn, probe=tuple(grid[0]))
         work, scale = scaled.def_scaled, scaled.scale
     else:
         work, scale = defn, 1.0
+    # S = H id is invariant under homotheties, so the sphere gate runs on
+    # the work frames, where H = -1 makes its absolute tolerance scale free
     frames = blaschke.frames_on_grid(work, grid)
+    sphere = checks.sphere_residual(frames)
+    evidence = [sphere]
+    if not sphere.passed:
+        return defn, 1.0, None, evidence, "not an affine sphere", False
     worst_xi = max(float(np.max(np.abs(fr.xi - fr.position)))
                    for fr in frames)
     pos_scale = max(1.0, max(float(np.max(np.abs(fr.position)))
@@ -414,6 +419,21 @@ def _prepare(defn: ImmersionDef, grid):
             f"(offset {worst_xi:.3g}); recenter the sphere first"), False
     evidence.append(checks.apolarity_residual(frames))
     return work, scale, frames, evidence, None, True
+
+
+def _structure_key(structure: SpectralStructure) -> tuple:
+    """Preference among the product structures found at one point.
+
+    Highly symmetric spheres admit several product structures at once
+    (the orthant hypersurface is the extreme case); prefer the finer
+    two-cluster split, then n2 <= n3, then the smallest combined
+    residual. T and -T describe one structure with the blocks swapped,
+    and their residuals differ only by rounding, so the block sizes,
+    not the residuals, choose between them.
+    """
+    rank = 0 if structure.pattern == "pair" else 1
+    total = sum(structure.relation_residuals.values()) + structure.cross_residual
+    return (rank, structure.n2 > structure.n3, total)
 
 
 def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
@@ -446,9 +466,6 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
         return _none_verdict("no axis direction solves K(X,X) = mu X",
                              evidence, True, work, scale)
 
-    # Highly symmetric spheres admit several product structures at once
-    # (the orthant hypersurface is the extreme case); prefer the finer
-    # two-cluster split, then the smallest combined residual.
     scored = []
     for cand in search:
         structure = classify_spectrum(frames[0], cand, tol)
@@ -458,15 +475,12 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
             continue
         if structure.pattern == "pair" and structure.cross_residual > tol:
             continue
-        rank = 0 if structure.pattern == "pair" else 1
-        total = (sum(structure.relation_residuals.values())
-                 + structure.cross_residual)
-        scored.append((rank, total, structure))
+        scored.append(structure)
     if not scored:
         return _none_verdict(
             "no axis matches either product pattern within tolerance",
             evidence, True, work, scale)
-    base_best = min(scored, key=lambda item: (item[0], item[1]))[2]
+    base_best = min(scored, key=_structure_key)
 
     def mismatch(structure: SpectralStructure) -> str | None:
         if ((structure.pattern, structure.n2, structure.n3)
@@ -570,20 +584,16 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
             cross_residual=None, spectrum=None,
             note="K ≈ 0: spectrum collapses, no (V, W) split to gate")
 
-    axes = find_axes(frames[0], restarts=restarts, seed=seed)
-    best = None
-    for cand in axes:
-        structure = classify_spectrum(frames[0], cand, tol)
-        if structure.pattern == "pair":
-            if best is None or (sum(structure.relation_residuals.values())
-                                < sum(best.relation_residuals.values())):
-                best = structure
-    if best is None:
+    structures = [classify_spectrum(frames[0], cand, tol)
+                  for cand in find_axes(frames[0], restarts=restarts, seed=seed)]
+    pairs = [s for s in structures if s.pattern == "pair"]
+    if not pairs:
         return Theorem3Gate(
             applies=False, parallel=parallel,
             curvature_action_residual=rk, derived_relations={}, margins={},
             cross_residual=None, spectrum=None,
             note="no axis with a two-cluster spectrum")
+    best = min(pairs, key=_structure_key)
 
     lam1, lam2, lam3 = best.lambda1, best.lambda2, best.lambda3
     derived = {

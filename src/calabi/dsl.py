@@ -101,6 +101,7 @@ class ImmersionDef:
     vars: tuple[str, ...]
     components: tuple[Expr, ...]
     provenance: Provenance | None = field(default=None)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vars:
@@ -120,6 +121,13 @@ class ImmersionDef:
                         f"undeclared variable {name!r} in immersion {self.name!r}"
                     )
             _validate_expr(comp)
+
+    def __hash__(self) -> int:
+        # definitions key the frame cache: hash the expression trees once
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.name, self.vars, self.components, self.provenance)))
+        return self._hash
 
     @property
     def nvars(self) -> int:

@@ -1,4 +1,4 @@
-"""Truncated multivariate Taylor (jet) arithmetic.
+"""Truncated multivariate Taylor (jet) arithmetic over batches of points.
 
 A jet stores the Taylor coefficients c_alpha = (d^alpha f / alpha!) of a
 scalar function at a point, for all multi-indices |alpha| <= order. Orders
@@ -6,15 +6,23 @@ up to 4 and up to 8 variables are supported, which is what the Blaschke
 pipeline needs (metric and connection live at order <= 2 below the input,
 shape operator and curvature at order <= 4).
 
-Arithmetic is exact truncation: the product of two jets of orders r and s
-is the truncated Cauchy product at order min(r, s). Elementary functions
-are applied by composing the univariate Taylor series of the function at
-the constant term with the zero-constant part of the jet (Horner form,
+Coefficient arrays carry leading batch axes, shape (..., size): one array
+holds a function, or a matrix of functions, at many points, and every
+operation acts on all of them at once; the frame pipeline keeps jet
+matrices as (points, rows, cols, size). `Jet` wraps such an array for the
+operator syntax of `dsl.eval_expr`; `value` and `partial` read one point.
+
+Arithmetic is exact truncation: the product of jets of orders r and s is
+the truncated Cauchy product at order min(r, s), one gather through the
+`mul_a`/`mul_b` tables and one segmented sum per output coefficient over
+the whole batch. Elementary functions compose the univariate Taylor
+series of the function at each point's constant term, an array
+(..., order+1), with the zero-constant part of the jet (Horner form,
 which is exact for truncated series).
 
 Multi-indices are enumerated in graded lexicographic order, so the
-coefficients of every lower order form a prefix of the array and
-truncation is a slice.
+coefficients of every lower order form a prefix of the last axis:
+truncation is a slice, and the order of an array follows from its size.
 """
 
 from __future__ import annotations
@@ -27,7 +35,9 @@ import numpy as np
 MAX_ORDER = 4
 MAX_NVARS = 8
 
-_SPACES: dict[tuple[int, int], "_JetSpace"] = {}
+_SPACES: dict[tuple[int, int], "_JetSpace"] = {}   # keyed by (nvars, size)
+_FACTORIAL = np.array([1.0, 1.0, 2.0, 6.0, 24.0])   # k! for k <= MAX_ORDER
+_SCALARS = (int, float, np.floating, np.integer)
 
 
 def _multi_indices(nvars: int, order: int) -> list[tuple[int, ...]]:
@@ -52,11 +62,8 @@ class _JetSpace:
         self.indices = _multi_indices(nvars, order)
         self.size = len(self.indices)
         self.pos = {alpha: k for k, alpha in enumerate(self.indices)}
-        self.degrees = np.array([sum(a) for a in self.indices])
-        self.factorials = np.array(
-            [math.prod(math.factorial(ai) for ai in alpha) for alpha in self.indices],
-            dtype=float,
-        )
+        self.factorials = np.array([math.prod(map(math.factorial, alpha))
+                                    for alpha in self.indices], dtype=float)
         ia, ib, iout = [], [], []
         for p, ap in enumerate(self.indices):
             dp = sum(ap)
@@ -66,22 +73,18 @@ class _JetSpace:
                 ia.append(p)
                 ib.append(q)
                 iout.append(self.pos[tuple(x + y for x, y in zip(ap, aq))])
-        self.mul_a = np.array(ia)
-        self.mul_b = np.array(ib)
-        self.mul_out = np.array(iout)
-        # d/dx_i maps the parent space onto the order-1 lower prefix
-        self.deriv_src: list[np.ndarray] = []
-        self.deriv_fac: list[np.ndarray] = []
+        by_out = np.argsort(iout, kind="stable")
+        self.mul_a = np.array(ia)[by_out]
+        self.mul_b = np.array(ib)[by_out]
+        self.mul_starts = np.searchsorted(np.array(iout)[by_out],
+                                          np.arange(self.size))
+        # d/dx_i maps the parent space onto the order-1 lower prefix:
+        # grad_src[i] are the source coefficients, grad_fac[i] the factors
         lower = [a for a in self.indices if sum(a) <= order - 1]
-        for i in range(nvars):
-            src, fac = [], []
-            for alpha in lower:
-                shifted = list(alpha)
-                shifted[i] += 1
-                src.append(self.pos[tuple(shifted)])
-                fac.append(alpha[i] + 1)
-            self.deriv_src.append(np.array(src, dtype=int))
-            self.deriv_fac.append(np.array(fac, dtype=float))
+        self.grad_src = np.array([[self.pos[a[:i] + (a[i] + 1,) + a[i + 1:]]
+                                   for a in lower] for i in range(nvars)], dtype=int)
+        self.grad_fac = np.array([[a[i] + 1 for a in lower] for i in range(nvars)],
+                                 dtype=float)
 
 
 def _space(nvars: int, order: int) -> _JetSpace:
@@ -89,16 +92,56 @@ def _space(nvars: int, order: int) -> _JetSpace:
         raise ValueError(f"nvars must be in 1..{MAX_NVARS}, got {nvars}")
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must in 0..{MAX_ORDER}, got {order}")
-    key = (nvars, order)
-    if key not in _SPACES:
-        _SPACES[key] = _JetSpace(nvars, order)
-    return _SPACES[key]
+    return space_of(nvars, math.comb(nvars + order, order))
+
+
+def space_of(nvars: int, size: int) -> _JetSpace:
+    """The jet space of coefficient arrays with `size` coefficients."""
+    sp = _SPACES.get((nvars, size))
+    if sp is None:
+        order = next(r for r in range(MAX_ORDER + 1)
+                     if math.comb(nvars + r, r) == size)
+        sp = _SPACES[(nvars, size)] = _JetSpace(nvars, order)
+    return sp
+
+
+# --- coefficient-array operations (batched) --------------------------------
+
+
+def mul(a: np.ndarray, b: np.ndarray, nvars: int) -> np.ndarray:
+    """Truncated Cauchy product of coefficient arrays, broadcast over
+    their leading axes, at the lower of the two orders."""
+    sp = space_of(nvars, min(a.shape[-1], b.shape[-1]))
+    return np.add.reduceat(a[..., sp.mul_a] * b[..., sp.mul_b], sp.mul_starts,
+                           axis=-1)
+
+
+def matmul(a: np.ndarray, b: np.ndarray, nvars: int) -> np.ndarray:
+    """Product of jet matrices (..., r, k, size) @ (..., k, c, size)."""
+    sp = space_of(nvars, min(a.shape[-1], b.shape[-1]))
+    terms = (np.moveaxis(a, -1, -3)[..., sp.mul_a, :, :]
+             @ np.moveaxis(b, -1, -3)[..., sp.mul_b, :, :])
+    return np.moveaxis(np.add.reduceat(terms, sp.mul_starts, axis=-3), -3, -1)
+
+
+def grad(a: np.ndarray, nvars: int) -> np.ndarray:
+    """All first partials, one order lower: (..., size) -> (..., nvars, size')."""
+    sp = space_of(nvars, a.shape[-1])
+    if sp.order == 0:
+        raise ValueError("cannot differentiate an order-0 jet")
+    return a[..., sp.grad_src] * sp.grad_fac
 
 
 class JetDomainError(ArithmeticError):
     """Elementary function applied outside its domain (log of a
     nonpositive value, fractional power at a nonpositive base, division
     by a jet whose value vanishes)."""
+
+
+def _check_domain(a0: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise for the first point of the batch outside the domain."""
+    if np.any(bad):
+        raise JetDomainError(f"{what} {float(a0[bad][0])!r}")
 
 
 class Jet:
@@ -111,21 +154,21 @@ class Jet:
     # construction ---------------------------------------------------
 
     @staticmethod
-    def constant(value: float, nvars: int, order: int) -> "Jet":
+    def constant(value, nvars: int, order: int) -> "Jet":
         sp = _space(nvars, order)
-        c = np.zeros(sp.size)
-        c[0] = value
+        c = np.zeros(np.shape(value) + (sp.size,))
+        c[..., 0] = value
         return Jet(sp, c)
 
     @staticmethod
-    def variable(value: float, index: int, nvars: int, order: int) -> "Jet":
-        sp = _space(nvars, order)
-        c = np.zeros(sp.size)
-        c[0] = value
+    def variable(value, index: int, nvars: int, order: int) -> "Jet":
+        """The coordinate x_index at `value` (a float or an array of
+        values, one per point of the batch)."""
+        jet = Jet.constant(value, nvars, order)
         if order >= 1:
             e = tuple(1 if k == index else 0 for k in range(nvars))
-            c[sp.pos[e]] = 1.0
-        return Jet(sp, c)
+            jet.c[..., jet.space.pos[e]] = 1.0
+        return jet
 
     # inspection -----------------------------------------------------
 
@@ -139,22 +182,12 @@ class Jet:
 
     @property
     def value(self) -> float:
-        return float(self.c[0])
-
-    def coeff(self, alpha: tuple[int, ...]) -> float:
-        """Taylor coefficient d^alpha f / alpha!."""
-        return float(self.c[self.space.pos[tuple(alpha)]])
+        return float(self.c[..., 0])
 
     def partial(self, alpha: tuple[int, ...]) -> float:
         """Partial derivative d^alpha f (coefficient times alpha!)."""
         k = self.space.pos[tuple(alpha)]
-        return float(self.c[k] * self.space.factorials[k])
-
-    def truncate(self, order: int) -> "Jet":
-        if order >= self.order:
-            return self
-        sp = _space(self.nvars, order)
-        return Jet(sp, self.c[: sp.size].copy())
+        return float(self.c[..., k] * self.space.factorials[k])
 
     def deriv(self, i: int) -> "Jet":
         """Jet of d f / d x_i, one order lower."""
@@ -162,71 +195,67 @@ class Jet:
             raise ValueError("cannot differentiate an order-0 jet")
         sp = _space(self.nvars, self.order - 1)
         parent = self.space
-        return Jet(sp, self.c[parent.deriv_src[i]] * parent.deriv_fac[i])
+        return Jet(sp, self.c[..., parent.grad_src[i]] * parent.grad_fac[i])
 
     def __repr__(self) -> str:
-        return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value!r})"
+        return (f"Jet(nvars={self.nvars}, order={self.order}, "
+                f"value={self.c[..., 0].tolist()!r})")
 
     # ring operations ------------------------------------------------
 
-    def _coerce(self, other) -> tuple["Jet", "Jet"]:
-        if isinstance(other, Jet):
-            a, b = self, other
-            if a.order > b.order:
-                a = a.truncate(b.order)
-            elif b.order > a.order:
-                b = b.truncate(a.order)
-            if a.nvars != b.nvars:
-                raise ValueError("jet variable counts differ")
-            return a, b
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return self, Jet.constant(float(other), self.nvars, self.order)
-        return NotImplemented, NotImplemented
+    def _pair(self, other: "Jet"):
+        """Space and coefficients of self and other at the common order."""
+        if other.space.nvars != self.space.nvars:
+            raise ValueError("jet variable counts differ")
+        sp = self.space if self.space.size <= other.space.size else other.space
+        return sp, self.c[..., : sp.size], other.c[..., : sp.size]
 
     def __add__(self, other):
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return Jet(a.space, a.c + b.c)
+        if isinstance(other, Jet):
+            sp, a, b = self._pair(other)
+            return Jet(sp, a + b)
+        if isinstance(other, _SCALARS):
+            c = self.c.copy()
+            c[..., 0] += other
+            return Jet(self.space, c)
+        return NotImplemented
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return Jet(a.space, a.c - b.c)
-
-    def __rsub__(self, other):
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return Jet(a.space, b.c - a.c)
 
     def __neg__(self):
         return Jet(self.space, -self.c)
 
+    def __sub__(self, other):
+        if isinstance(other, (Jet,) + _SCALARS):
+            return self + (-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other if isinstance(other, _SCALARS) else NotImplemented
+
     def __mul__(self, other):
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        sp = a.space
-        prod = a.c[sp.mul_a] * b.c[sp.mul_b]
-        return Jet(sp, np.bincount(sp.mul_out, weights=prod, minlength=sp.size))
+        if isinstance(other, Jet):
+            sp, a, b = self._pair(other)
+            return Jet(sp, mul(a, b, sp.nvars))
+        if isinstance(other, _SCALARS):
+            return Jet(self.space, self.c * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return a * _reciprocal(b)
+        if isinstance(other, Jet):
+            return self * _reciprocal(other)
+        if isinstance(other, _SCALARS):
+            if other == 0.0:
+                raise JetDomainError("division by a jet with vanishing value")
+            return self * (1.0 / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return b * _reciprocal(a)
+        if isinstance(other, _SCALARS):
+            return _reciprocal(self) * other
+        return NotImplemented
 
     def __pow__(self, p):
         if isinstance(p, (int, np.integer)) or (
@@ -237,25 +266,25 @@ class Jet:
 
 
 def _compose(a: Jet, series: np.ndarray) -> Jet:
-    """f(a) where series holds the univariate Taylor coefficients of f
-    at a.value. Exact for truncated jets because (a - a0) has no
-    constant term."""
-    u = Jet(a.space, a.c.copy())
-    u.c = u.c.copy()
-    u.c[0] = 0.0
-    r = a.order
-    out = Jet.constant(series[r], a.nvars, r)
-    for k in range(r - 1, -1, -1):
-        out = out * u + series[k]
-    return out
+    """f(a) where series[..., k] holds the univariate Taylor coefficients
+    of f at each point's a.value. Exact for truncated jets because
+    (a - a0) has no constant term."""
+    u = a.c.copy()
+    u[..., 0] = 0.0
+    out = series[..., a.order, None] * u
+    for k in range(a.order - 1, 0, -1):
+        out[..., 0] += series[..., k]
+        out = mul(out, u, a.nvars)
+    out[..., 0] += series[..., 0]
+    return Jet(a.space, out)
 
 
 def _reciprocal(b: Jet) -> Jet:
-    b0 = b.value
-    if b0 == 0.0 or not math.isfinite(b0):
+    b0 = b.c[..., :1]
+    if np.any((b0 == 0.0) | ~np.isfinite(b0)):
         raise JetDomainError("division by a jet with vanishing value")
-    series = np.array([(-1.0) ** k / b0 ** (k + 1) for k in range(b.order + 1)])
-    return _compose(b, series)
+    k = np.arange(b.order + 1)
+    return _compose(b, (-1.0) ** k / b0 ** (k + 1))
 
 
 def _int_pow(a: Jet, p: int) -> Jet:
@@ -272,31 +301,30 @@ def _int_pow(a: Jet, p: int) -> Jet:
 
 
 def _real_pow(a: Jet, p: float) -> Jet:
-    a0 = a.value
-    if a0 <= 0.0:
-        raise JetDomainError(f"fractional power of nonpositive base {a0!r}")
-    series = np.empty(a.order + 1)
-    coef = 1.0
-    for k in range(a.order + 1):
-        series[k] = coef * a0 ** (p - k)
-        coef *= (p - k) / (k + 1)
-    return _compose(a, series)
+    a0 = a.c[..., :1]
+    _check_domain(a0, a0 <= 0.0, "fractional power of nonpositive base")
+    coef = np.ones(a.order + 1)
+    for k in range(a.order):
+        coef[k + 1] = coef[k] * ((p - k) / (k + 1))
+    return _compose(a, coef * a0 ** (p - np.arange(a.order + 1)))
+
+
+def _taylor(a: Jet, derivs) -> Jet:
+    """f(a) from derivs(a0, k), the k-th derivatives of f at each a0."""
+    k = np.arange(a.order + 1)
+    return _compose(a, derivs(a.c[..., :1], k) / _FACTORIAL[: a.order + 1])
 
 
 def jet_exp(a: Jet) -> Jet:
-    e = math.exp(a.value)
-    series = np.array([e / math.factorial(k) for k in range(a.order + 1)])
-    return _compose(a, series)
+    return _taylor(a, lambda x, k: np.exp(x))
 
 
 def jet_log(a: Jet) -> Jet:
-    a0 = a.value
-    if a0 <= 0.0:
-        raise JetDomainError(f"log of nonpositive value {a0!r}")
-    series = np.empty(a.order + 1)
-    series[0] = math.log(a0)
-    for k in range(1, a.order + 1):
-        series[k] = (-1.0) ** (k + 1) / (k * a0**k)
+    a0 = a.c[..., :1]
+    _check_domain(a0, a0 <= 0.0, "log of nonpositive value")
+    k = np.arange(a.order + 1)
+    series = (-1.0) ** (k + 1) / (np.maximum(k, 1) * a0 ** k)
+    series[..., 0] = np.log(a0[..., 0])
     return _compose(a, series)
 
 
@@ -305,46 +333,23 @@ def jet_sqrt(a: Jet) -> Jet:
 
 
 def jet_sin(a: Jet) -> Jet:
-    a0 = a.value
-    series = np.array(
-        [math.sin(a0 + k * math.pi / 2) / math.factorial(k) for k in range(a.order + 1)]
-    )
-    return _compose(a, series)
+    return _taylor(a, lambda x, k: np.sin(x + k * math.pi / 2))
 
 
 def jet_cos(a: Jet) -> Jet:
-    a0 = a.value
-    series = np.array(
-        [math.cos(a0 + k * math.pi / 2) / math.factorial(k) for k in range(a.order + 1)]
-    )
-    return _compose(a, series)
+    return _taylor(a, lambda x, k: np.cos(x + k * math.pi / 2))
 
 
 def jet_sinh(a: Jet) -> Jet:
-    s, c = math.sinh(a.value), math.cosh(a.value)
-    series = np.array(
-        [(s if k % 2 == 0 else c) / math.factorial(k) for k in range(a.order + 1)]
-    )
-    return _compose(a, series)
+    return _taylor(a, lambda x, k: np.where(k % 2, np.cosh(x), np.sinh(x)))
 
 
 def jet_cosh(a: Jet) -> Jet:
-    s, c = math.sinh(a.value), math.cosh(a.value)
-    series = np.array(
-        [(c if k % 2 == 0 else s) / math.factorial(k) for k in range(a.order + 1)]
-    )
-    return _compose(a, series)
+    return _taylor(a, lambda x, k: np.where(k % 2, np.sinh(x), np.cosh(x)))
 
 
-_ELEMENTARY = {
-    "exp": jet_exp,
-    "log": jet_log,
-    "sqrt": jet_sqrt,
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "sinh": jet_sinh,
-    "cosh": jet_cosh,
-}
+_ELEMENTARY = {"exp": jet_exp, "log": jet_log, "sqrt": jet_sqrt, "sin": jet_sin,
+               "cos": jet_cos, "sinh": jet_sinh, "cosh": jet_cosh}
 
 
 def jet_elementary(a: Jet, fn: str) -> Jet:
@@ -356,22 +361,25 @@ def jet_elementary(a: Jet, fn: str) -> Jet:
     return impl(a)
 
 
-def eval_jets(definition, point, order: int) -> list[Jet]:
+def eval_jets(definition, point, order: int) -> list:
     """Evaluate every component of an immersion as a jet at `point`.
 
     Returns one Jet per component, each carrying all partial
-    derivatives of that component up to `order`.
+    derivatives of that component up to `order`. `point` may also be an
+    array of points, shape (P, nvars): every jet then carries the batch
+    axis, coefficients of shape (P, size). A component without variables
+    evaluates to a plain float.
     """
     from . import dsl
 
     names = definition.vars
-    if len(point) != len(names):
+    pts = np.asarray(point, dtype=float)
+    if pts.shape[-1:] != (len(names),):
         raise ValueError(
-            f"point has {len(point)} coordinates, immersion has {len(names)} variables"
+            f"point has {pts.shape[-1] if pts.ndim else 0} coordinates, "
+            f"immersion has {len(names)} variables"
         )
     nvars = len(names)
-    env = {
-        name: Jet.variable(float(x), i, nvars, order)
-        for i, (name, x) in enumerate(zip(names, point))
-    }
+    env = {name: Jet.variable(pts[..., i], i, nvars, order)
+           for i, name in enumerate(names)}
     return [dsl.eval_expr(comp, env, jet=True) for comp in definition.components]

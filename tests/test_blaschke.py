@@ -145,3 +145,78 @@ def test_arity_mismatch_rejected():
 def test_wrong_point_length_rejected(quadric):
     with pytest.raises(ValueError, match="coordinates"):
         blaschke.full_frame(quadric, (0.1,))
+
+
+# ---------------------------------------------------------------------------
+# batched frame pipeline
+
+
+def test_jet_matrix_inverse_is_exact_at_the_jet_order():
+    from calabi.jets import _space, matmul
+    rng = np.random.default_rng(11)
+    for nvars, order, m in [(1, 4, 2), (3, 4, 4), (4, 2, 5)]:
+        sp = _space(nvars, order)
+        a = rng.uniform(-1.0, 1.0, size=(3, m, m, sp.size))
+        a[..., 0] += 3.0 * np.eye(m)
+        inv = blaschke._solve(a, None, nvars)
+        ident = np.zeros(a.shape)
+        ident[..., 0] = np.eye(m)
+        assert np.max(np.abs(matmul(a, inv, nvars) - ident)) <= 1e-12
+        assert np.max(np.abs(matmul(inv, a, nvars) - ident)) <= 1e-12
+
+
+_FIELDS = list(blaschke.BlaschkeFrame.__dataclass_fields__)
+
+
+def _assert_same_frames(batched, single):
+    for fb, fs in zip(batched, single):
+        for name in _FIELDS:
+            a = np.asarray(getattr(fb, name), dtype=float)
+            b = np.asarray(getattr(fs, name), dtype=float)
+            scale = max(float(np.max(np.abs(b))), 1.0)
+            assert np.max(np.abs(a - b)) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("fixture, grid", [
+    ("pair_product", make_grid(-0.3, 0.3, 3, 3)),
+    ("mixed_product", np.array([[0.1, 0.05, -0.1, 0.2], [-0.2, 0.1, 0.0, 0.1],
+                                [0.0, -0.15, 0.2, -0.05]])),
+])
+def test_frames_on_grid_matches_full_frame(request, fixture, grid):
+    defn = request.getfixturevalue(fixture)
+    blaschke.clear_frame_cache()
+    batched = blaschke.frames_on_grid(defn, grid)
+    blaschke.clear_frame_cache()
+    single = [blaschke.full_frame(defn, tuple(u)) for u in grid]
+    _assert_same_frames(batched, single)
+
+
+def test_frame_cache_counts_one_miss_per_frame(pair_product):
+    def misses():
+        return blaschke._full_frame_cached.cache_info().misses
+
+    grid = make_grid(-0.3, 0.3, 3, 3)
+    blaschke.clear_frame_cache()
+    first = blaschke.frames_on_grid(pair_product, grid)
+    assert misses() == 27
+    again = blaschke.frames_on_grid(pair_product, grid)
+    assert misses() == 27
+    assert all(a is b for a, b in zip(first, again))
+    shifted = make_grid(0.0, 0.6, 3, 3)      # shares 8 points with grid
+    blaschke.frames_on_grid(pair_product, shifted)
+    assert misses() == 27 + 19
+    blaschke.full_frame(pair_product, (0.6, 0.6, 0.6))
+    assert misses() == 46
+
+
+def test_grid_leaving_the_domain_raises_the_one_point_error():
+    from calabi.jets import JetDomainError
+    lg = parse_immersion(
+        "immersion lg { vars: u, v; components: (u, v, u*u + v*v - log(u)); }")
+    grid = [(0.5, 0.1), (0.3, -0.2), (-0.4, 0.0)]
+    with pytest.raises(JetDomainError) as single:
+        blaschke.full_frame(lg, grid[-1])
+    blaschke.clear_frame_cache()
+    with pytest.raises(JetDomainError) as batched:
+        blaschke.frames_on_grid(lg, grid)
+    assert str(batched.value) == str(single.value)

@@ -190,6 +190,32 @@ def test_detect_returns_verdict_on_indefinite_metric():
                              "definite",)
 
 
+def test_detect_is_scale_free_on_a_small_homothety(pair_product):
+    verdict = decompose.detect(decompose._scaled_def(pair_product, 1e-4),
+                               make_grid(-0.3, 0.3, 3, 3))
+    assert verdict.kind == "PairProduct", verdict.notes
+    s = verdict.spectrum
+    assert s.lambda1 == pytest.approx(0.0, abs=1e-6)
+    assert s.lambda2 == pytest.approx(1.0, abs=1e-6)
+    assert s.lambda3 == pytest.approx(-1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("c", [0.7, 1.0, 1.3])
+def test_detect_block_sizes_do_not_depend_on_the_homothety(mixed_product, c):
+    """T and -T give (n2, n3) = (1, 2) and (2, 1) with residuals equal up
+    to rounding; the choice must not follow the rounding."""
+    scaled = decompose._scaled_def(mixed_product, c)
+    grid = make_grid(-0.2, 0.2, 2, 4)
+    verdict = decompose.detect(scaled, grid)
+    assert verdict.kind == "PairProduct", verdict.notes
+    s = verdict.spectrum
+    assert (s.n2, s.n3) == (1, 2)
+    assert s.lambda1 == pytest.approx(
+        math.sqrt(1.5) - math.sqrt(2.0 / 3.0), abs=1e-6)
+    data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
+    assert data.metric_ratio == pytest.approx(2.5, abs=1e-6)
+
+
 def test_detect_normalizes_off_gauge_input(hyperbola, hyperbola_b):
     """A product scaled off the H = -1 gauge is still detected, with the
     homothety scale reported."""
@@ -240,6 +266,16 @@ def test_normalize_homothety_computes_at_most_two_frames(pair_product):
     result = decompose.normalize_homothety(scaled)
     assert result.scale == pytest.approx(1 / 1.7, rel=1e-13)
     assert _frames_computed() <= 2
+
+
+def test_detect_off_gauge_computes_each_grid_frame_once(pair_product):
+    """One frame reads H at the first point, one verifies the homothety
+    there, and the rescaled grid adds the other seven."""
+    scaled = decompose._scaled_def(pair_product, 1.7)
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(scaled, make_grid(-0.2, 0.2, 2, 3))
+    assert verdict.kind == "PairProduct"
+    assert _frames_computed() <= 9
 
 
 def test_detect_falls_back_to_search_when_tracking_fails(pair_product,

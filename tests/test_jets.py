@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calabi import dsl
-from calabi.jets import Jet, eval_jets, jet_exp, jet_log, jet_sqrt
+from calabi.jets import (_ELEMENTARY, Jet, JetDomainError, _space, eval_jets,
+                         jet_exp, jet_log, jet_sqrt)
 
 
 def test_product_rule_second_order():
@@ -83,3 +86,57 @@ def test_first_derivatives_match_central_differences():
             scale = max(1.0, abs(exact))
             assert abs(exact - approx) <= 1e-5 * scale
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# batched jets: every point of a batch equals the one-point computation
+
+_BATCHED_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "rdiv": lambda a, b: 2.5 / b,
+    "scalar": lambda a, b: 1.5 - 0.5 * a + a * 3,
+    "int_pow": lambda a, b: a ** 3,
+    "neg_pow": lambda a, b: b ** -2,
+    "real_pow": lambda a, b: b ** 1.5,
+    **{fn: (lambda a, b, impl=impl: impl(b)) for fn, impl in _ELEMENTARY.items()},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(nvars=st.integers(1, 4), order=st.integers(0, 4),
+       points=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_batched_jets_match_one_point_jets(nvars, order, points, seed):
+    rng = np.random.default_rng(seed)
+    sp = _space(nvars, order)
+    ca = rng.uniform(-1.0, 1.0, size=(points, sp.size))
+    cb = rng.uniform(-1.0, 1.0, size=(points, sp.size))
+    cb[:, 0] = rng.uniform(0.5, 2.0, size=points)   # inside every domain
+    for name, op in _BATCHED_OPS.items():
+        batched = op(Jet(sp, ca), Jet(sp, cb))
+        assert batched.c.shape == (points, sp.size), name
+        for p in range(points):
+            single = op(Jet(sp, ca[p]), Jet(sp, cb[p]))
+            scale = max(1.0, float(np.max(np.abs(single.c))))
+            np.testing.assert_allclose(batched.c[p], single.c, rtol=0.0,
+                                       atol=1e-13 * scale, err_msg=name)
+
+
+def test_batched_eval_jets_match_one_point_eval():
+    defn = dsl.parse_immersion(
+        "immersion e { vars: u, v; components: "
+        "(u * exp(v), sqrt(1 + u*u) / (2 + v), log(3 + u*v) + sin(u) * v^2); }")
+    pts = np.array([[0.1, -0.2], [0.4, 0.3], [-0.5, 0.7]])
+    batched = eval_jets(defn, pts, order=4)
+    for p, point in enumerate(pts):
+        for jb, js in zip(batched, eval_jets(defn, tuple(point), order=4)):
+            np.testing.assert_allclose(jb.c[p], js.c, rtol=1e-13, atol=1e-15)
+
+
+def test_batched_domain_error_names_the_first_bad_point():
+    defn = dsl.parse_immersion(
+        "immersion lg { vars: u; components: (u, log(u)); }")
+    with pytest.raises(JetDomainError, match="-0.5"):
+        eval_jets(defn, np.array([[0.2], [-0.5], [-0.7]]), order=2)
