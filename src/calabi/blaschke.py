@@ -14,10 +14,10 @@ still exact at the point; no finite differences are involved.
 
 The pipeline runs on a batch of points at once, with jet matrices as
 coefficient arrays of shape (points, rows, cols, size) (see `jets`);
-`full_frame`, `blaschke_metric_and_normal` and `tentative_decomposition`
-are the one-point case. A jet matrix A = A0 + N, A0 its constant term,
-is inverted as A^-1 = sum_{k <= order} (-A0^-1 N)^k A0^-1, exact at the
-jet order since N has no constant term, so LAPACK only inverts the A0.
+`full_frame` and `blaschke_metric_and_normal` are the one-point case. A
+jet matrix A = A0 + N, A0 its constant term, is inverted as A^-1 =
+sum_{k <= order} (-A0^-1 N)^k A0^-1, exact at the jet order since N has
+no constant term, so LAPACK only inverts the A0.
 The cross product and det gtilde use a division-free Laplace expansion:
 minors that vanish at a point are harmless.
 
@@ -121,14 +121,12 @@ def _values(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a[..., 0])   # values, detached from the jets
 
 
+def format_point(u) -> str:
+    """A parameter point as a tuple of plain floats, for messages."""
+    return str(tuple(float(x) for x in u))
+
+
 # --- result types ---------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class TentativeDecomposition:
-    gtilde: np.ndarray       # second fundamental form w.r.t. the unit normal
-    gamma_tilde: np.ndarray  # tentative Christoffel symbols, [i, j, k]
-    dvol: float              # det of (tangent basis, unit normal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,16 +225,6 @@ def _tentative(comps: np.ndarray, n: int):
         raise DegenerateSurfaceError("second fundamental form is degenerate")
     dvol = norm.c * sign[:, None]
     return tang, second, gam, gt, det_gt, dvol
-
-
-def tentative_decomposition(definition: ImmersionDef, u) -> TentativeDecomposition:
-    """Second fundamental data with the Euclidean unit normal as the
-    transversal, oriented so the form is positive definite."""
-    comps = _component_jets(definition, [u], order=2)
-    _, _, gam, gt, _, dvol = _tentative(comps, definition.nvars)
-    return TentativeDecomposition(
-        gtilde=_values(gt)[0], gamma_tilde=_values(gam)[0], dvol=float(dvol[0, 0])
-    )
 
 
 def _metric_and_levi(comps: np.ndarray, n: int):

@@ -18,7 +18,6 @@ import numpy as np
 from . import blaschke
 from .blaschke import BlaschkeFrame, DegenerateSurfaceError, GeometryError
 from .dsl import ImmersionDef
-from .jets import eval_jets
 from .numerics import metric_orthonormal_basis
 
 
@@ -137,43 +136,35 @@ def parallel_cubic_residual(definition_or_frames, grid=None,
     return CheckReport.from_samples("parallel_cubic", res, pts, tol)
 
 
-def unimodular_criterion(definition: ImmersionDef, grid,
+def unimodular_criterion(definition_or_frames, grid=None,
                          tol: float = 1e-8) -> CheckReport:
     """Determinant test for a hyperbolic affine sphere with xi = phi.
 
     With the position as transversal, write d_i d_j psi =
     Gamma^k_ij d_k psi + g_ij psi. The surface is such a sphere exactly
-    when det(d_1 psi, ..., d_n psi, psi)^2 = det(g).
+    when det(d_1 psi, ..., d_n psi, psi)^2 = det(g). One batched solve
+    against the basis B = (d_1 psi, ..., d_n psi, psi) gives every g.
     """
-    n = definition.nvars
-    res, pts = [], []
-    for u in grid:
-        mn = blaschke.blaschke_metric_and_normal(definition, u)
-        comps = eval_jets(definition, u, order=2)
-        position = np.array([c.value for c in comps])
-        scale = max(np.linalg.norm(position), 1.0)
-        if np.linalg.norm(mn.xi - position) > 1e-6 * scale:
+    frames = _frames(definition_or_frames, grid)
+    n = frames[0].n
+    for fr in frames:
+        offset = np.linalg.norm(fr.xi - fr.position)
+        if offset > 1e-6 * max(np.linalg.norm(fr.position), 1.0):
             raise GaugeError(
                 "unimodular_criterion requires the orientation xi = phi "
-                f"(offset {np.linalg.norm(mn.xi - position):.3g} at {tuple(u)})"
+                f"(offset {offset:.3g} at {blaschke.format_point(fr.u)})"
             )
-        tangent = np.array(
-            [[comps[a].deriv(i).value for a in range(n + 1)] for i in range(n)]
-        )
-        basis = np.vstack([tangent, position]).T
-        det_basis = np.linalg.det(basis)
-        if abs(det_basis) < 1e-12:
-            raise DegenerateSurfaceError(
-                f"position is tangent to the surface at {tuple(u)}"
-            )
-        g = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                dd = np.array(
-                    [comps[a].deriv(i).deriv(j).value for a in range(n + 1)]
-                )
-                coeff = np.linalg.solve(basis, dd)
-                g[i, j] = g[j, i] = coeff[n]
-        res.append(abs(det_basis**2 - np.linalg.det(g)))
-        pts.append(np.asarray(u, dtype=float))
+    basis = np.stack([np.vstack([fr.tangent, fr.position]).T for fr in frames])
+    det_basis = np.linalg.det(basis)
+    # Hadamard's bound: |det B| <= the product of its column lengths
+    bound = np.prod(np.linalg.norm(basis, axis=1), axis=1)
+    flat = np.flatnonzero(np.abs(det_basis) < 1e-12 * bound)
+    if flat.size:
+        where = blaschke.format_point(frames[flat[0]].u)
+        raise DegenerateSurfaceError(
+            f"position is tangent to the surface at {where}")
+    second = np.stack([fr.second.reshape(n * n, n + 1).T for fr in frames])
+    g = np.linalg.solve(basis, second)[:, n].reshape(-1, n, n)
+    res = np.abs(det_basis ** 2 - np.linalg.det(g))
+    pts = [fr.u for fr in frames]
     return CheckReport.from_samples("unimodular", res, pts, tol)

@@ -71,6 +71,10 @@ def _resolve_immersion(token: str, project: dict) -> ImmersionDef:
     defs = parse_program(source)
     if not defs:
         raise UsageError(f"{path} contains no immersion definition")
+    if len(defs) > 1:
+        names = ", ".join(d.name for d in defs)
+        raise UsageError(f"{path} holds {len(defs)} immersion definitions "
+                         f"({names}); give one per file")
     return defs[0]
 
 
@@ -258,7 +262,7 @@ def _check_reports(defn: ImmersionDef, grid: np.ndarray,
         frames, tol=tols.get("parallel_cubic", 1e-6))))
     try:
         rows.append(_report_row(checks.unimodular_criterion(
-            defn, grid, tol=tols.get("unimodular", 1e-8))))
+            frames, tol=tols.get("unimodular", 1e-8))))
     except GaugeError as exc:
         rows.append(_refused_row("unimodular", tols.get("unimodular", 1e-8),
                                  str(exc)))

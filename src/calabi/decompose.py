@@ -505,7 +505,8 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
             search = find_axes(frame, restarts=restarts, seed=seed)
             if not search:
                 return _none_verdict(
-                    f"axis disappears at grid point {tuple(frame.u)}",
+                    "axis disappears at grid point "
+                    f"{blaschke.format_point(frame.u)}",
                     evidence, True, work, scale)
             aligned = max(search, key=lambda c: abs(float(c.T @ prev_t)))
             if float(aligned.T @ prev_t) < 0.0:
@@ -681,7 +682,8 @@ def _per_point_structure(frame: BlaschkeFrame, t_prev: np.ndarray,
     axis = _track_axis(frame, t_prev)
     if axis is None:
         raise GeometryError(
-            f"axis tracking lost at grid point {tuple(frame.u)}")
+            "axis tracking lost at grid point "
+            f"{blaschke.format_point(frame.u)}")
     t_vec, mu = axis.T, axis.lambda1
     a = np.einsum("i,ijk->jk", t_vec, frame.C)
     eig = numerics.solve_sym_eig_generalized(a, frame.h)
@@ -698,7 +700,7 @@ def _per_point_structure(frame: BlaschkeFrame, t_prev: np.ndarray,
         else:
             raise GeometryError(
                 f"eigenvalue {eig.values[j]:.6g} matches neither cluster "
-                f"at grid point {tuple(frame.u)}")
+                f"at grid point {blaschke.format_point(frame.u)}")
     dT = _axis_field_derivative(frame, t_vec, mu)
     t_amb = _ambient(frame, t_vec)
     phi2_raw = -lam3 * frame.position + t_amb
@@ -756,45 +758,33 @@ def _drift_residuals(pd: _PointData, lam2: float, lam3: float) -> dict:
     return res
 
 
-def _metric_ratio(defn: ImmersionDef, base_pd: _PointData, lam2: float,
-                  lam3: float, eps: float = 1e-4):
+def _metric_ratio(base_pd: _PointData, lam2: float, lam3: float):
     """phi2 coefficient of the second derivatives along the lambda2 block.
 
-    First derivatives of phi2 are exact fields; the second derivative is
-    one central difference of them, good to about eps^2.
+    By the Gauss formula phi_ij = Gamma^k_ij phi_k + h_ij phi (xi = phi;
+    Nomizu & Sasaki, Affine Differential Geometry, 1994, ch. II), a
+    field V in the lambda2 block, where h(V, T) = 0, has
+
+      D_V phi2 = X^k phi_k,   X = -lambda3 V + nabla_V T,
+
+    with nabla_V T = V^i (d_i T^k + Gamma^k_ij T^j). Differentiating once
+    more along w, the phi coefficient of D_w D_V phi2 is h(X, w), and
+    phi2 = -lambda3 phi + T has phi coefficient -lambda3, so
+
+      m(v, w) = h(-lambda3 v + nabla_v T, w) / (-lambda3),
+
+    exact and free of the coordinates. Returns the mean diagonal of m
+    over the h-orthonormal block basis and the largest deviation of m
+    from (lambda2 - lambda3) lambda2 times the identity.
     """
     fr = base_pd.frame
-    basis2 = base_pd.basis2
-    columns = [_ambient_axis_derivative(fr, base_pd.dT, base_pd.t_vec, v)
-               - lam3 * _ambient(fr, v) for v in basis2]
-    columns.append(base_pd.phi2_raw)
-    basis_mat = np.stack(columns, axis=1)
-
-    def first_derivative_at(u, v_coord):
-        frame = blaschke.full_frame(defn, tuple(u))
-        axis = _track_axis(frame, base_pd.t_vec)
-        if axis is None:
-            raise GeometryError("axis tracking lost during differencing")
-        dT = _axis_field_derivative(frame, axis.T, axis.lambda1)
-        return (-lam3 * _ambient(frame, v_coord)
-                + _ambient_axis_derivative(frame, dT, axis.T, v_coord))
-
-    u0 = np.asarray(fr.u, dtype=float)
-    ratios = []
-    worst = 0.0
+    b = np.array(base_pd.basis2)
+    nabla_t = b @ base_pd.dT + np.einsum("ai,ijk,j->ak", b, fr.gamma,
+                                         base_pd.t_vec)
+    m = (-lam3 * b + nabla_t) @ fr.h @ b.T / -lam3
     expected = (lam2 - lam3) * lam2
-    for alpha, v in enumerate(basis2):
-        for beta, vt in enumerate(basis2):
-            plus = first_derivative_at(u0 + eps * vt, v)
-            minus = first_derivative_at(u0 - eps * vt, v)
-            second = (plus - minus) / (2.0 * eps)
-            coeffs, *_ = np.linalg.lstsq(basis_mat, second, rcond=None)
-            m_ab = float(coeffs[-1])
-            h_ab = 1.0 if alpha == beta else 0.0
-            if alpha == beta:
-                ratios.append(m_ab)
-            worst = max(worst, abs(m_ab - expected * h_ab))
-    return float(np.mean(ratios)), worst
+    worst = float(np.max(np.abs(m - expected * np.eye(len(b)))))
+    return float(np.mean(np.diag(m))), worst
 
 
 def _block_slices(defn: ImmersionDef, subspace2: np.ndarray):
@@ -1012,7 +1002,7 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
         sub2.rank + sub3.rank - joint.rank)
 
     base_pd = pds[0]
-    metric_ratio, metric_resid = _metric_ratio(defn, base_pd, lam2, lam3)
+    metric_ratio, metric_resid = _metric_ratio(base_pd, lam2, lam3)
     residuals["metric_ratio"] = metric_resid
 
     v0 = base_pd.basis2[0]

@@ -2,11 +2,10 @@
 
 Everything here targets matrices of size <= 8. The generalized
 symmetric eigenproblem A v = lambda M v is reduced with a Cholesky
-factor of M to a standard symmetric problem and solved by cyclic Jacobi
-iteration; robustness and reproducibility matter more than speed at
-these sizes. Eigenvectors are M-orthonormal, eigenvalues ascending, and
-each vector's sign is fixed so its first entry of significant size is
-positive.
+factor of M to a standard symmetric problem and solved by LAPACK
+(`numpy.linalg.eigh`). Eigenvectors are M-orthonormal, eigenvalues
+ascending, and each vector's sign is fixed so its first entry of
+significant size is positive.
 """
 
 from __future__ import annotations
@@ -41,40 +40,6 @@ class EigenResult:
     vectors: np.ndarray  # columns, M-orthonormal
 
 
-def _jacobi(a: np.ndarray, sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi for a symmetric matrix. Returns (values, vectors)."""
-    a = a.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-    for _ in range(sweeps):
-        off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= 1e-15 * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * norm:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    return np.diag(a).copy(), v
-
-
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     out = vectors.copy()
     for j in range(out.shape[1]):
@@ -96,10 +61,8 @@ def solve_sym_eig_generalized(a: np.ndarray, m: np.ndarray) -> EigenResult:
         raise NotPositiveDefiniteError("mass matrix is not positive definite") from None
     inv_l = np.linalg.inv(chol)
     b = inv_l @ a @ inv_l.T
-    values, q = _jacobi(0.5 * (b + b.T))
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = _fix_signs(inv_l.T @ q[:, order])
+    values, q = np.linalg.eigh(0.5 * (b + b.T))   # ascending
+    vectors = _fix_signs(inv_l.T @ q)
     return EigenResult(values=values, vectors=vectors)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calabi import blaschke, checks
+from calabi import blaschke, checks, dsl
 from calabi.dsl import parse_immersion
 from conftest import make_grid
 
@@ -86,6 +86,27 @@ def test_unimodular_criterion_rejects_off_center_gauge():
     # xi = phi fails for the a = 1 gauge, and the criterion must say so
     with pytest.raises(checks.GaugeError):
         checks.unimodular_criterion(defn, [(0.0,), (0.3,)])
+
+
+def test_unimodular_criterion_frames_match_definition(pair_product):
+    grid = make_grid(-0.3, 0.3, 3, 3)
+    frames = blaschke.frames_on_grid(pair_product, grid)
+    assert checks.unimodular_criterion(frames) == \
+        checks.unimodular_criterion(pair_product, grid)
+
+
+def test_unimodular_criterion_is_scale_free_in_the_parameters(pair_product):
+    """u -> 1e-4 u shrinks det(d psi, psi) to about 5e-13; the degeneracy
+    test compares it with the column lengths, not with a constant."""
+    slow = {v: dsl.mul(dsl.const(1e-4), dsl.var(v)) for v in pair_product.vars}
+    reparam = dsl.ImmersionDef(
+        name="slow", vars=pair_product.vars,
+        components=tuple(dsl.substitute(c, slow)
+                         for c in pair_product.components))
+    report = checks.unimodular_criterion(
+        reparam, make_grid(-0.3, 0.3, 3, 3) / 1e-4)
+    assert report.passed
+    assert report.samples == 27
 
 
 def test_report_from_samples_picks_worst_point():

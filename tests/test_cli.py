@@ -300,6 +300,29 @@ def test_check_jet_domain_error_is_json_error(tmp_path):
     assert "log of nonpositive value" in payload["error"]
 
 
+def test_check_note_prints_plain_floats(workdir, tmp_path, capsys):
+    pair = dsl.parse_immersion(
+        (workdir / "pair.immersion").read_text(encoding="utf-8"))
+    path = tmp_path / "scaled.immersion"
+    path.write_text(dsl.print_immersion(decompose._scaled_def(pair, 1.7))
+                    + "\n", encoding="utf-8")
+    assert cli.main(["check", str(path), "--grid", "g27"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    row = next(r for r in payload["reports"] if r["name"] == "unimodular")
+    assert "(-0.3, -0.3, -0.3)" in row["note"]
+    assert "np.float64" not in row["note"]
+
+
+def test_file_with_several_definitions_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "two.immersion"
+    path.write_text(HYPERBOLA_SRC + "\n" + HYPERBOLA_B_SRC + "\n",
+                    encoding="utf-8")
+    assert cli.main(["check", str(path), "--grid", "g9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "h2, h2b" in captured.err
+
+
 def test_inline_grid_spec(workdir):
     res = run_cli("detect", str(workdir / "pair.immersion"),
                   "--grid=-0.2:0.2:2")

@@ -26,6 +26,20 @@ def mixed_verdict(mixed_product):
     return decompose.detect(mixed_product, grid), grid
 
 
+@pytest.fixture(scope="module")
+def double_point_product(hyperbola, hyperbola_b):
+    """n = 5 with (n2, n3) = (2, 2): both blocks have two directions, so
+    the metric ratio has off-diagonal terms."""
+    return construct.calabi_pair(construct.calabi_point(hyperbola),
+                                 construct.calabi_point(hyperbola_b))
+
+
+@pytest.fixture(scope="module")
+def double_point_verdict(double_point_product):
+    grid = make_grid(-0.2, 0.2, 2, 5)
+    return decompose.detect(double_point_product, grid), grid
+
+
 # ---------------------------------------------------------------------------
 # homothety
 
@@ -213,7 +227,7 @@ def test_detect_block_sizes_do_not_depend_on_the_homothety(mixed_product, c):
     assert s.lambda1 == pytest.approx(
         math.sqrt(1.5) - math.sqrt(2.0 / 3.0), abs=1e-6)
     data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
-    assert data.metric_ratio == pytest.approx(2.5, abs=1e-6)
+    assert data.metric_ratio == pytest.approx(2.5, abs=1e-12)
 
 
 def test_detect_normalizes_off_gauge_input(hyperbola, hyperbola_b):
@@ -355,7 +369,7 @@ def test_extract_pair_factors(pair_product, pair_verdict):
     assert data.kind == "pair"
     assert data.d1 == pytest.approx(1.0, abs=1e-8)
     assert data.d2 == pytest.approx(1.0, abs=1e-8)
-    assert data.metric_ratio == pytest.approx(2.0, abs=1e-6)
+    assert data.metric_ratio == pytest.approx(2.0, abs=1e-12)
     assert data.immersion_rate == pytest.approx(2.0, abs=1e-8)
     assert data.subspace2.shape[0] == 2
     assert data.subspace3.shape[0] == 2
@@ -376,7 +390,7 @@ def test_extract_mixed_factors(mixed_product, mixed_verdict):
     data = decompose.extract_pair_factors(mixed_product, verdict, grid)
     assert data.subspace2.shape[0] == 2
     assert data.subspace3.shape[0] == 3
-    assert data.metric_ratio == pytest.approx(2.5, abs=1e-4)
+    assert data.metric_ratio == pytest.approx(2.5, abs=1e-12)
     lam2 = verdict.spectrum.lambda2
     lam3 = verdict.spectrum.lambda3
     assert (lam2 - lam3) * lam2 == pytest.approx(2.5, abs=1e-9)
@@ -387,12 +401,108 @@ def test_extract_point_factor(point_product, point_verdict):
     verdict, grid = point_verdict
     data = decompose.extract_point_factor(point_product, verdict, grid)
     assert data.kind == "point"
-    assert data.metric_ratio == pytest.approx(1.5, abs=1e-6)
+    assert data.metric_ratio == pytest.approx(1.5, abs=1e-12)
     assert data.immersion_rate == pytest.approx(3 / math.sqrt(2), abs=1e-8)
     assert data.residuals["phi3_constant"] <= 1e-8
     assert data.subspace2.shape[0] == 2
     assert data.subspace3.shape[0] == 1
     assert data.residuals["axis_geodesic"] <= 1e-6
+
+
+@pytest.mark.parametrize("product, verdict, ratio", [
+    ("point_product", "point_verdict", 1.5),
+    ("pair_product", "pair_verdict", 2.0),
+    ("mixed_product", "mixed_verdict", 2.5),
+    ("double_point_product", "double_point_verdict", 2.0),
+])
+def test_metric_ratio_is_exact(request, product, verdict, ratio):
+    """The Gauss-formula closed form leaves no differencing error: the
+    ratio matches (lambda2 - lambda3) lambda2 to rounding."""
+    defn = request.getfixturevalue(product)
+    verdict, grid = request.getfixturevalue(verdict)
+    s = verdict.spectrum
+    if verdict.kind == "PointProduct":
+        data = decompose.extract_point_factor(defn, verdict, grid)
+        lam3 = s.lambda1 - s.lambda2
+    else:
+        data = decompose.extract_pair_factors(defn, verdict, grid)
+        lam3 = s.lambda3
+    assert abs(data.metric_ratio - (s.lambda2 - lam3) * s.lambda2) <= 1e-12
+    assert abs(data.metric_ratio - ratio) <= 1e-12
+    assert data.residuals["metric_ratio"] <= 1e-12
+
+
+def _bent(defn: dsl.ImmersionDef) -> dsl.ImmersionDef:
+    """A nonlinear reparametrization u_i -> u_i + 0.3 u_j^2 + 0.2 u_j u_k
+    (j = i + 1, k = i + 2 cyclically); it mixes the factor coordinates
+    with each other and with the axis, and drops the provenance."""
+    names = defn.vars
+    sub = {}
+    for i, name in enumerate(names):
+        uj = dsl.var(names[(i + 1) % len(names)])
+        uk = dsl.var(names[(i + 2) % len(names)])
+        sub[name] = dsl.add(dsl.var(name), dsl.add(
+            dsl.mul(dsl.const(0.3), dsl.mul(uj, uj)),
+            dsl.mul(dsl.const(0.2), dsl.mul(uj, uk))))
+    return dsl.ImmersionDef(
+        name=f"{defn.name}_bent", vars=names,
+        components=tuple(dsl.substitute(c, sub) for c in defn.components))
+
+
+@pytest.mark.parametrize("product, ratio", [
+    ("point_product", 1.5),
+    ("pair_product", 2.0),
+    ("double_point_product", 2.0),
+])
+def test_metric_ratio_is_invariant_under_reparametrization(request, product,
+                                                           ratio):
+    """In bent coordinates a constant coordinate vector leaves the
+    lambda2 block away from the base point; the ratio is still the
+    geometric one (constant coordinate vectors read 3.23 on the pair)."""
+    bent = _bent(request.getfixturevalue(product))
+    grid = make_grid(-0.1, 0.1, 2, bent.nvars)
+    verdict = decompose.detect(bent, grid)
+    assert verdict.kind is not None, verdict.notes
+    extract = (decompose.extract_point_factor
+               if verdict.kind == "PointProduct"
+               else decompose.extract_pair_factors)
+    data = extract(bent, verdict, grid)
+    assert abs(data.metric_ratio - ratio) <= 1e-12
+    assert data.residuals["metric_ratio"] <= 1e-12
+
+
+def test_double_point_product_detect_and_extract(double_point_product,
+                                                 double_point_verdict):
+    verdict, grid = double_point_verdict
+    assert verdict.kind == "PairProduct", verdict.notes
+    assert (verdict.spectrum.n2, verdict.spectrum.n3) == (2, 2)
+    data = decompose.extract_pair_factors(double_point_product, verdict,
+                                          grid)
+    assert data.subspace2.shape[0] == 3
+    assert data.subspace3.shape[0] == 3
+    assert data.d1 == pytest.approx(1.0, abs=1e-8)
+    assert data.d2 == pytest.approx(1.0, abs=1e-8)
+    for key, value in data.residuals.items():
+        assert value <= 1e-6, key
+
+
+@pytest.mark.parametrize("product, verdict", [
+    ("pair_product", "pair_verdict"),
+    ("double_point_product", "double_point_verdict"),
+])
+def test_extract_computes_only_factor_frames(request, product, verdict):
+    """With the grid frames cached, extraction computes the frames of
+    each factor and nothing else: one reads H at the probe point, one
+    verifies the homothety, and one per point of the factor grid."""
+    defn = request.getfixturevalue(product)
+    verdict, grid = request.getfixturevalue(verdict)
+    blaschke.clear_frame_cache()
+    decompose.detect(defn, grid)
+    warm = _frames_computed()
+    data = decompose.extract_pair_factors(defn, verdict, grid)
+    factor_frames = sum(2 + len(decompose._factor_grid(defn, fac, grid))
+                        for fac in data.factor_defs)
+    assert _frames_computed() - warm == factor_frames
 
 
 def test_extract_requires_matching_kind(point_product, point_verdict):
