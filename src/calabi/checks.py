@@ -21,6 +21,11 @@ from .dsl import ImmersionDef
 from .numerics import metric_orthonormal_basis
 
 
+# Residuals below NOISE_FLOOR * tolerance are rounding: a worst point
+# chosen among them would follow the order of floating-point work.
+NOISE_FLOOR = 1e-6
+
+
 class GaugeError(GeometryError):
     """Check requires the H = -1 normalization."""
 
@@ -36,15 +41,18 @@ class CheckReport:
 
     @staticmethod
     def from_samples(name: str, residuals, points, tolerance: float) -> "CheckReport":
+        """The worst point is the argmax of the residuals, or the first
+        sample point when every residual is below the noise floor."""
         residuals = np.asarray(residuals, dtype=float)
         worst = int(np.argmax(residuals))
+        where = worst if residuals[worst] > NOISE_FLOOR * tolerance else 0
         return CheckReport(
             name=name,
             max_residual=float(residuals[worst]),
             tolerance=float(tolerance),
             passed=bool(residuals[worst] <= tolerance),
             samples=len(residuals),
-            worst_point=tuple(float(x) for x in np.atleast_1d(points[worst])),
+            worst_point=tuple(float(x) for x in np.atleast_1d(points[where])),
         )
 
 

@@ -18,12 +18,18 @@ lambda2 belonging to the empty second block).  All structural checks on
 phi2/phi3 are pointwise derivative identities, so no integration of the
 axis flow is needed; d1 and d2 are the axis-translation gauge measured
 relative to the d1 = d2 = 1 constants the constructors emit.
+
+Each base frame is searched once: `_axis_structures` memoizes the
+candidates and their classified spectra on the frame, and `detect`,
+`theorem3_gate` and the extraction all filter that one result. Away
+from the base point the axis is tracked by one Newton solve per point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +49,6 @@ MARGIN_MIN = 1e-3
 
 class NotHyperbolicError(GeometryError):
     """Mean curvature is not negative."""
-
-
-class BracketError(GeometryError):
-    """The closed-form homothety misses H = -1."""
 
 
 class VerdictError(ValueError):
@@ -92,7 +94,7 @@ def normalize_homothety(defn: ImmersionDef, probe=None) -> HomothetyResult:
     scaled = _scaled_def(defn, scale)
     miss = blaschke.full_frame(scaled, probe).H + 1.0
     if abs(miss) > 1e-9:
-        raise BracketError(
+        raise GeometryError(
             f"scale {scale:.6g} misses H = -1 by {miss:.3g} at the probe "
             "point; H does not follow the homothety law"
         )
@@ -128,8 +130,9 @@ class AxisSearchResult(list):
         self.note = note
 
 
-def _h_norm(h: np.ndarray, v: np.ndarray) -> float:
-    return float(math.sqrt(max(v @ h @ v, 0.0)))
+def _h_norms(h: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """h-norm of each vector along the last axis of vs."""
+    return np.sqrt(np.maximum(np.einsum("...i,ij,...j->...", vs, h, vs), 0.0))
 
 
 def _axis_system(frame: BlaschkeFrame, x: np.ndarray, mu: float):
@@ -173,26 +176,26 @@ def _axis_newton(frame: BlaschkeFrame, x0: np.ndarray, mu0: float,
     return x, mu
 
 
-def _canonical_sign(x: np.ndarray, mu: float):
-    lead = next((comp for comp in x if abs(comp) > 1e-8), 0.0)
-    return (-x, -mu) if lead < 0.0 else (x, mu)
+def _solve_axis(frame: BlaschkeFrame, x0: np.ndarray) -> CandidateAxis | None:
+    """The axis one Newton solve reaches from x0, with mu seeded by the
+    cubic form C(x0, x0, x0); None when the solve fails."""
+    kxx = np.einsum("ijk,i,j->k", frame.K, x0, x0)
+    sol = _axis_newton(frame, x0, float(kxx @ frame.h @ x0))
+    if sol is None:
+        return None
+    x, mu = sol
+    resid = _h_norms(frame.h, np.einsum("ijk,i,j->k", frame.K, x, x) - mu * x)
+    return CandidateAxis(T=x, lambda1=float(mu), axis_residual=float(resid))
 
 
 def _track_axis(frame: BlaschkeFrame,
                 t_prev: np.ndarray) -> CandidateAxis | None:
     """The axis one Newton solve reaches from t_prev, sign-matched to
     t_prev; None when the solve fails."""
-    mu_seed = float(np.einsum("ijk,i,j->k", frame.K, t_prev, t_prev)
-                    @ frame.h @ t_prev)
-    sol = _axis_newton(frame, t_prev, mu_seed)
-    if sol is None:
-        return None
-    t_vec, mu = sol
-    if float(t_vec @ t_prev) < 0.0:
-        t_vec, mu = -t_vec, -mu
-    resid_vec = np.einsum("ijk,i,j->k", frame.K, t_vec, t_vec) - mu * t_vec
-    return CandidateAxis(T=t_vec, lambda1=float(mu),
-                         axis_residual=_h_norm(frame.h, resid_vec))
+    axis = _solve_axis(frame, t_prev)
+    if axis is not None and float(axis.T @ t_prev) < 0.0:
+        return axis.flipped()
+    return axis
 
 
 def find_axes(frame: BlaschkeFrame, restarts: int = 32,
@@ -202,6 +205,9 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
     T and -T solve together (with mu and -mu), so solutions are
     deduplicated by fixing the sign of the first significant coordinate.
     Newton handles mu = 0 axes, which pure ascent on the cubic misses.
+    The pipeline searches each base frame once, through the memo of
+    `_axis_structures`; only `detect`'s fallback, for a point where the
+    tracked axis fails, calls it directly.
     """
     n = frame.n
     basis = numerics.metric_orthonormal_basis(frame.h)
@@ -209,25 +215,21 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
     seeds = [basis[:, j] for j in range(n)]
     while len(seeds) < restarts:
         v = rng.standard_normal(n)
-        nv = _h_norm(frame.h, v)
+        nv = float(_h_norms(frame.h, v))
         if nv > 1e-8:
             seeds.append(v / nv)
 
     found: dict[tuple, CandidateAxis] = {}
     for x0 in seeds[:max(restarts, n)]:
-        mu0 = float(np.einsum("ijk,i,j->k", frame.K, x0, x0) @ frame.h @ x0)
-        sol = _axis_newton(frame, x0, mu0)
-        if sol is None:
+        axis = _solve_axis(frame, x0)
+        if axis is None:
             continue
-        x, mu = _canonical_sign(*sol)
-        key = tuple(np.round(x, 7)) + (round(mu, 7),)
-        if key in found:
-            continue
-        resid_vec = np.einsum("ijk,i,j->k", frame.K, x, x) - mu * x
-        resid = _h_norm(frame.h, resid_vec)
-        if resid <= AXIS_RESIDUAL_TOL:
-            found[key] = CandidateAxis(T=x, lambda1=float(mu),
-                                       axis_residual=resid)
+        lead = next((comp for comp in axis.T if abs(comp) > 1e-8), 0.0)
+        if lead < 0.0:
+            axis = axis.flipped()
+        key = tuple(np.round(axis.T, 7)) + (round(axis.lambda1, 7),)
+        if key not in found and axis.axis_residual <= AXIS_RESIDUAL_TOL:
+            found[key] = axis
 
     axes = sorted(found.values(), key=lambda c: (c.lambda1, tuple(c.T)))
     note = None
@@ -247,9 +249,10 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
 class SpectralStructure:
     """Eigenstructure of K_T split off the axis eigenpair.
 
-    `clusters` holds (eigenvalue, multiplicity, basis) triples with
-    h-orthonormal coordinate bases; `pattern` is "point", "pair" or
-    "unclassified" when three or more clusters remain."""
+    `clusters` holds (eigenvalue, multiplicity, basis) triples, ascending,
+    each basis an array of h-orthonormal coordinate rows; `pattern` is
+    "point", "pair" or "unclassified" when three or more clusters
+    remain."""
 
     axis: CandidateAxis
     clusters: tuple
@@ -267,12 +270,28 @@ class SpectralStructure:
 
 
 def _cross_residual(frame: BlaschkeFrame, basis2, basis3) -> float:
-    worst = 0.0
-    for v in basis2:
-        for w in basis3:
-            kvw = np.einsum("ijk,i,j->k", frame.K, v, w)
-            worst = max(worst, _h_norm(frame.h, kvw))
-    return worst
+    """Largest h-norm of K(v, w) over the rows v, w of the two bases."""
+    kvw = np.einsum("ijk,ai,bj->abk", frame.K, basis2, basis3)
+    return float(np.max(_h_norms(frame.h, kvw), initial=0.0))
+
+
+def _split_off_axis(frame: BlaschkeFrame, t_vec: np.ndarray):
+    """Eigenvalues and h-orthonormal eigenvectors (columns) of K_T with
+    the T eigenpair, found by eigenvector overlap, removed.
+
+    The matrix of K_T is assembled in the h-inner product, symmetric by
+    total symmetry of the cubic form; a rounding asymmetry too large to
+    pass raises AsymmetricMatrixError naming the point."""
+    a = np.einsum("i,ijk->jk", t_vec, frame.C)
+    try:
+        eig = numerics.solve_sym_eig_generalized(a, frame.h)
+    except numerics.AsymmetricMatrixError as exc:
+        raise numerics.AsymmetricMatrixError(
+            f"K_T at grid point {blaschke.format_point(frame.u)}: {exc}"
+        ) from None
+    t_slot = int(np.argmax(np.abs(eig.vectors.T @ frame.h @ t_vec)))
+    keep = [j for j in range(frame.n) if j != t_slot]
+    return eig.values[keep], eig.vectors[:, keep]
 
 
 def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
@@ -280,37 +299,25 @@ def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
                       _flipped: bool = False) -> SpectralStructure:
     """Cluster the K_T spectrum and test it against the product patterns.
 
-    The matrix of K_T is assembled in the h-inner product (symmetric by
-    total symmetry of the cubic form), the T eigenpair is removed by
-    eigenvector overlap, and the rest is clustered with the 1e-6 merge
-    gap. One cluster matches the point pattern, two the pair pattern
-    with lambda2 > 0 > lambda3 (flipping T when needed); anything else
-    is reported as unclassified rather than raised.
+    The T eigenpair is split off (`_split_off_axis`) and the rest is
+    clustered with the 1e-6 merge gap. One cluster matches the point
+    pattern, two the pair pattern with lambda2 > 0 > lambda3 (flipping T
+    when needed); anything else is reported as unclassified rather than
+    raised.
     """
     if axis.axis_residual > tol:
         raise ValueError(
             f"axis residual {axis.axis_residual:.3g} exceeds {tol:.3g}"
         )
-    n = frame.n
-    t_vec = axis.T
-    a = np.einsum("i,ijk->jk", t_vec, frame.C)
-    eig = numerics.solve_sym_eig_generalized(a, frame.h)
-    overlaps = np.abs(eig.vectors.T @ frame.h @ t_vec)
-    t_slot = int(np.argmax(overlaps))
-
-    rest = [(float(eig.values[j]), j) for j in range(n) if j != t_slot]
-    raw_clusters = numerics.cluster_values([v for v, _ in rest],
-                                           gap=CLUSTER_GAP)
-    clusters = []
-    for mean, members in raw_clusters:
-        cols = [rest[m][1] for m in members]
-        basis = tuple(eig.vectors[:, j] for j in cols)
-        clusters.append((mean, len(cols), basis))
+    values, vectors = _split_off_axis(frame, axis.T)
+    clusters = [(mean, len(members), vectors[:, members].T)
+                for mean, members in numerics.cluster_values(
+                    values, gap=CLUSTER_GAP)]
 
     lam1 = axis.lambda1
 
     if len(clusters) == 1:
-        mean, mult, basis = clusters[0]
+        mean, mult, _basis = clusters[0]
         if mean < 0.0 and not _flipped:
             return classify_spectrum(frame, axis.flipped(), tol,
                                      _flipped=True)
@@ -357,6 +364,29 @@ def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
         lambda2=None, lambda3=None, cross_residual=0.0,
         relation_residuals={}, pattern="unclassified",
     )
+
+
+# frame -> {(restarts, seed, tol): (search, structures)}
+_STRUCTURES = weakref.WeakKeyDictionary()
+
+
+def _axis_structures(frame: BlaschkeFrame, restarts: int, seed: int,
+                     tol: float):
+    """`find_axes` at the frame and the `classify_spectrum` of every
+    candidate, as (search, structures).
+
+    Memoized on the frame for its lifetime, keyed on (restarts, seed,
+    tol): the frame cache makes frames unique per (definition, point),
+    so detection, the theorem 3 gate and extraction at one base point
+    share one search, and `blaschke.clear_frame_cache()` drops the memo
+    with the frames."""
+    memo = _STRUCTURES.setdefault(frame, {})
+    key = (restarts, seed, tol)
+    if key not in memo:
+        search = find_axes(frame, restarts=restarts, seed=seed)
+        memo[key] = (search, tuple(classify_spectrum(frame, cand, tol)
+                                   for cand in search))
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +456,74 @@ def _structure_key(structure: SpectralStructure) -> tuple:
 
     Highly symmetric spheres admit several product structures at once
     (the orthant hypersurface is the extreme case); prefer the finer
-    two-cluster split, then n2 <= n3, then the smallest combined
-    residual. T and -T describe one structure with the blocks swapped,
-    and their residuals differ only by rounding, so the block sizes,
-    not the residuals, choose between them.
+    two-cluster split, then n2 <= n3, then the most balanced split, then
+    the smallest combined residual. Equivalent structures have residuals
+    that differ only by rounding (T and -T describe one structure with
+    the blocks swapped), so the block sizes, not the residuals, choose
+    between them.
     """
     rank = 0 if structure.pattern == "pair" else 1
     total = sum(structure.relation_residuals.values()) + structure.cross_residual
-    return (rank, structure.n2 > structure.n3, total)
+    return (rank, structure.n2 > structure.n3,
+            -min(structure.n2, structure.n3), total)
+
+
+def _follow_axis(frames, tol: float, restarts: int, seed: int):
+    """The preferred product structure at the base point and the largest
+    eigenvalue drift from it across the grid, as (structure, drift,
+    failure note).
+
+    The axis is tracked from point to point; a point is searched in
+    full only when the tracked axis fails a check."""
+    search, structures = _axis_structures(frames[0], restarts, seed, tol)
+    if search.note is not None:
+        return None, math.inf, search.note
+    if not search:
+        return None, math.inf, "no axis direction solves K(X,X) = mu X"
+    scored = [s for s in structures if s.pattern != "unclassified"
+              and s.cross_residual <= tol
+              and all(r <= tol for r in s.relation_residuals.values())]
+    if not scored:
+        return None, math.inf, ("no axis matches either product pattern "
+                                "within tolerance")
+    base = min(scored, key=_structure_key)
+
+    def mismatch(structure: SpectralStructure) -> str | None:
+        if ((structure.pattern, structure.n2, structure.n3)
+                != (base.pattern, base.n2, base.n3)):
+            return "axis spectrum changes shape across the grid"
+        if any(r > tol for r in structure.relation_residuals.values()):
+            return "eigenvalue relations fail away from the base point"
+        return None
+
+    prev_t = base.axis.T
+    drift = 0.0
+    for frame in frames[1:]:
+        structure = None
+        tracked = _track_axis(frame, prev_t)
+        if tracked is not None and tracked.axis_residual <= AXIS_RESIDUAL_TOL:
+            structure = classify_spectrum(frame, tracked, tol)
+            if mismatch(structure) is not None:
+                structure = None
+        if structure is None:
+            search = find_axes(frame, restarts=restarts, seed=seed)
+            if not search:
+                return None, math.inf, (
+                    "axis disappears at grid point "
+                    f"{blaschke.format_point(frame.u)}")
+            aligned = max(search, key=lambda c: abs(float(c.T @ prev_t)))
+            if float(aligned.T @ prev_t) < 0.0:
+                aligned = aligned.flipped()
+            structure = classify_spectrum(frame, aligned, tol)
+            failure = mismatch(structure)
+            if failure is not None:
+                return None, math.inf, failure
+        drift = max(drift, abs(structure.lambda1 - base.lambda1),
+                    abs(structure.lambda2 - base.lambda2))
+        if base.lambda3 is not None:
+            drift = max(drift, abs(structure.lambda3 - base.lambda3))
+        prev_t = structure.axis.T
+    return base, drift, None
 
 
 def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
@@ -459,76 +549,18 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
             "K ≈ 0: quadric, no canonical axis",
             evidence, True, work, scale)
 
-    search = find_axes(frames[0], restarts=restarts, seed=seed)
-    if search.note is not None:
-        return _none_verdict(search.note, evidence, True, work, scale)
-    if not search:
-        return _none_verdict("no axis direction solves K(X,X) = mu X",
-                             evidence, True, work, scale)
+    try:
+        best, drift, failure = _follow_axis(frames, tol, restarts, seed)
+    except numerics.AsymmetricMatrixError as exc:
+        failure = str(exc)
+    if failure is None and drift > tol:
+        failure = f"eigenvalues drift across the grid by {drift:.3g}"
+    if failure is not None:
+        return _none_verdict(failure, evidence, True, work, scale)
 
-    scored = []
-    for cand in search:
-        structure = classify_spectrum(frames[0], cand, tol)
-        if structure.pattern == "unclassified":
-            continue
-        if any(r > tol for r in structure.relation_residuals.values()):
-            continue
-        if structure.pattern == "pair" and structure.cross_residual > tol:
-            continue
-        scored.append(structure)
-    if not scored:
-        return _none_verdict(
-            "no axis matches either product pattern within tolerance",
-            evidence, True, work, scale)
-    base_best = min(scored, key=_structure_key)
-
-    def mismatch(structure: SpectralStructure) -> str | None:
-        if ((structure.pattern, structure.n2, structure.n3)
-                != (base_best.pattern, base_best.n2, base_best.n3)):
-            return "axis spectrum changes shape across the grid"
-        if any(r > tol for r in structure.relation_residuals.values()):
-            return "eigenvalue relations fail away from the base point"
-        return None
-
-    prev_t = base_best.axis.T
-    drift = 0.0
-    for frame in frames[1:]:
-        # Track the axis from the previous point; search this point in
-        # full only when the tracked axis fails a check.
-        structure = None
-        tracked = _track_axis(frame, prev_t)
-        if tracked is not None and tracked.axis_residual <= AXIS_RESIDUAL_TOL:
-            structure = classify_spectrum(frame, tracked, tol)
-            if mismatch(structure) is not None:
-                structure = None
-        if structure is None:
-            search = find_axes(frame, restarts=restarts, seed=seed)
-            if not search:
-                return _none_verdict(
-                    "axis disappears at grid point "
-                    f"{blaschke.format_point(frame.u)}",
-                    evidence, True, work, scale)
-            aligned = max(search, key=lambda c: abs(float(c.T @ prev_t)))
-            if float(aligned.T @ prev_t) < 0.0:
-                aligned = aligned.flipped()
-            structure = classify_spectrum(frame, aligned, tol)
-            failure = mismatch(structure)
-            if failure is not None:
-                return _none_verdict(failure, evidence, True, work, scale)
-        drift = max(drift, abs(structure.lambda1 - base_best.lambda1),
-                    abs(structure.lambda2 - base_best.lambda2))
-        if base_best.lambda3 is not None:
-            drift = max(drift, abs(structure.lambda3 - base_best.lambda3))
-        prev_t = structure.axis.T
-
-    if drift > tol:
-        return _none_verdict(
-            f"eigenvalues drift across the grid by {drift:.3g}",
-            evidence, True, work, scale)
-
-    kind = "PointProduct" if base_best.pattern == "point" else "PairProduct"
+    kind = "PointProduct" if best.pattern == "point" else "PairProduct"
     return DecompositionVerdict(
-        kind=kind, spectrum=base_best, constancy_residual=float(drift),
+        kind=kind, spectrum=best, constancy_residual=float(drift),
         orientation_ok=True, evidence=tuple(evidence), def_scaled=work,
         scale=scale, notes=(),
     )
@@ -540,13 +572,13 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
 
 @dataclass(frozen=True)
 class Theorem3Gate:
-    applies: bool
-    parallel: CheckReport | None
-    curvature_action_residual: float | None
-    derived_relations: dict
-    margins: dict
-    cross_residual: float | None
-    spectrum: SpectralStructure | None
+    applies: bool = False
+    parallel: CheckReport | None = None
+    curvature_action_residual: float | None = None
+    derived_relations: dict = field(default_factory=dict)
+    margins: dict = field(default_factory=dict)
+    cross_residual: float | None = None
+    spectrum: SpectralStructure | None = None
     note: str | None = None
 
 
@@ -570,30 +602,21 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
     """
     work, scale, frames, _evidence, failure, _ok = _prepare(defn, grid)
     if failure is not None:
-        return Theorem3Gate(applies=False, parallel=None,
-                            curvature_action_residual=None,
-                            derived_relations={}, margins={},
-                            cross_residual=None, spectrum=None, note=failure)
+        return Theorem3Gate(note=failure)
 
     k_scale = max(float(np.max(np.abs(fr.K))) for fr in frames)
     parallel = checks.parallel_cubic_residual(frames)
     rk = max(_curvature_action_residual(fr) for fr in frames)
     if k_scale <= QUADRIC_K_TOL:
         return Theorem3Gate(
-            applies=False, parallel=parallel,
-            curvature_action_residual=rk, derived_relations={}, margins={},
-            cross_residual=None, spectrum=None,
+            parallel=parallel, curvature_action_residual=rk,
             note="K ≈ 0: spectrum collapses, no (V, W) split to gate")
 
-    structures = [classify_spectrum(frames[0], cand, tol)
-                  for cand in find_axes(frames[0], restarts=restarts, seed=seed)]
+    _search, structures = _axis_structures(frames[0], restarts, seed, tol)
     pairs = [s for s in structures if s.pattern == "pair"]
     if not pairs:
-        return Theorem3Gate(
-            applies=False, parallel=parallel,
-            curvature_action_residual=rk, derived_relations={}, margins={},
-            cross_residual=None, spectrum=None,
-            note="no axis with a two-cluster spectrum")
+        return Theorem3Gate(parallel=parallel, curvature_action_residual=rk,
+                            note="no axis with a two-cluster spectrum")
     best = min(pairs, key=_structure_key)
 
     lam1, lam2, lam3 = best.lambda1, best.lambda2, best.lambda3
@@ -652,27 +675,14 @@ def _axis_field_derivative(frame: BlaschkeFrame, t_vec: np.ndarray,
     return sol[:n, :].T
 
 
-def _ambient(frame: BlaschkeFrame, x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=float) @ frame.tangent
-
-
-def _ambient_axis_derivative(frame: BlaschkeFrame, dT: np.ndarray,
-                             t_vec: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # D_X of the ambient image of the axis field: chain rule through the
-    # coordinates of T plus the bending of the tangent basis.
-    coord_part = (np.asarray(x) @ dT) @ frame.tangent
-    bend_part = np.einsum("i,k,ika->a", x, t_vec, frame.second)
-    return coord_part + bend_part
-
-
 @dataclass
 class _PointData:
     frame: BlaschkeFrame
     t_vec: np.ndarray
     mu: float
     dT: np.ndarray
-    basis2: tuple
-    basis3: tuple
+    basis2: np.ndarray           # rows span the lambda2 block
+    basis3: np.ndarray           # rows span the lambda3 block
     phi2_raw: np.ndarray
     phi3_raw: np.ndarray
 
@@ -685,77 +695,61 @@ def _per_point_structure(frame: BlaschkeFrame, t_prev: np.ndarray,
             "axis tracking lost at grid point "
             f"{blaschke.format_point(frame.u)}")
     t_vec, mu = axis.T, axis.lambda1
-    a = np.einsum("i,ijk->jk", t_vec, frame.C)
-    eig = numerics.solve_sym_eig_generalized(a, frame.h)
-    overlaps = np.abs(eig.vectors.T @ frame.h @ t_vec)
-    t_slot = int(np.argmax(overlaps))
-    basis2, basis3 = [], []
-    for j in range(frame.n):
-        if j == t_slot:
-            continue
-        if abs(float(eig.values[j]) - lam2) <= 100 * tol:
-            basis2.append(eig.vectors[:, j])
-        elif abs(float(eig.values[j]) - lam3) <= 100 * tol:
-            basis3.append(eig.vectors[:, j])
-        else:
-            raise GeometryError(
-                f"eigenvalue {eig.values[j]:.6g} matches neither cluster "
-                f"at grid point {blaschke.format_point(frame.u)}")
-    dT = _axis_field_derivative(frame, t_vec, mu)
-    t_amb = _ambient(frame, t_vec)
-    phi2_raw = -lam3 * frame.position + t_amb
-    phi3_raw = lam2 * frame.position - t_amb
-    return _PointData(frame=frame, t_vec=t_vec, mu=mu, dT=dT,
-                      basis2=tuple(basis2), basis3=tuple(basis3),
-                      phi2_raw=phi2_raw, phi3_raw=phi3_raw)
+    values, vectors = _split_off_axis(frame, t_vec)
+    in2 = np.abs(values - lam2) <= 100 * tol
+    in3 = ~in2 & (np.abs(values - lam3) <= 100 * tol)
+    if not np.all(in2 | in3):
+        raise GeometryError(
+            f"eigenvalue {values[~(in2 | in3)][0]:.6g} matches neither "
+            f"cluster at grid point {blaschke.format_point(frame.u)}")
+    t_amb = t_vec @ frame.tangent
+    return _PointData(frame=frame, t_vec=t_vec, mu=mu,
+                      dT=_axis_field_derivative(frame, t_vec, mu),
+                      basis2=vectors[:, in2].T, basis3=vectors[:, in3].T,
+                      phi2_raw=-lam3 * frame.position + t_amb,
+                      phi3_raw=lam2 * frame.position - t_amb)
+
+
+def _d_phi(pd: _PointData, xs, lam2: float, lam3: float):
+    """D_x phi2, D_x phi3 and the ambient image of x, one row per row x
+    of xs.
+
+    phi2 = -lambda3 phi + T and phi3 = lambda2 phi - T, and D_x of the
+    ambient image of the axis field is the chain rule through the
+    coordinates of T plus the bending of the tangent basis."""
+    fr = pd.frame
+    xs = np.atleast_2d(xs)
+    amb = xs @ fr.tangent
+    d_t = ((xs @ pd.dT) @ fr.tangent
+           + np.einsum("ri,k,ika->ra", xs, pd.t_vec, fr.second))
+    return -lam3 * amb + d_t, lam2 * amb - d_t, amb
+
+
+def _nabla_t(pd: _PointData, xs, gamma: np.ndarray) -> np.ndarray:
+    """nabla_x T = x^i (d_i T^k + gamma^k_ij T^j) for each row x of xs."""
+    return xs @ pd.dT + np.einsum("...i,ijk,j->...k", xs, gamma, pd.t_vec)
+
+
+def _amax(a) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
 
 
 def _drift_residuals(pd: _PointData, lam2: float, lam3: float) -> dict:
     fr = pd.frame
-    res = {}
-    d_t_phi2 = (-lam3 * _ambient(fr, pd.t_vec)
-                + _ambient_axis_derivative(fr, pd.dT, pd.t_vec, pd.t_vec))
-    res["phi2_axis"] = float(np.max(np.abs(d_t_phi2 - lam2 * pd.phi2_raw)))
-    d_t_phi3 = (lam2 * _ambient(fr, pd.t_vec)
-                - _ambient_axis_derivative(fr, pd.dT, pd.t_vec, pd.t_vec))
-    res["phi3_axis"] = float(np.max(np.abs(d_t_phi3 - lam3 * pd.phi3_raw)))
-
-    w_kill = v_kill = 0.0
-    v_imm = w_imm = 0.0
-    for w in pd.basis3:
-        d_w_phi2 = (-lam3 * _ambient(fr, w)
-                    + _ambient_axis_derivative(fr, pd.dT, pd.t_vec, w))
-        w_kill = max(w_kill, float(np.max(np.abs(d_w_phi2))))
-        d_w_phi3 = (lam2 * _ambient(fr, w)
-                    - _ambient_axis_derivative(fr, pd.dT, pd.t_vec, w))
-        w_imm = max(w_imm, float(np.max(np.abs(
-            d_w_phi3 - (lam2 - lam3) * _ambient(fr, w)))))
-    for v in pd.basis2:
-        d_v_phi3 = (lam2 * _ambient(fr, v)
-                    - _ambient_axis_derivative(fr, pd.dT, pd.t_vec, v))
-        v_kill = max(v_kill, float(np.max(np.abs(d_v_phi3))))
-        d_v_phi2 = (-lam3 * _ambient(fr, v)
-                    + _ambient_axis_derivative(fr, pd.dT, pd.t_vec, v))
-        v_imm = max(v_imm, float(np.max(np.abs(
-            d_v_phi2 - (lam2 - lam3) * _ambient(fr, v)))))
-    res["phi2_cokernel"] = w_kill
-    res["phi3_cokernel"] = v_kill
-    res["phi2_immersion"] = v_imm
-    res["phi3_immersion"] = w_imm
-
-    geo = 0.0
-    for v in pd.basis2:
-        nab_v_t = v @ pd.dT + np.einsum("i,ijk,j->k", v, fr.gamma_hat,
-                                        pd.t_vec)
-        for w in pd.basis3:
-            geo = max(geo, abs(float(nab_v_t @ fr.h @ w)))
-    for w in pd.basis3:
-        nab_w_t = w @ pd.dT + np.einsum("i,ijk,j->k", w, fr.gamma_hat,
-                                        pd.t_vec)
-        for v in pd.basis2:
-            geo = max(geo, abs(float(nab_w_t @ fr.h @ v)))
-    res["totally_geodesic"] = geo
-    return res
+    t2, t3, _ = _d_phi(pd, pd.t_vec, lam2, lam3)
+    v2, v3, v_amb = _d_phi(pd, pd.basis2, lam2, lam3)
+    w2, w3, w_amb = _d_phi(pd, pd.basis3, lam2, lam3)
+    geo_vw = _nabla_t(pd, pd.basis2, fr.gamma_hat) @ fr.h @ pd.basis3.T
+    geo_wv = _nabla_t(pd, pd.basis3, fr.gamma_hat) @ fr.h @ pd.basis2.T
+    return {
+        "phi2_axis": _amax(t2 - lam2 * pd.phi2_raw),
+        "phi3_axis": _amax(t3 - lam3 * pd.phi3_raw),
+        "phi2_cokernel": _amax(w2),
+        "phi3_cokernel": _amax(v3),
+        "phi2_immersion": _amax(v2 - (lam2 - lam3) * v_amb),
+        "phi3_immersion": _amax(w3 - (lam2 - lam3) * w_amb),
+        "totally_geodesic": max(_amax(geo_vw), _amax(geo_wv)),
+    }
 
 
 def _metric_ratio(base_pd: _PointData, lam2: float, lam3: float):
@@ -778,10 +772,8 @@ def _metric_ratio(base_pd: _PointData, lam2: float, lam3: float):
     from (lambda2 - lambda3) lambda2 times the identity.
     """
     fr = base_pd.frame
-    b = np.array(base_pd.basis2)
-    nabla_t = b @ base_pd.dT + np.einsum("ai,ijk,j->ak", b, fr.gamma,
-                                         base_pd.t_vec)
-    m = (-lam3 * b + nabla_t) @ fr.h @ b.T / -lam3
+    b = base_pd.basis2
+    m = (-lam3 * b + _nabla_t(base_pd, b, fr.gamma)) @ fr.h @ b.T / -lam3
     expected = (lam2 - lam3) * lam2
     worst = float(np.max(np.abs(m - expected * np.eye(len(b)))))
     return float(np.mean(np.diag(m))), worst
@@ -811,15 +803,6 @@ def _block_slices(defn: ImmersionDef, subspace2: np.ndarray):
     return secondb, first
 
 
-def _lambda2_cluster_basis(structure: SpectralStructure):
-    if structure.pattern == "point":
-        return structure.clusters[0][2]
-    for mean, _mult, basis in structure.clusters:
-        if mean > 0.0:
-            return basis
-    raise GeometryError("no positive cluster in the spectrum")
-
-
 def _provenance_aligned_axis(defn: ImmersionDef, frame: BlaschkeFrame,
                              spectrum: SpectralStructure, tol: float,
                              restarts: int = 32, seed: int = 42):
@@ -830,29 +813,25 @@ def _provenance_aligned_axis(defn: ImmersionDef, frame: BlaschkeFrame,
     axis may belong to a grouping other than the recorded one; factor
     reconstruction needs the recorded grouping, which is identified by
     where the lambda2 eigenvectors point in ambient coordinates."""
-    prov = defn.provenance
-    m2 = prov.n2 + 1
+    m2 = defn.provenance.n2 + 1
     best_t, best_score = None, math.inf
-    for cand in find_axes(frame, restarts=restarts, seed=seed):
-        structure = classify_spectrum(frame, cand, tol)
-        if structure.pattern != spectrum.pattern:
-            continue
-        if (structure.n2, structure.n3) != (spectrum.n2, spectrum.n3):
+    _search, structures = _axis_structures(frame, restarts, seed, tol)
+    for structure in structures:
+        if ((structure.pattern, structure.n2, structure.n3)
+                != (spectrum.pattern, spectrum.n2, spectrum.n3)):
             continue
         if abs(structure.lambda1 - spectrum.lambda1) > 100 * tol:
             continue
         lam3 = structure.lambda3
         if lam3 is None:
             lam3 = structure.lambda1 - structure.lambda2
-        rows = [-lam3 * frame.position
-                + _ambient(frame, structure.axis.T)]
-        for v in _lambda2_cluster_basis(structure):
-            rows.append(_ambient(frame, v))
-        mat = np.array(rows)
+        # clusters ascend, so the lambda2 block (the positive one) is last
+        mat = np.vstack([-lam3 * frame.position
+                         + structure.axis.T @ frame.tangent,
+                         structure.clusters[-1][2] @ frame.tangent])
         mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        w_first = float(np.sum(np.abs(mat[:, :m2])))
-        w_second = float(np.sum(np.abs(mat[:, m2:])))
-        score = min(w_first, w_second)
+        score = min(float(np.sum(np.abs(mat[:, :m2]))),
+                    float(np.sum(np.abs(mat[:, m2:]))))
         if score < best_score:
             best_score = score
             best_t = structure.axis.T
@@ -878,8 +857,20 @@ def _slice_factor_def(defn: ImmersionDef, indices, label: str):
 
 def _factor_grid(defn: ImmersionDef, factor: ImmersionDef, grid):
     cols = [defn.vars.index(v) for v in factor.vars]
-    pts = np.unique(np.round(np.atleast_2d(grid)[:, cols], 12), axis=0)
-    return pts
+    return np.unique(np.round(np.atleast_2d(grid)[:, cols], 12), axis=0)
+
+
+def _factor_at_unit_curvature(defn: ImmersionDef, factor: ImmersionDef,
+                              grid, label: str, residuals: dict):
+    """The factor rescaled to H = -1, with its mean curvature and sphere
+    residuals over the factor grid recorded under `label`."""
+    norm = normalize_homothety(factor)
+    frames = blaschke.frames_on_grid(norm.def_scaled,
+                                     _factor_grid(defn, factor, grid))
+    residuals[f"{label}_mean_curvature"] = max(abs(fr.H + 1.0)
+                                               for fr in frames)
+    residuals[f"{label}_sphere"] = checks.sphere_residual(frames).max_residual
+    return norm
 
 
 def _calibrate_from_provenance(defn: ImmersionDef, grid,
@@ -897,27 +888,16 @@ def _calibrate_from_provenance(defn: ImmersionDef, grid,
     fac1 = _slice_factor_def(defn, idx2, "factor1")
     fac2 = _slice_factor_def(defn, idx3, "factor2")
 
-    norm1 = normalize_homothety(fac1)
+    norm1 = _factor_at_unit_curvature(defn, fac1, grid, "factor1", residuals)
     d1 = 1.0 / (norm1.scale * c1_base)
     d2 = d1 ** (-(n2 + 1.0) / (n3 + 1.0))
-    fgrid1 = _factor_grid(defn, fac1, grid)
-    sphere1 = checks.sphere_residual(norm1.def_scaled, fgrid1)
-    frames1 = blaschke.frames_on_grid(norm1.def_scaled, fgrid1)
-    residuals["factor1_mean_curvature"] = max(
-        abs(fr.H + 1.0) for fr in frames1)
-    residuals["factor1_sphere"] = sphere1.max_residual
 
     defs = [norm1.def_scaled]
     if fac2 is not None:
-        norm2 = normalize_homothety(fac2)
+        norm2 = _factor_at_unit_curvature(defn, fac2, grid, "factor2",
+                                          residuals)
         d2_direct = 1.0 / (norm2.scale * c2_base)
         residuals["gauge_consistency"] = abs(d2 - d2_direct)
-        fgrid2 = _factor_grid(defn, fac2, grid)
-        frames2 = blaschke.frames_on_grid(norm2.def_scaled, fgrid2)
-        residuals["factor2_mean_curvature"] = max(
-            abs(fr.H + 1.0) for fr in frames2)
-        residuals["factor2_sphere"] = checks.sphere_residual(
-            frames2).max_residual
         defs.append(norm2.def_scaled)
     else:
         # zero-dimensional block: a constant vector, gauge read directly
@@ -966,34 +946,23 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
         for key, val in _drift_residuals(pd, lam2, lam3).items():
             residuals[key] = max(residuals.get(key, 0.0), val)
 
-    def flow_parameter(pd: _PointData) -> float:
-        if axis_idx is not None:
-            return float(pd.frame.u[axis_idx])
-        if kind == "point":
-            mag0 = float(np.linalg.norm(pds[0].phi3_raw))
-            mag = float(np.linalg.norm(pd.phi3_raw))
-            return math.log(mag / mag0) / lam3
-        return 0.0
+    phi2_raw = np.array([pd.phi2_raw for pd in pds])
+    phi3_raw = np.array([pd.phi3_raw for pd in pds])
+    # the axis flow parameter at each point
+    if axis_idx is not None:
+        t_par = grid[:, axis_idx]
+    elif kind == "point":
+        mags = np.linalg.norm(phi3_raw, axis=1)
+        t_par = np.log(mags / mags[0]) / lam3
+    else:
+        t_par = np.zeros(len(pds))
+    phi2_samples = (d1 * np.exp(-lam2 * t_par))[:, None] * phi2_raw
+    phi3_samples = (d2 * np.exp(-lam3 * t_par))[:, None] * phi3_raw
 
-    phi2_rows, phi3_rows = [], []
+    cloud2, cloud3 = list(phi2_raw), list(phi3_raw)
     for pd in pds:
-        t_par = flow_parameter(pd)
-        phi2_rows.append(d1 * math.exp(-lam2 * t_par) * pd.phi2_raw)
-        phi3_rows.append(d2 * math.exp(-lam3 * t_par) * pd.phi3_raw)
-    phi2_samples = np.array(phi2_rows)
-    phi3_samples = np.array(phi3_rows)
-
-    cloud2 = [pd.phi2_raw for pd in pds]
-    cloud3 = [pd.phi3_raw for pd in pds]
-    for pd in pds:
-        for v in pd.basis2:
-            cloud2.append(-lam3 * _ambient(pd.frame, v)
-                          + _ambient_axis_derivative(pd.frame, pd.dT,
-                                                     pd.t_vec, v))
-        for w in pd.basis3:
-            cloud3.append(lam2 * _ambient(pd.frame, w)
-                          - _ambient_axis_derivative(pd.frame, pd.dT,
-                                                     pd.t_vec, w))
+        cloud2.extend(_d_phi(pd, pd.basis2, lam2, lam3)[0])
+        cloud3.extend(_d_phi(pd, pd.basis3, lam2, lam3)[1])
     sub2 = numerics.subspace_rank(cloud2)
     sub3 = numerics.subspace_rank(cloud3)
     joint = numerics.subspace_rank(
@@ -1005,18 +974,12 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     metric_ratio, metric_resid = _metric_ratio(base_pd, lam2, lam3)
     residuals["metric_ratio"] = metric_resid
 
-    v0 = base_pd.basis2[0]
-    d_v_phi2 = (-lam3 * _ambient(base_pd.frame, v0)
-                + _ambient_axis_derivative(base_pd.frame, base_pd.dT,
-                                           base_pd.t_vec, v0))
-    rate = float(np.linalg.norm(d_v_phi2)
-                 / np.linalg.norm(_ambient(base_pd.frame, v0)))
+    d_v_phi2, _, v_amb = _d_phi(base_pd, base_pd.basis2[0], lam2, lam3)
+    rate = float(np.linalg.norm(d_v_phi2) / np.linalg.norm(v_amb))
 
     if kind == "point":
-        nab_t_t = base_pd.t_vec @ base_pd.dT + np.einsum(
-            "i,ijk,j->k", base_pd.t_vec, base_pd.frame.gamma_hat,
-            base_pd.t_vec)
-        residuals["axis_geodesic"] = _h_norm(base_pd.frame.h, nab_t_t)
+        nab_t_t = _nabla_t(base_pd, base_pd.t_vec, base_pd.frame.gamma_hat)
+        residuals["axis_geodesic"] = float(_h_norms(base_pd.frame.h, nab_t_t))
         center = phi3_samples[0]
         residuals["phi3_constant"] = float(
             np.max(np.abs(phi3_samples - center))) if len(phi3_samples) > 1 \

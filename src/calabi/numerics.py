@@ -19,10 +19,15 @@ class NotPositiveDefiniteError(ValueError):
     pass
 
 
+class AsymmetricMatrixError(ValueError):
+    """A matrix that should be symmetric is not, beyond rounding."""
+
+
 def symmetrize(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Validate near-symmetry and return the symmetric part.
 
-    The asymmetry must not exceed `tol` relative to the largest entry.
+    The asymmetry must not exceed `tol` relative to the largest entry;
+    a larger one raises AsymmetricMatrixError.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -30,7 +35,8 @@ def symmetrize(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     scale = max(np.max(np.abs(a)), 1.0)
     gap = np.max(np.abs(a - a.T)) if a.size else 0.0
     if gap > tol * scale:
-        raise ValueError(f"matrix asymmetry {gap:.3e} exceeds tolerance")
+        raise AsymmetricMatrixError(
+            f"matrix asymmetry {gap:.3e} exceeds tolerance")
     return 0.5 * (a + a.T)
 
 

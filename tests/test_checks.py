@@ -115,3 +115,18 @@ def test_report_from_samples_picks_worst_point():
     assert report.passed
     assert report.worst_point == (1.0,)
     assert report.max_residual == pytest.approx(5e-7)
+
+
+def test_report_below_noise_floor_names_the_first_point():
+    """Residuals below NOISE_FLOOR * tolerance are rounding, so the worst
+    point is the first sample, not an argmax chosen by rounding."""
+    floor = checks.NOISE_FLOOR * 1e-6
+    report = checks.CheckReport.from_samples(
+        "demo", [0.2 * floor, 0.9 * floor, 0.5 * floor],
+        [(0.0,), (1.0,), (2.0,)], 1e-6)
+    assert report.worst_point == (0.0,)
+    assert report.max_residual == pytest.approx(0.9 * floor)
+    above = checks.CheckReport.from_samples(
+        "demo", [0.2 * floor, 2.0 * floor, 0.5 * floor],
+        [(0.0,), (1.0,), (2.0,)], 1e-6)
+    assert above.worst_point == (1.0,)

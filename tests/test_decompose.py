@@ -1,9 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from calabi import blaschke, construct, decompose, dsl
+from calabi import blaschke, construct, decompose, dsl, numerics
 from calabi.dsl import parse_immersion
 from conftest import make_grid
 
@@ -299,6 +300,7 @@ def test_detect_falls_back_to_search_when_tracking_fails(pair_product,
     monkeypatch.setattr(decompose, "_track_axis",
                         lambda frame, t_prev: None)
     searches = _counted(monkeypatch, "find_axes")
+    blaschke.clear_frame_cache()   # the base search is not memoized yet
     verdict = decompose.detect(pair_product, grid)
     assert len(searches) == len(grid)
     assert verdict.kind == tracked.kind
@@ -309,6 +311,88 @@ def test_detect_falls_back_to_search_when_tracking_fails(pair_product,
             tracked.spectrum, attr), attr
     assert verdict.constancy_residual == pytest.approx(
         tracked.constancy_residual, abs=1e-12)
+
+
+def test_roundtrip_searches_each_base_frame_once(point_product,
+                                                 pair_product, monkeypatch):
+    """detect, the theorem 3 gate and extraction share the search of
+    their base frame: two searches for the two products of a round
+    trip."""
+    searches = _counted(monkeypatch, "find_axes")
+    blaschke.clear_frame_cache()
+    g25, g27 = make_grid(-0.3, 0.3, 5, 2), make_grid(-0.3, 0.3, 3, 3)
+    v_point = decompose.detect(point_product, g25)
+    decompose.extract_point_factor(v_point.def_scaled, v_point, g25)
+    v_pair = decompose.detect(pair_product, g27)
+    assert decompose.theorem3_gate(pair_product, g27).applies
+    decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
+    assert len(searches) == 2
+    assert {id(args[0]) for args in searches} == {
+        id(blaschke.full_frame(point_product, g25[0])),
+        id(blaschke.full_frame(pair_product, g27[0]))}
+
+
+def test_search_memo_is_dropped_with_the_frames(pair_product):
+    decompose.detect(pair_product, make_grid(-0.3, 0.3, 2, 3))
+    assert len(decompose._STRUCTURES) > 0
+    blaschke.clear_frame_cache()
+    gc.collect()
+    assert len(decompose._STRUCTURES) == 0
+
+
+def test_detect_reports_an_asymmetric_k_t_as_a_verdict(pair_product,
+                                                       monkeypatch):
+    """An asymmetry past symmetrize's tolerance at a tracked point is a
+    None verdict naming the point, not a raised ValueError."""
+    grid = make_grid(-0.3, 0.3, 2, 3)
+    blaschke.clear_frame_cache()
+    base_h = blaschke.full_frame(pair_product, grid[0]).h
+    real = numerics.solve_sym_eig_generalized
+
+    def skewed(a, m):
+        if m is not base_h:
+            a = a + 1e-9 * np.triu(np.ones_like(a), 1)
+        return real(a, m)
+
+    monkeypatch.setattr(numerics, "solve_sym_eig_generalized", skewed)
+    verdict = decompose.detect(pair_product, grid)
+    assert verdict.kind is None
+    (note,) = verdict.notes
+    assert "asymmetry" in note
+    assert blaschke.format_point(grid[1]) in note
+
+
+def _linear_reparam(defn: dsl.ImmersionDef, a: np.ndarray):
+    """The definition in coordinates u -> A u."""
+    sub = {}
+    for row, name in zip(a, defn.vars):
+        term = None
+        for coef, other in zip(row, defn.vars):
+            piece = dsl.mul(dsl.const(float(coef)), dsl.var(other))
+            term = piece if term is None else dsl.add(term, piece)
+        sub[name] = term
+    return dsl.ImmersionDef(
+        name=f"{defn.name}_mapped", vars=defn.vars,
+        components=tuple(dsl.substitute(c, sub) for c in defn.components))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_balanced_split_wins_under_linear_reparametrization(
+        double_point_product, seed):
+    """The n = 5 product of two point products has equivalent (2, 2) and
+    (1, 3) structures with residuals equal up to rounding; seeds 0, 1, 4,
+    6, 9, 10 and 11 chose (1, 3) when the residuals decided."""
+    a = np.eye(5) + 0.3 * np.random.default_rng(seed).standard_normal((5, 5))
+    mapped = _linear_reparam(double_point_product, a)
+    grid = make_grid(-0.1, 0.1, 2, 5)
+    verdict = decompose.detect(mapped, grid)
+    assert verdict.kind == "PairProduct", verdict.notes
+    s = verdict.spectrum
+    assert (s.n2, s.n3) == (2, 2)
+    assert (s.lambda1, s.lambda2, s.lambda3) == pytest.approx(
+        (0.0, 1.0, -1.0), abs=1e-6)
+    data = decompose.extract_pair_factors(mapped, verdict, grid)
+    assert data.metric_ratio == pytest.approx(2.0, abs=1e-9)
 
 
 def test_detect_invariant_under_unimodular_map(point_product):
@@ -503,6 +587,30 @@ def test_extract_computes_only_factor_frames(request, product, verdict):
     factor_frames = sum(2 + len(decompose._factor_grid(defn, fac, grid))
                         for fac in data.factor_defs)
     assert _frames_computed() - warm == factor_frames
+
+
+def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
+    """_d_phi and _cross_residual against per-vector loop references."""
+    verdict, grid = mixed_verdict
+    s = verdict.spectrum
+    lam2, lam3 = s.lambda2, s.lambda3
+    frame = blaschke.full_frame(mixed_product, grid[3])
+    pd = decompose._per_point_structure(frame, s.axis.T, lam2, lam3, 1e-6)
+    xs = np.vstack([pd.t_vec, pd.basis2, pd.basis3])
+    d2, d3, amb = decompose._d_phi(pd, xs, lam2, lam3)
+    for x, row2, row3, row_amb in zip(xs, d2, d3, amb):
+        ref_amb = x @ frame.tangent
+        d_t = ((x @ pd.dT) @ frame.tangent
+               + sum(x[i] * pd.t_vec[k] * frame.second[i, k]
+                     for i in range(frame.n) for k in range(frame.n)))
+        assert np.allclose(row_amb, ref_amb, rtol=0, atol=1e-14)
+        assert np.allclose(row2, -lam3 * ref_amb + d_t, rtol=0, atol=1e-13)
+        assert np.allclose(row3, lam2 * ref_amb - d_t, rtol=0, atol=1e-13)
+    cross = max(math.sqrt(max(k @ frame.h @ k, 0.0))
+                for v in pd.basis2 for w in pd.basis3
+                for k in [np.einsum("ijk,i,j->k", frame.K, v, w)])
+    assert decompose._cross_residual(frame, pd.basis2, pd.basis3) \
+        == pytest.approx(cross, rel=0, abs=1e-15)
 
 
 def test_extract_requires_matching_kind(point_product, point_verdict):
