@@ -188,30 +188,19 @@ def product_ode_identity(defn: ImmersionDef, grid,
     with n3 = 0 for point products. Requires provenance metadata; the
     report residual is the worst componentwise violation on the grid.
     """
-    prov = defn.provenance
-    if prov is None:
+    coeff = ode_coefficient(defn)
+    axis = defn.provenance.axis
+    if axis not in defn.vars:
         raise ProvenanceError(
-            "product_ode_identity needs a def produced by the Calabi "
-            "constructors (no provenance metadata found)"
-        )
-    n2, n3 = prov.n2, prov.n3
-    coeff = (n3 - n2) / math.sqrt((n2 + 1) * (n3 + 1))
-    try:
-        t_index = defn.vars.index(prov.axis)
-    except ValueError:
-        raise ProvenanceError(
-            f"provenance axis {prov.axis!r} is not a variable of {defn.name!r}"
-        ) from None
-    res, pts = [], []
-    for u in grid:
-        comps = eval_jets(defn, u, order=2)
-        worst = 0.0
-        for c in comps:
-            dt = c.deriv(t_index)
-            dtt = dt.deriv(t_index).value
-            worst = max(worst, abs(dtt - coeff * dt.value - c.value))
-        res.append(worst)
-        pts.append(np.asarray(u, dtype=float))
+            f"provenance axis {axis!r} is not a variable of {defn.name!r}")
+    t_index = defn.vars.index(axis)
+    pts = np.atleast_2d(np.asarray(grid, dtype=float))
+    res = np.zeros(len(pts))
+    for comp in eval_jets(defn, pts, order=2):
+        dt = comp.deriv(t_index)
+        dtt = dt.deriv(t_index)
+        res = np.maximum(res, np.abs(dtt.c[..., 0] - coeff * dt.c[..., 0]
+                                     - comp.c[..., 0]))
     return checks.CheckReport.from_samples("product_ode", res, pts, tol)
 
 
@@ -219,5 +208,7 @@ def ode_coefficient(defn: ImmersionDef) -> float:
     """The psi_t coefficient in the product ODE, from provenance."""
     prov = defn.provenance
     if prov is None:
-        raise ProvenanceError("def carries no product provenance")
+        raise ProvenanceError(
+            f"{defn.name!r} carries no product provenance; it was not "
+            "produced by the Calabi constructors")
     return (prov.n3 - prov.n2) / math.sqrt((prov.n2 + 1) * (prov.n3 + 1))

@@ -22,7 +22,10 @@ relative to the d1 = d2 = 1 constants the constructors emit.
 Each base frame is searched once: `_axis_structures` memoizes the
 candidates and their classified spectra on the frame, and `detect`,
 `theorem3_gate` and the extraction all filter that one result. Away
-from the base point the axis is tracked by one Newton solve per point.
+from the base point one tracker, `_track`, follows the axis for both
+detection and extraction: one Newton solve per point, and a full search
+only where that solve fails or the spectrum leaves the base pattern.
+Extraction then works on arrays with a leading grid-point axis.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -206,8 +210,8 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
     deduplicated by fixing the sign of the first significant coordinate.
     Newton handles mu = 0 axes, which pure ascent on the cubic misses.
     The pipeline searches each base frame once, through the memo of
-    `_axis_structures`; only `detect`'s fallback, for a point where the
-    tracked axis fails, calls it directly.
+    `_axis_structures`; only the fallback of `_track`, for a point where
+    the tracked axis fails, calls it directly.
     """
     n = frame.n
     basis = numerics.metric_orthonormal_basis(frame.h)
@@ -251,8 +255,7 @@ class SpectralStructure:
 
     `clusters` holds (eigenvalue, multiplicity, basis) triples, ascending,
     each basis an array of h-orthonormal coordinate rows; `pattern` is
-    "point", "pair" or "unclassified" when three or more clusters
-    remain."""
+    "point", "pair" or "unclassified" for any other spectrum."""
 
     axis: CandidateAxis
     clusters: tuple
@@ -295,14 +298,15 @@ def _split_off_axis(frame: BlaschkeFrame, t_vec: np.ndarray):
 
 
 def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
-                      tol: float = 1e-6,
-                      _flipped: bool = False) -> SpectralStructure:
+                      tol: float = 1e-6) -> SpectralStructure:
     """Cluster the K_T spectrum and test it against the product patterns.
 
     The T eigenpair is split off (`_split_off_axis`) and the rest is
-    clustered with the 1e-6 merge gap. One cluster matches the point
-    pattern, two the pair pattern with lambda2 > 0 > lambda3 (flipping T
-    when needed); anything else is reported as unclassified rather than
+    clustered with the 1e-6 merge gap. T is oriented so that the top
+    cluster is not negative: K_(-T) = -K_T, so the flip negates the
+    spectrum and reverses the clusters in closed form. One cluster then
+    matches the point pattern, two the pair pattern with lambda2 > 0 >
+    lambda3; anything else is reported as unclassified rather than
     raised.
     """
     if axis.axis_residual > tol:
@@ -313,15 +317,14 @@ def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
     clusters = [(mean, len(members), vectors[:, members].T)
                 for mean, members in numerics.cluster_values(
                     values, gap=CLUSTER_GAP)]
+    if clusters and clusters[-1][0] < 0.0:
+        axis = axis.flipped()
+        clusters = [(-mean, mult, basis)
+                    for mean, mult, basis in reversed(clusters)]
 
     lam1 = axis.lambda1
-
     if len(clusters) == 1:
-        mean, mult, _basis = clusters[0]
-        if mean < 0.0 and not _flipped:
-            return classify_spectrum(frame, axis.flipped(), tol,
-                                     _flipped=True)
-        lam2 = mean
+        lam2, mult, _basis = clusters[0]
         relations = {
             "thm1": abs(1.0 + lam1 * lam2 - lam2 ** 2),
             "apolar": abs(lam1 + mult * lam2),
@@ -332,20 +335,8 @@ def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
             relation_residuals=relations, pattern="point",
         )
 
-    if len(clusters) == 2:
-        low, high = clusters[0], clusters[1]
-        if not (low[0] < 0.0 < high[0]):
-            if not _flipped:
-                return classify_spectrum(frame, axis.flipped(), tol,
-                                         _flipped=True)
-            return SpectralStructure(
-                axis=axis, clusters=tuple(clusters), n2=high[1], n3=low[1],
-                lambda2=None, lambda3=None,
-                cross_residual=_cross_residual(frame, high[2], low[2]),
-                relation_residuals={}, pattern="unclassified",
-            )
-        lam2, n2, basis2 = high
-        lam3, n3, basis3 = low
+    if len(clusters) == 2 and clusters[0][0] < 0.0 < clusters[1][0]:
+        (lam3, n3, basis3), (lam2, n2, basis2) = clusters
         relations = {
             "thm1": abs(1.0 + lam1 * lam2 - lam2 ** 2),
             "sum": abs(lam1 - lam2 - lam3),
@@ -395,6 +386,9 @@ def _axis_structures(frame: BlaschkeFrame, restarts: int, seed: int,
 
 @dataclass(frozen=True)
 class DecompositionVerdict:
+    """`restarts` and `seed` are the axis search settings behind the
+    verdict; extraction searches with the same ones."""
+
     kind: str | None
     spectrum: SpectralStructure | None
     constancy_residual: float
@@ -403,6 +397,8 @@ class DecompositionVerdict:
     def_scaled: ImmersionDef | None
     scale: float
     notes: tuple = ()
+    restarts: int = 32
+    seed: int = 42
 
 
 def _none_verdict(note, evidence=(), orientation_ok=False, def_scaled=None,
@@ -418,23 +414,28 @@ def _prepare(defn: ImmersionDef, grid):
     """Common gates: sphere test, H < 0, homothety, orientation xi = phi.
 
     Returns (work_def, scale, frames, evidence, failure_note,
-    orientation_ok)."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    h0 = blaschke.full_frame(defn, tuple(grid[0])).H
-    if h0 >= 0.0:
-        # the input frames only choose which of the two gates failed
-        sphere = checks.sphere_residual(defn, grid)
-        note = ("not an affine sphere" if not sphere.passed
-                else f"not hyperbolic (H = {h0:.6g} >= 0)")
-        return defn, 1.0, None, [sphere], note, False
-    if abs(h0 + 1.0) > 1e-9:
-        scaled = normalize_homothety(defn, probe=tuple(grid[0]))
-        work, scale = scaled.def_scaled, scaled.scale
-    else:
-        work, scale = defn, 1.0
-    # S = H id is invariant under homotheties, so the sphere gate runs on
-    # the work frames, where H = -1 makes its absolute tolerance scale free
-    frames = blaschke.frames_on_grid(work, grid)
+    orientation_ok). Geometry the frame pipeline refuses is a failure
+    note too, not an exception."""
+    try:
+        grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        h0 = blaschke.full_frame(defn, tuple(grid[0])).H
+        if h0 >= 0.0:
+            # the input frames only choose which of the two gates failed
+            sphere = checks.sphere_residual(defn, grid)
+            note = ("not an affine sphere" if not sphere.passed
+                    else f"not hyperbolic (H = {h0:.6g} >= 0)")
+            return defn, 1.0, None, [sphere], note, False
+        if abs(h0 + 1.0) > 1e-9:
+            scaled = normalize_homothety(defn, probe=tuple(grid[0]))
+            work, scale = scaled.def_scaled, scaled.scale
+        else:
+            work, scale = defn, 1.0
+        # S = H id is invariant under homotheties, so the sphere gate runs
+        # on the work frames, where H = -1 makes its absolute tolerance
+        # scale free
+        frames = blaschke.frames_on_grid(work, grid)
+    except (GeometryError, JetDomainError) as exc:
+        return defn, 1.0, None, [], str(exc), False
     sphere = checks.sphere_residual(frames)
     evidence = [sphere]
     if not sphere.passed:
@@ -468,13 +469,57 @@ def _structure_key(structure: SpectralStructure) -> tuple:
             -min(structure.n2, structure.n3), total)
 
 
+def _track(frames, ref: SpectralStructure, tol: float, restarts: int,
+           seed: int):
+    """The product structure of `ref` followed across the frames from its
+    axis, as (one structure per frame, None) or (None, failure note).
+
+    Each point takes one Newton solve from the previous point's axis. A
+    point where that solve fails, or where the spectrum changes shape or
+    breaks the eigenvalue relations, is searched in full, and the
+    candidate closest to the previous axis decides."""
+    def mismatch(structure: SpectralStructure) -> str | None:
+        if ((structure.pattern, structure.n2, structure.n3)
+                != (ref.pattern, ref.n2, ref.n3)):
+            return "axis spectrum changes shape across the grid"
+        if any(r > tol for r in structure.relation_residuals.values()):
+            return "eigenvalue relations fail away from the base point"
+        return None
+
+    structures, prev_t = [], ref.axis.T
+    for frame in frames:
+        structure = None
+        tracked = _track_axis(frame, prev_t)
+        if tracked is not None and tracked.axis_residual <= AXIS_RESIDUAL_TOL:
+            structure = classify_spectrum(frame, tracked, tol)
+            if mismatch(structure) is not None:
+                structure = None
+        if structure is None:
+            search = find_axes(frame, restarts=restarts, seed=seed)
+            if not search:
+                return None, ("axis disappears at grid point "
+                              f"{blaschke.format_point(frame.u)}")
+            aligned = max(search, key=lambda c: abs(float(c.T @ prev_t)))
+            if float(aligned.T @ prev_t) < 0.0:
+                aligned = aligned.flipped()
+            structure = classify_spectrum(frame, aligned, tol)
+            failure = mismatch(structure)
+            if failure is not None:
+                return None, failure
+        structures.append(structure)
+        prev_t = structure.axis.T
+    return structures, None
+
+
+def _lambdas(structure: SpectralStructure) -> list:
+    return [lam for lam in (structure.lambda1, structure.lambda2,
+                            structure.lambda3) if lam is not None]
+
+
 def _follow_axis(frames, tol: float, restarts: int, seed: int):
     """The preferred product structure at the base point and the largest
     eigenvalue drift from it across the grid, as (structure, drift,
-    failure note).
-
-    The axis is tracked from point to point; a point is searched in
-    full only when the tracked axis fails a check."""
+    failure note)."""
     search, structures = _axis_structures(frames[0], restarts, seed, tol)
     if search.note is not None:
         return None, math.inf, search.note
@@ -487,43 +532,12 @@ def _follow_axis(frames, tol: float, restarts: int, seed: int):
         return None, math.inf, ("no axis matches either product pattern "
                                 "within tolerance")
     base = min(scored, key=_structure_key)
-
-    def mismatch(structure: SpectralStructure) -> str | None:
-        if ((structure.pattern, structure.n2, structure.n3)
-                != (base.pattern, base.n2, base.n3)):
-            return "axis spectrum changes shape across the grid"
-        if any(r > tol for r in structure.relation_residuals.values()):
-            return "eigenvalue relations fail away from the base point"
-        return None
-
-    prev_t = base.axis.T
-    drift = 0.0
-    for frame in frames[1:]:
-        structure = None
-        tracked = _track_axis(frame, prev_t)
-        if tracked is not None and tracked.axis_residual <= AXIS_RESIDUAL_TOL:
-            structure = classify_spectrum(frame, tracked, tol)
-            if mismatch(structure) is not None:
-                structure = None
-        if structure is None:
-            search = find_axes(frame, restarts=restarts, seed=seed)
-            if not search:
-                return None, math.inf, (
-                    "axis disappears at grid point "
-                    f"{blaschke.format_point(frame.u)}")
-            aligned = max(search, key=lambda c: abs(float(c.T @ prev_t)))
-            if float(aligned.T @ prev_t) < 0.0:
-                aligned = aligned.flipped()
-            structure = classify_spectrum(frame, aligned, tol)
-            failure = mismatch(structure)
-            if failure is not None:
-                return None, math.inf, failure
-        drift = max(drift, abs(structure.lambda1 - base.lambda1),
-                    abs(structure.lambda2 - base.lambda2))
-        if base.lambda3 is not None:
-            drift = max(drift, abs(structure.lambda3 - base.lambda3))
-        prev_t = structure.axis.T
-    return base, drift, None
+    tracked, failure = _track(frames[1:], base, tol, restarts, seed)
+    if failure is not None:
+        return None, math.inf, failure
+    drift = max((abs(a - b) for s in tracked
+                 for a, b in zip(_lambdas(s), _lambdas(base))), default=0.0)
+    return base, float(drift), None
 
 
 def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
@@ -534,11 +548,8 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
     pipeline refuses: every failure mode is a verdict with kind None and
     an explanatory note.
     """
-    try:
-        work, scale, frames, evidence, failure, orientation_ok = _prepare(
-            defn, grid)
-    except (GeometryError, JetDomainError) as exc:
-        return _none_verdict(str(exc))
+    work, scale, frames, evidence, failure, orientation_ok = _prepare(
+        defn, grid)
     if failure is not None:
         return _none_verdict(failure, evidence, orientation_ok,
                              work if frames is not None else None, scale)
@@ -560,9 +571,9 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
 
     kind = "PointProduct" if best.pattern == "point" else "PairProduct"
     return DecompositionVerdict(
-        kind=kind, spectrum=best, constancy_residual=float(drift),
+        kind=kind, spectrum=best, constancy_residual=drift,
         orientation_ok=True, evidence=tuple(evidence), def_scaled=work,
-        scale=scale, notes=(),
+        scale=scale, notes=(), restarts=restarts, seed=seed,
     )
 
 
@@ -612,7 +623,12 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
             parallel=parallel, curvature_action_residual=rk,
             note="K ≈ 0: spectrum collapses, no (V, W) split to gate")
 
-    _search, structures = _axis_structures(frames[0], restarts, seed, tol)
+    try:
+        _search, structures = _axis_structures(frames[0], restarts, seed,
+                                               tol)
+    except numerics.AsymmetricMatrixError as exc:
+        return Theorem3Gate(parallel=parallel, curvature_action_residual=rk,
+                            note=str(exc))
     pairs = [s for s in structures if s.pattern == "pair"]
     if not pairs:
         return Theorem3Gate(parallel=parallel, curvature_action_residual=rk,
@@ -663,87 +679,70 @@ class FactorData:
     immersion_rate: float
 
 
-def _axis_field_derivative(frame: BlaschkeFrame, t_vec: np.ndarray,
-                           mu: float) -> np.ndarray:
-    """dT[d, k] = d_d T^k by implicit differentiation of the axis system."""
-    n = frame.n
-    _f, jac = _axis_system(frame, t_vec, mu)
-    rhs = np.zeros((n + 1, n))
-    rhs[:n, :] = -np.einsum("dijk,i,j->kd", frame.dK, t_vec, t_vec)
-    rhs[n, :] = -np.einsum("dij,i,j->d", frame.dh, t_vec, t_vec)
-    sol = np.linalg.solve(jac, rhs)
-    return sol[:n, :].T
+_FIELDS = ("position", "tangent", "second", "h", "gamma", "gamma_hat", "K",
+           "dK", "dh")
 
 
-@dataclass
-class _PointData:
-    frame: BlaschkeFrame
-    t_vec: np.ndarray
-    mu: float
-    dT: np.ndarray
-    basis2: np.ndarray           # rows span the lambda2 block
-    basis3: np.ndarray           # rows span the lambda3 block
-    phi2_raw: np.ndarray
-    phi3_raw: np.ndarray
+def _grid_fields(frames, structures) -> SimpleNamespace:
+    """The frame fields, the tracked axis T, its derivative dT[p, d, k] =
+    d_d T^k and the rows spanning the lambda2 and lambda3 blocks, each
+    stacked along a leading grid-point axis p.
+
+    dT follows from implicit differentiation of the axis system
+    (K(T,T) = mu T, h(T,T) = 1), with the Jacobian of `_axis_system` at
+    each point, in one solve for all of them. A point structure has no
+    lambda3 block: its basis3 has no rows."""
+    f = SimpleNamespace(**{name: np.stack([getattr(fr, name) for fr in frames])
+                           for name in _FIELDS})
+    f.T = np.stack([s.axis.T for s in structures])
+    npts, n = f.T.shape
+    f.basis2 = np.stack([s.clusters[-1][2] for s in structures])
+    f.basis3 = (np.stack([s.clusters[0][2] for s in structures])
+                if structures[0].pattern == "pair" else np.zeros((npts, 0, n)))
+    jac = np.stack([_axis_system(fr, s.axis.T, s.lambda1)[1]
+                    for fr, s in zip(frames, structures)])
+    rhs = np.zeros((npts, n + 1, n))
+    rhs[:, :n] = -np.einsum("pdijk,pi,pj->pkd", f.dK, f.T, f.T)
+    rhs[:, n] = -np.einsum("pdij,pi,pj->pd", f.dh, f.T, f.T)
+    f.dT = np.linalg.solve(jac, rhs)[:, :n].transpose(0, 2, 1)
+    return f
 
 
-def _per_point_structure(frame: BlaschkeFrame, t_prev: np.ndarray,
-                         lam2: float, lam3: float, tol: float) -> _PointData:
-    axis = _track_axis(frame, t_prev)
-    if axis is None:
-        raise GeometryError(
-            "axis tracking lost at grid point "
-            f"{blaschke.format_point(frame.u)}")
-    t_vec, mu = axis.T, axis.lambda1
-    values, vectors = _split_off_axis(frame, t_vec)
-    in2 = np.abs(values - lam2) <= 100 * tol
-    in3 = ~in2 & (np.abs(values - lam3) <= 100 * tol)
-    if not np.all(in2 | in3):
-        raise GeometryError(
-            f"eigenvalue {values[~(in2 | in3)][0]:.6g} matches neither "
-            f"cluster at grid point {blaschke.format_point(frame.u)}")
-    t_amb = t_vec @ frame.tangent
-    return _PointData(frame=frame, t_vec=t_vec, mu=mu,
-                      dT=_axis_field_derivative(frame, t_vec, mu),
-                      basis2=vectors[:, in2].T, basis3=vectors[:, in3].T,
-                      phi2_raw=-lam3 * frame.position + t_amb,
-                      phi3_raw=lam2 * frame.position - t_amb)
-
-
-def _d_phi(pd: _PointData, xs, lam2: float, lam3: float):
-    """D_x phi2, D_x phi3 and the ambient image of x, one row per row x
-    of xs.
+def _d_phi(f: SimpleNamespace, xs: np.ndarray, lam2: float, lam3: float):
+    """D_x phi2, D_x phi3 and the ambient image of x for the rows x of
+    xs, of shape (P, rows, n), each of shape (P, rows, n + 1).
 
     phi2 = -lambda3 phi + T and phi3 = lambda2 phi - T, and D_x of the
     ambient image of the axis field is the chain rule through the
     coordinates of T plus the bending of the tangent basis."""
-    fr = pd.frame
-    xs = np.atleast_2d(xs)
-    amb = xs @ fr.tangent
-    d_t = ((xs @ pd.dT) @ fr.tangent
-           + np.einsum("ri,k,ika->ra", xs, pd.t_vec, fr.second))
+    amb = xs @ f.tangent
+    d_t = ((xs @ f.dT) @ f.tangent
+           + np.einsum("pri,pk,pika->pra", xs, f.T, f.second))
     return -lam3 * amb + d_t, lam2 * amb - d_t, amb
 
 
-def _nabla_t(pd: _PointData, xs, gamma: np.ndarray) -> np.ndarray:
-    """nabla_x T = x^i (d_i T^k + gamma^k_ij T^j) for each row x of xs."""
-    return xs @ pd.dT + np.einsum("...i,ijk,j->...k", xs, gamma, pd.t_vec)
+def _nabla_t(f: SimpleNamespace, xs: np.ndarray,
+             gamma: np.ndarray) -> np.ndarray:
+    """nabla_x T = x^i (d_i T^k + gamma^k_ij T^j) for the rows x of xs."""
+    return xs @ f.dT + np.einsum("pri,pijk,pj->prk", xs, gamma, f.T)
 
 
 def _amax(a) -> float:
     return float(np.max(np.abs(a), initial=0.0))
 
 
-def _drift_residuals(pd: _PointData, lam2: float, lam3: float) -> dict:
-    fr = pd.frame
-    t2, t3, _ = _d_phi(pd, pd.t_vec, lam2, lam3)
-    v2, v3, v_amb = _d_phi(pd, pd.basis2, lam2, lam3)
-    w2, w3, w_amb = _d_phi(pd, pd.basis3, lam2, lam3)
-    geo_vw = _nabla_t(pd, pd.basis2, fr.gamma_hat) @ fr.h @ pd.basis3.T
-    geo_wv = _nabla_t(pd, pd.basis3, fr.gamma_hat) @ fr.h @ pd.basis2.T
+def _drift_residuals(f: SimpleNamespace, phi2_raw, phi3_raw, lam2: float,
+                     lam3: float) -> dict:
+    t2, t3, _ = _d_phi(f, f.T[:, None], lam2, lam3)
+    v2, v3, v_amb = _d_phi(f, f.basis2, lam2, lam3)
+    w2, w3, w_amb = _d_phi(f, f.basis3, lam2, lam3)
+    geo_vw = (_nabla_t(f, f.basis2, f.gamma_hat) @ f.h
+              @ f.basis3.transpose(0, 2, 1))
+    geo_wv = (_nabla_t(f, f.basis3, f.gamma_hat) @ f.h
+              @ f.basis2.transpose(0, 2, 1))
     return {
-        "phi2_axis": _amax(t2 - lam2 * pd.phi2_raw),
-        "phi3_axis": _amax(t3 - lam3 * pd.phi3_raw),
+        "phi2_axis": _amax(t2[:, 0] - lam2 * phi2_raw),
+        "phi3_axis": _amax(t3[:, 0] - lam3 * phi3_raw),
         "phi2_cokernel": _amax(w2),
         "phi3_cokernel": _amax(v3),
         "phi2_immersion": _amax(v2 - (lam2 - lam3) * v_amb),
@@ -752,7 +751,7 @@ def _drift_residuals(pd: _PointData, lam2: float, lam3: float) -> dict:
     }
 
 
-def _metric_ratio(base_pd: _PointData, lam2: float, lam3: float):
+def _metric_ratio(f: SimpleNamespace, lam2: float, lam3: float):
     """phi2 coefficient of the second derivatives along the lambda2 block.
 
     By the Gauss formula phi_ij = Gamma^k_ij phi_k + h_ij phi (xi = phi;
@@ -767,54 +766,32 @@ def _metric_ratio(base_pd: _PointData, lam2: float, lam3: float):
 
       m(v, w) = h(-lambda3 v + nabla_v T, w) / (-lambda3),
 
-    exact and free of the coordinates. Returns the mean diagonal of m
-    over the h-orthonormal block basis and the largest deviation of m
-    from (lambda2 - lambda3) lambda2 times the identity.
+    exact and free of the coordinates. Returns, at the base point, the
+    mean diagonal of m over the h-orthonormal block basis and the largest
+    deviation of m from (lambda2 - lambda3) lambda2 times the identity.
     """
-    fr = base_pd.frame
-    b = base_pd.basis2
-    m = (-lam3 * b + _nabla_t(base_pd, b, fr.gamma)) @ fr.h @ b.T / -lam3
+    b = f.basis2
+    m = ((-lam3 * b + _nabla_t(f, b, f.gamma)) @ f.h
+         @ b.transpose(0, 2, 1))[0] / -lam3
     expected = (lam2 - lam3) * lam2
-    worst = float(np.max(np.abs(m - expected * np.eye(len(b)))))
+    worst = float(np.max(np.abs(m - expected * np.eye(len(m)))))
     return float(np.mean(np.diag(m))), worst
-
-
-def _block_slices(defn: ImmersionDef, subspace2: np.ndarray):
-    """Split a provenance-carrying def into its two component blocks.
-
-    Provenance fixes the block sizes; which block belongs to the
-    lambda2 eigenspace is decided by projecting the recovered subspace
-    onto each coordinate block. The projection must be decisive: a
-    subspace straddling both blocks means the detected axis belongs to
-    a different grouping than the recorded one."""
-    prov = defn.provenance
-    m2 = prov.n2 + 1
-    first = list(range(m2))
-    secondb = list(range(m2, defn.ncomponents))
-    weight_first = float(np.sum(np.abs(subspace2[:, first])))
-    weight_second = float(np.sum(np.abs(subspace2[:, secondb])))
-    if min(weight_first, weight_second) > 1e-6 * max(weight_first,
-                                                     weight_second):
-        raise GeometryError(
-            "recovered factor subspace straddles the recorded component "
-            "blocks; the axis does not match the recorded grouping")
-    if weight_first >= weight_second:
-        return first, secondb
-    return secondb, first
 
 
 def _provenance_aligned_axis(defn: ImmersionDef, frame: BlaschkeFrame,
                              spectrum: SpectralStructure, tol: float,
-                             restarts: int = 32, seed: int = 42):
-    """Axis matching the verdict spectrum whose lambda2 block spans a
-    single recorded component block.
+                             restarts: int, seed: int):
+    """The structure matching the verdict spectrum whose lambda2 block
+    spans a single recorded component block, and whether that block is
+    the first one, as (structure, lambda2_first).
 
     On surfaces with several equivalent product structures the detected
     axis may belong to a grouping other than the recorded one; factor
     reconstruction needs the recorded grouping, which is identified by
-    where the lambda2 eigenvectors point in ambient coordinates."""
+    where the lambda2 eigenvectors point in ambient coordinates. Raises
+    GeometryError when no candidate keeps to one block."""
     m2 = defn.provenance.n2 + 1
-    best_t, best_score = None, math.inf
+    best, best_score, lam2_first = None, math.inf, True
     _search, structures = _axis_structures(frame, restarts, seed, tol)
     for structure in structures:
         if ((structure.pattern, structure.n2, structure.n3)
@@ -830,14 +807,17 @@ def _provenance_aligned_axis(defn: ImmersionDef, frame: BlaschkeFrame,
                          + structure.axis.T @ frame.tangent,
                          structure.clusters[-1][2] @ frame.tangent])
         mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        score = min(float(np.sum(np.abs(mat[:, :m2]))),
-                    float(np.sum(np.abs(mat[:, m2:]))))
-        if score < best_score:
-            best_score = score
-            best_t = structure.axis.T
-    if best_t is None or best_score > 1e-6:
-        return None
-    return best_t
+        first = float(np.sum(np.abs(mat[:, :m2])))
+        second = float(np.sum(np.abs(mat[:, m2:])))
+        if min(first, second) < best_score:
+            best, best_score = structure, min(first, second)
+            lam2_first = first >= second
+    if best is None or best_score > 1e-6:
+        raise GeometryError(
+            "no axis with the verdict spectrum keeps its lambda2 block in "
+            "one recorded component block; the axis does not match the "
+            "recorded grouping")
+    return best, lam2_first
 
 
 def _slice_factor_def(defn: ImmersionDef, indices, label: str):
@@ -874,17 +854,21 @@ def _factor_at_unit_curvature(defn: ImmersionDef, factor: ImmersionDef,
 
 
 def _calibrate_from_provenance(defn: ImmersionDef, grid,
-                               subspace2: np.ndarray, kind: str,
+                               lam2_first: bool, kind: str,
                                n2: int, n3: int, residuals: dict):
     """Reconstruct the factor defs and measure the translation gauge.
 
-    The sliced lambda2 block equals c1 * psi1 at axis parameter zero;
-    normalizing it back to H = -1 measures c1, and d1 is c1 over the
-    base constant the constructors emit. d2 then follows from the
-    gauge constraint d1^(n2+1) d2^(n3+1) = 1.
+    Provenance fixes the component block sizes, and `lam2_first` says
+    whether the first block holds the lambda2 eigenspace. The sliced
+    lambda2 block equals c1 * psi1 at axis parameter zero; normalizing
+    it back to H = -1 measures c1, and d1 is c1 over the base constant
+    the constructors emit. d2 then follows from the gauge constraint
+    d1^(n2+1) d2^(n3+1) = 1.
     """
     c1_base, c2_base = base_coefficients(kind, n2, n3)
-    idx2, idx3 = _block_slices(defn, subspace2)
+    m2 = defn.provenance.n2 + 1
+    first, second = list(range(m2)), list(range(m2, defn.ncomponents))
+    idx2, idx3 = (first, second) if lam2_first else (second, first)
     fac1 = _slice_factor_def(defn, idx2, "factor1")
     fac2 = _slice_factor_def(defn, idx3, "factor2")
 
@@ -930,24 +914,21 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     if prov is not None and prov.axis in defn.vars:
         axis_idx = defn.vars.index(prov.axis)
 
-    t_prev = spectrum.axis.T
+    ref = spectrum
     if axis_idx is not None:
-        aligned = _provenance_aligned_axis(defn, frames[0], spectrum, tol)
-        if aligned is not None:
-            t_prev = aligned
-    pds = []
-    for fr in frames:
-        pd = _per_point_structure(fr, t_prev, lam2, lam3, tol)
-        t_prev = pd.t_vec
-        pds.append(pd)
+        ref, lam2_first = _provenance_aligned_axis(
+            defn, frames[0], spectrum, tol, verdict.restarts, verdict.seed)
+    structures, failure = _track(frames, ref, tol, verdict.restarts,
+                                 verdict.seed)
+    if failure is not None:
+        raise GeometryError(failure)
+    f = _grid_fields(frames, structures)
 
-    residuals: dict[str, float] = {}
-    for pd in pds:
-        for key, val in _drift_residuals(pd, lam2, lam3).items():
-            residuals[key] = max(residuals.get(key, 0.0), val)
+    t_amb = (f.T[:, None] @ f.tangent)[:, 0]
+    phi2_raw = -lam3 * f.position + t_amb
+    phi3_raw = lam2 * f.position - t_amb
+    residuals = _drift_residuals(f, phi2_raw, phi3_raw, lam2, lam3)
 
-    phi2_raw = np.array([pd.phi2_raw for pd in pds])
-    phi3_raw = np.array([pd.phi3_raw for pd in pds])
     # the axis flow parameter at each point
     if axis_idx is not None:
         t_par = grid[:, axis_idx]
@@ -955,40 +936,34 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
         mags = np.linalg.norm(phi3_raw, axis=1)
         t_par = np.log(mags / mags[0]) / lam3
     else:
-        t_par = np.zeros(len(pds))
+        t_par = np.zeros(len(grid))
     phi2_samples = (d1 * np.exp(-lam2 * t_par))[:, None] * phi2_raw
     phi3_samples = (d2 * np.exp(-lam3 * t_par))[:, None] * phi3_raw
 
-    cloud2, cloud3 = list(phi2_raw), list(phi3_raw)
-    for pd in pds:
-        cloud2.extend(_d_phi(pd, pd.basis2, lam2, lam3)[0])
-        cloud3.extend(_d_phi(pd, pd.basis3, lam2, lam3)[1])
-    sub2 = numerics.subspace_rank(cloud2)
-    sub3 = numerics.subspace_rank(cloud3)
+    d_v_phi2, _, v_amb = _d_phi(f, f.basis2, lam2, lam3)
+    width = phi2_raw.shape[1]
+    sub2 = numerics.subspace_rank(
+        np.vstack([phi2_raw, d_v_phi2.reshape(-1, width)]))
+    sub3 = numerics.subspace_rank(
+        np.vstack([phi3_raw, _d_phi(f, f.basis3, lam2, lam3)[1]
+                   .reshape(-1, width)]))
     joint = numerics.subspace_rank(
         np.vstack([sub2.basis, sub3.basis]))
     residuals["subspace_overlap"] = float(
         sub2.rank + sub3.rank - joint.rank)
 
-    base_pd = pds[0]
-    metric_ratio, metric_resid = _metric_ratio(base_pd, lam2, lam3)
-    residuals["metric_ratio"] = metric_resid
-
-    d_v_phi2, _, v_amb = _d_phi(base_pd, base_pd.basis2[0], lam2, lam3)
-    rate = float(np.linalg.norm(d_v_phi2) / np.linalg.norm(v_amb))
+    metric_ratio, residuals["metric_ratio"] = _metric_ratio(f, lam2, lam3)
+    rate = float(np.linalg.norm(d_v_phi2[0, 0]) / np.linalg.norm(v_amb[0, 0]))
 
     if kind == "point":
-        nab_t_t = _nabla_t(base_pd, base_pd.t_vec, base_pd.frame.gamma_hat)
-        residuals["axis_geodesic"] = float(_h_norms(base_pd.frame.h, nab_t_t))
-        center = phi3_samples[0]
-        residuals["phi3_constant"] = float(
-            np.max(np.abs(phi3_samples - center))) if len(phi3_samples) > 1 \
-            else 0.0
+        nab_t_t = _nabla_t(f, f.T[:, None], f.gamma_hat)[0, 0]
+        residuals["axis_geodesic"] = float(_h_norms(f.h[0], nab_t_t))
+        residuals["phi3_constant"] = _amax(phi3_samples - phi3_samples[0])
 
     factor_defs = None
-    if prov is not None and axis_idx is not None:
+    if axis_idx is not None:
         factor_defs, d1, d2 = _calibrate_from_provenance(
-            defn, grid, sub2.basis, kind, n2, n3, residuals)
+            defn, grid, lam2_first, kind, n2, n3, residuals)
 
     return FactorData(
         kind=kind, d1=float(d1), d2=float(d2),

@@ -512,20 +512,6 @@ def parse_immersion(source: str) -> ImmersionDef:
 # --- structured assembly -------------------------------------------------
 
 
-def _rename_expr(e: Expr, mapping: dict[str, str]) -> Expr:
-    if isinstance(e, Variable):
-        return Variable(mapping.get(e.name, e.name))
-    if isinstance(e, Constant):
-        return e
-    if isinstance(e, Unary):
-        return Unary(e.op, _rename_expr(e.arg, mapping))
-    if isinstance(e, Binary):
-        return Binary(e.op, _rename_expr(e.left, mapping), _rename_expr(e.right, mapping))
-    if isinstance(e, Call):
-        return Call(e.fn, _rename_expr(e.arg, mapping))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
     """Replace variables by expressions."""
     if isinstance(e, Variable):
@@ -545,7 +531,6 @@ def build_scaled_embedding(
     defs,
     weights,
     axis_var: str,
-    new_vars=None,
     name: str = "anon",
     provenance: Provenance | None = None,
 ) -> ImmersionDef:
@@ -560,8 +545,8 @@ def build_scaled_embedding(
     folded away: a coefficient of 1 adds no factor, a rate of 0 adds no
     exponential. Variable names are taken from the factors, renamed with
     numeric suffixes when they collide with the axis variable or with
-    each other; `new_vars` overrides all factor variable names at once.
-    Output variables are (axis_var, then factor variables in order).
+    each other. Output variables are (axis_var, then factor variables in
+    order).
     """
     if len(weights) != len(defs):
         raise ImmersionValidationError(
@@ -575,31 +560,20 @@ def build_scaled_embedding(
         factor_vars.append(list(d.vars) if isinstance(d, ImmersionDef) else [])
 
     flat = [v for vs in factor_vars for v in vs]
-    if new_vars is not None:
-        if len(new_vars) != len(flat):
-            raise ImmersionValidationError(
-                f"new_vars has {len(new_vars)} names for {len(flat)} factor variables"
-            )
-        renamed_flat = list(new_vars)
-    else:
-        used = {axis_var}
-        renamed_flat = []
-        for v in flat:
-            candidate = v
-            k = 0
-            while candidate in used:
-                k += 1
-                if k > 99:
-                    raise ImmersionValidationError(
-                        f"cannot find a fresh name for variable {v!r}"
-                    )
-                candidate = f"{v}_{k}"
-            used.add(candidate)
-            renamed_flat.append(candidate)
-    if axis_var in renamed_flat:
-        raise ImmersionValidationError(
-            f"axis variable {axis_var!r} collides with a factor variable"
-        )
+    used = {axis_var}
+    renamed_flat = []
+    for v in flat:
+        candidate = v
+        k = 0
+        while candidate in used:
+            k += 1
+            if k > 99:
+                raise ImmersionValidationError(
+                    f"cannot find a fresh name for variable {v!r}"
+                )
+            candidate = f"{v}_{k}"
+        used.add(candidate)
+        renamed_flat.append(candidate)
 
     # re-split per factor
     renamed: list[list[str]] = []
@@ -611,8 +585,8 @@ def build_scaled_embedding(
     components: list[Expr] = []
     for d, (coefficient, rate), old, new in zip(defs, weights, factor_vars, renamed):
         if isinstance(d, ImmersionDef):
-            mapping = dict(zip(old, new))
-            block = [_rename_expr(c, mapping) for c in d.components]
+            mapping = {o: Variable(r) for o, r in zip(old, new)}
+            block = [substitute(c, mapping) for c in d.components]
         else:
             block = [const(v) for v in d]
             if not block:

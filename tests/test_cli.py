@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,15 @@ from calabi import blaschke, cli, decompose, dsl
 from conftest import HYPERBOLA_B_SRC, HYPERBOLA_SRC, QUADRIC_SRC
 
 REPORT_KEYS = {"name", "max_residual", "tolerance", "pass", "worst_point"}
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args: str):
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "calabi.cli", *args], capture_output=True)
+        [sys.executable, "-m", "calabi.cli", *args], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.fixture(scope="module")

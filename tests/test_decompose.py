@@ -157,6 +157,13 @@ def test_detect_pair(pair_verdict):
     assert all(rep.passed for rep in verdict.evidence)
 
 
+def test_detect_on_a_one_point_grid(pair_product):
+    """With no point to track to, the eigenvalues cannot drift."""
+    verdict = decompose.detect(pair_product, np.array([[0.1, 0.1, 0.1]]))
+    assert verdict.kind == "PairProduct"
+    assert verdict.constancy_residual == 0.0
+
+
 def test_detect_point(point_verdict):
     verdict, _ = point_verdict
     assert verdict.kind == "PointProduct"
@@ -432,6 +439,28 @@ def test_theorem3_gate_applies_on_pair(pair_product):
     assert gate.cross_residual <= 1e-6
 
 
+def test_theorem3_gate_returns_a_note_on_indefinite_metric():
+    saddle = parse_immersion(
+        "immersion saddle { vars: u, v; components: (u, v, u*v); }")
+    gate = decompose.theorem3_gate(saddle, make_grid(-0.3, 0.3, 3, 2))
+    assert not gate.applies
+    assert gate.note == "tentative second fundamental form is not definite"
+
+
+def test_theorem3_gate_reports_an_asymmetric_k_t_as_a_note(pair_product,
+                                                          monkeypatch):
+    real = numerics.solve_sym_eig_generalized
+
+    def skewed(a, m):
+        return real(a + 1e-9 * np.triu(np.ones_like(a), 1), m)
+
+    monkeypatch.setattr(numerics, "solve_sym_eig_generalized", skewed)
+    blaschke.clear_frame_cache()   # the base search must run, not the memo
+    gate = decompose.theorem3_gate(pair_product, make_grid(-0.2, 0.2, 2, 3))
+    assert not gate.applies
+    assert "asymmetry" in gate.note
+
+
 def test_theorem3_gate_quadric_collapses(quadric):
     gate = decompose.theorem3_gate(quadric, make_grid(-0.4, 0.4, 3, 2))
     assert not gate.applies
@@ -590,27 +619,87 @@ def test_extract_computes_only_factor_frames(request, product, verdict):
 
 
 def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
-    """_d_phi and _cross_residual against per-vector loop references."""
+    """_grid_fields, _d_phi and _cross_residual against per-point,
+    per-vector loop references."""
     verdict, grid = mixed_verdict
     s = verdict.spectrum
     lam2, lam3 = s.lambda2, s.lambda3
-    frame = blaschke.full_frame(mixed_product, grid[3])
-    pd = decompose._per_point_structure(frame, s.axis.T, lam2, lam3, 1e-6)
-    xs = np.vstack([pd.t_vec, pd.basis2, pd.basis3])
-    d2, d3, amb = decompose._d_phi(pd, xs, lam2, lam3)
-    for x, row2, row3, row_amb in zip(xs, d2, d3, amb):
-        ref_amb = x @ frame.tangent
-        d_t = ((x @ pd.dT) @ frame.tangent
-               + sum(x[i] * pd.t_vec[k] * frame.second[i, k]
-                     for i in range(frame.n) for k in range(frame.n)))
-        assert np.allclose(row_amb, ref_amb, rtol=0, atol=1e-14)
-        assert np.allclose(row2, -lam3 * ref_amb + d_t, rtol=0, atol=1e-13)
-        assert np.allclose(row3, lam2 * ref_amb - d_t, rtol=0, atol=1e-13)
-    cross = max(math.sqrt(max(k @ frame.h @ k, 0.0))
-                for v in pd.basis2 for w in pd.basis3
-                for k in [np.einsum("ijk,i,j->k", frame.K, v, w)])
-    assert decompose._cross_residual(frame, pd.basis2, pd.basis3) \
-        == pytest.approx(cross, rel=0, abs=1e-15)
+    frames = blaschke.frames_on_grid(mixed_product, grid)
+    structures, failure = decompose._track(frames, s, 1e-6, 32, 42)
+    assert failure is None
+    f = decompose._grid_fields(frames, structures)
+    xs = np.concatenate([f.T[:, None], f.basis2, f.basis3], axis=1)
+    d2, d3, amb = decompose._d_phi(f, xs, lam2, lam3)
+    n = frames[0].n
+    for p, frame in enumerate(frames):
+        # dT by implicit differentiation of the axis system at one point
+        _res, jac = decompose._axis_system(frame, f.T[p],
+                                           structures[p].lambda1)
+        rhs = np.zeros((n + 1, n))
+        for d in range(n):
+            rhs[:n, d] = -sum(frame.dK[d, i, j] * f.T[p, i] * f.T[p, j]
+                              for i in range(n) for j in range(n))
+            rhs[n, d] = -sum(frame.dh[d, i, j] * f.T[p, i] * f.T[p, j]
+                             for i in range(n) for j in range(n))
+        assert np.allclose(f.dT[p], np.linalg.solve(jac, rhs)[:n].T,
+                           rtol=0, atol=1e-13)
+        for x, row2, row3, row_amb in zip(xs[p], d2[p], d3[p], amb[p]):
+            ref_amb = x @ frame.tangent
+            d_t = ((x @ f.dT[p]) @ frame.tangent
+                   + sum(x[i] * f.T[p, k] * frame.second[i, k]
+                         for i in range(n) for k in range(n)))
+            assert np.allclose(row_amb, ref_amb, rtol=0, atol=1e-14)
+            assert np.allclose(row2, -lam3 * ref_amb + d_t, rtol=0,
+                               atol=1e-13)
+            assert np.allclose(row3, lam2 * ref_amb - d_t, rtol=0,
+                               atol=1e-13)
+        cross = max(math.sqrt(max(k @ frame.h @ k, 0.0))
+                    for v in f.basis2[p] for w in f.basis3[p]
+                    for k in [np.einsum("ijk,i,j->k", frame.K, v, w)])
+        assert decompose._cross_residual(frame, f.basis2[p], f.basis3[p]) \
+            == pytest.approx(cross, rel=0, abs=1e-15)
+
+
+def test_extract_falls_back_to_search_when_tracking_fails(pair_product,
+                                                          pair_verdict,
+                                                          monkeypatch):
+    """Extraction follows the axis through the same tracker as detect,
+    so a point where the Newton solve fails is searched in full."""
+    verdict, grid = pair_verdict
+    tracked = decompose.extract_pair_factors(pair_product, verdict, grid)
+    monkeypatch.setattr(decompose, "_track_axis",
+                        lambda frame, t_prev: None)
+    searches = _counted(monkeypatch, "find_axes")
+    data = decompose.extract_pair_factors(pair_product, verdict, grid)
+    assert len(searches) == len(grid)
+    assert data.residuals.keys() == tracked.residuals.keys()
+    for key, value in tracked.residuals.items():
+        assert data.residuals[key] == pytest.approx(value, abs=1e-12), key
+    assert np.allclose(data.phi2_samples, tracked.phi2_samples, atol=1e-12)
+    assert np.allclose(data.phi3_samples, tracked.phi3_samples, atol=1e-12)
+    assert data.metric_ratio == pytest.approx(tracked.metric_ratio,
+                                              abs=1e-12)
+
+
+def test_extract_searches_with_the_verdict_settings(pair_product,
+                                                    monkeypatch):
+    """detect and extraction share one base search, made with the
+    restarts and seed the verdict was found with."""
+    grid = make_grid(-0.3, 0.3, 3, 3)
+    searches = []
+    real = decompose.find_axes
+
+    def counted(frame, restarts=32, seed=42):
+        searches.append((restarts, seed))
+        return real(frame, restarts=restarts, seed=seed)
+
+    monkeypatch.setattr(decompose, "find_axes", counted)
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(pair_product, grid, restarts=16, seed=7)
+    assert (verdict.restarts, verdict.seed) == (16, 7)
+    data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
+    assert data.metric_ratio == pytest.approx(2.0, abs=1e-12)
+    assert searches == [(16, 7)]
 
 
 def test_extract_requires_matching_kind(point_product, point_verdict):
