@@ -21,11 +21,13 @@ relative to the d1 = d2 = 1 constants the constructors emit.
 
 Each base frame is searched once: `_axis_structures` memoizes the
 candidates and their classified spectra on the frame, and `detect`,
-`theorem3_gate` and the extraction all filter that one result. Away
-from the base point one tracker, `_track`, follows the axis for both
-detection and extraction: one Newton solve per point, and a full search
-only where that solve fails or the spectrum leaves the base pattern.
-Extraction then works on arrays with a leading grid-point axis.
+`theorem3_gate` and the extraction all filter that one result by their
+tolerance. Away from the base point one tracker, `_track`, follows the
+axis for both detection and extraction: one Newton solve per point, and
+a full search only where that solve fails or the spectrum leaves the
+base pattern. A search solves all its restarts in one batched Newton
+call, and one stacked eigensolve classifies a search or a tracked
+chain. Extraction then works on arrays with a leading grid-point axis.
 """
 
 from __future__ import annotations
@@ -139,64 +141,87 @@ def _h_norms(h: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.einsum("...i,ij,...j->...", vs, h, vs), 0.0))
 
 
-def _axis_system(frame: BlaschkeFrame, x: np.ndarray, mu: float):
-    kxx = np.einsum("ijk,i,j->k", frame.K, x, x)
-    f = np.concatenate([kxx - mu * x, [x @ frame.h @ x - 1.0]])
-    n = frame.n
-    jac = np.zeros((n + 1, n + 1))
-    jac[:n, :n] = 2.0 * np.einsum("ijk,i->kj", frame.K, x) - mu * np.eye(n)
-    jac[:n, n] = -x
-    jac[n, :n] = 2.0 * frame.h @ x
+def _axis_system(frame, x: np.ndarray, mu):
+    """F = (K(X,X) - mu X, h(X,X) - 1) and its Jacobian in (X, mu) for
+    the rows X of x, also under stacked frame fields; stacked matmuls
+    round as one row alone does, so a row solves alike in any stack."""
+    n = x.shape[-1]
+    mu = np.asarray(mu, dtype=float)[..., None]
+    h_xx = (x[..., None, :] @ frame.h @ x[..., None])[..., 0]
+    f = np.concatenate([np.einsum("...ijk,...i,...j->...k", frame.K, x, x)
+                        - mu * x, h_xx - 1.0], axis=-1)
+    jac = np.zeros(x.shape[:-1] + (n + 1, n + 1))
+    jac[..., :n, :n] = (2.0 * np.einsum("...ijk,...i->...kj", frame.K, x)
+                        - mu[..., None] * np.eye(n))
+    jac[..., :n, n] = -x
+    jac[..., n, :n] = (2.0 * frame.h @ x[..., None])[..., 0]
     return f, jac
 
 
-def _axis_newton(frame: BlaschkeFrame, x0: np.ndarray, mu0: float,
-                 max_iter: int = 80):
-    """Damped Newton on (K(X,X) - mu X, h(X,X) - 1) = 0."""
-    x, mu = np.array(x0, dtype=float), float(mu0)
+def _norms(f: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, rounded as np.linalg.norm of one row."""
+    return np.sqrt((f[..., None, :] @ f[..., None])[..., 0, 0])
+
+
+def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve on a stack, halved until a singular matrix, which
+    fails the whole call, is alone; its row gets NaN."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(rhs) == 1:
+            return np.full_like(rhs, np.nan)
+        mid = len(rhs) // 2
+        return np.concatenate([_solve_rows(jac[:mid], rhs[:mid]),
+                               _solve_rows(jac[mid:], rhs[mid:])])
+
+
+def _solve_axis(frame: BlaschkeFrame,
+                x0: np.ndarray) -> list[CandidateAxis | None]:
+    """The axis a damped Newton solve of (K(X,X) - mu X, h(X,X) - 1) = 0
+    reaches from each row of x0, (R, n), with mu seeded by the cubic form
+    C(x0, x0, x0); None for a row whose solve fails. The rows share one
+    batched linear solve per iteration and each backtracks on its own."""
+    x = np.array(x0, dtype=float)
+    kxx = np.einsum("ijk,ri,rj->rk", frame.K, x, x)
+    mu = (kxx[:, None] @ frame.h @ x[..., None])[:, 0, 0]
     f, jac = _axis_system(frame, x, mu)
-    norm = np.linalg.norm(f)
-    for _ in range(max_iter):
-        if norm <= 1e-13:
+    norm = _norms(f)
+    failed = np.zeros(len(x), dtype=bool)
+    for _ in range(80):
+        rows = np.flatnonzero(~failed & (norm > 1e-13))
+        if rows.size == 0:
             break
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return None
-        damp = 1.0
+        step = _solve_rows(jac[rows], -f[rows])
+        finite = np.isfinite(step).all(axis=-1)
+        failed[rows[~finite]] = True
+        rows, step, damp = rows[finite], step[finite], np.ones(finite.sum())
         for _ in range(40):
-            x_new = x + damp * step[:-1]
-            mu_new = mu + damp * step[-1]
+            x_new = x[rows] + damp[:, None] * step[:, :-1]
+            mu_new = mu[rows] + damp * step[:, -1]
             f_new, jac_new = _axis_system(frame, x_new, mu_new)
-            norm_new = np.linalg.norm(f_new)
-            if norm_new < norm * (1.0 - 1e-4 * damp) or norm_new <= 1e-13:
-                x, mu, f, jac, norm = x_new, mu_new, f_new, jac_new, norm_new
+            norm_new = _norms(f_new)
+            ok = ((norm_new < norm[rows] * (1.0 - 1e-4 * damp))
+                  | (norm_new <= 1e-13))
+            done = rows[ok]
+            x[done], mu[done], f[done], jac[done], norm[done] = (
+                x_new[ok], mu_new[ok], f_new[ok], jac_new[ok], norm_new[ok])
+            rows, step, damp = rows[~ok], step[~ok], 0.5 * damp[~ok]
+            if rows.size == 0:
                 break
-            damp *= 0.5
-        else:
-            return None
-    if norm > 1e-11:
-        return None
-    return x, mu
-
-
-def _solve_axis(frame: BlaschkeFrame, x0: np.ndarray) -> CandidateAxis | None:
-    """The axis one Newton solve reaches from x0, with mu seeded by the
-    cubic form C(x0, x0, x0); None when the solve fails."""
-    kxx = np.einsum("ijk,i,j->k", frame.K, x0, x0)
-    sol = _axis_newton(frame, x0, float(kxx @ frame.h @ x0))
-    if sol is None:
-        return None
-    x, mu = sol
-    resid = _h_norms(frame.h, np.einsum("ijk,i,j->k", frame.K, x, x) - mu * x)
-    return CandidateAxis(T=x, lambda1=float(mu), axis_residual=float(resid))
+        failed[rows] = True
+    resid = _h_norms(frame.h, f[:, :-1])
+    return [CandidateAxis(T=x[r], lambda1=float(mu[r]),
+                          axis_residual=float(resid[r]))
+            if not failed[r] and norm[r] <= 1e-11 else None
+            for r in range(len(x))]
 
 
 def _track_axis(frame: BlaschkeFrame,
                 t_prev: np.ndarray) -> CandidateAxis | None:
     """The axis one Newton solve reaches from t_prev, sign-matched to
     t_prev; None when the solve fails."""
-    axis = _solve_axis(frame, t_prev)
+    (axis,) = _solve_axis(frame, t_prev[None])
     if axis is not None and float(axis.T @ t_prev) < 0.0:
         return axis.flipped()
     return axis
@@ -204,14 +229,16 @@ def _track_axis(frame: BlaschkeFrame,
 
 def find_axes(frame: BlaschkeFrame, restarts: int = 32,
               seed: int = 42) -> AxisSearchResult:
-    """All h-unit solutions of K(X,X) = mu X found from seeded restarts.
+    """All h-unit solutions of K(X,X) = mu X found from seeded restarts,
+    solved together in one batched Newton call.
 
     T and -T solve together (with mu and -mu), so solutions are
-    deduplicated by fixing the sign of the first significant coordinate.
-    Newton handles mu = 0 axes, which pure ascent on the cubic misses.
-    The pipeline searches each base frame once, through the memo of
-    `_axis_structures`; only the fallback of `_track`, for a point where
-    the tracked axis fails, calls it directly.
+    deduplicated by fixing the sign of the first significant coordinate,
+    and ordered by that rounded key (mu, then T, to 7 digits), which
+    rounding in the solve does not change. Newton handles mu = 0 axes,
+    which pure ascent on the cubic misses. The pipeline searches each
+    base frame once, through the memo of `_axis_structures`; only the
+    fallback of `_track` calls it directly.
     """
     n = frame.n
     basis = numerics.metric_orthonormal_basis(frame.h)
@@ -224,18 +251,15 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
             seeds.append(v / nv)
 
     found: dict[tuple, CandidateAxis] = {}
-    for x0 in seeds[:max(restarts, n)]:
-        axis = _solve_axis(frame, x0)
-        if axis is None:
-            continue
+    for axis in filter(None, _solve_axis(frame, seeds[:max(restarts, n)])):
         lead = next((comp for comp in axis.T if abs(comp) > 1e-8), 0.0)
         if lead < 0.0:
             axis = axis.flipped()
-        key = tuple(np.round(axis.T, 7)) + (round(axis.lambda1, 7),)
+        key = (round(axis.lambda1, 7),) + tuple(np.round(axis.T, 7))
         if key not in found and axis.axis_residual <= AXIS_RESIDUAL_TOL:
             found[key] = axis
 
-    axes = sorted(found.values(), key=lambda c: (c.lambda1, tuple(c.T)))
+    axes = [found[key] for key in sorted(found)]
     note = None
     k_scale = float(np.max(np.abs(frame.K))) if frame.K.size else 0.0
     if (len(axes) >= 3 * n
@@ -278,42 +302,53 @@ def _cross_residual(frame: BlaschkeFrame, basis2, basis3) -> float:
     return float(np.max(_h_norms(frame.h, kvw), initial=0.0))
 
 
-def _split_off_axis(frame: BlaschkeFrame, t_vec: np.ndarray):
-    """Eigenvalues and h-orthonormal eigenvectors (columns) of K_T with
-    the T eigenpair, found by eigenvector overlap, removed.
-
-    The matrix of K_T is assembled in the h-inner product, symmetric by
-    total symmetry of the cubic form; a rounding asymmetry too large to
-    pass raises AsymmetricMatrixError naming the point."""
-    a = np.einsum("i,ijk->jk", t_vec, frame.C)
+def _classify(frames, axes) -> list[SpectralStructure]:
+    """`classify_spectrum` of axes[p] at frames[p] for every p, in one
+    eigensolve and without the tolerance check."""
+    if not axes:
+        return []
+    t_vecs = np.stack([axis.T for axis in axes])
+    h = np.stack([fr.h for fr in frames])
+    a = np.einsum("pi,pijk->pjk", t_vecs, np.stack([fr.C for fr in frames]))
     try:
-        eig = numerics.solve_sym_eig_generalized(a, frame.h)
+        eig = numerics.solve_sym_eig_generalized(a, h)
     except numerics.AsymmetricMatrixError as exc:
+        point = blaschke.format_point(frames[exc.index[0]].u)
         raise numerics.AsymmetricMatrixError(
-            f"K_T at grid point {blaschke.format_point(frame.u)}: {exc}"
-        ) from None
-    t_slot = int(np.argmax(np.abs(eig.vectors.T @ frame.h @ t_vec)))
-    keep = [j for j in range(frame.n) if j != t_slot]
-    return eig.values[keep], eig.vectors[:, keep]
+            f"K_T at grid point {point}: {exc}") from None
+    overlap = np.abs(np.einsum("pjs,pjk,pk->ps", eig.vectors, h, t_vecs))
+    is_t = np.arange(len(h[0])) == np.argmax(overlap, axis=1)[:, None]
+    keep = np.argsort(is_t, axis=1, kind="stable")[:, :-1]
+    values = np.take_along_axis(eig.values, keep, axis=1)
+    vectors = np.take_along_axis(eig.vectors, keep[:, None], axis=2)
+    return [_structure(*args) for args in zip(frames, axes, values, vectors)]
 
 
 def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
                       tol: float = 1e-6) -> SpectralStructure:
     """Cluster the K_T spectrum and test it against the product patterns.
 
-    The T eigenpair is split off (`_split_off_axis`) and the rest is
-    clustered with the 1e-6 merge gap. T is oriented so that the top
-    cluster is not negative: K_(-T) = -K_T, so the flip negates the
-    spectrum and reverses the clusters in closed form. One cluster then
-    matches the point pattern, two the pair pattern with lambda2 > 0 >
-    lambda3; anything else is reported as unclassified rather than
-    raised.
+    K_T is assembled in the h-inner product, symmetric by total symmetry
+    of the cubic form; an asymmetry past rounding raises
+    AsymmetricMatrixError naming the point. The T eigenpair, found by
+    eigenvector overlap, is split off and the rest is clustered with the
+    1e-6 merge gap. T is oriented so that the top cluster is not
+    negative: K_(-T) = -K_T, so the flip negates the spectrum and
+    reverses the clusters in closed form. One cluster then matches the
+    point pattern, two the pair pattern with lambda2 > 0 > lambda3;
+    anything else is unclassified rather than raised. An axis residual
+    above tol raises ValueError.
     """
     if axis.axis_residual > tol:
         raise ValueError(
             f"axis residual {axis.axis_residual:.3g} exceeds {tol:.3g}"
         )
-    values, vectors = _split_off_axis(frame, axis.T)
+    return _classify([frame], [axis])[0]
+
+
+def _structure(frame: BlaschkeFrame, axis: CandidateAxis, values,
+               vectors) -> SpectralStructure:
+    """`classify_spectrum` from the split-off spectrum of K_T."""
     clusters = [(mean, len(members), vectors[:, members].T)
                 for mean, members in numerics.cluster_values(
                     values, gap=CLUSTER_GAP)]
@@ -321,63 +356,44 @@ def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
         axis = axis.flipped()
         clusters = [(-mean, mult, basis)
                     for mean, mult, basis in reversed(clusters)]
-
-    lam1 = axis.lambda1
+    lam1, lam2, lam3, n2, n3 = axis.lambda1, None, None, 0, 0
+    pattern, cross, relations = "unclassified", 0.0, {}
     if len(clusters) == 1:
-        lam2, mult, _basis = clusters[0]
-        relations = {
-            "thm1": abs(1.0 + lam1 * lam2 - lam2 ** 2),
-            "apolar": abs(lam1 + mult * lam2),
-        }
-        return SpectralStructure(
-            axis=axis, clusters=tuple(clusters), n2=mult, n3=0,
-            lambda2=lam2, lambda3=None, cross_residual=0.0,
-            relation_residuals=relations, pattern="point",
-        )
-
-    if len(clusters) == 2 and clusters[0][0] < 0.0 < clusters[1][0]:
-        (lam3, n3, basis3), (lam2, n2, basis2) = clusters
-        relations = {
-            "thm1": abs(1.0 + lam1 * lam2 - lam2 ** 2),
-            "sum": abs(lam1 - lam2 - lam3),
-            "prod": abs(lam2 * lam3 + 1.0),
-            "apolar": abs(lam1 + n2 * lam2 + n3 * lam3),
-        }
-        return SpectralStructure(
-            axis=axis, clusters=tuple(clusters), n2=n2, n3=n3,
-            lambda2=lam2, lambda3=lam3,
-            cross_residual=_cross_residual(frame, basis2, basis3),
-            relation_residuals=relations, pattern="pair",
-        )
-
+        pattern, (lam2, n2, _basis) = "point", clusters[0]
+        relations = {"thm1": abs(1.0 + lam1 * lam2 - lam2 ** 2),
+                     "apolar": abs(lam1 + n2 * lam2)}
+    elif len(clusters) == 2 and clusters[0][0] < 0.0 < clusters[1][0]:
+        pattern, ((lam3, n3, basis3), (lam2, n2, basis2)) = "pair", clusters
+        relations = {"thm1": abs(1.0 + lam1 * lam2 - lam2 ** 2),
+                     "sum": abs(lam1 - lam2 - lam3),
+                     "prod": abs(lam2 * lam3 + 1.0),
+                     "apolar": abs(lam1 + n2 * lam2 + n3 * lam3)}
+        cross = _cross_residual(frame, basis2, basis3)
     return SpectralStructure(
-        axis=axis, clusters=tuple(clusters), n2=0, n3=0,
-        lambda2=None, lambda3=None, cross_residual=0.0,
-        relation_residuals={}, pattern="unclassified",
-    )
+        axis=axis, clusters=tuple(clusters), n2=n2, n3=n3, lambda2=lam2,
+        lambda3=lam3, cross_residual=cross, relation_residuals=relations,
+        pattern=pattern)
 
 
-# frame -> {(restarts, seed, tol): (search, structures)}
+# frame -> {(restarts, seed): (search, structures)}
 _STRUCTURES = weakref.WeakKeyDictionary()
 
 
-def _axis_structures(frame: BlaschkeFrame, restarts: int, seed: int,
-                     tol: float):
-    """`find_axes` at the frame and the `classify_spectrum` of every
-    candidate, as (search, structures).
+def _axis_structures(frame: BlaschkeFrame, restarts: int, seed: int):
+    """`find_axes` at the frame and the structure of every candidate,
+    from one eigensolve, as (search, structures); callers compare the
+    axis residuals with their tolerance.
 
-    Memoized on the frame for its lifetime, keyed on (restarts, seed,
-    tol): the frame cache makes frames unique per (definition, point),
-    so detection, the theorem 3 gate and extraction at one base point
-    share one search, and `blaschke.clear_frame_cache()` drops the memo
-    with the frames."""
+    Memoized on the frame for its lifetime, keyed on (restarts, seed):
+    the frame cache makes frames unique per (definition, point), so
+    detection, the theorem 3 gate and extraction at one base point share
+    one search, and `blaschke.clear_frame_cache()` drops the memo."""
     memo = _STRUCTURES.setdefault(frame, {})
-    key = (restarts, seed, tol)
-    if key not in memo:
+    if (restarts, seed) not in memo:
         search = find_axes(frame, restarts=restarts, seed=seed)
-        memo[key] = (search, tuple(classify_spectrum(frame, cand, tol)
-                                   for cand in search))
-    return memo[key]
+        memo[restarts, seed] = (search, tuple(_classify([frame] * len(search),
+                                                        search)))
+    return memo[restarts, seed]
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +490,14 @@ def _track(frames, ref: SpectralStructure, tol: float, restarts: int,
     """The product structure of `ref` followed across the frames from its
     axis, as (one structure per frame, None) or (None, failure note).
 
-    Each point takes one Newton solve from the previous point's axis. A
-    point where that solve fails, or where the spectrum changes shape or
-    breaks the eigenvalue relations, is searched in full, and the
-    candidate closest to the previous axis decides."""
+    A chain of Newton solves, each from the previous point's axis, runs
+    to the first failed solve and is classified in one eigensolve. The
+    first point that failed, changed shape, broke the eigenvalue
+    relations or flipped its axis is searched in full, the candidate
+    closest to the previous axis decides, and a new chain starts."""
     def mismatch(structure: SpectralStructure) -> str | None:
+        if structure.axis.axis_residual > tol:
+            return "axis residual exceeds tolerance away from the base point"
         if ((structure.pattern, structure.n2, structure.n3)
                 != (ref.pattern, ref.n2, ref.n3)):
             return "axis spectrum changes shape across the grid"
@@ -487,25 +506,33 @@ def _track(frames, ref: SpectralStructure, tol: float, restarts: int,
         return None
 
     structures, prev_t = [], ref.axis.T
-    for frame in frames:
-        structure = None
-        tracked = _track_axis(frame, prev_t)
-        if tracked is not None and tracked.axis_residual <= AXIS_RESIDUAL_TOL:
-            structure = classify_spectrum(frame, tracked, tol)
-            if mismatch(structure) is not None:
-                structure = None
-        if structure is None:
-            search = find_axes(frame, restarts=restarts, seed=seed)
-            if not search:
-                return None, ("axis disappears at grid point "
-                              f"{blaschke.format_point(frame.u)}")
-            aligned = max(search, key=lambda c: abs(float(c.T @ prev_t)))
-            if float(aligned.T @ prev_t) < 0.0:
-                aligned = aligned.flipped()
-            structure = classify_spectrum(frame, aligned, tol)
-            failure = mismatch(structure)
-            if failure is not None:
-                return None, failure
+    while len(structures) < len(frames):
+        rest, axes = frames[len(structures):], []
+        for frame in rest:
+            axis = _track_axis(frame, axes[-1].T if axes else prev_t)
+            if axis is None or axis.axis_residual > AXIS_RESIDUAL_TOL:
+                break
+            axes.append(axis)
+        # classification returns a new axis object only when it flips T
+        for structure, axis in zip(_classify(rest, axes), axes):
+            if structure.axis is not axis or mismatch(structure) is not None:
+                break
+            structures.append(structure)
+            prev_t = axis.T
+        if len(structures) == len(frames):
+            break
+        frame = frames[len(structures)]
+        search = find_axes(frame, restarts=restarts, seed=seed)
+        if not search:
+            return None, ("axis disappears at grid point "
+                          f"{blaschke.format_point(frame.u)}")
+        aligned = max(search, key=lambda c: abs(float(c.T @ prev_t)))
+        if float(aligned.T @ prev_t) < 0.0:
+            aligned = aligned.flipped()
+        (structure,) = _classify([frame], [aligned])
+        failure = mismatch(structure)
+        if failure is not None:
+            return None, failure
         structures.append(structure)
         prev_t = structure.axis.T
     return structures, None
@@ -520,13 +547,13 @@ def _follow_axis(frames, tol: float, restarts: int, seed: int):
     """The preferred product structure at the base point and the largest
     eigenvalue drift from it across the grid, as (structure, drift,
     failure note)."""
-    search, structures = _axis_structures(frames[0], restarts, seed, tol)
+    search, structures = _axis_structures(frames[0], restarts, seed)
     if search.note is not None:
         return None, math.inf, search.note
     if not search:
         return None, math.inf, "no axis direction solves K(X,X) = mu X"
     scored = [s for s in structures if s.pattern != "unclassified"
-              and s.cross_residual <= tol
+              and s.axis.axis_residual <= tol and s.cross_residual <= tol
               and all(r <= tol for r in s.relation_residuals.values())]
     if not scored:
         return None, math.inf, ("no axis matches either product pattern "
@@ -624,12 +651,12 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
             note="K ≈ 0: spectrum collapses, no (V, W) split to gate")
 
     try:
-        _search, structures = _axis_structures(frames[0], restarts, seed,
-                                               tol)
+        _search, structures = _axis_structures(frames[0], restarts, seed)
     except numerics.AsymmetricMatrixError as exc:
         return Theorem3Gate(parallel=parallel, curvature_action_residual=rk,
                             note=str(exc))
-    pairs = [s for s in structures if s.pattern == "pair"]
+    pairs = [s for s in structures
+             if s.pattern == "pair" and s.axis.axis_residual <= tol]
     if not pairs:
         return Theorem3Gate(parallel=parallel, curvature_action_residual=rk,
                             note="no axis with a two-cluster spectrum")
@@ -699,8 +726,7 @@ def _grid_fields(frames, structures) -> SimpleNamespace:
     f.basis2 = np.stack([s.clusters[-1][2] for s in structures])
     f.basis3 = (np.stack([s.clusters[0][2] for s in structures])
                 if structures[0].pattern == "pair" else np.zeros((npts, 0, n)))
-    jac = np.stack([_axis_system(fr, s.axis.T, s.lambda1)[1]
-                    for fr, s in zip(frames, structures)])
+    _f, jac = _axis_system(f, f.T, [s.lambda1 for s in structures])
     rhs = np.zeros((npts, n + 1, n))
     rhs[:, :n] = -np.einsum("pdijk,pi,pj->pkd", f.dK, f.T, f.T)
     rhs[:, n] = -np.einsum("pdij,pi,pj->pd", f.dh, f.T, f.T)
@@ -792,10 +818,11 @@ def _provenance_aligned_axis(defn: ImmersionDef, frame: BlaschkeFrame,
     GeometryError when no candidate keeps to one block."""
     m2 = defn.provenance.n2 + 1
     best, best_score, lam2_first = None, math.inf, True
-    _search, structures = _axis_structures(frame, restarts, seed, tol)
+    _search, structures = _axis_structures(frame, restarts, seed)
     for structure in structures:
         if ((structure.pattern, structure.n2, structure.n3)
-                != (spectrum.pattern, spectrum.n2, spectrum.n3)):
+                != (spectrum.pattern, spectrum.n2, spectrum.n3)
+                or structure.axis.axis_residual > tol):
             continue
         if abs(structure.lambda1 - spectrum.lambda1) > 100 * tol:
             continue
@@ -825,9 +852,7 @@ def _slice_factor_def(defn: ImmersionDef, indices, label: str):
     zero = const(0.0)
     comps = tuple(substitute(defn.components[i], {prov.axis: zero})
                   for i in indices)
-    used = set()
-    for comp in comps:
-        used |= _free_vars(comp)
+    used = set().union(*map(_free_vars, comps))
     kept = tuple(v for v in defn.vars if v in used)
     if not kept:
         return None
@@ -885,8 +910,7 @@ def _calibrate_from_provenance(defn: ImmersionDef, grid,
         defs.append(norm2.def_scaled)
     else:
         # zero-dimensional block: a constant vector, gauge read directly
-        probe = np.zeros(defn.nvars)
-        vals = eval_components(defn, probe)
+        vals = eval_components(defn, np.zeros(defn.nvars))
         block = np.array([vals[i] for i in idx3])
         d2_direct = float(np.linalg.norm(block)) / c2_base
         residuals["gauge_consistency"] = abs(d2 - d2_direct)

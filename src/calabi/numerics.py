@@ -3,7 +3,8 @@
 Everything here targets matrices of size <= 8. The generalized
 symmetric eigenproblem A v = lambda M v is reduced with a Cholesky
 factor of M to a standard symmetric problem and solved by LAPACK
-(`numpy.linalg.eigh`). Eigenvectors are M-orthonormal, eigenvalues
+(`numpy.linalg.eigh`), for one pair of matrices or for stacks of shape
+(..., n, n) in one call. Eigenvectors are M-orthonormal, eigenvalues
 ascending, and each vector's sign is fixed so its first entry of
 significant size is positive.
 """
@@ -20,24 +21,38 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class AsymmetricMatrixError(ValueError):
-    """A matrix that should be symmetric is not, beyond rounding."""
+    """A matrix that should be symmetric is not, beyond rounding; `index`
+    locates it in a stack, () for a single matrix."""
+
+    def __init__(self, message: str, index: tuple = ()):
+        super().__init__(message)
+        self.index = index
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
 
 
 def symmetrize(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate near-symmetry and return the symmetric part.
+    """Validate near-symmetry and return the symmetric part, of one matrix
+    or of each in a stack (..., n, n).
 
-    The asymmetry must not exceed `tol` relative to the largest entry;
-    a larger one raises AsymmetricMatrixError.
+    The asymmetry must not exceed `tol` relative to the largest entry; a
+    larger one raises AsymmetricMatrixError naming the first such matrix.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(np.max(np.abs(a)), 1.0)
-    gap = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if gap > tol * scale:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1), initial=0.0), 1.0)
+    gap = np.max(np.abs(a - _t(a)), axis=(-2, -1), initial=0.0)
+    bad = np.argwhere(gap > tol * scale)
+    if len(bad):
+        index = tuple(int(i) for i in bad[0])
+        where = f" at stack index {index}" if index else ""
         raise AsymmetricMatrixError(
-            f"matrix asymmetry {gap:.3e} exceeds tolerance")
-    return 0.5 * (a + a.T)
+            f"matrix asymmetry {gap[index]:.3e} exceeds tolerance{where}",
+            index)
+    return 0.5 * (a + _t(a))
 
 
 @dataclass(frozen=True)
@@ -47,29 +62,19 @@ class EigenResult:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        big = np.abs(col) > 1e-10 * max(np.max(np.abs(col)), 1e-300)
-        idx = int(np.argmax(big))
-        if col[idx] < 0:
-            out[:, j] = -col
-    return out
+    size = np.abs(vectors)
+    big = size > 1e-10 * np.max(size, axis=-2, keepdims=True)
+    lead = np.take_along_axis(vectors, big.argmax(-2)[..., None, :], -2)
+    return np.where(lead < 0, -vectors, vectors)
 
 
 def solve_sym_eig_generalized(a: np.ndarray, m: np.ndarray) -> EigenResult:
-    """Solve A v = lambda M v with symmetric A and positive definite M."""
-    a = symmetrize(a)
-    m = symmetrize(m)
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("mass matrix is not positive definite") from None
-    inv_l = np.linalg.inv(chol)
-    b = inv_l @ a @ inv_l.T
-    values, q = np.linalg.eigh(0.5 * (b + b.T))   # ascending
-    vectors = _fix_signs(inv_l.T @ q)
-    return EigenResult(values=values, vectors=vectors)
+    """Solve A v = lambda M v with symmetric A and positive definite M,
+    for one pair of matrices or stacks (..., n, n) in one call."""
+    basis = metric_orthonormal_basis(m)
+    b = _t(basis) @ symmetrize(a) @ basis
+    values, q = np.linalg.eigh(0.5 * (b + _t(b)))   # ascending
+    return EigenResult(values=values, vectors=_fix_signs(basis @ q))
 
 
 @dataclass(frozen=True)
@@ -136,10 +141,11 @@ def cluster_values(values, gap: float = 1e-6) -> list[tuple[float, list[int]]]:
 
 
 def metric_orthonormal_basis(h: np.ndarray) -> np.ndarray:
-    """Columns b_i with b_i^T h b_j = delta_ij, for positive definite h."""
+    """Columns b_i with b_i^T h b_j = delta_ij, for positive definite h
+    or each matrix of a stack of them."""
     h = symmetrize(h)
     try:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("metric is not positive definite") from None
-    return np.linalg.inv(chol).T
+    return _t(np.linalg.inv(chol))

@@ -350,16 +350,18 @@ def test_search_memo_is_dropped_with_the_frames(pair_product):
 def test_detect_reports_an_asymmetric_k_t_as_a_verdict(pair_product,
                                                        monkeypatch):
     """An asymmetry past symmetrize's tolerance at a tracked point is a
-    None verdict naming the point, not a raised ValueError."""
+    None verdict naming the point, not a raised ValueError. The skew
+    reaches the one stacked eigensolve of the tracked points, in every
+    matrix whose metric is not the base point's."""
     grid = make_grid(-0.3, 0.3, 2, 3)
     blaschke.clear_frame_cache()
     base_h = blaschke.full_frame(pair_product, grid[0]).h
     real = numerics.solve_sym_eig_generalized
 
     def skewed(a, m):
-        if m is not base_h:
-            a = a + 1e-9 * np.triu(np.ones_like(a), 1)
-        return real(a, m)
+        off_base = np.any(m != base_h, axis=(-2, -1))[..., None, None]
+        return real(a + off_base * 1e-9 * np.triu(np.ones(a.shape[-2:]), 1),
+                    m)
 
     monkeypatch.setattr(numerics, "solve_sym_eig_generalized", skewed)
     verdict = decompose.detect(pair_product, grid)
@@ -367,6 +369,93 @@ def test_detect_reports_an_asymmetric_k_t_as_a_verdict(pair_product,
     (note,) = verdict.notes
     assert "asymmetry" in note
     assert blaschke.format_point(grid[1]) in note
+
+
+def test_detect_with_a_tol_below_the_axis_residuals_gives_a_verdict(
+        pair_product):
+    """The search and its memo do not depend on tol; the callers compare
+    each axis residual with it, so no candidate raises."""
+    verdict = decompose.detect(pair_product, make_grid(-0.3, 0.3, 3, 3),
+                               tol=1e-16)
+    assert verdict.kind is None
+    assert verdict.notes == (
+        "no axis matches either product pattern within tolerance",)
+
+
+def test_extract_with_another_tol_reuses_the_base_search(pair_product,
+                                                         monkeypatch):
+    grid = make_grid(-0.3, 0.3, 3, 3)
+    searches = _counted(monkeypatch, "find_axes")
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(pair_product, grid)
+    data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid,
+                                          tol=1e-5)
+    assert data.metric_ratio == pytest.approx(2.0, abs=1e-12)
+    assert len(searches) == 1
+
+
+def test_detect_and_extract_classify_each_pass_in_one_eigensolve(
+        pair_product, monkeypatch):
+    """One eigensolve for the base candidates and one per tracked pass:
+    2 for detect over g27 (33 one-matrix solves before they were
+    stacked), 1 for the extraction after it (27 before)."""
+    grid = make_grid(-0.3, 0.3, 3, 3)
+    solves = []
+    real = numerics.solve_sym_eig_generalized
+
+    def counted(a, m):
+        solves.append(np.shape(a))
+        return real(a, m)
+
+    monkeypatch.setattr(numerics, "solve_sym_eig_generalized", counted)
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(pair_product, grid)
+    assert verdict.kind == "PairProduct"
+    assert solves == [(7, 3, 3), (26, 3, 3)]
+    solves.clear()
+    decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
+    assert solves == [(27, 3, 3)]
+
+
+@pytest.mark.parametrize("product", ["point_product", "pair_product",
+                                     "mixed_product", "double_point_product"])
+def test_restarts_solve_alike_in_one_stack_and_one_by_one(request, product,
+                                                          monkeypatch):
+    """find_axes gives the same candidates, in the same order, when every
+    restart is solved alone; the order is that of the rounded
+    deduplication key, so last-bit ties in lambda1 do not decide it."""
+    defn = request.getfixturevalue(product)
+    points = np.random.default_rng(5).uniform(-0.3, 0.3, (4, defn.nvars))
+    frames = [blaschke.full_frame(defn, tuple(u)) for u in points]
+    stacked = [decompose.find_axes(frame) for frame in frames]
+    for axes in stacked:
+        keys = [(round(c.lambda1, 7),) + tuple(np.round(c.T, 7))
+                for c in axes]
+        assert keys == sorted(keys)
+    real = decompose._solve_axis
+    monkeypatch.setattr(decompose, "_solve_axis", lambda frame, x0: [
+        real(frame, row[None])[0] for row in np.asarray(x0)])
+    for frame, reference in zip(frames, stacked):
+        alone = decompose.find_axes(frame)
+        assert len(alone) == len(reference) > 0
+        for a, b in zip(alone, reference):
+            assert abs(a.lambda1 - b.lambda1) <= 1e-13
+            assert np.allclose(a.T, b.T, rtol=0, atol=1e-13)
+
+
+def test_a_singular_jacobian_fails_only_its_own_row(pair_product):
+    """The zero seed has an all-zero Jacobian, which makes a stacked
+    np.linalg.solve raise for every row."""
+    frame = blaschke.full_frame(pair_product, (0.1, -0.2, 0.15))
+    seeds = np.array([[0.0, 0.0, 0.0], [0.6, 0.5, -0.2], [-0.1, 0.3, 0.8]])
+    stacked = decompose._solve_axis(frame, seeds)
+    assert stacked[0] is None
+    for seed, axis in zip(seeds[1:], stacked[1:]):
+        (alone,) = decompose._solve_axis(frame, seed[None])
+        assert axis is not None and alone is not None
+        assert np.array_equal(axis.T, alone.T)
+        assert axis.lambda1 == alone.lambda1
+        assert axis.axis_residual == alone.axis_residual
 
 
 def _linear_reparam(defn: dsl.ImmersionDef, a: np.ndarray):

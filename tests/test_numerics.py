@@ -31,6 +31,36 @@ def test_generalized_eig_matches_scipy():
             assert np.allclose(a @ v, ours.values[j] * (m @ v), atol=1e-9)
 
 
+def test_stacked_eig_matches_per_matrix_calls():
+    rng = np.random.default_rng(3)
+    for n in range(1, 6):
+        raw = rng.standard_normal((6, n, n))
+        a = raw + raw.transpose(0, 2, 1)
+        m = np.stack([_random_spd(rng, n) for _ in range(6)])
+        stacked = numerics.solve_sym_eig_generalized(a, m)
+        assert stacked.values.shape == (6, n)
+        assert stacked.vectors.shape == (6, n, n)
+        for p in range(6):
+            one = numerics.solve_sym_eig_generalized(a[p], m[p])
+            assert np.allclose(stacked.values[p], one.values, rtol=0,
+                               atol=1e-14)
+            assert np.allclose(stacked.vectors[p], one.vectors, rtol=0,
+                               atol=1e-14)
+
+
+def test_asymmetric_matrix_in_a_stack_is_named_by_its_index():
+    a = np.stack([np.eye(3)] * 4)
+    a[2, 0, 1] += 1e-9
+    with pytest.raises(numerics.AsymmetricMatrixError,
+                       match=r"at stack index \(2,\)") as err:
+        numerics.solve_sym_eig_generalized(a, np.stack([np.eye(3)] * 4))
+    assert err.value.index == (2,)
+    with pytest.raises(numerics.AsymmetricMatrixError) as err:
+        numerics.symmetrize(a[2])
+    assert err.value.index == ()
+    assert "stack" not in str(err.value)
+
+
 def test_eig_rejects_indefinite_mass_matrix():
     a = np.eye(2)
     m = np.diag([1.0, -1.0])
