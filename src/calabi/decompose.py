@@ -494,7 +494,9 @@ def _track(frames, ref: SpectralStructure, tol: float, restarts: int,
     to the first failed solve and is classified in one eigensolve. The
     first point that failed, changed shape, broke the eigenvalue
     relations or flipped its axis is searched in full, the candidate
-    closest to the previous axis decides, and a new chain starts."""
+    closest to the previous axis decides, and a new chain starts. The
+    next chain redoes the solves past a break in the classification, so
+    g such breaks cost up to g + 1 solves per point."""
     def mismatch(structure: SpectralStructure) -> str | None:
         if structure.axis.axis_residual > tol:
             return "axis residual exceeds tolerance away from the base point"
@@ -506,21 +508,21 @@ def _track(frames, ref: SpectralStructure, tol: float, restarts: int,
         return None
 
     structures, prev_t = [], ref.axis.T
-    while len(structures) < len(frames):
+    while True:
         rest, axes = frames[len(structures):], []
         for frame in rest:
             axis = _track_axis(frame, axes[-1].T if axes else prev_t)
             if axis is None or axis.axis_residual > AXIS_RESIDUAL_TOL:
                 break
             axes.append(axis)
-        # classification returns a new axis object only when it flips T
-        for structure, axis in zip(_classify(rest, axes), axes):
-            if structure.axis is not axis or mismatch(structure) is not None:
+        for structure, axis in zip(_classify(rest[:len(axes)], axes), axes):
+            if (float(structure.axis.T @ axis.T) < 0.0
+                    or mismatch(structure) is not None):
                 break
             structures.append(structure)
             prev_t = axis.T
         if len(structures) == len(frames):
-            break
+            return structures, None
         frame = frames[len(structures)]
         search = find_axes(frame, restarts=restarts, seed=seed)
         if not search:
@@ -535,7 +537,6 @@ def _track(frames, ref: SpectralStructure, tol: float, restarts: int,
             return None, failure
         structures.append(structure)
         prev_t = structure.axis.T
-    return structures, None
 
 
 def _lambdas(structure: SpectralStructure) -> list:
@@ -852,7 +853,9 @@ def _slice_factor_def(defn: ImmersionDef, indices, label: str):
     zero = const(0.0)
     comps = tuple(substitute(defn.components[i], {prov.axis: zero})
                   for i in indices)
-    used = set().union(*map(_free_vars, comps))
+    used = set()
+    for comp in comps:
+        used |= _free_vars(comp)
     kept = tuple(v for v in defn.vars if v in used)
     if not kept:
         return None
@@ -910,7 +913,8 @@ def _calibrate_from_provenance(defn: ImmersionDef, grid,
         defs.append(norm2.def_scaled)
     else:
         # zero-dimensional block: a constant vector, gauge read directly
-        vals = eval_components(defn, np.zeros(defn.nvars))
+        probe = np.zeros(defn.nvars)
+        vals = eval_components(defn, probe)
         block = np.array([vals[i] for i in idx3])
         d2_direct = float(np.linalg.norm(block)) / c2_base
         residuals["gauge_consistency"] = abs(d2 - d2_direct)

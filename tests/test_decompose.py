@@ -417,6 +417,44 @@ def test_detect_and_extract_classify_each_pass_in_one_eigensolve(
     assert solves == [(27, 3, 3)]
 
 
+@pytest.mark.parametrize("broken", [2, 5])
+def test_a_solve_failing_inside_a_chain_searches_only_its_point(
+        pair_product, pair_verdict, broken, monkeypatch):
+    """When the tracked solve fails at one point in the middle of the grid,
+    the chain before it is classified alone, that point is searched in
+    full, and a new chain covers the rest: each point is classified once."""
+    tracked, grid = pair_verdict
+    real_track = decompose._track_axis
+    monkeypatch.setattr(
+        decompose, "_track_axis",
+        lambda frame, t_prev: (None if np.array_equal(frame.u, grid[broken])
+                               else real_track(frame, t_prev)))
+    searches = _counted(monkeypatch, "find_axes")
+    solves = []
+    real_eig = numerics.solve_sym_eig_generalized
+
+    def counted(a, m):
+        solves.append(len(a))
+        return real_eig(a, m)
+
+    monkeypatch.setattr(numerics, "solve_sym_eig_generalized", counted)
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(pair_product, grid)
+    assert verdict.kind == "PairProduct"
+    assert len(searches) == 2
+    assert solves == [7, broken - 1, 1, len(grid) - 1 - broken]
+    for attr in ("lambda1", "lambda2", "lambda3"):
+        assert getattr(verdict.spectrum, attr) == getattr(
+            tracked.spectrum, attr), attr
+    assert verdict.constancy_residual == pytest.approx(
+        tracked.constancy_residual, abs=1e-12)
+    solves.clear()
+    data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
+    assert data.metric_ratio == pytest.approx(2.0, abs=1e-12)
+    assert len(searches) == 3
+    assert solves == [broken, 1, len(grid) - 1 - broken]
+
+
 @pytest.mark.parametrize("product", ["point_product", "pair_product",
                                      "mixed_product", "double_point_product"])
 def test_restarts_solve_alike_in_one_stack_and_one_by_one(request, product,
