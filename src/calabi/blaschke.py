@@ -182,8 +182,9 @@ def _component_jets(definition: ImmersionDef, points, order: int) -> np.ndarray:
         for c in comps], axis=1)
 
 
-def _tentative(comps: np.ndarray, n: int):
-    """Shared first stage: tangent jets, unit normal, gtilde, Dvol."""
+def _metric_and_levi(comps: np.ndarray, n: int):
+    """Tangent and second-derivative jets, the affine metric h, its
+    inverse, dh, the Levi-Civita connection and the affine normal."""
     P = comps.shape[0]
     tang = np.swapaxes(grad(comps, n), 1, 2)      # tang[p, i, a] = d_i phi^a
     idx = np.arange(n)
@@ -206,9 +207,7 @@ def _tentative(comps: np.ndarray, n: int):
     # decompose d_i d_j phi = gamma_tilde^k_ij d_k phi + gtilde_ij zeta
     basis = np.concatenate([low, zeta[:, None]], axis=1).swapaxes(1, 2)
     rhs = second.reshape(P, n * n, n + 1, -1).swapaxes(1, 2)
-    sol = _solve(basis, rhs, n)
-    gam = sol[:, :n].reshape(P, n, n, n, -1).transpose(0, 2, 3, 1, 4)
-    gt = sol[:, n].reshape(P, n, n, -1)
+    gt = _solve(basis, rhs, n)[:, n].reshape(P, n, n, -1)
 
     gt0 = gt[..., 0]
     scale = np.maximum(np.max(np.abs(gt0), axis=(1, 2)), 1e-30)
@@ -223,16 +222,9 @@ def _tentative(comps: np.ndarray, n: int):
     det_gt = _minors(gt, n)[:, 0]
     if np.any(np.abs(det_gt[:, 0]) < 1e-12 * scale ** n):
         raise DegenerateSurfaceError("second fundamental form is degenerate")
-    dvol = norm.c * sign[:, None]
-    return tang, second, gam, gt, det_gt, dvol
-
-
-def _metric_and_levi(comps: np.ndarray, n: int):
-    tang, second, _gam, gt, det_gt, dvol = _tentative(comps, n)
-    P = comps.shape[0]
 
     # Blaschke normalization: h = (Dvol^2 / det gtilde)^(1/(n+2)) gtilde
-    dv = Jet(space_of(n, dvol.shape[-1]), dvol)
+    dv = Jet(norm.space, norm.c * sign[:, None])
     factor = (dv * dv / Jet(space_of(n, det_gt.shape[-1]), det_gt)) ** (1.0 / (n + 2))
     h = mul(factor.c[:, None, None], gt, n)
     h_inv = _solve(h, None, n)

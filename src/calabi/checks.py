@@ -56,6 +56,12 @@ class CheckReport:
         )
 
 
+def mesh(axes) -> np.ndarray:
+    """All points of the grid spanned by the coordinate axes, one per row."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def _frames(definition_or_frames, grid=None) -> list[BlaschkeFrame]:
     if isinstance(definition_or_frames, ImmersionDef):
         if grid is None:

@@ -69,18 +69,11 @@ def _resolve_immersion(token: str, project: dict) -> ImmersionDef:
     except OSError as exc:
         raise UsageError(f"cannot read immersion {token!r}: {exc}") from exc
     defs = parse_program(source)
-    if not defs:
-        raise UsageError(f"{path} contains no immersion definition")
     if len(defs) > 1:
         names = ", ".join(d.name for d in defs)
         raise UsageError(f"{path} holds {len(defs)} immersion definitions "
                          f"({names}); give one per file")
     return defs[0]
-
-
-def _mesh(axes: list[np.ndarray]) -> np.ndarray:
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def _parse_axis_spec(text: str) -> np.ndarray:
@@ -108,10 +101,10 @@ def _resolve_grid(token: str, nvars: int, project: dict) -> np.ndarray:
         for axis in spec:
             axes.append(np.linspace(float(axis["min"]), float(axis["max"]),
                                     int(axis["count"])))
-        return _mesh(axes)
+        return checks.mesh(axes)
     if token in BUILTIN_GRIDS:
         count, lo, hi = BUILTIN_GRIDS[token]
-        return _mesh([np.linspace(lo, hi, count)] * nvars)
+        return checks.mesh([np.linspace(lo, hi, count)] * nvars)
     if token.endswith(".csv"):
         try:
             pts = np.loadtxt(token, delimiter=",", ndmin=2)
@@ -132,7 +125,7 @@ def _resolve_grid(token: str, nvars: int, project: dict) -> np.ndarray:
             raise UsageError(
                 f"grid {token!r} has {len(specs)} axes, immersion has "
                 f"{nvars} variables")
-        return _mesh(axes)
+        return checks.mesh(axes)
     raise UsageError(f"unknown grid {token!r}")
 
 
@@ -198,7 +191,8 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (body, failed), and main puts the
+# {command, inputs, seed} envelope in front of the body
 
 
 def _cmd_analyze(args, project: dict) -> tuple[dict, bool]:
@@ -233,13 +227,7 @@ def _cmd_analyze(args, project: dict) -> tuple[dict, bool]:
         summary["axis_lambda1"] = float(structure.lambda1)
         summary["axis_spectrum"] = spectrum
         summary["axis_pattern"] = structure.pattern
-    payload = {
-        "command": "analyze",
-        "inputs": [args.file],
-        "seed": args.seed,
-        "summary": summary,
-    }
-    return payload, False
+    return {"summary": summary}, False
 
 
 def _check_reports(defn: ImmersionDef, grid: np.ndarray,
@@ -274,13 +262,7 @@ def _cmd_check(args, project: dict) -> tuple[dict, bool]:
     grid = _resolve_grid(args.grid, defn.nvars, project)
     tols = _parse_tols(args.tol)
     rows = _check_reports(defn, grid, tols)
-    payload = {
-        "command": "check",
-        "inputs": [args.file],
-        "seed": args.seed,
-        "reports": rows,
-    }
-    return payload, any(not row["pass"] for row in rows)
+    return {"reports": rows}, any(not row["pass"] for row in rows)
 
 
 def _cmd_construct(args, project: dict) -> tuple[dict, bool]:
@@ -300,10 +282,7 @@ def _cmd_construct(args, project: dict) -> tuple[dict, bool]:
     text = print_immersion(product)
     _write_atomic(Path(args.output), text + "\n")
     prov = product.provenance
-    payload = {
-        "command": "construct",
-        "inputs": list(args.factors),
-        "seed": args.seed,
+    return {
         "output": args.output,
         "product": {
             "name": product.name,
@@ -314,8 +293,7 @@ def _cmd_construct(args, project: dict) -> tuple[dict, bool]:
             "n3": prov.n3,
             "axis": prov.axis,
         },
-    }
-    return payload, False
+    }, False
 
 
 def _verdict_json(verdict: decompose.DecompositionVerdict) -> dict:
@@ -343,22 +321,24 @@ def _verdict_json(verdict: decompose.DecompositionVerdict) -> dict:
     return out
 
 
-def _cmd_detect(args, project: dict) -> tuple[dict, bool]:
+def _detect_step(args, project: dict):
+    """Detection shared by detect and extract: (grid, tol, verdict, body)
+    with the reports and verdict rows of the JSON document."""
     defn = _resolve_immersion(args.file, project)
     grid = _resolve_grid(args.grid, defn.nvars, project)
-    tols = _parse_tols(args.tol)
-    verdict = decompose.detect(defn, grid, tol=tols.get("detect", 1e-6),
+    tol = _parse_tols(args.tol).get("detect", 1e-6)
+    verdict = decompose.detect(defn, grid, tol=tol,
                                restarts=args.restarts, seed=args.seed)
-    rows = [_report_row(rep) for rep in verdict.evidence]
-    payload = {
-        "command": "detect",
-        "inputs": [args.file],
-        "seed": args.seed,
-        "reports": rows,
-        "verdict": _verdict_json(verdict),
-    }
+    body = {"reports": [_report_row(rep) for rep in verdict.evidence],
+            "verdict": _verdict_json(verdict)}
+    return grid, tol, verdict, body
+
+
+def _cmd_detect(args, project: dict) -> tuple[dict, bool]:
+    body = _detect_step(args, project)[3]
+    rows = body["reports"]
     # No report at all means the geometry refused the sphere test itself.
-    return payload, not rows or any(not row["pass"] for row in rows)
+    return body, not rows or any(not row["pass"] for row in rows)
 
 
 def _csv_text(samples: np.ndarray) -> str:
@@ -369,23 +349,10 @@ def _csv_text(samples: np.ndarray) -> str:
 
 
 def _cmd_extract(args, project: dict) -> tuple[dict, bool]:
-    defn = _resolve_immersion(args.file, project)
-    grid = _resolve_grid(args.grid, defn.nvars, project)
-    tols = _parse_tols(args.tol)
-    tol = tols.get("detect", 1e-6)
-    verdict = decompose.detect(defn, grid, tol=tol,
-                               restarts=args.restarts, seed=args.seed)
-    rows = [_report_row(rep) for rep in verdict.evidence]
+    grid, tol, verdict, body = _detect_step(args, project)
     if verdict.kind is None:
-        payload = {
-            "command": "extract",
-            "inputs": [args.file],
-            "seed": args.seed,
-            "reports": rows,
-            "verdict": _verdict_json(verdict),
-            "error": "no product structure detected; nothing to extract",
-        }
-        return payload, True
+        body["error"] = "no product structure detected; nothing to extract"
+        return body, True
     if verdict.kind == "PairProduct":
         data = decompose.extract_pair_factors(
             verdict.def_scaled, verdict, grid, tol=tol)
@@ -408,7 +375,7 @@ def _cmd_extract(args, project: dict) -> tuple[dict, bool]:
     residual_rows = {k: _round_trip_float(v)
                      for k, v in sorted(data.residuals.items())}
     failed_residuals = [k for k, v in data.residuals.items() if v > tol]
-    factors = {
+    body["factors"] = {
         "kind": data.kind,
         "d1": _round_trip_float(data.d1),
         "d2": _round_trip_float(data.d2),
@@ -420,16 +387,9 @@ def _cmd_extract(args, project: dict) -> tuple[dict, bool]:
         "failed_residuals": sorted(failed_residuals),
         "files": files,
     }
-    payload = {
-        "command": "extract",
-        "inputs": [args.file],
-        "seed": args.seed,
-        "reports": rows,
-        "verdict": _verdict_json(verdict),
-        "factors": factors,
-    }
-    failed = any(not row["pass"] for row in rows) or bool(failed_residuals)
-    return payload, failed
+    failed = (any(not row["pass"] for row in body["reports"])
+              or bool(failed_residuals))
+    return body, failed
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "decomposition of affine spheres.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, grid: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, run, grid: bool = True) -> None:
+        p.set_defaults(run=run)
         p.add_argument("--project", help="JSON project file with named "
                                          "immersions, grids and options")
         # None means "not given": the project file's options, then the
@@ -462,12 +423,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="frame summary at one point")
     p.add_argument("file")
     p.add_argument("--at", help="comma-separated parameter point")
-    common(p, grid=False)
+    common(p, _cmd_analyze, grid=False)
 
     p = sub.add_parser("check", help="structural residual reports")
     p.add_argument("file")
     p.add_argument("-o", "--output", help="also write the JSON report here")
-    common(p)
+    common(p, _cmd_check)
 
     p = sub.add_parser("construct", help="build a point or pair product")
     p.add_argument("kind", choices=["point", "pair"])
@@ -475,29 +436,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True,
                    help="output .immersion file")
     p.add_argument("--name", default="product")
-    common(p, grid=False)
+    common(p, _cmd_construct, grid=False)
 
     p = sub.add_parser("detect", help="product-structure verdict")
     p.add_argument("file")
     p.add_argument("-o", "--output", help="also write the JSON report here")
-    common(p)
+    common(p, _cmd_detect)
 
     p = sub.add_parser("extract", help="recover the factors of a product")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True,
                    help="output directory for CSVs and factor defs")
-    common(p)
+    common(p, _cmd_extract)
 
     return parser
-
-
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "check": _cmd_check,
-    "construct": _cmd_construct,
-    "detect": _cmd_detect,
-    "extract": _cmd_extract,
-}
 
 
 def main(argv=None) -> int:
@@ -515,23 +467,24 @@ def main(argv=None) -> int:
             args.seed = int(opts.get("seed", 42))
         if args.restarts is None:
             args.restarts = int(opts.get("restarts", 32))
-        if "tolerances" in opts and hasattr(args, "tol"):
+        if "tolerances" in opts:
             args.tol = [f"{k}={v}" for k, v in
                         sorted(opts["tolerances"].items())] + args.tol
-        payload, failed = _COMMANDS[args.command](args, project)
+        envelope = {
+            "command": args.command,
+            "inputs": ([args.file] if hasattr(args, "file")
+                       else list(args.factors)),
+            "seed": args.seed,
+        }
+        body, failed = args.run(args, project)
     except (UsageError, ImmersionSyntaxError,
             ImmersionValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GeometryError, JetDomainError, decompose.VerdictError,
             construct.ProvenanceError) as exc:
-        print(json.dumps({
-            "command": args.command,
-            "inputs": [getattr(args, "file", None)] if hasattr(args, "file")
-                      else list(getattr(args, "factors", [])),
-            "seed": args.seed,
-            "error": str(exc),
-        }, indent=2, ensure_ascii=False))
+        print(json.dumps({**envelope, "error": str(exc)}, indent=2,
+                         ensure_ascii=False))
         return 1
 
     out_json = None
@@ -539,7 +492,7 @@ def main(argv=None) -> int:
         out_json = getattr(args, "output", None)
     elif args.command == "extract":
         out_json = str(Path(args.output) / "report.json")
-    _emit(payload, out_json)
+    _emit({**envelope, **body}, out_json)
     return 1 if failed else 0
 
 

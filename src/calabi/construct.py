@@ -35,7 +35,7 @@ import numpy as np
 
 from . import blaschke, checks
 from .blaschke import GeometryError
-from .dsl import ImmersionDef, Provenance, build_scaled_embedding
+from .dsl import ImmersionDef, Provenance, build_scaled_embedding, fresh_name
 from .jets import eval_jets
 
 
@@ -82,22 +82,19 @@ def predicted_spectrum(kind: str, n2: int, n3: int = 0) -> SpectrumPrediction:
     raise ValueError(f"unknown product kind {kind!r}")
 
 
-def _default_gate_grid(nvars: int, span: float = 0.25, count: int = 2):
-    axes = [np.linspace(-span, span, count) for _ in range(nvars)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+# the factor gate samples the corners of [-0.25, 0.25]^n
+_GATE_AXIS = np.array([-0.25, 0.25])
 
 
-def _check_factor(defn: ImmersionDef, grid=None) -> None:
+def _check_factor(defn: ImmersionDef) -> None:
     if defn.ncomponents != defn.nvars + 1:
         raise FactorGaugeError(
             f"factor {defn.name!r} must be a hypersurface immersion "
             f"({defn.nvars + 1} components for {defn.nvars} variables)"
         )
-    if grid is None:
-        grid = _default_gate_grid(defn.nvars)
-    report = checks.sphere_residual(defn, grid)
+    grid = checks.mesh([_GATE_AXIS] * defn.nvars)
     frames = blaschke.frames_on_grid(defn, grid)
+    report = checks.sphere_residual(frames)
     worst_h = max(abs(fr.H + 1.0) for fr in frames)
     if not report.passed or worst_h > 1e-6:
         raise FactorGaugeError(
@@ -114,17 +111,6 @@ def _check_factor(defn: ImmersionDef, grid=None) -> None:
         )
 
 
-def _axis_name(taken, preferred: str = "t") -> str:
-    if preferred not in taken:
-        return preferred
-    k = 0
-    while True:
-        k += 1
-        cand = f"{preferred}_{k}"
-        if cand not in taken:
-            return cand
-
-
 def base_coefficients(kind: str, n2: int, n3: int = 0) -> tuple[float, float]:
     """Block coefficients (c1, c2) of the d1 = d2 = 1 gauge."""
     if kind == "point":
@@ -135,44 +121,34 @@ def base_coefficients(kind: str, n2: int, n3: int = 0) -> tuple[float, float]:
     return (math.sqrt((n2 + 1) / big_n), math.sqrt((n3 + 1) / big_n))
 
 
-def calabi_point(psi1: ImmersionDef, axis_var: str = "t",
-                 check: bool = True, gate_grid=None) -> ImmersionDef:
+def calabi_point(psi1: ImmersionDef) -> ImmersionDef:
     """Calabi product of a hyperbolic affine sphere with a point."""
-    if check:
-        _check_factor(psi1, gate_grid)
-    n1 = psi1.nvars
-    n = n1 + 1
-    c1, c2 = base_coefficients("point", n1)
-    axis = _axis_name(set(psi1.vars), axis_var)
-    prov = Provenance(kind="point", n2=n1, n3=0, axis=axis,
-                      factors=(psi1.name,))
-    return build_scaled_embedding(
-        [psi1, (1.0,)],
-        weights=[(c1, 1.0 / math.sqrt(n)), (c2, -math.sqrt(n))],
-        axis_var=axis,
-        name=f"calabi_point_{psi1.name}",
-        provenance=prov,
-    )
+    return _product("point", [psi1], [psi1, (1.0,)])
 
 
-def calabi_pair(psi1: ImmersionDef, psi2: ImmersionDef, axis_var: str = "t",
-                check: bool = True, gate_grid=None) -> ImmersionDef:
+def calabi_pair(psi1: ImmersionDef, psi2: ImmersionDef) -> ImmersionDef:
     """Calabi product of two hyperbolic affine spheres."""
-    if check:
-        _check_factor(psi1, gate_grid)
-        _check_factor(psi2, gate_grid)
-    n2, n3 = psi1.nvars, psi2.nvars
-    c1, c2 = base_coefficients("pair", n2, n3)
+    return _product("pair", [psi1, psi2], [psi1, psi2])
+
+
+def _product(kind: str, factors, blocks) -> ImmersionDef:
+    """The product of the factors, whose second block is psi2, or the
+    constant (1.0,) for a point product (the pair formulas at n3 = 0)."""
+    for psi in factors:
+        _check_factor(psi)
+    n2 = factors[0].nvars
+    n3 = factors[1].nvars if len(factors) == 2 else 0
+    c1, c2 = base_coefficients(kind, n2, n3)
     rate1 = math.sqrt(n3 + 1) / math.sqrt(n2 + 1)
     rate2 = -math.sqrt(n2 + 1) / math.sqrt(n3 + 1)
-    axis = _axis_name(set(psi1.vars) | set(psi2.vars), axis_var)
-    prov = Provenance(kind="pair", n2=n2, n3=n3, axis=axis,
-                      factors=(psi1.name, psi2.name))
+    axis = fresh_name("t", [v for psi in factors for v in psi.vars])
+    names = tuple(psi.name for psi in factors)
+    prov = Provenance(kind=kind, n2=n2, n3=n3, axis=axis, factors=names)
     return build_scaled_embedding(
-        [psi1, psi2],
+        blocks,
         weights=[(c1, rate1), (c2, rate2)],
         axis_var=axis,
-        name=f"calabi_pair_{psi1.name}_{psi2.name}",
+        name="_".join(("calabi", kind) + names),
         provenance=prov,
     )
 

@@ -922,8 +922,7 @@ def _calibrate_from_provenance(defn: ImmersionDef, grid,
 
 
 def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
-             lam3_formal: float, tol: float, d1: float, d2: float | None,
-             kind: str) -> FactorData:
+             lam3_formal: float, tol: float, kind: str) -> FactorData:
     if verdict.spectrum is None:
         raise VerdictError("verdict carries no spectral structure")
     if not verdict.orientation_ok:
@@ -932,8 +931,6 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     lam2 = spectrum.lambda2
     lam3 = lam3_formal
     n2, n3 = spectrum.n2, spectrum.n3
-    if d2 is None:
-        d2 = d1 ** (-(n2 + 1.0) / (n3 + 1.0))
 
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     frames = blaschke.frames_on_grid(defn, grid)
@@ -965,8 +962,8 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
         t_par = np.log(mags / mags[0]) / lam3
     else:
         t_par = np.zeros(len(grid))
-    phi2_samples = (d1 * np.exp(-lam2 * t_par))[:, None] * phi2_raw
-    phi3_samples = (d2 * np.exp(-lam3 * t_par))[:, None] * phi3_raw
+    phi2_samples = np.exp(-lam2 * t_par)[:, None] * phi2_raw
+    phi3_samples = np.exp(-lam3 * t_par)[:, None] * phi3_raw
 
     d_v_phi2, _, v_amb = _d_phi(f, f.basis2, lam2, lam3)
     width = phi2_raw.shape[1]
@@ -988,13 +985,13 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
         residuals["axis_geodesic"] = float(_h_norms(f.h[0], nab_t_t))
         residuals["phi3_constant"] = _amax(phi3_samples - phi3_samples[0])
 
-    factor_defs = None
+    factor_defs, d1, d2 = None, 1.0, 1.0
     if axis_idx is not None:
         factor_defs, d1, d2 = _calibrate_from_provenance(
             defn, grid, lam2_first, kind, n2, n3, residuals)
 
     return FactorData(
-        kind=kind, d1=float(d1), d2=float(d2),
+        kind=kind, d1=d1, d2=d2,
         phi2_samples=phi2_samples, phi3_samples=phi3_samples,
         subspace2=sub2.basis, subspace3=sub3.basis,
         factor_defs=factor_defs, residuals=residuals,
@@ -1003,26 +1000,24 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
 
 
 def extract_pair_factors(defn: ImmersionDef, verdict: DecompositionVerdict,
-                         grid, tol: float = 1e-6, d1: float = 1.0,
-                         d2: float | None = None) -> FactorData:
+                         grid, tol: float = 1e-6) -> FactorData:
     """Recover both factors of a detected pair product.
 
-    The structural residuals are homogeneous in d1 and d2 (the gauge
-    scales out), so passing a different gauge changes only the sample
-    clouds. With provenance the factor defs are reconstructed, brought
-    back to H = -1, and the reported d1, d2 become the measured
-    translation gauge of the input.
+    The sample clouds are taken in the d1 = d2 = 1 gauge that the
+    constructors emit; the structural residuals do not depend on the
+    gauge. With provenance the factor defs are reconstructed and brought
+    back to H = -1, and d1, d2 report the measured translation gauge of
+    the input; without provenance they are 1.
     """
     if verdict.kind != "PairProduct":
         raise VerdictError(f"verdict kind is {verdict.kind!r}, "
                            "extract_pair_factors needs PairProduct")
     return _extract(defn, verdict, grid, verdict.spectrum.lambda3, tol,
-                    d1, d2, "pair")
+                    "pair")
 
 
 def extract_point_factor(defn: ImmersionDef, verdict: DecompositionVerdict,
-                         grid, tol: float = 1e-6, d1: float = 1.0,
-                         d2: float | None = None) -> FactorData:
+                         grid, tol: float = 1e-6) -> FactorData:
     """Recover the factor of a detected point product.
 
     The second block is zero-dimensional: phi3 compensated along the
@@ -1035,4 +1030,4 @@ def extract_point_factor(defn: ImmersionDef, verdict: DecompositionVerdict,
                            "extract_point_factor needs PointProduct")
     spectrum = verdict.spectrum
     lam3_formal = spectrum.lambda1 - spectrum.lambda2
-    return _extract(defn, verdict, grid, lam3_formal, tol, d1, d2, "point")
+    return _extract(defn, verdict, grid, lam3_formal, tol, "point")

@@ -216,8 +216,8 @@ def call(fn: str, arg: Expr) -> Call:
 # --- evaluation ----------------------------------------------------------
 
 
-def eval_expr(e: Expr, env: dict, jet: bool = False):
-    """Evaluate an expression over floats (jet=False) or jets."""
+def eval_expr(e: Expr, env: dict):
+    """Evaluate an expression over the values in `env`: floats or jets."""
     if isinstance(e, Variable):
         try:
             return env[e.name]
@@ -226,12 +226,12 @@ def eval_expr(e: Expr, env: dict, jet: bool = False):
     if isinstance(e, Constant):
         return e.value
     if isinstance(e, Unary):
-        return -eval_expr(e.arg, env, jet)
+        return -eval_expr(e.arg, env)
     if isinstance(e, Binary):
-        lhs = eval_expr(e.left, env, jet)
+        lhs = eval_expr(e.left, env)
         if e.op == "^":
             return lhs ** e.right.value
-        rhs = eval_expr(e.right, env, jet)
+        rhs = eval_expr(e.right, env)
         if e.op == "+":
             return lhs + rhs
         if e.op == "-":
@@ -240,7 +240,7 @@ def eval_expr(e: Expr, env: dict, jet: bool = False):
             return lhs * rhs
         return lhs / rhs
     if isinstance(e, Call):
-        inner = eval_expr(e.arg, env, jet)
+        inner = eval_expr(e.arg, env)
         if isinstance(inner, _jets.Jet):
             return _jets.jet_elementary(inner, e.fn)
         return getattr(math, e.fn)(inner)
@@ -527,6 +527,15 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def fresh_name(name: str, taken) -> str:
+    """`name`, or the first of name_1, name_2, ... that is not taken."""
+    candidate, k = name, 0
+    while candidate in taken:
+        k += 1
+        candidate = f"{name}_{k}"
+    return candidate
+
+
 def build_scaled_embedding(
     defs,
     weights,
@@ -543,9 +552,9 @@ def build_scaled_embedding(
 
     with (coefficient_k, rate_k) = weights[k]. Identity weights are
     folded away: a coefficient of 1 adds no factor, a rate of 0 adds no
-    exponential. Variable names are taken from the factors, renamed with
-    numeric suffixes when they collide with the axis variable or with
-    each other. Output variables are (axis_var, then factor variables in
+    exponential. Variable names are taken from the factors, renamed by
+    `fresh_name` when they collide with the axis variable or with each
+    other. Output variables are (axis_var, then factor variables in
     order).
     """
     if len(weights) != len(defs):
@@ -555,37 +564,14 @@ def build_scaled_embedding(
     if not _IDENT.fullmatch(axis_var):
         raise ImmersionValidationError(f"invalid axis variable {axis_var!r}")
 
-    factor_vars: list[list[str]] = []
-    for d in defs:
-        factor_vars.append(list(d.vars) if isinstance(d, ImmersionDef) else [])
-
-    flat = [v for vs in factor_vars for v in vs]
-    used = {axis_var}
-    renamed_flat = []
-    for v in flat:
-        candidate = v
-        k = 0
-        while candidate in used:
-            k += 1
-            if k > 99:
-                raise ImmersionValidationError(
-                    f"cannot find a fresh name for variable {v!r}"
-                )
-            candidate = f"{v}_{k}"
-        used.add(candidate)
-        renamed_flat.append(candidate)
-
-    # re-split per factor
-    renamed: list[list[str]] = []
-    i = 0
-    for vs in factor_vars:
-        renamed.append(renamed_flat[i : i + len(vs)])
-        i += len(vs)
-
+    out_vars = [axis_var]
     components: list[Expr] = []
-    for d, (coefficient, rate), old, new in zip(defs, weights, factor_vars, renamed):
+    for d, (coefficient, rate) in zip(defs, weights):
         if isinstance(d, ImmersionDef):
-            mapping = {o: Variable(r) for o, r in zip(old, new)}
+            mapping = {}
+            for v in d.vars:
+                out_vars.append(fresh_name(v, out_vars))
+                mapping[v] = Variable(out_vars[-1])
             block = [substitute(c, mapping) for c in d.components]
         else:
             block = [const(v) for v in d]
@@ -601,7 +587,7 @@ def build_scaled_embedding(
 
     return ImmersionDef(
         name=name,
-        vars=(axis_var, *renamed_flat),
+        vars=tuple(out_vars),
         components=tuple(components),
         provenance=provenance,
     )

@@ -191,11 +191,8 @@ class Jet:
 
     def deriv(self, i: int) -> "Jet":
         """Jet of d f / d x_i, one order lower."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 jet")
-        sp = _space(self.nvars, self.order - 1)
-        parent = self.space
-        return Jet(sp, self.c[..., parent.grad_src[i]] * parent.grad_fac[i])
+        d = grad(self.c, self.nvars)[..., i, :]
+        return Jet(space_of(self.nvars, d.shape[-1]), d)
 
     def __repr__(self) -> str:
         return (f"Jet(nvars={self.nvars}, order={self.order}, "
@@ -382,4 +379,4 @@ def eval_jets(definition, point, order: int) -> list:
     nvars = len(names)
     env = {name: Jet.variable(pts[..., i], i, nvars, order)
            for i, name in enumerate(names)}
-    return [dsl.eval_expr(comp, env, jet=True) for comp in definition.components]
+    return [dsl.eval_expr(comp, env) for comp in definition.components]

@@ -33,11 +33,13 @@ def _t(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def symmetrize(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def symmetrize(a: np.ndarray) -> np.ndarray:
     """Validate near-symmetry and return the symmetric part, of one matrix
     or of each in a stack (..., n, n).
 
-    The asymmetry must not exceed `tol` relative to the largest entry; a
+    The asymmetry must not exceed 1e-8 relative to the largest entry (or
+    to 1, if larger): the checks hold order-three quantities such as K to
+    1e-8, and rounding alone leaves K_T asymmetric by several 1e-12. A
     larger one raises AsymmetricMatrixError naming the first such matrix.
     """
     a = np.asarray(a, dtype=float)
@@ -45,7 +47,7 @@ def symmetrize(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     scale = np.maximum(np.max(np.abs(a), axis=(-2, -1), initial=0.0), 1.0)
     gap = np.max(np.abs(a - _t(a)), axis=(-2, -1), initial=0.0)
-    bad = np.argwhere(gap > tol * scale)
+    bad = np.argwhere(gap > 1e-8 * scale)
     if len(bad):
         index = tuple(int(i) for i in bad[0])
         where = f" at stack index {index}" if index else ""

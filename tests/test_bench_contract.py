@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from calabi import blaschke, decompose
+from calabi import blaschke, cli, construct, decompose
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -28,6 +28,24 @@ def _tracer_targets():
 def test_tracer_target_resolves(modname, fn):
     module = importlib.import_module(f"calabi.{modname}")
     assert callable(getattr(module, fn, None)), f"calabi.{modname}.{fn}"
+
+
+# the calls perfbench/workloads.py makes, with its positional arguments
+WORKLOAD_CALLS = [
+    (decompose.detect, ("defn", "grid")),
+    (decompose.theorem3_gate, ("defn", "grid")),
+    (decompose.extract_point_factor, ("defn", "verdict", "grid")),
+    (decompose.extract_pair_factors, ("defn", "verdict", "grid")),
+    (construct.calabi_point, ("h2",)),
+    (construct.calabi_pair, ("h2", "h2b")),
+    (cli.main, (["construct", "pair", "h2", "h2b", "-o", "pair"],)),
+]
+
+
+@pytest.mark.parametrize("fn, args", WORKLOAD_CALLS,
+                         ids=[fn.__name__ for fn, _ in WORKLOAD_CALLS])
+def test_workload_call_binds_to_the_signature(fn, args):
+    inspect.signature(fn).bind(*args)
 
 
 def test_find_axes_keeps_its_restarts_parameter():

@@ -12,14 +12,15 @@ from conftest import HYPERBOLA_B_SRC, HYPERBOLA_SRC, QUADRIC_SRC
 
 REPORT_KEYS = {"name", "max_residual", "tolerance", "pass", "worst_point"}
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*args: str):
+def run_cli(*args: str, cwd=None):
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "calabi.cli", *args], capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path))
+        env=dict(os.environ, PYTHONPATH=path), cwd=cwd)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +119,7 @@ def test_detect_is_byte_deterministic(workdir, tmp_path):
 def _same_shape(expected, actual, path=""):
     assert type(expected) is type(actual), (path, expected, actual)
     if isinstance(expected, dict):
-        assert sorted(expected) == sorted(actual), path
+        assert list(expected) == list(actual), path   # keys and their order
         for key in expected:
             _same_shape(expected[key], actual[key], f"{path}.{key}")
     elif isinstance(expected, list):
@@ -131,10 +132,52 @@ def _same_shape(expected, actual, path=""):
         assert expected == actual, path
 
 
+def _golden_json(name: str):
+    return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def _csv_rows(path: Path) -> list:
+    return [[float(x) for x in line.split(",")]
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_construct_matches_golden_text(workdir):
+    assert (workdir / "pair.immersion").read_text(encoding="utf-8") == \
+        (GOLDEN / "construct_pair.immersion").read_text(encoding="utf-8")
+
+
+def test_check_matches_golden_report(workdir):
+    res = run_cli("check", "pair.immersion", "--grid", "g27", cwd=workdir)
+    assert res.returncode == 0, res.stderr.decode()
+    _same_shape(_golden_json("check_pair.json"), json.loads(res.stdout))
+
+
+def test_extract_matches_golden_files(workdir):
+    res = run_cli("extract", "pair.immersion", "--grid", "g27",
+                  "-o", "extract", cwd=workdir)
+    assert res.returncode == 0, res.stderr.decode()
+    _same_shape(_golden_json("extract_pair/report.json"),
+                json.loads((workdir / "extract" / "report.json")
+                           .read_text(encoding="utf-8")))
+    for name in ("phi2.csv", "phi3.csv"):
+        _same_shape(_csv_rows(GOLDEN / "extract_pair" / name),
+                    _csv_rows(workdir / "extract" / name))
+
+
+def test_construct_geometry_error_matches_golden(workdir):
+    (workdir / "bad.immersion").write_text(
+        "immersion bad { vars: s; components: (exp(s), exp(-s)); }",
+        encoding="utf-8")
+    res = run_cli("construct", "point", "bad.immersion",
+                  "-o", "bad_point.immersion", cwd=workdir)
+    assert res.returncode == 1
+    assert res.stderr == b""
+    _same_shape(_golden_json("construct_point_error.json"),
+                json.loads(res.stdout))
+
+
 def test_detect_matches_golden_report(workdir):
-    golden = json.loads(
-        (Path(__file__).parent / "golden" / "detect_pair.json")
-        .read_text(encoding="utf-8"))
+    golden = _golden_json("detect_pair.json")
     res = run_cli("detect", str(workdir / "pair.immersion"),
                   "--grid", "g27", "--seed", "42")
     assert res.returncode == 0

@@ -203,6 +203,24 @@ def test_detect_perturbed_product_fails_sphere_gate(pair_product):
                    if rep.name == "sphere")
 
 
+def test_detect_refuses_a_translated_sphere_at_the_orientation_gate(
+        pair_product):
+    """A translation keeps the affine sphere but moves its center off the
+    origin, so xi = phi fails by the offset (here 2, the largest shift)."""
+    moved = dsl.ImmersionDef(
+        name="moved", vars=pair_product.vars,
+        components=tuple(dsl.add(c, dsl.const(shift)) for c, shift
+                         in zip(pair_product.components,
+                                (0.5, 1.0, 1.5, 2.0))))
+    verdict = decompose.detect(moved, make_grid(-0.3, 0.3, 3, 3))
+    assert verdict.kind is None
+    assert verdict.orientation_ok is False
+    assert verdict.notes == ("affine normal is not the position field "
+                             "(offset 2); recenter the sphere first",)
+    assert [rep.name for rep in verdict.evidence] == ["sphere"]
+    assert verdict.evidence[0].passed
+
+
 def test_detect_returns_verdict_on_indefinite_metric():
     saddle = parse_immersion(
         "immersion saddle { vars: u, v; components: (u, v, u*v); }")
@@ -360,7 +378,7 @@ def test_detect_reports_an_asymmetric_k_t_as_a_verdict(pair_product,
 
     def skewed(a, m):
         off_base = np.any(m != base_h, axis=(-2, -1))[..., None, None]
-        return real(a + off_base * 1e-9 * np.triu(np.ones(a.shape[-2:]), 1),
+        return real(a + off_base * 1e-6 * np.triu(np.ones(a.shape[-2:]), 1),
                     m)
 
     monkeypatch.setattr(numerics, "solve_sym_eig_generalized", skewed)
@@ -529,6 +547,25 @@ def test_balanced_split_wins_under_linear_reparametrization(
     assert data.metric_ratio == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", [9, 17, 18, 28])
+def test_k_t_rounding_asymmetry_passes_the_symmetry_gate(
+        double_point_product, seed):
+    """On these stronger reparametrizations rounding leaves K_T asymmetric
+    by 1e-12 to 5e-12, which a 1e-12 symmetry gate refused as a None
+    verdict; the gate now holds K_T to the 1e-8 of order-three checks."""
+    a = np.eye(5) + 0.6 * np.random.default_rng(seed).standard_normal((5, 5))
+    mapped = _linear_reparam(double_point_product, a)
+    grid = make_grid(-0.1, 0.1, 2, 5)
+    verdict = decompose.detect(mapped, grid)
+    assert verdict.kind == "PairProduct", verdict.notes
+    s = verdict.spectrum
+    assert (s.n2, s.n3) == (2, 2)
+    assert (s.lambda1, s.lambda2, s.lambda3) == pytest.approx(
+        (0.0, 1.0, -1.0), abs=1e-6)
+    data = decompose.extract_pair_factors(mapped, verdict, grid)
+    assert data.metric_ratio == pytest.approx(2.0, abs=1e-10)
+
+
 def test_detect_invariant_under_unimodular_map(point_product):
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 3))
@@ -579,7 +616,7 @@ def test_theorem3_gate_reports_an_asymmetric_k_t_as_a_note(pair_product,
     real = numerics.solve_sym_eig_generalized
 
     def skewed(a, m):
-        return real(a + 1e-9 * np.triu(np.ones_like(a), 1), m)
+        return real(a + 1e-6 * np.triu(np.ones_like(a), 1), m)
 
     monkeypatch.setattr(numerics, "solve_sym_eig_generalized", skewed)
     blaschke.clear_frame_cache()   # the base search must run, not the memo

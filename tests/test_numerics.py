@@ -50,7 +50,7 @@ def test_stacked_eig_matches_per_matrix_calls():
 
 def test_asymmetric_matrix_in_a_stack_is_named_by_its_index():
     a = np.stack([np.eye(3)] * 4)
-    a[2, 0, 1] += 1e-9
+    a[2, 0, 1] += 1e-6
     with pytest.raises(numerics.AsymmetricMatrixError,
                        match=r"at stack index \(2,\)") as err:
         numerics.solve_sym_eig_generalized(a, np.stack([np.eye(3)] * 4))
