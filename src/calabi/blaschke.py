@@ -22,8 +22,10 @@ The cross product and det gtilde use a division-free Laplace expansion:
 minors that vanish at a point are harmless.
 
 Frames are cached per (definition, point) in an LRU of 4096 entries,
-`_full_frame_cached`; `frames_on_grid` computes only its misses, in one
-batch, and `cache_info().misses` counts one miss per frame computed.
+`_full_frame_cached`, and `cache_info().misses` counts one miss per frame
+computed. `frames_on_grid` computes only its misses, in one batch, and
+returns the grid as one frame whose fields carry a leading grid-point
+axis: the checks and the decomposition read that batch directly.
 
 Index conventions for the stored arrays: tensors with one contravariant
 slot keep it last, so gamma[i, j, k] is Gamma^k_ij, K[i, j, k] is
@@ -137,7 +139,11 @@ class MetricNormal:
 
 @dataclass(frozen=True, eq=False)
 class BlaschkeFrame:
-    """Full second-order equiaffine data of an immersion at one point."""
+    """Full second-order equiaffine data of an immersion at one point, or
+    at P grid points with a leading grid-point axis on every field: u is
+    then (P, n) and H, recon_residual and normal_defect are (P,). A
+    batch has len P, and batch[p] is the frame at point p (a slice or an
+    index array gives a smaller batch)."""
 
     u: np.ndarray
     position: np.ndarray
@@ -161,7 +167,15 @@ class BlaschkeFrame:
 
     @property
     def n(self) -> int:
-        return self.tangent.shape[0]
+        return self.tangent.shape[-2]
+
+    def __len__(self) -> int:
+        return len(self.H)
+
+    def __getitem__(self, p) -> "BlaschkeFrame":
+        rows = {name: value[p] for name, value in vars(self).items()}
+        return BlaschkeFrame(**{name: row if np.ndim(row) else float(row)
+                                for name, row in rows.items()})
 
 
 # --- pipeline -------------------------------------------------------------
@@ -249,7 +263,7 @@ def blaschke_metric_and_normal(definition: ImmersionDef, u) -> MetricNormal:
     return MetricNormal(h=_values(h)[0], xi=_values(xi)[0])
 
 
-def _frame_batch(definition: ImmersionDef, points: np.ndarray) -> list[BlaschkeFrame]:
+def _frame_batch(definition: ImmersionDef, points: np.ndarray) -> BlaschkeFrame:
     """Complete Blaschke frames at a batch of points (order-4 jets)."""
     n = definition.nvars
     P = len(points)
@@ -290,17 +304,11 @@ def _frame_batch(definition: ImmersionDef, points: np.ndarray) -> list[BlaschkeF
     position, tangent, second_vals = _values(comps), _values(tang), _values(second)
     h_inv_vals, xi_vals = _values(h_inv), _values(xi)
     dh_vals = np.moveaxis(dh[..., 0], 3, 1)       # dh[p, k, i, j] = d_k h_ij
-    return [
-        BlaschkeFrame(
-            u=points[p], position=position[p], tangent=tangent[p],
-            second=second_vals[p], h=h_vals[p], h_inv=h_inv_vals[p],
-            xi=xi_vals[p], gamma=gamma[p], gamma_hat=gh[p], K=K[p], C=C[p],
-            S=S[p], H=float(H[p]), Rhat=Rhat[p], nabla_K=nabla_K[p],
-            dh=dh_vals[p], dK=dK[p], recon_residual=float(recon[p]),
-            normal_defect=float(defect[p]),
-        )
-        for p in range(P)
-    ]
+    return BlaschkeFrame(
+        u=points, position=position, tangent=tangent, second=second_vals,
+        h=h_vals, h_inv=h_inv_vals, xi=xi_vals, gamma=gamma, gamma_hat=gh,
+        K=K, C=C, S=S, H=H, Rhat=Rhat, nabla_K=nabla_K, dh=dh_vals, dK=dK,
+        recon_residual=recon, normal_defect=defect)
 
 
 # --- frame cache ----------------------------------------------------------
@@ -343,15 +351,16 @@ _full_frame_cached = _FrameCache(maxsize=4096)
 
 
 def _computed(definition: ImmersionDef, points: list[tuple]) -> list[BlaschkeFrame]:
-    """Compute and cache the frames at `points` in one batch. When the
-    batch fails, the points go one at a time, so the error raised is the
-    one of the first failing point."""
+    """Compute and cache the one-point frames at `points` in one batch.
+    When the batch fails, the points go one at a time, so the error
+    raised is the one of the first failing point."""
     try:
-        frames = _frame_batch(definition, np.array(points, dtype=float))
+        batch = _frame_batch(definition, np.array(points, dtype=float))
     except (GeometryError, JetDomainError):
         if len(points) == 1:
             raise
         return [_computed(definition, [u])[0] for u in points]
+    frames = [batch[p] for p in range(len(points))]
     for u, frame in zip(points, frames):
         _full_frame_cached.put((definition, u), frame)
     return frames
@@ -364,16 +373,21 @@ def full_frame(definition: ImmersionDef, u) -> BlaschkeFrame:
     return frame if frame is not None else _computed(definition, [key[1]])[0]
 
 
-def frames_on_grid(definition: ImmersionDef, grid) -> list[BlaschkeFrame]:
-    """Frames at every point of an iterable of parameter points; the
-    points missing from the cache are computed together in one batch."""
+def frames_on_grid(definition: ImmersionDef, grid) -> BlaschkeFrame:
+    """The frames at every point of an iterable of parameter points, as
+    one batch frame in grid order; the points missing from the cache are
+    computed together in one batch."""
     keys = [(definition, tuple(float(x) for x in u)) for u in grid]
+    if not keys:
+        raise ValueError("no grid points")
     found = {key: _full_frame_cached.get(key) for key in keys}
     missing = [key[1] for key, frame in found.items() if frame is None]
     if missing:
         found.update(((definition, u), frame) for u, frame
                      in zip(missing, _computed(definition, missing)))
-    return [found[key] for key in keys]
+    rows = [vars(found[key]) for key in keys]
+    return BlaschkeFrame(**{name: np.stack([row[name] for row in rows])
+                            for name in rows[0]})
 
 
 def clear_frame_cache() -> None:

@@ -76,17 +76,23 @@ def _resolve_immersion(token: str, project: dict) -> ImmersionDef:
     return defs[0]
 
 
+def _grid_axis(label: str, lo, hi, count) -> np.ndarray:
+    """np.linspace(lo, hi, count) for finite numbers lo, hi and an
+    integer count >= 1."""
+    try:
+        lo, hi, count = float(lo), float(hi), int(count)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"grid axis {label}: {exc}") from exc
+    if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"grid axis {label} needs finite ends and count >= 1")
+    return np.linspace(lo, hi, count)
+
+
 def _parse_axis_spec(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid axis {text!r} is not lo:hi:count")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"grid axis {text!r}: {exc}") from exc
-    if count < 1:
-        raise UsageError(f"grid axis {text!r} needs count >= 1")
-    return np.linspace(lo, hi, count)
+    return _grid_axis(repr(text), *parts)
 
 
 def _resolve_grid(token: str, nvars: int, project: dict) -> np.ndarray:
@@ -94,26 +100,29 @@ def _resolve_grid(token: str, nvars: int, project: dict) -> np.ndarray:
     if token in named:
         spec = named[token]
         if not isinstance(spec, list) or len(spec) != nvars:
-            raise UsageError(
-                f"project grid {token!r} has {len(spec)} axes, "
-                f"immersion has {nvars} variables")
-        axes = []
-        for axis in spec:
-            axes.append(np.linspace(float(axis["min"]), float(axis["max"]),
-                                    int(axis["count"])))
-        return checks.mesh(axes)
+            raise UsageError(f"project grid {token!r} needs a list of "
+                             f"{nvars} axes, one per variable")
+        if not all(isinstance(axis, dict) and {"min", "max", "count"}
+                   <= axis.keys() for axis in spec):
+            raise UsageError(f"project grid {token!r}: each axis needs "
+                             "min, max and count")
+        return checks.mesh([_grid_axis(json.dumps(axis), axis["min"],
+                                       axis["max"], axis["count"])
+                            for axis in spec])
     if token in BUILTIN_GRIDS:
         count, lo, hi = BUILTIN_GRIDS[token]
         return checks.mesh([np.linspace(lo, hi, count)] * nvars)
     if token.endswith(".csv"):
         try:
             pts = np.loadtxt(token, delimiter=",", ndmin=2)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read grid file {token}: {exc}") from exc
         if pts.shape[1] != nvars:
             raise UsageError(
                 f"{token} has {pts.shape[1]} columns, immersion has "
                 f"{nvars} variables")
+        if not np.all(np.isfinite(pts)):
+            raise UsageError(f"{token} holds a coordinate that is not finite")
         return pts
     if ":" in token:
         specs = token.split(",")
@@ -463,13 +472,16 @@ def main(argv=None) -> int:
     try:
         project = _load_project(args.project)
         opts = project.get("options", {})
-        if args.seed is None:
-            args.seed = int(opts.get("seed", 42))
-        if args.restarts is None:
-            args.restarts = int(opts.get("restarts", 32))
-        if "tolerances" in opts:
-            args.tol = [f"{k}={v}" for k, v in
-                        sorted(opts["tolerances"].items())] + args.tol
+        try:
+            if args.seed is None:
+                args.seed = int(opts.get("seed", 42))
+            if args.restarts is None:
+                args.restarts = int(opts.get("restarts", 32))
+            if "tolerances" in opts:
+                args.tol = [f"{k}={v}" for k, v in
+                            sorted(opts["tolerances"].items())] + args.tol
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise UsageError(f"project options: {exc}") from exc
         envelope = {
             "command": args.command,
             "inputs": ([args.file] if hasattr(args, "file")

@@ -95,19 +95,17 @@ def _check_factor(defn: ImmersionDef) -> None:
     grid = checks.mesh([_GATE_AXIS] * defn.nvars)
     frames = blaschke.frames_on_grid(defn, grid)
     report = checks.sphere_residual(frames)
-    worst_h = max(abs(fr.H + 1.0) for fr in frames)
+    worst_h = float(np.max(np.abs(frames.H + 1.0)))
     if not report.passed or worst_h > 1e-6:
         raise FactorGaugeError(
             f"factor {defn.name!r} is not an affine sphere with H = -1 "
             f"(sphere residual {report.max_residual:.3g}, |H+1| {worst_h:.3g})"
         )
-    worst_xi = max(
-        float(np.max(np.abs(fr.xi - fr.position))) for fr in frames
-    )
-    if worst_xi > 1e-6:
+    offset = checks.xi_offset(frames)
+    if offset is not None:
         raise FactorGaugeError(
             f"factor {defn.name!r} does not satisfy xi = phi "
-            f"(offset {worst_xi:.3g}); recenter or rescale it first"
+            f"(offset {offset[0]:.3g}); recenter or rescale it first"
         )
 
 

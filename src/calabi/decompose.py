@@ -23,11 +23,13 @@ Each base frame is searched once: `_axis_structures` memoizes the
 candidates and their classified spectra on the frame, and `detect`,
 `theorem3_gate` and the extraction all filter that one result by their
 tolerance. Away from the base point one tracker, `_track`, follows the
-axis for both detection and extraction: one Newton solve per point, and
-a full search only where that solve fails or the spectrum leaves the
-base pattern. A search solves all its restarts in one batched Newton
-call, and one stacked eigensolve classifies a search or a tracked
-chain. Extraction then works on arrays with a leading grid-point axis.
+axis for both detection and extraction: one batched Newton solve with
+a row per point, each seeded from the base axis, and a full search only
+where that solve fails or the spectrum leaves the base pattern. A
+search solves all its restarts in one batched Newton call, and one
+stacked eigensolve classifies a search or the tracked points. The grid
+frames are one batch (see `blaschke.frames_on_grid`), so detection and
+extraction work on arrays with a leading grid-point axis.
 """
 
 from __future__ import annotations
@@ -137,25 +139,35 @@ class AxisSearchResult(list):
 
 
 def _h_norms(h: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """h-norm of each vector along the last axis of vs."""
-    return np.sqrt(np.maximum(np.einsum("...i,ij,...j->...", vs, h, vs), 0.0))
+    """h-norm of each vector along the last axis of vs, under one metric
+    or one per leading index of vs."""
+    return np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", vs, h, vs),
+                              0.0))
 
 
-def _axis_system(frame, x: np.ndarray, mu):
+def _axis_system(h: np.ndarray, K: np.ndarray, x: np.ndarray, mu):
     """F = (K(X,X) - mu X, h(X,X) - 1) and its Jacobian in (X, mu) for
-    the rows X of x, also under stacked frame fields; stacked matmuls
-    round as one row alone does, so a row solves alike in any stack."""
+    the rows X of x, with h and K of one point or one per row; stacked
+    matmuls round as one row alone does, so a row solves alike in any
+    stack."""
     n = x.shape[-1]
     mu = np.asarray(mu, dtype=float)[..., None]
-    h_xx = (x[..., None, :] @ frame.h @ x[..., None])[..., 0]
-    f = np.concatenate([np.einsum("...ijk,...i,...j->...k", frame.K, x, x)
+    h_xx = (x[..., None, :] @ h @ x[..., None])[..., 0]
+    f = np.concatenate([np.einsum("...ijk,...i,...j->...k", K, x, x)
                         - mu * x, h_xx - 1.0], axis=-1)
     jac = np.zeros(x.shape[:-1] + (n + 1, n + 1))
-    jac[..., :n, :n] = (2.0 * np.einsum("...ijk,...i->...kj", frame.K, x)
+    jac[..., :n, :n] = (2.0 * np.einsum("...ijk,...i->...kj", K, x)
                         - mu[..., None] * np.eye(n))
     jac[..., :n, n] = -x
-    jac[..., n, :n] = (2.0 * frame.h @ x[..., None])[..., 0]
+    jac[..., n, :n] = (2.0 * h @ x[..., None])[..., 0]
     return f, jac
+
+
+def _repeated(frame: BlaschkeFrame, rows: int) -> BlaschkeFrame:
+    """A one-point frame as a batch of `rows` equal rows, broadcast."""
+    return BlaschkeFrame(**{
+        name: np.broadcast_to(value, (rows,) + np.shape(value))
+        for name, value in vars(frame).items()})
 
 
 def _norms(f: np.ndarray) -> np.ndarray:
@@ -176,16 +188,17 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                                _solve_rows(jac[mid:], rhs[mid:])])
 
 
-def _solve_axis(frame: BlaschkeFrame,
+def _solve_axis(h: np.ndarray, K: np.ndarray,
                 x0: np.ndarray) -> list[CandidateAxis | None]:
     """The axis a damped Newton solve of (K(X,X) - mu X, h(X,X) - 1) = 0
-    reaches from each row of x0, (R, n), with mu seeded by the cubic form
+    reaches from each row of x0, (R, n), under the metric h[r] and the
+    difference tensor K[r] of that row, with mu seeded by the cubic form
     C(x0, x0, x0); None for a row whose solve fails. The rows share one
     batched linear solve per iteration and each backtracks on its own."""
     x = np.array(x0, dtype=float)
-    kxx = np.einsum("ijk,ri,rj->rk", frame.K, x, x)
-    mu = (kxx[:, None] @ frame.h @ x[..., None])[:, 0, 0]
-    f, jac = _axis_system(frame, x, mu)
+    kxx = np.einsum("rijk,ri,rj->rk", K, x, x)
+    mu = (kxx[:, None] @ h @ x[..., None])[:, 0, 0]
+    f, jac = _axis_system(h, K, x, mu)
     norm = _norms(f)
     failed = np.zeros(len(x), dtype=bool)
     for _ in range(80):
@@ -199,7 +212,7 @@ def _solve_axis(frame: BlaschkeFrame,
         for _ in range(40):
             x_new = x[rows] + damp[:, None] * step[:, :-1]
             mu_new = mu[rows] + damp * step[:, -1]
-            f_new, jac_new = _axis_system(frame, x_new, mu_new)
+            f_new, jac_new = _axis_system(h[rows], K[rows], x_new, mu_new)
             norm_new = _norms(f_new)
             ok = ((norm_new < norm[rows] * (1.0 - 1e-4 * damp))
                   | (norm_new <= 1e-13))
@@ -210,21 +223,11 @@ def _solve_axis(frame: BlaschkeFrame,
             if rows.size == 0:
                 break
         failed[rows] = True
-    resid = _h_norms(frame.h, f[:, :-1])
+    resid = _h_norms(h, f[:, :-1])
     return [CandidateAxis(T=x[r], lambda1=float(mu[r]),
                           axis_residual=float(resid[r]))
             if not failed[r] and norm[r] <= 1e-11 else None
             for r in range(len(x))]
-
-
-def _track_axis(frame: BlaschkeFrame,
-                t_prev: np.ndarray) -> CandidateAxis | None:
-    """The axis one Newton solve reaches from t_prev, sign-matched to
-    t_prev; None when the solve fails."""
-    (axis,) = _solve_axis(frame, t_prev[None])
-    if axis is not None and float(axis.T @ t_prev) < 0.0:
-        return axis.flipped()
-    return axis
 
 
 def find_axes(frame: BlaschkeFrame, restarts: int = 32,
@@ -250,8 +253,9 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
         if nv > 1e-8:
             seeds.append(v / nv)
 
+    rows = _repeated(frame, len(seeds))
     found: dict[tuple, CandidateAxis] = {}
-    for axis in filter(None, _solve_axis(frame, seeds[:max(restarts, n)])):
+    for axis in filter(None, _solve_axis(rows.h, rows.K, seeds)):
         lead = next((comp for comp in axis.T if abs(comp) > 1e-8), 0.0)
         if lead < 0.0:
             axis = axis.flipped()
@@ -296,32 +300,33 @@ class SpectralStructure:
         return self.axis.lambda1
 
 
-def _cross_residual(frame: BlaschkeFrame, basis2, basis3) -> float:
+def _cross_residual(K: np.ndarray, h: np.ndarray, basis2, basis3) -> float:
     """Largest h-norm of K(v, w) over the rows v, w of the two bases."""
-    kvw = np.einsum("ijk,ai,bj->abk", frame.K, basis2, basis3)
-    return float(np.max(_h_norms(frame.h, kvw), initial=0.0))
+    kvw = np.einsum("ijk,ai,bj->abk", K, basis2, basis3)
+    return float(np.max(_h_norms(h, kvw), initial=0.0))
 
 
-def _classify(frames, axes) -> list[SpectralStructure]:
+def _classify(frames: BlaschkeFrame, axes) -> list[SpectralStructure]:
     """`classify_spectrum` of axes[p] at frames[p] for every p, in one
     eigensolve and without the tolerance check."""
     if not axes:
         return []
     t_vecs = np.stack([axis.T for axis in axes])
-    h = np.stack([fr.h for fr in frames])
-    a = np.einsum("pi,pijk->pjk", t_vecs, np.stack([fr.C for fr in frames]))
+    a = np.einsum("pi,pijk->pjk", t_vecs, frames.C)
     try:
-        eig = numerics.solve_sym_eig_generalized(a, h)
+        eig = numerics.solve_sym_eig_generalized(a, frames.h)
     except numerics.AsymmetricMatrixError as exc:
-        point = blaschke.format_point(frames[exc.index[0]].u)
+        point = blaschke.format_point(frames.u[exc.index[0]])
         raise numerics.AsymmetricMatrixError(
             f"K_T at grid point {point}: {exc}") from None
-    overlap = np.abs(np.einsum("pjs,pjk,pk->ps", eig.vectors, h, t_vecs))
-    is_t = np.arange(len(h[0])) == np.argmax(overlap, axis=1)[:, None]
+    overlap = np.abs(np.einsum("pjs,pjk,pk->ps", eig.vectors, frames.h,
+                               t_vecs))
+    is_t = np.arange(t_vecs.shape[1]) == np.argmax(overlap, axis=1)[:, None]
     keep = np.argsort(is_t, axis=1, kind="stable")[:, :-1]
     values = np.take_along_axis(eig.values, keep, axis=1)
     vectors = np.take_along_axis(eig.vectors, keep[:, None], axis=2)
-    return [_structure(*args) for args in zip(frames, axes, values, vectors)]
+    return [_structure(*args)
+            for args in zip(frames.K, frames.h, axes, values, vectors)]
 
 
 def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
@@ -343,10 +348,10 @@ def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
         raise ValueError(
             f"axis residual {axis.axis_residual:.3g} exceeds {tol:.3g}"
         )
-    return _classify([frame], [axis])[0]
+    return _classify(_repeated(frame, 1), [axis])[0]
 
 
-def _structure(frame: BlaschkeFrame, axis: CandidateAxis, values,
+def _structure(K: np.ndarray, h: np.ndarray, axis: CandidateAxis, values,
                vectors) -> SpectralStructure:
     """`classify_spectrum` from the split-off spectrum of K_T."""
     clusters = [(mean, len(members), vectors[:, members].T)
@@ -368,31 +373,33 @@ def _structure(frame: BlaschkeFrame, axis: CandidateAxis, values,
                      "sum": abs(lam1 - lam2 - lam3),
                      "prod": abs(lam2 * lam3 + 1.0),
                      "apolar": abs(lam1 + n2 * lam2 + n3 * lam3)}
-        cross = _cross_residual(frame, basis2, basis3)
+        cross = _cross_residual(K, h, basis2, basis3)
     return SpectralStructure(
         axis=axis, clusters=tuple(clusters), n2=n2, n3=n3, lambda2=lam2,
         lambda3=lam3, cross_residual=cross, relation_residuals=relations,
         pattern=pattern)
 
 
-# frame -> {(restarts, seed): (search, structures)}
+# cached frame -> {(restarts, seed): (search, structures)}
 _STRUCTURES = weakref.WeakKeyDictionary()
 
 
-def _axis_structures(frame: BlaschkeFrame, restarts: int, seed: int):
-    """`find_axes` at the frame and the structure of every candidate,
-    from one eigensolve, as (search, structures); callers compare the
-    axis residuals with their tolerance.
+def _axis_structures(defn: ImmersionDef, u, restarts: int, seed: int):
+    """`find_axes` at the frame of defn at the point u and the structure
+    of every candidate, from one eigensolve, as (search, structures);
+    callers compare the axis residuals with their tolerance.
 
-    Memoized on the frame for its lifetime, keyed on (restarts, seed):
-    the frame cache makes frames unique per (definition, point), so
-    detection, the theorem 3 gate and extraction at one base point share
-    one search, and `blaschke.clear_frame_cache()` drops the memo."""
+    Memoized for the lifetime of the cached frame `full_frame(defn, u)`,
+    keyed on (restarts, seed): the frame cache makes frames unique per
+    (definition, point), so detection, the theorem 3 gate and extraction
+    at one base point share one search, and
+    `blaschke.clear_frame_cache()` drops the memo."""
+    frame = blaschke.full_frame(defn, u)
     memo = _STRUCTURES.setdefault(frame, {})
     if (restarts, seed) not in memo:
         search = find_axes(frame, restarts=restarts, seed=seed)
-        memo[restarts, seed] = (search, tuple(_classify([frame] * len(search),
-                                                        search)))
+        memo[restarts, seed] = (search, tuple(_classify(
+            _repeated(frame, len(search)), search)))
     return memo[restarts, seed]
 
 
@@ -456,14 +463,11 @@ def _prepare(defn: ImmersionDef, grid):
     evidence = [sphere]
     if not sphere.passed:
         return defn, 1.0, None, evidence, "not an affine sphere", False
-    worst_xi = max(float(np.max(np.abs(fr.xi - fr.position)))
-                   for fr in frames)
-    pos_scale = max(1.0, max(float(np.max(np.abs(fr.position)))
-                             for fr in frames))
-    if worst_xi > 1e-6 * pos_scale:
+    offset = checks.xi_offset(frames)
+    if offset is not None:
         return work, scale, frames, evidence, (
             "affine normal is not the position field "
-            f"(offset {worst_xi:.3g}); recenter the sphere first"), False
+            f"(offset {offset[0]:.3g}); recenter the sphere first"), False
     evidence.append(checks.apolarity_residual(frames))
     return work, scale, frames, evidence, None, True
 
@@ -485,18 +489,17 @@ def _structure_key(structure: SpectralStructure) -> tuple:
             -min(structure.n2, structure.n3), total)
 
 
-def _track(frames, ref: SpectralStructure, tol: float, restarts: int,
-           seed: int):
+def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
+           restarts: int, seed: int):
     """The product structure of `ref` followed across the frames from its
     axis, as (one structure per frame, None) or (None, failure note).
 
-    A chain of Newton solves, each from the previous point's axis, runs
-    to the first failed solve and is classified in one eigensolve. The
-    first point that failed, changed shape, broke the eigenvalue
-    relations or flipped its axis is searched in full, the candidate
-    closest to the previous axis decides, and a new chain starts. The
-    next chain redoes the solves past a break in the classification, so
-    g such breaks cost up to g + 1 solves per point."""
+    One batched Newton solve, every row seeded from the axis of `ref`,
+    and one eigensolve classify every point. A point whose solve fails,
+    or whose structure changes shape, breaks the eigenvalue relations or
+    points its axis away from that of `ref`, is searched in full, and
+    the candidate closest to the axis of `ref` decides there; the note
+    is that of the first point where this fails too."""
     def mismatch(structure: SpectralStructure) -> str | None:
         if structure.axis.axis_residual > tol:
             return "axis residual exceeds tolerance away from the base point"
@@ -507,36 +510,30 @@ def _track(frames, ref: SpectralStructure, tol: float, restarts: int,
             return "eigenvalue relations fail away from the base point"
         return None
 
-    structures, prev_t = [], ref.axis.T
-    while True:
-        rest, axes = frames[len(structures):], []
-        for frame in rest:
-            axis = _track_axis(frame, axes[-1].T if axes else prev_t)
-            if axis is None or axis.axis_residual > AXIS_RESIDUAL_TOL:
-                break
-            axes.append(axis)
-        for structure, axis in zip(_classify(rest[:len(axes)], axes), axes):
-            if (float(structure.axis.T @ axis.T) < 0.0
-                    or mismatch(structure) is not None):
-                break
-            structures.append(structure)
-            prev_t = axis.T
-        if len(structures) == len(frames):
-            return structures, None
-        frame = frames[len(structures)]
-        search = find_axes(frame, restarts=restarts, seed=seed)
+    t_ref = ref.axis.T
+    axes = _solve_axis(frames.h, frames.K,
+                       np.broadcast_to(t_ref, frames.u.shape))
+    solved = [p for p, axis in enumerate(axes) if axis is not None
+              and axis.axis_residual <= AXIS_RESIDUAL_TOL]
+    structures = [None] * len(frames)
+    for p, structure in zip(solved, _classify(frames[solved],
+                                              [axes[p] for p in solved])):
+        if float(structure.axis.T @ t_ref) >= 0.0 and not mismatch(structure):
+            structures[p] = structure
+    for p in [p for p, structure in enumerate(structures) if structure is None]:
+        search = find_axes(frames[p], restarts=restarts, seed=seed)
         if not search:
             return None, ("axis disappears at grid point "
-                          f"{blaschke.format_point(frame.u)}")
-        aligned = max(search, key=lambda c: abs(float(c.T @ prev_t)))
-        if float(aligned.T @ prev_t) < 0.0:
+                          f"{blaschke.format_point(frames.u[p])}")
+        # the h-unit candidates are compared in the metric of the point
+        aligned = max(search, key=lambda c: abs(c.T @ frames.h[p] @ t_ref))
+        if float(aligned.T @ frames.h[p] @ t_ref) < 0.0:
             aligned = aligned.flipped()
-        (structure,) = _classify([frame], [aligned])
-        failure = mismatch(structure)
+        (structures[p],) = _classify(frames[p:p + 1], [aligned])
+        failure = mismatch(structures[p])
         if failure is not None:
             return None, failure
-        structures.append(structure)
-        prev_t = structure.axis.T
+    return structures, None
 
 
 def _lambdas(structure: SpectralStructure) -> list:
@@ -544,11 +541,12 @@ def _lambdas(structure: SpectralStructure) -> list:
                             structure.lambda3) if lam is not None]
 
 
-def _follow_axis(frames, tol: float, restarts: int, seed: int):
+def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
+                 restarts: int, seed: int):
     """The preferred product structure at the base point and the largest
     eigenvalue drift from it across the grid, as (structure, drift,
     failure note)."""
-    search, structures = _axis_structures(frames[0], restarts, seed)
+    search, structures = _axis_structures(work, frames.u[0], restarts, seed)
     if search.note is not None:
         return None, math.inf, search.note
     if not search:
@@ -582,14 +580,14 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
         return _none_verdict(failure, evidence, orientation_ok,
                              work if frames is not None else None, scale)
 
-    k_scale = max(float(np.max(np.abs(fr.K))) for fr in frames)
-    if k_scale <= QUADRIC_K_TOL:
+    if float(np.max(np.abs(frames.K))) <= QUADRIC_K_TOL:
         return _none_verdict(
             "K ≈ 0: quadric, no canonical axis",
             evidence, True, work, scale)
 
     try:
-        best, drift, failure = _follow_axis(frames, tol, restarts, seed)
+        best, drift, failure = _follow_axis(work, frames, tol, restarts,
+                                            seed)
     except numerics.AsymmetricMatrixError as exc:
         failure = str(exc)
     if failure is None and drift > tol:
@@ -621,10 +619,10 @@ class Theorem3Gate:
     note: str | None = None
 
 
-def _curvature_action_residual(frame: BlaschkeFrame) -> float:
-    lhs = np.einsum("ijml,zum->ijzul", frame.Rhat, frame.K)
-    rhs = (np.einsum("ijzm,mul->ijzul", frame.Rhat, frame.K)
-           + np.einsum("ijum,zml->ijzul", frame.Rhat, frame.K))
+def _curvature_action_residual(frames: BlaschkeFrame) -> float:
+    lhs = np.einsum("pijml,pzum->pijzul", frames.Rhat, frames.K)
+    rhs = (np.einsum("pijzm,pmul->pijzul", frames.Rhat, frames.K)
+           + np.einsum("pijum,pzml->pijzul", frames.Rhat, frames.K))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -643,16 +641,16 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
     if failure is not None:
         return Theorem3Gate(note=failure)
 
-    k_scale = max(float(np.max(np.abs(fr.K))) for fr in frames)
     parallel = checks.parallel_cubic_residual(frames)
-    rk = max(_curvature_action_residual(fr) for fr in frames)
-    if k_scale <= QUADRIC_K_TOL:
+    rk = _curvature_action_residual(frames)
+    if float(np.max(np.abs(frames.K))) <= QUADRIC_K_TOL:
         return Theorem3Gate(
             parallel=parallel, curvature_action_residual=rk,
             note="K ≈ 0: spectrum collapses, no (V, W) split to gate")
 
     try:
-        _search, structures = _axis_structures(frames[0], restarts, seed)
+        _search, structures = _axis_structures(work, frames.u[0], restarts,
+                                               seed)
     except numerics.AsymmetricMatrixError as exc:
         return Theorem3Gate(parallel=parallel, curvature_action_residual=rk,
                             note=str(exc))
@@ -707,32 +705,28 @@ class FactorData:
     immersion_rate: float
 
 
-_FIELDS = ("position", "tangent", "second", "h", "gamma", "gamma_hat", "K",
-           "dK", "dh")
-
-
-def _grid_fields(frames, structures) -> SimpleNamespace:
-    """The frame fields, the tracked axis T, its derivative dT[p, d, k] =
-    d_d T^k and the rows spanning the lambda2 and lambda3 blocks, each
-    stacked along a leading grid-point axis p.
+def _grid_fields(frames: BlaschkeFrame, structures) -> SimpleNamespace:
+    """The frame fields with the tracked axis T, its derivative
+    dT[p, d, k] = d_d T^k and the rows spanning the lambda2 and lambda3
+    blocks, each with a leading grid-point axis p.
 
     dT follows from implicit differentiation of the axis system
     (K(T,T) = mu T, h(T,T) = 1), with the Jacobian of `_axis_system` at
     each point, in one solve for all of them. A point structure has no
     lambda3 block: its basis3 has no rows."""
-    f = SimpleNamespace(**{name: np.stack([getattr(fr, name) for fr in frames])
-                           for name in _FIELDS})
-    f.T = np.stack([s.axis.T for s in structures])
-    npts, n = f.T.shape
-    f.basis2 = np.stack([s.clusters[-1][2] for s in structures])
-    f.basis3 = (np.stack([s.clusters[0][2] for s in structures])
-                if structures[0].pattern == "pair" else np.zeros((npts, 0, n)))
-    _f, jac = _axis_system(f, f.T, [s.lambda1 for s in structures])
+    T = np.stack([s.axis.T for s in structures])
+    npts, n = T.shape
+    basis3 = (np.stack([s.clusters[0][2] for s in structures])
+              if structures[0].pattern == "pair" else np.zeros((npts, 0, n)))
+    _f, jac = _axis_system(frames.h, frames.K, T,
+                           [s.lambda1 for s in structures])
     rhs = np.zeros((npts, n + 1, n))
-    rhs[:, :n] = -np.einsum("pdijk,pi,pj->pkd", f.dK, f.T, f.T)
-    rhs[:, n] = -np.einsum("pdij,pi,pj->pd", f.dh, f.T, f.T)
-    f.dT = np.linalg.solve(jac, rhs)[:, :n].transpose(0, 2, 1)
-    return f
+    rhs[:, :n] = -np.einsum("pdijk,pi,pj->pkd", frames.dK, T, T)
+    rhs[:, n] = -np.einsum("pdij,pi,pj->pd", frames.dh, T, T)
+    return SimpleNamespace(
+        **vars(frames), T=T, basis3=basis3,
+        basis2=np.stack([s.clusters[-1][2] for s in structures]),
+        dT=np.linalg.solve(jac, rhs)[:, :n].transpose(0, 2, 1))
 
 
 def _d_phi(f: SimpleNamespace, xs: np.ndarray, lam2: float, lam3: float):
@@ -805,7 +799,7 @@ def _metric_ratio(f: SimpleNamespace, lam2: float, lam3: float):
     return float(np.mean(np.diag(m))), worst
 
 
-def _provenance_aligned_axis(defn: ImmersionDef, frame: BlaschkeFrame,
+def _provenance_aligned_axis(defn: ImmersionDef, frames: BlaschkeFrame,
                              spectrum: SpectralStructure, tol: float,
                              restarts: int, seed: int):
     """The structure matching the verdict spectrum whose lambda2 block
@@ -819,7 +813,7 @@ def _provenance_aligned_axis(defn: ImmersionDef, frame: BlaschkeFrame,
     GeometryError when no candidate keeps to one block."""
     m2 = defn.provenance.n2 + 1
     best, best_score, lam2_first = None, math.inf, True
-    _search, structures = _axis_structures(frame, restarts, seed)
+    _search, structures = _axis_structures(defn, frames.u[0], restarts, seed)
     for structure in structures:
         if ((structure.pattern, structure.n2, structure.n3)
                 != (spectrum.pattern, spectrum.n2, spectrum.n3)
@@ -831,9 +825,9 @@ def _provenance_aligned_axis(defn: ImmersionDef, frame: BlaschkeFrame,
         if lam3 is None:
             lam3 = structure.lambda1 - structure.lambda2
         # clusters ascend, so the lambda2 block (the positive one) is last
-        mat = np.vstack([-lam3 * frame.position
-                         + structure.axis.T @ frame.tangent,
-                         structure.clusters[-1][2] @ frame.tangent])
+        mat = np.vstack([-lam3 * frames.position[0]
+                         + structure.axis.T @ frames.tangent[0],
+                         structure.clusters[-1][2] @ frames.tangent[0]])
         mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
         first = float(np.sum(np.abs(mat[:, :m2])))
         second = float(np.sum(np.abs(mat[:, m2:])))
@@ -875,8 +869,8 @@ def _factor_at_unit_curvature(defn: ImmersionDef, factor: ImmersionDef,
     norm = normalize_homothety(factor)
     frames = blaschke.frames_on_grid(norm.def_scaled,
                                      _factor_grid(defn, factor, grid))
-    residuals[f"{label}_mean_curvature"] = max(abs(fr.H + 1.0)
-                                               for fr in frames)
+    residuals[f"{label}_mean_curvature"] = float(np.max(np.abs(frames.H
+                                                              + 1.0)))
     residuals[f"{label}_sphere"] = checks.sphere_residual(frames).max_residual
     return norm
 
@@ -932,7 +926,6 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     lam3 = lam3_formal
     n2, n3 = spectrum.n2, spectrum.n3
 
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
     frames = blaschke.frames_on_grid(defn, grid)
     prov = defn.provenance
     axis_idx = None
@@ -942,7 +935,7 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     ref = spectrum
     if axis_idx is not None:
         ref, lam2_first = _provenance_aligned_axis(
-            defn, frames[0], spectrum, tol, verdict.restarts, verdict.seed)
+            defn, frames, spectrum, tol, verdict.restarts, verdict.seed)
     structures, failure = _track(frames, ref, tol, verdict.restarts,
                                  verdict.seed)
     if failure is not None:
@@ -956,12 +949,12 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
 
     # the axis flow parameter at each point
     if axis_idx is not None:
-        t_par = grid[:, axis_idx]
+        t_par = frames.u[:, axis_idx]
     elif kind == "point":
         mags = np.linalg.norm(phi3_raw, axis=1)
         t_par = np.log(mags / mags[0]) / lam3
     else:
-        t_par = np.zeros(len(grid))
+        t_par = np.zeros(len(frames))
     phi2_samples = np.exp(-lam2 * t_par)[:, None] * phi2_raw
     phi3_samples = np.exp(-lam3 * t_par)[:, None] * phi3_raw
 
@@ -988,7 +981,7 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     factor_defs, d1, d2 = None, 1.0, 1.0
     if axis_idx is not None:
         factor_defs, d1, d2 = _calibrate_from_provenance(
-            defn, grid, lam2_first, kind, n2, n3, residuals)
+            defn, frames.u, lam2_first, kind, n2, n3, residuals)
 
     return FactorData(
         kind=kind, d1=d1, d2=d2,

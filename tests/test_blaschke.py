@@ -201,7 +201,12 @@ def test_frame_cache_counts_one_miss_per_frame(pair_product):
     assert misses() == 27
     again = blaschke.frames_on_grid(pair_product, grid)
     assert misses() == 27
-    assert all(a is b for a, b in zip(first, again))
+    assert all(np.array_equal(getattr(first, name), getattr(again, name))
+               for name in vars(first))
+    cached = [blaschke.full_frame(pair_product, u) for u in grid]
+    assert misses() == 27
+    assert all(blaschke.full_frame(pair_product, u) is frame
+               for u, frame in zip(grid, cached))
     shifted = make_grid(0.0, 0.6, 3, 3)      # shares 8 points with grid
     blaschke.frames_on_grid(pair_product, shifted)
     assert misses() == 27 + 19

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calabi import blaschke, checks, dsl
+from calabi import blaschke, checks, dsl, numerics
 from calabi.dsl import parse_immersion
 from conftest import make_grid
 
@@ -130,3 +130,52 @@ def test_report_below_noise_floor_names_the_first_point():
         "demo", [0.2 * floor, 2.0 * floor, 0.5 * floor],
         [(0.0,), (1.0,), (2.0,)], 1e-6)
     assert above.worst_point == (1.0,)
+
+
+def _per_frame_residuals(frames) -> dict:
+    """The five checks as loops over the one-point frames of a batch, the
+    reference for their array forms: {report name: residual per point}."""
+    res = {name: [] for name in ("sphere", "apolarity", "gauss", "codazzi",
+                                 "parallel_cubic", "unimodular")}
+    h_first = frames[0].H
+    for fr in frames:
+        n = fr.n
+        eye = np.eye(n)
+        dev = np.max(np.abs(fr.S - fr.H * eye))
+        res["sphere"].append(max(dev, abs(fr.H - h_first)))
+        b = numerics.metric_orthonormal_basis(fr.h)
+        tvec = np.einsum("ijj->i", fr.K)
+        res["apolarity"].append(float(np.max(np.abs(tvec @ b))))
+        h_term = np.einsum("jk,il->ijkl", fr.h, eye) - np.einsum(
+            "ik,jl->ijkl", fr.h, eye)
+        commutator = np.einsum("iml,jkm->ijkl", fr.K, fr.K) - np.einsum(
+            "jml,ikm->ijkl", fr.K, fr.K)
+        res["gauss"].append(float(np.max(np.abs(fr.Rhat + h_term
+                                                + commutator))))
+        res["codazzi"].append(float(np.max(np.abs(
+            fr.nabla_K - fr.nabla_K.transpose(1, 0, 2, 3)))))
+        res["parallel_cubic"].append(float(np.max(np.abs(fr.nabla_K))))
+        basis = np.vstack([fr.tangent, fr.position]).T
+        g = np.linalg.solve(basis, fr.second.reshape(n * n, n + 1).T)[n]
+        res["unimodular"].append(abs(np.linalg.det(basis) ** 2
+                                     - np.linalg.det(g.reshape(n, n))))
+    return res
+
+
+@pytest.mark.parametrize("fixture, grid", [
+    ("pair_product", make_grid(-0.3, 0.3, 3, 3)),
+    ("point_product", make_grid(-0.3, 0.3, 5, 2)),
+    ("mixed_product", make_grid(-0.2, 0.2, 3, 4)),
+])
+def test_array_checks_match_the_per_frame_loops(request, fixture, grid):
+    frames = blaschke.frames_on_grid(request.getfixturevalue(fixture), grid)
+    reports = {report.name: report for report in (
+        checks.sphere_residual(frames), checks.apolarity_residual(frames),
+        *checks.gauss_codazzi_residual(frames).values(),
+        checks.parallel_cubic_residual(frames),
+        checks.unimodular_criterion(frames))}
+    for name, residuals in _per_frame_residuals(frames).items():
+        ref = checks.CheckReport.from_samples(name, residuals, grid,
+                                              reports[name].tolerance)
+        assert reports[name].max_residual == ref.max_residual, name
+        assert reports[name].worst_point == ref.worst_point, name

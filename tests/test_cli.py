@@ -286,6 +286,34 @@ def test_project_file_names_and_options(workdir, tmp_path):
     assert payload["verdict"]["kind"] == "PairProduct"
 
 
+_AXIS = {"min": 0, "max": 1, "count": 2}
+
+
+@pytest.mark.parametrize("grid, project, csv", [
+    ("bad.csv", None, "a,b,c\n"),
+    ("inf.csv", None, "0.1,inf,0.2\n"),
+    ("named", {"grids": {"named": [{**_AXIS, "count": 0}] * 3}}, None),
+    ("named", {"grids": {"named": [{"min": 0, "max": 1}] * 3}}, None),
+    ("named", {"grids": {"named": [{**_AXIS, "min": "x"}] * 3}}, None),
+    ("g27", {"options": {"seed": "abc"}}, None),
+    ("0:1:2,0:nan:2,0:1:2", None, None),
+], ids=["csv_text", "csv_inf", "count_0", "no_count", "min_x", "seed_abc",
+        "nan_axis"])
+def test_malformed_grid_or_option_is_usage_error(workdir, tmp_path, grid,
+                                                 project, csv):
+    args = ["check", str(workdir / "pair.immersion"), f"--grid={grid}"]
+    if csv is not None:
+        (tmp_path / grid).write_text(csv, encoding="utf-8")
+    if project is not None:
+        (tmp_path / "project.json").write_text(json.dumps(project),
+                                               encoding="utf-8")
+        args += ["--project", "project.json"]
+    res = run_cli(*args, cwd=tmp_path)
+    assert res.returncode == 2, res.stdout.decode()
+    assert b"error:" in res.stderr
+    assert b"Traceback" not in res.stderr
+
+
 def _project(tmp_path, options: dict) -> str:
     path = tmp_path / "project.json"
     path.write_text(json.dumps({"options": options}), encoding="utf-8")

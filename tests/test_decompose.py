@@ -290,6 +290,24 @@ def _frames_computed() -> int:
     return blaschke._full_frame_cached.cache_info().misses
 
 
+def _failing_tracker(monkeypatch, row_at):
+    """Make the tracker's solve fail at the row `row_at(rows)` returns,
+    for the number of rows in the solve, or at every row for None. The
+    tracker's solve is the one whose rows all start from the base axis;
+    the restarts of a search do not."""
+    real = decompose._solve_axis
+
+    def solve(h, K, x0):
+        axes = real(h, K, x0)
+        if np.all(x0 == x0[0]):
+            row = row_at(len(x0))
+            axes = [None if row is None or r == row else axis
+                    for r, axis in enumerate(axes)]
+        return axes
+
+    monkeypatch.setattr(decompose, "_solve_axis", solve)
+
+
 def test_detect_searches_once_and_computes_each_frame_once(pair_product,
                                                            monkeypatch):
     searches = _counted(monkeypatch, "find_axes")
@@ -322,8 +340,7 @@ def test_detect_falls_back_to_search_when_tracking_fails(pair_product,
                                                          pair_verdict,
                                                          monkeypatch):
     tracked, grid = pair_verdict
-    monkeypatch.setattr(decompose, "_track_axis",
-                        lambda frame, t_prev: None)
+    _failing_tracker(monkeypatch, lambda rows: None)
     searches = _counted(monkeypatch, "find_axes")
     blaschke.clear_frame_cache()   # the base search is not memoized yet
     verdict = decompose.detect(pair_product, grid)
@@ -439,14 +456,11 @@ def test_detect_and_extract_classify_each_pass_in_one_eigensolve(
 def test_a_solve_failing_inside_a_chain_searches_only_its_point(
         pair_product, pair_verdict, broken, monkeypatch):
     """When the tracked solve fails at one point in the middle of the grid,
-    the chain before it is classified alone, that point is searched in
-    full, and a new chain covers the rest: each point is classified once."""
+    the other points are classified together, that point is searched in
+    full and classified alone: each point is classified once."""
     tracked, grid = pair_verdict
-    real_track = decompose._track_axis
-    monkeypatch.setattr(
-        decompose, "_track_axis",
-        lambda frame, t_prev: (None if np.array_equal(frame.u, grid[broken])
-                               else real_track(frame, t_prev)))
+    # detect tracks the grid past its base point, extraction all of it
+    _failing_tracker(monkeypatch, lambda rows: broken - (len(grid) - rows))
     searches = _counted(monkeypatch, "find_axes")
     solves = []
     real_eig = numerics.solve_sym_eig_generalized
@@ -460,7 +474,7 @@ def test_a_solve_failing_inside_a_chain_searches_only_its_point(
     verdict = decompose.detect(pair_product, grid)
     assert verdict.kind == "PairProduct"
     assert len(searches) == 2
-    assert solves == [7, broken - 1, 1, len(grid) - 1 - broken]
+    assert solves == [7, len(grid) - 2, 1]
     for attr in ("lambda1", "lambda2", "lambda3"):
         assert getattr(verdict.spectrum, attr) == getattr(
             tracked.spectrum, attr), attr
@@ -470,7 +484,7 @@ def test_a_solve_failing_inside_a_chain_searches_only_its_point(
     data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
     assert data.metric_ratio == pytest.approx(2.0, abs=1e-12)
     assert len(searches) == 3
-    assert solves == [broken, 1, len(grid) - 1 - broken]
+    assert solves == [len(grid) - 1, 1]
 
 
 @pytest.mark.parametrize("product", ["point_product", "pair_product",
@@ -489,8 +503,8 @@ def test_restarts_solve_alike_in_one_stack_and_one_by_one(request, product,
                 for c in axes]
         assert keys == sorted(keys)
     real = decompose._solve_axis
-    monkeypatch.setattr(decompose, "_solve_axis", lambda frame, x0: [
-        real(frame, row[None])[0] for row in np.asarray(x0)])
+    monkeypatch.setattr(decompose, "_solve_axis", lambda h, K, x0: [
+        real(h[r:r + 1], K[r:r + 1], x0[r:r + 1])[0] for r in range(len(x0))])
     for frame, reference in zip(frames, stacked):
         alone = decompose.find_axes(frame)
         assert len(alone) == len(reference) > 0
@@ -504,10 +518,12 @@ def test_a_singular_jacobian_fails_only_its_own_row(pair_product):
     np.linalg.solve raise for every row."""
     frame = blaschke.full_frame(pair_product, (0.1, -0.2, 0.15))
     seeds = np.array([[0.0, 0.0, 0.0], [0.6, 0.5, -0.2], [-0.1, 0.3, 0.8]])
-    stacked = decompose._solve_axis(frame, seeds)
+    stacked = decompose._solve_axis(np.stack([frame.h] * 3),
+                                    np.stack([frame.K] * 3), seeds)
     assert stacked[0] is None
     for seed, axis in zip(seeds[1:], stacked[1:]):
-        (alone,) = decompose._solve_axis(frame, seed[None])
+        (alone,) = decompose._solve_axis(frame.h[None], frame.K[None],
+                                         seed[None])
         assert axis is not None and alone is not None
         assert np.array_equal(axis.T, alone.T)
         assert axis.lambda1 == alone.lambda1
@@ -726,6 +742,72 @@ def _bent(defn: dsl.ImmersionDef) -> dsl.ImmersionDef:
         components=tuple(dsl.substitute(c, sub) for c in defn.components))
 
 
+@pytest.mark.parametrize("product, grid", [
+    ("pair_product", make_grid(-0.3, 0.3, 3, 3)),
+    ("mixed_product", make_grid(-0.2, 0.2, 3, 4)),
+])
+def test_tracker_follows_the_moving_axis_of_a_bent_product(
+        request, product, grid, monkeypatch):
+    """In bent coordinates T moves across the grid, so the tracked Newton
+    solve iterates from the base axis at every point. Detection and
+    extraction still search only the base frame, every point keeps the
+    base structure, and each tracked T is the candidate a full search
+    at that point finds closest to the base axis."""
+    bent = _bent(request.getfixturevalue(product))
+    tracked = []
+    real_track = decompose._track
+
+    def spy(frames, ref, *args):
+        structures, failure = real_track(frames, ref, *args)
+        tracked.append((frames, ref, structures))
+        return structures, failure
+
+    monkeypatch.setattr(decompose, "_track", spy)
+    searches = _counted(monkeypatch, "find_axes")
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(bent, grid)
+    assert verdict.kind == "PairProduct", verdict.notes
+    decompose.extract_pair_factors(bent, verdict, grid)
+    assert len(searches) == 1
+    assert [len(frames) for frames, _ref, _s in tracked] == [
+        len(grid) - 1, len(grid)]
+    for frames, ref, structures in tracked:
+        assert np.max(np.abs(structures[-1].axis.T - ref.axis.T)) > 0.1
+        for p, structure in enumerate(structures):
+            assert ((structure.pattern, structure.n2, structure.n3)
+                    == (ref.pattern, ref.n2, ref.n3))
+            search = decompose.find_axes(frames[p])
+            cosines = [float(c.T @ frames.h[p] @ ref.axis.T) for c in search]
+            best = int(np.argmax(np.abs(cosines)))
+            aligned = np.sign(cosines[best]) * search[best].T
+            assert np.max(np.abs(structure.axis.T - aligned)) <= 1e-12
+
+
+@pytest.mark.parametrize("product, grid", [
+    ("pair_product", make_grid(-0.3, 0.3, 3, 3)),
+    ("mixed_product", make_grid(-0.2, 0.2, 3, 4)),
+])
+def test_search_fallback_on_a_bent_product_keeps_the_tracked_axes(
+        request, product, grid, monkeypatch):
+    """With every tracked solve failing, each point is searched in full
+    and the candidate closest to the base axis in the metric of the point
+    decides. In bent coordinates the largest Euclidean product with the
+    base axis picked the point-structure axis at the base point of the
+    pair product, and extraction failed with "axis spectrum changes shape
+    across the grid"."""
+    bent = _bent(request.getfixturevalue(product))
+    verdict = decompose.detect(bent, grid)
+    tracked = decompose.extract_pair_factors(bent, verdict, grid)
+    _failing_tracker(monkeypatch, lambda rows: None)
+    searches = _counted(monkeypatch, "find_axes")
+    data = decompose.extract_pair_factors(bent, verdict, grid)
+    assert len(searches) == len(grid)
+    assert data.metric_ratio == pytest.approx(tracked.metric_ratio,
+                                              abs=1e-12)
+    assert np.allclose(data.phi2_samples, tracked.phi2_samples, atol=1e-12)
+    assert np.allclose(data.phi3_samples, tracked.phi3_samples, atol=1e-12)
+
+
 @pytest.mark.parametrize("product, ratio", [
     ("point_product", 1.5),
     ("pair_product", 2.0),
@@ -797,7 +879,7 @@ def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
     n = frames[0].n
     for p, frame in enumerate(frames):
         # dT by implicit differentiation of the axis system at one point
-        _res, jac = decompose._axis_system(frame, f.T[p],
+        _res, jac = decompose._axis_system(frame.h, frame.K, f.T[p],
                                            structures[p].lambda1)
         rhs = np.zeros((n + 1, n))
         for d in range(n):
@@ -820,7 +902,8 @@ def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
         cross = max(math.sqrt(max(k @ frame.h @ k, 0.0))
                     for v in f.basis2[p] for w in f.basis3[p]
                     for k in [np.einsum("ijk,i,j->k", frame.K, v, w)])
-        assert decompose._cross_residual(frame, f.basis2[p], f.basis3[p]) \
+        assert decompose._cross_residual(frame.K, frame.h, f.basis2[p],
+                                         f.basis3[p]) \
             == pytest.approx(cross, rel=0, abs=1e-15)
 
 
@@ -831,8 +914,7 @@ def test_extract_falls_back_to_search_when_tracking_fails(pair_product,
     so a point where the Newton solve fails is searched in full."""
     verdict, grid = pair_verdict
     tracked = decompose.extract_pair_factors(pair_product, verdict, grid)
-    monkeypatch.setattr(decompose, "_track_axis",
-                        lambda frame, t_prev: None)
+    _failing_tracker(monkeypatch, lambda rows: None)
     searches = _counted(monkeypatch, "find_axes")
     data = decompose.extract_pair_factors(pair_product, verdict, grid)
     assert len(searches) == len(grid)
