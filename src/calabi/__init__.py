@@ -27,8 +27,7 @@ from .decompose import (CandidateAxis, DecompositionVerdict, FactorData,
                         theorem3_gate)
 from .dsl import (ImmersionDef, ImmersionSyntaxError,
                   ImmersionValidationError, Provenance, build_scaled_embedding,
-                  parse_immersion, parse_program, print_immersion,
-                  print_program)
+                  parse_immersion, parse_program, print_immersion)
 
 __version__ = "0.1.0"
 
@@ -75,7 +74,6 @@ __all__ = [
     "parse_program",
     "predicted_spectrum",
     "print_immersion",
-    "print_program",
     "product_ode_identity",
     "sphere_residual",
     "theorem3_gate",

@@ -1,5 +1,10 @@
 """Closed-form immersion definitions: AST, parser, printer, builders.
 
+An expression is a tree of three node forms: `Variable(name)`,
+`Constant(value)` and `Apply(op, args)`, where `op` is "neg", one of the
+binary operators + - * / ^, or a function name. One table of the binary
+operators drives evaluation, printing, validation and substitution.
+
 An immersion file holds one or more blocks of the form
 
     immersion h2 { vars: s; components: (0.5*exp(s), 0.5*exp(-s)); }
@@ -18,7 +23,9 @@ trip. All other comments are ignored.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import jets as _jets
@@ -54,25 +61,14 @@ class Constant(Expr):
 
 
 @dataclass(frozen=True)
-class Unary(Expr):
-    op: str  # only "neg"
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Binary(Expr):
-    op: str  # one of + - * / ^
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    fn: str
-    arg: Expr
+class Apply(Expr):
+    op: str  # "neg", a key of BINARY, or a name in FUNCTIONS
+    args: tuple[Expr, ...]
 
 
 FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh")
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv, "^": operator.pow}
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -115,12 +111,12 @@ class ImmersionDef:
             raise ImmersionValidationError("immersion needs at least one component")
         declared = set(self.vars)
         for comp in self.components:
+            _validate_expr(comp)
             for name in _free_vars(comp):
                 if name not in declared:
                     raise ImmersionValidationError(
                         f"undeclared variable {name!r} in immersion {self.name!r}"
                     )
-            _validate_expr(comp)
 
     def __hash__(self) -> int:
         # definitions key the frame cache: hash the expression trees once
@@ -143,33 +139,22 @@ def _free_vars(e: Expr) -> set[str]:
         return {e.name}
     if isinstance(e, Constant):
         return set()
-    if isinstance(e, Unary):
-        return _free_vars(e.arg)
-    if isinstance(e, Binary):
-        return _free_vars(e.left) | _free_vars(e.right)
-    if isinstance(e, Call):
-        return _free_vars(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    return set().union(*map(_free_vars, e.args))
 
 
 def _validate_expr(e: Expr) -> None:
-    if isinstance(e, Binary):
-        if e.op not in ("+", "-", "*", "/", "^"):
-            raise ImmersionValidationError(f"unknown operator {e.op!r}")
-        if e.op == "^" and not isinstance(e.right, Constant):
-            raise ImmersionValidationError("exponent must be a constant")
-        _validate_expr(e.left)
-        _validate_expr(e.right)
-    elif isinstance(e, Unary):
-        if e.op != "neg":
-            raise ImmersionValidationError(f"unknown unary operator {e.op!r}")
-        _validate_expr(e.arg)
-    elif isinstance(e, Call):
-        if e.fn not in FUNCTIONS:
-            raise ImmersionValidationError(f"unknown function {e.fn!r}")
-        _validate_expr(e.arg)
-    elif not isinstance(e, (Variable, Constant)):
+    if isinstance(e, (Variable, Constant)):
+        return
+    if not isinstance(e, Apply):
         raise TypeError(f"not an expression node: {e!r}")
+    unary = e.op == "neg" or e.op in FUNCTIONS
+    if len(e.args) != (2 if e.op in BINARY else 1 if unary else None):
+        raise ImmersionValidationError(
+            f"unknown operator {e.op!r} on {len(e.args)} operands")
+    if e.op == "^" and not isinstance(e.args[1], Constant):
+        raise ImmersionValidationError("exponent must be a constant")
+    for arg in e.args:
+        _validate_expr(arg)
 
 
 # --- builders ------------------------------------------------------------
@@ -186,31 +171,19 @@ def const(value: float) -> Constant:
 def neg(e: Expr) -> Expr:
     if isinstance(e, Constant):
         return Constant(-e.value)
-    return Unary("neg", e)
+    return Apply("neg", (e,))
 
 
-def add(a: Expr, b: Expr) -> Expr:
-    return Binary("+", a, b)
+def add(a: Expr, b: Expr) -> Apply:
+    return Apply("+", (a, b))
 
 
-def sub(a: Expr, b: Expr) -> Expr:
-    return Binary("-", a, b)
+def mul(a: Expr, b: Expr) -> Apply:
+    return Apply("*", (a, b))
 
 
-def mul(a: Expr, b: Expr) -> Expr:
-    return Binary("*", a, b)
-
-
-def div(a: Expr, b: Expr) -> Expr:
-    return Binary("/", a, b)
-
-
-def powc(base: Expr, exponent: float) -> Expr:
-    return Binary("^", base, const(exponent))
-
-
-def call(fn: str, arg: Expr) -> Call:
-    return Call(fn, arg)
+def call(fn: str, arg: Expr) -> Apply:
+    return Apply(fn, (arg,))
 
 
 # --- evaluation ----------------------------------------------------------
@@ -225,26 +198,15 @@ def eval_expr(e: Expr, env: dict):
             raise ImmersionValidationError(f"undeclared variable {e.name!r}") from None
     if isinstance(e, Constant):
         return e.value
-    if isinstance(e, Unary):
-        return -eval_expr(e.arg, env)
-    if isinstance(e, Binary):
-        lhs = eval_expr(e.left, env)
-        if e.op == "^":
-            return lhs ** e.right.value
-        rhs = eval_expr(e.right, env)
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
-        if e.op == "*":
-            return lhs * rhs
-        return lhs / rhs
-    if isinstance(e, Call):
-        inner = eval_expr(e.arg, env)
-        if isinstance(inner, _jets.Jet):
-            return _jets.jet_elementary(inner, e.fn)
-        return getattr(math, e.fn)(inner)
-    raise TypeError(f"not an expression node: {e!r}")
+    if e.op in BINARY:
+        lhs, rhs = e.args
+        return BINARY[e.op](eval_expr(lhs, env), eval_expr(rhs, env))
+    arg = eval_expr(e.args[0], env)
+    if e.op == "neg":
+        return -arg
+    if isinstance(arg, _jets.Jet):
+        return _jets.jet_elementary(arg, e.op)
+    return getattr(math, e.op)(arg)
 
 
 def eval_components(defn: ImmersionDef, point) -> list[float]:
@@ -269,15 +231,13 @@ def _print_expr(e: Expr) -> str:
         if e.value < 0 or (e.value == 0 and math.copysign(1.0, e.value) < 0):
             return f"(-{_fmt_number(-e.value)})"
         return _fmt_number(e.value)
-    if isinstance(e, Unary):
-        return f"(-{_print_expr(e.arg)})"
-    if isinstance(e, Binary):
-        if e.op == "^":
-            return f"({_print_expr(e.left)}^{_fmt_number(e.right.value)})"
-        return f"({_print_expr(e.left)}{e.op}{_print_expr(e.right)})"
-    if isinstance(e, Call):
-        return f"{e.fn}({_print_expr(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    if e.op == "neg":
+        return f"(-{_print_expr(e.args[0])})"
+    if e.op == "^":
+        return f"({_print_expr(e.args[0])}^{_fmt_number(e.args[1].value)})"
+    if e.op in BINARY:
+        return f"({_print_expr(e.args[0])}{e.op}{_print_expr(e.args[1])})"
+    return f"{e.op}({_print_expr(e.args[0])})"
 
 
 def print_immersion(defn: ImmersionDef) -> str:
@@ -290,10 +250,6 @@ def print_immersion(defn: ImmersionDef) -> str:
     if defn.provenance is not None:
         return defn.provenance.comment() + "\n" + line
     return line
-
-
-def print_program(defs) -> str:
-    return "\n".join(print_immersion(d) for d in defs) + "\n"
 
 
 # --- tokenizer / parser --------------------------------------------------
@@ -314,14 +270,7 @@ _PROV = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _tokenize(source: str):
@@ -331,13 +280,11 @@ def _tokenize(source: str):
         m = _TOKEN.match(source, pos)
         if m is None:
             raise ImmersionSyntaxError(
-                f"unexpected character {source[pos]!r}", line, col
-            )
+                f"unexpected character {source[pos]!r}", line, col)
         kind = m.lastgroup
         text = m.group()
         if kind == "comment":
-            pm = _PROV.match(text)
-            if pm is not None:
+            if _PROV.match(text):
                 tokens.append(_Token("provenance", text, line, col))
         elif kind != "ws":
             tokens.append(_Token(kind, text, line, col))
@@ -371,9 +318,7 @@ class _Parser:
             want = text if text is not None else kind
             raise ImmersionSyntaxError(
                 f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
+                tok.line, tok.col)
         return self.next()
 
     # expression grammar: expr ((+|-) term)*, term ((*|/) factor)*,
@@ -384,14 +329,14 @@ class _Parser:
         node = self.parse_term()
         while self.peek().kind == "sym" and self.peek().text in "+-":
             op = self.next().text
-            node = Binary(op, node, self.parse_term())
+            node = Apply(op, (node, self.parse_term()))
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while self.peek().kind == "sym" and self.peek().text in "*/":
             op = self.next().text
-            node = Binary(op, node, self.parse_factor())
+            node = Apply(op, (node, self.parse_factor()))
         return node
 
     def parse_factor(self) -> Expr:
@@ -403,7 +348,7 @@ class _Parser:
                 self.next()
                 sign = -1.0
             tok = self.expect("number")
-            node = Binary("^", node, Constant(sign * float(tok.text)))
+            node = Apply("^", (node, Constant(sign * float(tok.text))))
         return node
 
     def parse_base(self) -> Expr:
@@ -417,7 +362,7 @@ class _Parser:
                 self.expect("sym", "(")
                 arg = self.parse_expr()
                 self.expect("sym", ")")
-                return Call(tok.text, arg)
+                return Apply(tok.text, (arg,))
             return Variable(tok.text)
         if tok.kind == "sym" and tok.text == "(":
             self.next()
@@ -429,35 +374,23 @@ class _Parser:
             return neg(self.parse_factor())
         raise ImmersionSyntaxError(
             f"expected expression, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-        )
+            tok.line, tok.col)
 
     def parse_immersion_block(self) -> ImmersionDef:
         prov = None
         if self.peek().kind == "provenance":
             prov = _parse_provenance(self.next().text)
-        kw = self.expect("ident")
-        if kw.text != "immersion":
-            raise ImmersionSyntaxError(
-                f"expected 'immersion', found {kw.text!r}", kw.line, kw.col
-            )
+        kw = self.expect("ident", "immersion")
         name = self.expect("ident").text
         self.expect("sym", "{")
-        v = self.expect("ident")
-        if v.text != "vars":
-            raise ImmersionSyntaxError(f"expected 'vars', found {v.text!r}", v.line, v.col)
+        self.expect("ident", "vars")
         self.expect("sym", ":")
         names = [self.expect("ident").text]
         while self.peek().kind == "sym" and self.peek().text == ",":
             self.next()
             names.append(self.expect("ident").text)
         self.expect("sym", ";")
-        c = self.expect("ident")
-        if c.text != "components":
-            raise ImmersionSyntaxError(
-                f"expected 'components', found {c.text!r}", c.line, c.col
-            )
+        self.expect("ident", "components")
         self.expect("sym", ":")
         self.expect("sym", "(")
         comps = [self.parse_expr()]
@@ -484,14 +417,9 @@ class _Parser:
 
 def _parse_provenance(text: str) -> Provenance:
     m = _PROV.match(text)
-    factors = tuple(f for f in m.group("factors").split("|") if f)
-    return Provenance(
-        kind=m.group("kind"),
-        n2=int(m.group("n2")),
-        n3=int(m.group("n3")),
-        axis=m.group("axis"),
-        factors=factors,
-    )
+    factors = tuple(f for f in m["factors"].split("|") if f)
+    return Provenance(m["kind"], int(m["n2"]), int(m["n3"]), m["axis"],
+                      factors)
 
 
 def parse_program(source: str) -> list[ImmersionDef]:
@@ -518,13 +446,7 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
         return mapping.get(e.name, e)
     if isinstance(e, Constant):
         return e
-    if isinstance(e, Unary):
-        return Unary(e.op, substitute(e.arg, mapping))
-    if isinstance(e, Binary):
-        return Binary(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Call):
-        return Call(e.fn, substitute(e.arg, mapping))
-    raise TypeError(f"not an expression node: {e!r}")
+    return Apply(e.op, tuple(substitute(arg, mapping) for arg in e.args))
 
 
 def fresh_name(name: str, taken) -> str:
@@ -577,17 +499,11 @@ def build_scaled_embedding(
             block = [const(v) for v in d]
             if not block:
                 raise ImmersionValidationError("constant block must be nonempty")
-        for comp in block:
-            e = comp
+        for e in block:
             if rate != 0.0:
                 e = mul(call("exp", mul(const(rate), var(axis_var))), e)
             if coefficient != 1.0:
                 e = mul(const(coefficient), e)
             components.append(e)
 
-    return ImmersionDef(
-        name=name,
-        vars=tuple(out_vars),
-        components=tuple(components),
-        provenance=provenance,
-    )
+    return ImmersionDef(name, tuple(out_vars), tuple(components), provenance)
