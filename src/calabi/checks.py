@@ -86,9 +86,15 @@ def xi_offset(frames: BlaschkeFrame) -> tuple[float, int] | None:
 
 
 def sphere_residual(definition_or_frames, grid=None, tol: float = 1e-6) -> CheckReport:
-    """Affine sphere test: S = H id with H constant across the frames."""
+    """Affine sphere test: S = H id with H constant across the frames.
+
+    S - H id is measured in an h-orthonormal frame B, where S reads
+    B^T h S B, so the residual does not depend on the coordinates.
+    """
     fr = _frames(definition_or_frames, grid)
-    dev = np.max(np.abs(fr.S - fr.H[:, None, None] * np.eye(fr.n)), axis=(1, 2))
+    b = metric_orthonormal_basis(fr.h)
+    s_ortho = b.swapaxes(1, 2) @ fr.h @ fr.S @ b
+    dev = np.max(np.abs(s_ortho - fr.H[:, None, None] * np.eye(fr.n)), axis=(1, 2))
     res = np.maximum(dev, np.abs(fr.H - fr.H[0]))
     return CheckReport.from_samples("sphere", res, fr.u, tol)
 

@@ -76,6 +76,17 @@ def _resolve_immersion(token: str, project: dict) -> ImmersionDef:
     return defs[0]
 
 
+def _finite(label: str, text: str) -> float:
+    """The float that `text` spells, which must be finite."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise UsageError(f"{label}: {exc}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"{label} is not finite")
+    return value
+
+
 def _grid_axis(label: str, lo, hi, count) -> np.ndarray:
     """np.linspace(lo, hi, count) for finite numbers lo, hi and an
     integer count >= 1."""
@@ -144,10 +155,7 @@ def _parse_tols(pairs: list[str]) -> dict[str, float]:
         name, _, value = pair.partition("=")
         if not name or not value:
             raise UsageError(f"--tol expects name=value, got {pair!r}")
-        try:
-            tols[name] = float(value)
-        except ValueError as exc:
-            raise UsageError(f"--tol {pair!r}: {exc}") from exc
+        tols[name] = _finite(f"--tol {pair!r}", value)
     return tols
 
 
@@ -209,7 +217,8 @@ def _cmd_analyze(args, project: dict) -> tuple[dict, bool]:
     if args.at is None:
         point = tuple(0.0 for _ in range(defn.nvars))
     else:
-        point = tuple(float(x) for x in args.at.split(","))
+        point = tuple(_finite(f"--at {args.at!r}", x)
+                      for x in args.at.split(","))
     if len(point) != defn.nvars:
         raise UsageError(
             f"--at has {len(point)} coordinates, immersion has "

@@ -193,21 +193,24 @@ def _solve_axis(h: np.ndarray, K: np.ndarray,
     """The axis a damped Newton solve of (K(X,X) - mu X, h(X,X) - 1) = 0
     reaches from each row of x0, (R, n), under the metric h[r] and the
     difference tensor K[r] of that row, with mu seeded by the cubic form
-    C(x0, x0, x0); None for a row whose solve fails. The rows share one
-    batched linear solve per iteration and each backtracks on its own."""
+    C(x0, x0, x0); None for a row that ends with |F| above 1e-11. The
+    rows share one batched linear solve per iteration and each backtracks
+    on its own. A row stops at a singular Jacobian or when backtracking
+    cannot reduce |F|, which past 1e-13 is the rounding floor of its
+    point."""
     x = np.array(x0, dtype=float)
     kxx = np.einsum("rijk,ri,rj->rk", K, x, x)
     mu = (kxx[:, None] @ h @ x[..., None])[:, 0, 0]
     f, jac = _axis_system(h, K, x, mu)
     norm = _norms(f)
-    failed = np.zeros(len(x), dtype=bool)
+    stopped = np.zeros(len(x), dtype=bool)
     for _ in range(80):
-        rows = np.flatnonzero(~failed & (norm > 1e-13))
+        rows = np.flatnonzero(~stopped & (norm > 1e-13))
         if rows.size == 0:
             break
         step = _solve_rows(jac[rows], -f[rows])
         finite = np.isfinite(step).all(axis=-1)
-        failed[rows[~finite]] = True
+        stopped[rows[~finite]] = True
         rows, step, damp = rows[finite], step[finite], np.ones(finite.sum())
         for _ in range(40):
             x_new = x[rows] + damp[:, None] * step[:, :-1]
@@ -222,11 +225,11 @@ def _solve_axis(h: np.ndarray, K: np.ndarray,
             rows, step, damp = rows[~ok], step[~ok], 0.5 * damp[~ok]
             if rows.size == 0:
                 break
-        failed[rows] = True
+        stopped[rows] = True
     resid = _h_norms(h, f[:, :-1])
     return [CandidateAxis(T=x[r], lambda1=float(mu[r]),
                           axis_residual=float(resid[r]))
-            if not failed[r] and norm[r] <= 1e-11 else None
+            if norm[r] <= 1e-11 else None
             for r in range(len(x))]
 
 
@@ -477,16 +480,15 @@ def _structure_key(structure: SpectralStructure) -> tuple:
 
     Highly symmetric spheres admit several product structures at once
     (the orthant hypersurface is the extreme case); prefer the finer
-    two-cluster split, then n2 <= n3, then the most balanced split, then
-    the smallest combined residual. Equivalent structures have residuals
-    that differ only by rounding (T and -T describe one structure with
-    the blocks swapped), so the block sizes, not the residuals, choose
-    between them.
+    two-cluster split, then n2 <= n3, then the most balanced split.
+    Equivalent structures have residuals that differ only by rounding (T
+    and -T describe one structure with the blocks swapped), so residuals
+    never choose: among equal keys `min` keeps the first structure in the
+    rounded-key order of `find_axes`.
     """
     rank = 0 if structure.pattern == "pair" else 1
-    total = sum(structure.relation_residuals.values()) + structure.cross_residual
     return (rank, structure.n2 > structure.n3,
-            -min(structure.n2, structure.n3), total)
+            -min(structure.n2, structure.n3))
 
 
 def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,

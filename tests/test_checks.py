@@ -141,9 +141,9 @@ def _per_frame_residuals(frames) -> dict:
     for fr in frames:
         n = fr.n
         eye = np.eye(n)
-        dev = np.max(np.abs(fr.S - fr.H * eye))
-        res["sphere"].append(max(dev, abs(fr.H - h_first)))
         b = numerics.metric_orthonormal_basis(fr.h)
+        dev = np.max(np.abs(b.T @ fr.h @ fr.S @ b - fr.H * eye))
+        res["sphere"].append(max(dev, abs(fr.H - h_first)))
         tvec = np.einsum("ijj->i", fr.K)
         res["apolarity"].append(float(np.max(np.abs(tvec @ b))))
         h_term = np.einsum("jk,il->ijkl", fr.h, eye) - np.einsum(

@@ -297,8 +297,9 @@ _AXIS = {"min": 0, "max": 1, "count": 2}
     ("named", {"grids": {"named": [{**_AXIS, "min": "x"}] * 3}}, None),
     ("g27", {"options": {"seed": "abc"}}, None),
     ("0:1:2,0:nan:2,0:1:2", None, None),
+    ("g27", {"options": {"tolerances": {"sphere": math.nan}}}, None),
 ], ids=["csv_text", "csv_inf", "count_0", "no_count", "min_x", "seed_abc",
-        "nan_axis"])
+        "nan_axis", "tol_nan"])
 def test_malformed_grid_or_option_is_usage_error(workdir, tmp_path, grid,
                                                  project, csv):
     args = ["check", str(workdir / "pair.immersion"), f"--grid={grid}"]
@@ -417,3 +418,11 @@ def test_analyze_summary(workdir):
     assert summary["axis_pattern"] in ("point", "pair")
     assert len(summary["affine_normal"]) == 4
     assert math.isfinite(summary["axis_lambda1"])
+
+
+@pytest.mark.parametrize("at", ["0,x,0", "nan,0,0", "inf,0,0"])
+def test_non_numeric_or_non_finite_at_is_usage_error(workdir, at):
+    res = run_cli("analyze", str(workdir / "pair.immersion"), f"--at={at}")
+    assert res.returncode == 2, res.stdout.decode()
+    assert b"error:" in res.stderr
+    assert b"Traceback" not in res.stderr

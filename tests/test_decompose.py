@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 
@@ -530,6 +531,25 @@ def test_a_singular_jacobian_fails_only_its_own_row(pair_product):
         assert axis.axis_residual == alone.axis_residual
 
 
+def test_a_solve_stopped_at_its_rounding_floor_is_kept(pair_product):
+    """In coordinates u -> P u the axes are P^-1 T. With this P rounding
+    leaves |F| above 1e-13 at some of them, where backtracking cannot
+    reduce it; such a row has solved the system and is kept."""
+    frame = blaschke.full_frame(pair_product, (0.1, -0.2, 0.15))
+    axes = decompose.find_axes(frame)
+    p = np.array([[1.0, 8.0, 0.0], [0.0, 1.0, 8.0], [0.0, 0.0, 1.0]])
+    p_inv = np.linalg.inv(p)
+    h = p.T @ frame.h @ p
+    K = np.einsum("abk,ai,bj,ck->ijc", frame.K, p, p, p_inv)
+    solved = decompose._solve_axis(
+        np.stack([h] * len(axes)), np.stack([K] * len(axes)),
+        np.stack([p_inv @ axis.T for axis in axes]))
+    for axis, ref in zip(solved, axes):
+        assert axis is not None
+        assert np.allclose(p @ axis.T, ref.T, rtol=0, atol=1e-9)
+        assert axis.lambda1 == pytest.approx(ref.lambda1, abs=1e-9)
+
+
 def _linear_reparam(defn: dsl.ImmersionDef, a: np.ndarray):
     """The definition in coordinates u -> A u."""
     sub = {}
@@ -580,6 +600,49 @@ def test_k_t_rounding_asymmetry_passes_the_symmetry_gate(
         (0.0, 1.0, -1.0), abs=1e-6)
     data = decompose.extract_pair_factors(mapped, verdict, grid)
     assert data.metric_ratio == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", [6, 8])
+def test_sphere_gate_does_not_depend_on_the_coordinates(
+        double_point_product, seed):
+    """Under these maps S - H id reads 1.3e-6 and 2.4e-6 in coordinate
+    entries, past the 1e-6 gate, but about 1e-7 in an h-orthonormal
+    frame, where the sphere gate now measures it."""
+    a = np.eye(5) + 0.6 * np.random.default_rng(seed).standard_normal((5, 5))
+    mapped = _linear_reparam(double_point_product, a)
+    grid = make_grid(-0.1, 0.1, 2, 5)
+    verdict = decompose.detect(mapped, grid)
+    assert verdict.evidence[0].name == "sphere"
+    assert verdict.evidence[0].max_residual < 2e-7
+    assert verdict.kind == "PairProduct", verdict.notes
+    s = verdict.spectrum
+    assert (s.n2, s.n3) == (2, 2)
+    assert (s.lambda1, s.lambda2, s.lambda3) == pytest.approx(
+        (0.0, 1.0, -1.0), abs=1e-6)
+    data = decompose.extract_pair_factors(mapped, verdict, grid)
+    assert data.metric_ratio == pytest.approx(2.0, abs=1e-8)
+
+
+def test_rounding_in_the_residuals_does_not_choose_the_structure(
+        mixed_product, mixed_verdict, monkeypatch):
+    """Equivalent structures have residuals equal up to rounding. Offsets
+    of at most 1e-13, largest on the first structure `find_axes` returns,
+    must not move the detected axis."""
+    verdict, grid = mixed_verdict
+    real = decompose._axis_structures
+
+    def offset(*args):
+        search, structures = real(*args)
+        n = len(structures)
+        return search, tuple(
+            dataclasses.replace(s, cross_residual=s.cross_residual
+                                + 1e-13 * (n - i) / n)
+            for i, s in enumerate(structures))
+
+    monkeypatch.setattr(decompose, "_axis_structures", offset)
+    again = decompose.detect(mixed_product, grid)
+    assert (again.spectrum.n2, again.spectrum.n3) == (1, 2)
+    assert np.array_equal(again.spectrum.axis.T, verdict.spectrum.axis.T)
 
 
 def test_detect_invariant_under_unimodular_map(point_product):
