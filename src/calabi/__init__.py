@@ -23,8 +23,8 @@ from .decompose import (CandidateAxis, DecompositionVerdict, FactorData,
                         HomothetyResult, NotHyperbolicError,
                         SpectralStructure, Theorem3Gate, VerdictError,
                         classify_spectrum, detect, extract_pair_factors,
-                        extract_point_factor, find_axes, normalize_homothety,
-                        theorem3_gate)
+                        extract_point_factor, find_axes, is_quadric,
+                        normalize_homothety, theorem3_gate)
 from .dsl import (ImmersionDef, ImmersionSyntaxError,
                   ImmersionValidationError, Provenance, build_scaled_embedding,
                   parse_immersion, parse_program, print_immersion)
@@ -67,6 +67,7 @@ __all__ = [
     "frames_on_grid",
     "full_frame",
     "gauss_codazzi_residual",
+    "is_quadric",
     "normalize_homothety",
     "ode_coefficient",
     "parallel_cubic_residual",

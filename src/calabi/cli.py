@@ -225,6 +225,7 @@ def _cmd_analyze(args, project: dict) -> tuple[dict, bool]:
             f"{defn.nvars} variables")
     frame = blaschke.full_frame(defn, point)
     axes = decompose.find_axes(frame, restarts=args.restarts, seed=args.seed)
+    note = decompose.QUADRIC_NOTE if decompose.is_quadric(frame) else None
     summary = {
         "name": defn.name,
         "variables": list(defn.vars),
@@ -234,9 +235,9 @@ def _cmd_analyze(args, project: dict) -> tuple[dict, bool]:
         "affine_normal": [float(x) for x in frame.xi],
         "position": [float(x) for x in frame.position],
         "difference_tensor_max": float(np.max(np.abs(frame.K))),
-        "axis_note": axes.note,
+        "axis_note": note,
     }
-    if axes and axes.note is None:
+    if axes and note is None:
         best = min(axes, key=lambda c: c.axis_residual)
         structure = decompose.classify_spectrum(frame, best)
         spectrum = [float(structure.lambda1)]

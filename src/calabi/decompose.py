@@ -20,16 +20,16 @@ axis flow is needed; d1 and d2 are the axis-translation gauge measured
 relative to the d1 = d2 = 1 constants the constructors emit.
 
 Each base frame is searched once: `_axis_structures` memoizes the
-candidates and their classified spectra on the frame, and `detect`,
-`theorem3_gate` and the extraction all filter that one result by their
-tolerance. Away from the base point one tracker, `_track`, follows the
-axis for both detection and extraction: one batched Newton solve with
-a row per point, each seeded from the base axis, and a full search only
-where that solve fails or the spectrum leaves the base pattern. A
-search solves all its restarts in one batched Newton call, and one
-stacked eigensolve classifies a search or the tracked points. The grid
-frames are one batch (see `blaschke.frames_on_grid`), so detection and
-extraction work on arrays with a leading grid-point axis.
+candidates and their classified spectra on the frame. One gate, `_gate`,
+holds a structure to the tolerance at every point. Away from the base
+point one tracker, `_track`, follows the axis for both detection and
+extraction: one batched Newton solve with a row per point, each seeded
+from the base axis, and a full search only where that solve fails or
+its structure fails the gate. A search solves all its restarts in one
+batched Newton call, and one stacked eigensolve classifies a search or
+the tracked points. The grid frames are one batch (see
+`blaschke.frames_on_grid`), so detection and extraction work on arrays
+with a leading grid-point axis.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .dsl import (ImmersionDef, const, eval_components, mul, substitute,
 from .jets import JetDomainError
 
 QUADRIC_K_TOL = 1e-7
+QUADRIC_NOTE = "K ≈ 0: quadric, no canonical axis"
 AXIS_RESIDUAL_TOL = 1e-8
 CLUSTER_GAP = 1e-6
 MARGIN_MIN = 1e-3
@@ -124,18 +125,6 @@ class CandidateAxis:
     def flipped(self) -> "CandidateAxis":
         return CandidateAxis(T=-self.T, lambda1=-self.lambda1,
                              axis_residual=self.axis_residual)
-
-
-class AxisSearchResult(list):
-    """List of CandidateAxis; `note` flags the degenerate K = 0 case.
-
-    A plain list subclass so callers can iterate candidates directly
-    while the all-directions diagnostic stays attached to the result.
-    """
-
-    def __init__(self, items=(), note: str | None = None):
-        super().__init__(items)
-        self.note = note
 
 
 def _h_norms(h: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -234,7 +223,7 @@ def _solve_axis(h: np.ndarray, K: np.ndarray,
 
 
 def find_axes(frame: BlaschkeFrame, restarts: int = 32,
-              seed: int = 42) -> AxisSearchResult:
+              seed: int = 42) -> list[CandidateAxis]:
     """All h-unit solutions of K(X,X) = mu X found from seeded restarts,
     solved together in one batched Newton call.
 
@@ -265,15 +254,13 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
         key = (round(axis.lambda1, 7),) + tuple(np.round(axis.T, 7))
         if key not in found and axis.axis_residual <= AXIS_RESIDUAL_TOL:
             found[key] = axis
+    return [found[key] for key in sorted(found)]
 
-    axes = [found[key] for key in sorted(found)]
-    note = None
-    k_scale = float(np.max(np.abs(frame.K))) if frame.K.size else 0.0
-    if (len(axes) >= 3 * n
-            and all(abs(c.lambda1) <= 1e-7 for c in axes)
-            and k_scale <= QUADRIC_K_TOL):
-        note = "K ≈ 0: quadric, no canonical axis"
-    return AxisSearchResult(axes, note=note)
+
+def is_quadric(frames: BlaschkeFrame) -> bool:
+    """Whether K ≈ 0 at every frame: by the Pick-Berwald theorem the
+    surface is then a quadric, with no canonical axis."""
+    return float(np.max(np.abs(frames.K))) <= QUADRIC_K_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +319,8 @@ def _classify(frames: BlaschkeFrame, axes) -> list[SpectralStructure]:
             for args in zip(frames.K, frames.h, axes, values, vectors)]
 
 
-def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
-                      tol: float = 1e-6) -> SpectralStructure:
+def classify_spectrum(frame: BlaschkeFrame,
+                      axis: CandidateAxis) -> SpectralStructure:
     """Cluster the K_T spectrum and test it against the product patterns.
 
     K_T is assembled in the h-inner product, symmetric by total symmetry
@@ -344,13 +331,9 @@ def classify_spectrum(frame: BlaschkeFrame, axis: CandidateAxis,
     negative: K_(-T) = -K_T, so the flip negates the spectrum and
     reverses the clusters in closed form. One cluster then matches the
     point pattern, two the pair pattern with lambda2 > 0 > lambda3;
-    anything else is unclassified rather than raised. An axis residual
-    above tol raises ValueError.
+    anything else is unclassified rather than raised; `_gate` holds the
+    result to a tolerance.
     """
-    if axis.axis_residual > tol:
-        raise ValueError(
-            f"axis residual {axis.axis_residual:.3g} exceeds {tol:.3g}"
-        )
     return _classify(_repeated(frame, 1), [axis])[0]
 
 
@@ -381,6 +364,26 @@ def _structure(K: np.ndarray, h: np.ndarray, axis: CandidateAxis, values,
         axis=axis, clusters=tuple(clusters), n2=n2, n3=n3, lambda2=lam2,
         lambda3=lam3, cross_residual=cross, relation_residuals=relations,
         pattern=pattern)
+
+
+def _gate(structure: SpectralStructure, tol: float,
+          ref: SpectralStructure | None = None) -> str | None:
+    """The first product-structure test that `structure` fails, named with
+    its residual, or None: the axis residual; the shape, (pattern, n2, n3)
+    of `ref` or else any classified pattern; each eigenvalue relation,
+    which with the shape fix the eigenvalues; the cross block K(V,W)."""
+    axis = structure.axis.axis_residual
+    shape = f"{structure.pattern} ({structure.n2}, {structure.n3})"
+    base = ref and f"{ref.pattern} ({ref.n2}, {ref.n3})"
+    if axis > tol:
+        return f"axis residual {axis:.3g} exceeds tolerance {tol:.3g}"
+    if structure.pattern == "unclassified" or base not in (None, shape):
+        return f"axis spectrum is {shape}, not {base or 'a product pattern'}"
+    tests = [*(("eigenvalue relation " + name, r)
+               for name, r in structure.relation_residuals.items()),
+             ("cross residual K(V, W)", structure.cross_residual)]
+    return next((f"{test} {r:.3g} exceeds tolerance {tol:.3g}"
+                 for test, r in tests if r > tol), None)
 
 
 # cached frame -> {(restarts, seed): (search, structures)}
@@ -498,20 +501,10 @@ def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
 
     One batched Newton solve, every row seeded from the axis of `ref`,
     and one eigensolve classify every point. A point whose solve fails,
-    or whose structure changes shape, breaks the eigenvalue relations or
-    points its axis away from that of `ref`, is searched in full, and
-    the candidate closest to the axis of `ref` decides there; the note
-    is that of the first point where this fails too."""
-    def mismatch(structure: SpectralStructure) -> str | None:
-        if structure.axis.axis_residual > tol:
-            return "axis residual exceeds tolerance away from the base point"
-        if ((structure.pattern, structure.n2, structure.n3)
-                != (ref.pattern, ref.n2, ref.n3)):
-            return "axis spectrum changes shape across the grid"
-        if any(r > tol for r in structure.relation_residuals.values()):
-            return "eigenvalue relations fail away from the base point"
-        return None
-
+    whose structure fails `_gate` against `ref`, or whose axis points
+    away from that of `ref` in the metric of the point, is searched in
+    full, and the candidate closest to the axis of `ref` decides there;
+    the note names the first point where this fails the gate too."""
     t_ref = ref.axis.T
     axes = _solve_axis(frames.h, frames.K,
                        np.broadcast_to(t_ref, frames.u.shape))
@@ -520,21 +513,21 @@ def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
     structures = [None] * len(frames)
     for p, structure in zip(solved, _classify(frames[solved],
                                               [axes[p] for p in solved])):
-        if float(structure.axis.T @ t_ref) >= 0.0 and not mismatch(structure):
+        if (float(structure.axis.T @ frames.h[p] @ t_ref) >= 0.0
+                and _gate(structure, tol, ref) is None):
             structures[p] = structure
     for p in [p for p, structure in enumerate(structures) if structure is None]:
+        point = blaschke.format_point(frames.u[p])
         search = find_axes(frames[p], restarts=restarts, seed=seed)
         if not search:
-            return None, ("axis disappears at grid point "
-                          f"{blaschke.format_point(frames.u[p])}")
-        # the h-unit candidates are compared in the metric of the point
+            return None, f"axis disappears at grid point {point}"
         aligned = max(search, key=lambda c: abs(c.T @ frames.h[p] @ t_ref))
         if float(aligned.T @ frames.h[p] @ t_ref) < 0.0:
             aligned = aligned.flipped()
         (structures[p],) = _classify(frames[p:p + 1], [aligned])
-        failure = mismatch(structures[p])
+        failure = _gate(structures[p], tol, ref)
         if failure is not None:
-            return None, failure
+            return None, f"{failure} at grid point {point}"
     return structures, None
 
 
@@ -549,13 +542,9 @@ def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
     eigenvalue drift from it across the grid, as (structure, drift,
     failure note)."""
     search, structures = _axis_structures(work, frames.u[0], restarts, seed)
-    if search.note is not None:
-        return None, math.inf, search.note
     if not search:
         return None, math.inf, "no axis direction solves K(X,X) = mu X"
-    scored = [s for s in structures if s.pattern != "unclassified"
-              and s.axis.axis_residual <= tol and s.cross_residual <= tol
-              and all(r <= tol for r in s.relation_residuals.values())]
+    scored = [s for s in structures if _gate(s, tol) is None]
     if not scored:
         return None, math.inf, ("no axis matches either product pattern "
                                 "within tolerance")
@@ -582,10 +571,8 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
         return _none_verdict(failure, evidence, orientation_ok,
                              work if frames is not None else None, scale)
 
-    if float(np.max(np.abs(frames.K))) <= QUADRIC_K_TOL:
-        return _none_verdict(
-            "K ≈ 0: quadric, no canonical axis",
-            evidence, True, work, scale)
+    if is_quadric(frames):
+        return _none_verdict(QUADRIC_NOTE, evidence, True, work, scale)
 
     try:
         best, drift, failure = _follow_axis(work, frames, tol, restarts,
@@ -645,7 +632,7 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
 
     parallel = checks.parallel_cubic_residual(frames)
     rk = _curvature_action_residual(frames)
-    if float(np.max(np.abs(frames.K))) <= QUADRIC_K_TOL:
+    if is_quadric(frames):
         return Theorem3Gate(
             parallel=parallel, curvature_action_residual=rk,
             note="K ≈ 0: spectrum collapses, no (V, W) split to gate")
@@ -817,11 +804,7 @@ def _provenance_aligned_axis(defn: ImmersionDef, frames: BlaschkeFrame,
     best, best_score, lam2_first = None, math.inf, True
     _search, structures = _axis_structures(defn, frames.u[0], restarts, seed)
     for structure in structures:
-        if ((structure.pattern, structure.n2, structure.n3)
-                != (spectrum.pattern, spectrum.n2, spectrum.n3)
-                or structure.axis.axis_residual > tol):
-            continue
-        if abs(structure.lambda1 - spectrum.lambda1) > 100 * tol:
+        if _gate(structure, tol, spectrum) is not None:
             continue
         lam3 = structure.lambda3
         if lam3 is None:

@@ -78,7 +78,7 @@ def test_normalize_homothety_rejects_parabolic(paraboloid):
 def test_find_axes_pair(pair_product):
     frame = blaschke.full_frame(pair_product, (0.1, 0.2, -0.15))
     axes = decompose.find_axes(frame)
-    assert axes.note is None
+    assert not decompose.is_quadric(frame)
     best = min(axes, key=lambda c: abs(c.lambda1))
     assert best.lambda1 == pytest.approx(0.0, abs=1e-8)
     assert best.axis_residual <= 1e-8
@@ -88,10 +88,13 @@ def test_find_axes_pair(pair_product):
 
 
 def test_find_axes_flags_quadric(quadric):
+    """On a quadric every h-unit direction solves K(X,X) = 0 X; the
+    search has no canonical axis to offer, and `is_quadric` says so."""
     frame = blaschke.full_frame(quadric, (0.1, -0.2))
     axes = decompose.find_axes(frame)
-    assert axes.note is not None
-    assert "quadric" in axes.note
+    assert len(axes) >= 3 * frame.n
+    assert all(abs(c.lambda1) <= 1e-7 for c in axes)
+    assert decompose.is_quadric(frame)
 
 
 def test_classify_pair_spectrum(pair_product):
