@@ -259,8 +259,12 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
 
 def is_quadric(frames: BlaschkeFrame) -> bool:
     """Whether K ≈ 0 at every frame: by the Pick-Berwald theorem the
-    surface is then a quadric, with no canonical axis."""
-    return float(np.max(np.abs(frames.K))) <= QUADRIC_K_TOL
+    surface is then a quadric, with no canonical axis. K is measured in
+    the metric, |K|^2 = h^ia tr(K_i K_a), which no change of coordinates
+    moves, so a rescaled parameter does not make K look small."""
+    k_sq = np.einsum("...ia,...ikj,...ajk->...", frames.h_inv, frames.K,
+                     frames.K)
+    return float(np.max(k_sq)) <= QUADRIC_K_TOL ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +374,14 @@ def _gate(structure: SpectralStructure, tol: float,
           ref: SpectralStructure | None = None) -> str | None:
     """The first product-structure test that `structure` fails, named with
     its residual, or None: the axis residual; the shape, (pattern, n2, n3)
-    of `ref` or else any classified pattern; each eigenvalue relation,
-    which with the shape fix the eigenvalues; the cross block K(V,W)."""
+    of `ref` or else any classified pattern; each eigenvalue relation
+    (with the shape, these fix the eigenvalues); the cross block K(V,W)."""
     axis = structure.axis.axis_residual
     shape = f"{structure.pattern} ({structure.n2}, {structure.n3})"
     base = ref and f"{ref.pattern} ({ref.n2}, {ref.n3})"
     if axis > tol:
         return f"axis residual {axis:.3g} exceeds tolerance {tol:.3g}"
-    if structure.pattern == "unclassified" or base not in (None, shape):
+    if structure.pattern == "unclassified" or (ref and shape != base):
         return f"axis spectrum is {shape}, not {base or 'a product pattern'}"
     tests = [*(("eigenvalue relation " + name, r)
                for name, r in structure.relation_residuals.items()),
@@ -540,7 +544,7 @@ def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
                  restarts: int, seed: int):
     """The preferred product structure at the base point and the largest
     eigenvalue drift from it across the grid, as (structure, drift,
-    failure note)."""
+    failure note); a drift above tol fails at its worst point."""
     search, structures = _axis_structures(work, frames.u[0], restarts, seed)
     if not search:
         return None, math.inf, "no axis direction solves K(X,X) = mu X"
@@ -552,9 +556,15 @@ def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
     tracked, failure = _track(frames[1:], base, tol, restarts, seed)
     if failure is not None:
         return None, math.inf, failure
-    drift = max((abs(a - b) for s in tracked
-                 for a, b in zip(_lambdas(s), _lambdas(base))), default=0.0)
-    return base, float(drift), None
+    drifts = [0.0] + [max(abs(a - b) for a, b in zip(_lambdas(s),
+                                                     _lambdas(base)))
+                      for s in tracked]
+    worst = int(np.argmax(drifts))
+    if drifts[worst] > tol:
+        return None, math.inf, (
+            f"eigenvalues drift across the grid by {drifts[worst]:.3g} at "
+            f"grid point {blaschke.format_point(frames.u[worst])}")
+    return base, float(drifts[worst]), None
 
 
 def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
@@ -579,8 +589,6 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
                                             seed)
     except numerics.AsymmetricMatrixError as exc:
         failure = str(exc)
-    if failure is None and drift > tol:
-        failure = f"eigenvalues drift across the grid by {drift:.3g}"
     if failure is not None:
         return _none_verdict(failure, evidence, True, work, scale)
 

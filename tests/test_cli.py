@@ -420,6 +420,23 @@ def test_analyze_summary(workdir):
     assert math.isfinite(summary["axis_lambda1"])
 
 
+def test_analyze_flags_a_quadric(workdir):
+    """The whole report, to the byte: the note comes from
+    `decompose.is_quadric` and no axis is classified."""
+    res = run_cli("analyze", "quadric.immersion", cwd=workdir)
+    assert res.returncode == 0, res.stderr.decode()
+    summary = {
+        "name": "quadric", "variables": ["u1", "u2"], "point": [0.0, 0.0],
+        "mean_curvature": -1.0, "metric": [[1.0, 0.0], [0.0, 1.0]],
+        "affine_normal": [0.0, 0.0, 1.0], "position": [0.0, 0.0, 1.0],
+        "difference_tensor_max": 0.0,
+        "axis_note": "K ≈ 0: quadric, no canonical axis"}
+    expected = {"command": "analyze", "inputs": ["quadric.immersion"],
+                "seed": 42, "summary": summary}
+    assert res.stdout.decode("utf-8") == json.dumps(
+        expected, indent=2, ensure_ascii=False) + "\n"
+
+
 @pytest.mark.parametrize("at", ["0,x,0", "nan,0,0", "inf,0,0"])
 def test_non_numeric_or_non_finite_at_is_usage_error(workdir, at):
     res = run_cli("analyze", str(workdir / "pair.immersion"), f"--at={at}")

@@ -97,6 +97,24 @@ def test_find_axes_flags_quadric(quadric):
     assert decompose.is_quadric(frame)
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-8, 1e4])
+def test_is_quadric_does_not_depend_on_the_coordinates(pair_product, quadric,
+                                                      s):
+    """Under u -> s u the coordinate entries of K scale with s, but |K|
+    in the metric does not: with s = 1e-8 the largest entry of K on the
+    pair product is 1e-8, which read as a quadric."""
+    pair = _linear_reparam(pair_product, s * np.eye(3))
+    assert not decompose.is_quadric(
+        blaschke.frames_on_grid(pair, make_grid(-0.3, 0.3, 3, 3) / s))
+    assert decompose.is_quadric(blaschke.frames_on_grid(
+        _linear_reparam(quadric, s * np.eye(2)),
+        make_grid(-0.4, 0.4, 3, 2) / s))
+    if s == 1e-8:
+        verdict = decompose.detect(pair, make_grid(-0.3, 0.3, 3, 3) / s)
+        assert decompose.QUADRIC_NOTE not in verdict.notes
+        assert verdict.kind == "PairProduct", verdict.notes
+
+
 def test_classify_pair_spectrum(pair_product):
     frame = blaschke.full_frame(pair_product, (0.1, 0.2, -0.15))
     axes = decompose.find_axes(frame)
@@ -232,6 +250,26 @@ def test_detect_returns_verdict_on_indefinite_metric():
     assert verdict.kind is None
     assert verdict.notes == ("tentative second fundamental form is not "
                              "definite",)
+
+
+def test_detect_refuses_a_paraboloid_as_not_hyperbolic(paraboloid):
+    """An improper affine sphere passes the sphere gate with H = 0."""
+    verdict = decompose.detect(paraboloid, make_grid(-0.4, 0.4, 3, 2))
+    assert verdict.kind is None
+    assert verdict.notes == ("not hyperbolic (H = 0 >= 0)",)
+    (sphere,) = verdict.evidence
+    assert sphere.name == "sphere" and sphere.passed
+
+
+def test_detect_refuses_a_non_sphere_with_h_not_negative():
+    bowl = parse_immersion("immersion bowl { vars: u, v; "
+                           "components: (u, v, u*u + v*v + u*u*u*u); }")
+    verdict = decompose.detect(bowl, make_grid(-0.3, 0.3, 3, 2))
+    assert verdict.kind is None
+    assert verdict.notes == ("not an affine sphere",)
+    (sphere,) = verdict.evidence
+    assert not sphere.passed
+    assert sphere.max_residual == pytest.approx(10.4, abs=0.05)
 
 
 def test_detect_is_scale_free_on_a_small_homothety(pair_product):
@@ -419,6 +457,58 @@ def test_detect_with_a_tol_below_the_axis_residuals_gives_a_verdict(
     assert verdict.kind is None
     assert verdict.notes == (
         "no axis matches either product pattern within tolerance",)
+
+
+def _altered_at(monkeypatch, point, **changes):
+    """Classify as before, with `changes` made to the structure of every
+    axis classified at the grid point `point`."""
+    real = decompose._classify
+
+    def classify(frames, axes):
+        return [dataclasses.replace(s, **{
+                    name: change(s) for name, change in changes.items()})
+                if np.array_equal(u, point) else s
+                for u, s in zip(frames.u, real(frames, axes))]
+
+    monkeypatch.setattr(decompose, "_classify", classify)
+
+
+def test_detect_tests_the_cross_block_at_every_tracked_point(pair_product,
+                                                             monkeypatch):
+    """A cross residual K(V,W) of 1e-3 at one tracked point refuses the
+    product there, after the fallback search finds the same structure;
+    the tracker once tested K(V,W) only at the base point."""
+    grid = make_grid(-0.3, 0.3, 3, 3)
+    _altered_at(monkeypatch, grid[5], cross_residual=lambda s: 1e-3)
+    verdict = decompose.detect(pair_product, grid)
+    assert verdict.kind is None
+    assert verdict.notes == (
+        "cross residual K(V, W) 0.001 exceeds tolerance 1e-06 at grid "
+        f"point {blaschke.format_point(grid[5])}",)
+
+
+def test_drift_note_names_its_worst_point(pair_product, monkeypatch):
+    """lambda2 moved by 1e-3 at one point, with the relation residuals
+    left as they were, passes the gate there and fails the drift test."""
+    grid = make_grid(-0.3, 0.3, 3, 3)
+    _altered_at(monkeypatch, grid[7], lambda2=lambda s: s.lambda2 + 1e-3)
+    verdict = decompose.detect(pair_product, grid)
+    assert verdict.kind is None
+    assert verdict.notes == (
+        "eigenvalues drift across the grid by 0.001 at grid point "
+        f"{blaschke.format_point(grid[7])}",)
+
+
+def test_an_empty_fallback_search_names_its_point(pair_product,
+                                                  monkeypatch):
+    grid = make_grid(-0.3, 0.3, 3, 3)
+    decompose.detect(pair_product, grid)   # memoizes the base search
+    _failing_tracker(monkeypatch, lambda rows: 3 - (len(grid) - rows))
+    monkeypatch.setattr(decompose, "find_axes", lambda *args, **kw: [])
+    verdict = decompose.detect(pair_product, grid)
+    assert verdict.kind is None
+    assert verdict.notes == (
+        f"axis disappears at grid point {blaschke.format_point(grid[3])}",)
 
 
 def test_extract_with_another_tol_reuses_the_base_search(pair_product,
@@ -705,6 +795,12 @@ def test_theorem3_gate_reports_an_asymmetric_k_t_as_a_note(pair_product,
     gate = decompose.theorem3_gate(pair_product, make_grid(-0.2, 0.2, 2, 3))
     assert not gate.applies
     assert "asymmetry" in gate.note
+
+
+def test_theorem3_gate_needs_a_two_cluster_spectrum(point_product):
+    gate = decompose.theorem3_gate(point_product, make_grid(-0.3, 0.3, 3, 2))
+    assert not gate.applies
+    assert gate.note == "no axis with a two-cluster spectrum"
 
 
 def test_theorem3_gate_quadric_collapses(quadric):
