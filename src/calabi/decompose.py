@@ -262,9 +262,8 @@ def is_quadric(frames: BlaschkeFrame) -> bool:
     surface is then a quadric, with no canonical axis. K is measured in
     the metric, |K|^2 = h^ia tr(K_i K_a), which no change of coordinates
     moves, so a rescaled parameter does not make K look small."""
-    k_sq = np.einsum("...ia,...ikj,...ajk->...", frames.h_inv, frames.K,
-                     frames.K)
-    return float(np.max(k_sq)) <= QUADRIC_K_TOL ** 2
+    k_sq = np.einsum("...ikj,...ajk->...ia", frames.K, frames.K) * frames.h_inv
+    return float(np.max(k_sq.sum(axis=(-2, -1)))) <= QUADRIC_K_TOL ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +375,23 @@ def _gate(structure: SpectralStructure, tol: float,
     its residual, or None: the axis residual; the shape, (pattern, n2, n3)
     of `ref` or else any classified pattern; each eigenvalue relation
     (with the shape, these fix the eigenvalues); the cross block K(V,W)."""
-    axis = structure.axis.axis_residual
-    shape = f"{structure.pattern} ({structure.n2}, {structure.n3})"
-    base = ref and f"{ref.pattern} ({ref.n2}, {ref.n3})"
+    axis, cross = structure.axis.axis_residual, structure.cross_residual
+    shape = (structure.pattern, structure.n2, structure.n3)
     if axis > tol:
         return f"axis residual {axis:.3g} exceeds tolerance {tol:.3g}"
-    if structure.pattern == "unclassified" or (ref and shape != base):
-        return f"axis spectrum is {shape}, not {base or 'a product pattern'}"
-    tests = [*(("eigenvalue relation " + name, r)
-               for name, r in structure.relation_residuals.items()),
-             ("cross residual K(V, W)", structure.cross_residual)]
-    return next((f"{test} {r:.3g} exceeds tolerance {tol:.3g}"
-                 for test, r in tests if r > tol), None)
+    if structure.pattern == "unclassified" or (
+            ref and shape != (ref.pattern, ref.n2, ref.n3)):
+        base = ("{} ({}, {})".format(ref.pattern, ref.n2, ref.n3) if ref
+                else "a product pattern")
+        return "axis spectrum is {} ({}, {}), not ".format(*shape) + base
+    for name, r in structure.relation_residuals.items():
+        if r > tol:
+            return (f"eigenvalue relation {name} {r:.3g} exceeds tolerance "
+                    f"{tol:.3g}")
+    if cross > tol:
+        return (f"cross residual K(V, W) {cross:.3g} exceeds tolerance "
+                f"{tol:.3g}")
+    return None
 
 
 # cached frame -> {(restarts, seed): (search, structures)}
