@@ -102,7 +102,8 @@ def test_is_quadric_does_not_depend_on_the_coordinates(pair_product, quadric,
                                                       s):
     """Under u -> s u the coordinate entries of K scale with s, but |K|
     in the metric does not: with s = 1e-8 the largest entry of K on the
-    pair product is 1e-8, which read as a quadric."""
+    pair product is 1e-8, which a test of the entries read as a
+    quadric."""
     pair = _linear_reparam(pair_product, s * np.eye(3))
     assert not decompose.is_quadric(
         blaschke.frames_on_grid(pair, make_grid(-0.3, 0.3, 3, 3) / s))
