@@ -40,7 +40,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -318,8 +318,9 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _FrameCache:
-    """LRU of frames keyed by (definition, point tuple). `misses` counts
-    frames computed, one per frame; `hits` counts lookups it served."""
+    """LRU of entries [batch, row, one-point frame or None] keyed by
+    (definition, point tuple). `misses` counts frames computed, one per
+    frame; `hits` counts lookups it served."""
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
@@ -327,15 +328,15 @@ class _FrameCache:
         self.hits = self.misses = 0
 
     def get(self, key):
-        frame = self.frames.pop(key, None)
-        if frame is not None:
-            self.frames[key] = frame      # most recently used goes last
+        entry = self.frames.pop(key, None)
+        if entry is not None:
+            self.frames[key] = entry      # most recently used goes last
             self.hits += 1
-        return frame
+        return entry
 
-    def put(self, key, frame: BlaschkeFrame) -> None:
+    def put(self, key, batch: BlaschkeFrame, row: int) -> None:
         self.misses += 1
-        self.frames[key] = frame
+        self.frames[key] = [batch, row, None]
         if len(self.frames) > self.maxsize:
             del self.frames[next(iter(self.frames))]
 
@@ -350,44 +351,58 @@ class _FrameCache:
 _full_frame_cached = _FrameCache(maxsize=4096)
 
 
-def _computed(definition: ImmersionDef, points: list[tuple]) -> list[BlaschkeFrame]:
-    """Compute and cache the one-point frames at `points` in one batch.
-    When the batch fails, the points go one at a time, so the error
-    raised is the one of the first failing point."""
+def _gather(entries) -> BlaschkeFrame:
+    """The rows entry[1] of the batches entry[0] as one batch: one gather
+    per run of rows from one batch, or that batch if the run is all of it."""
+    runs = [(batch, [e[1] for e in run])
+            for batch, run in groupby(entries, lambda e: e[0])]
+    if len(runs) == 1 and runs[0][1] == list(range(len(runs[0][0]))):
+        return runs[0][0]
+    return BlaschkeFrame(**{name: np.concatenate([
+        getattr(batch, name)[rows] for batch, rows in runs])
+        for name in BlaschkeFrame.__dataclass_fields__})
+
+
+def _computed(definition: ImmersionDef, points: list[tuple]) -> BlaschkeFrame:
+    """Compute the frames at `points` in one batch, cache a row of it per
+    point and return it. When the batch fails, the points go one at a
+    time, so the error raised is the one of the first failing point."""
     try:
         batch = _frame_batch(definition, np.array(points, dtype=float))
     except (GeometryError, JetDomainError):
         if len(points) == 1:
             raise
-        return [_computed(definition, [u])[0] for u in points]
-    frames = [batch[p] for p in range(len(points))]
-    for u, frame in zip(points, frames):
-        _full_frame_cached.put((definition, u), frame)
-    return frames
+        return _gather([(_computed(definition, [u]), 0) for u in points])
+    for row, u in enumerate(points):
+        _full_frame_cached.put((definition, u), batch, row)
+    return batch
 
 
 def full_frame(definition: ImmersionDef, u) -> BlaschkeFrame:
     """Complete Blaschke frame at a point (order-4 jets), cached."""
     key = (definition, tuple(float(x) for x in u))
-    frame = _full_frame_cached.get(key)
-    return frame if frame is not None else _computed(definition, [key[1]])[0]
+    if _full_frame_cached.get(key) is None:
+        _computed(definition, [key[1]])
+    entry = _full_frame_cached.frames[key]
+    if entry[2] is None:
+        entry[2] = entry[0][entry[1]]     # made once: one object per key
+    return entry[2]
 
 
 def frames_on_grid(definition: ImmersionDef, grid) -> BlaschkeFrame:
     """The frames at every point of an iterable of parameter points, as
-    one batch frame in grid order; the points missing from the cache are
-    computed together in one batch."""
-    keys = [(definition, tuple(float(x) for x in u)) for u in grid]
-    if not keys:
+    one batch frame in grid order. The points missing from the cache are
+    computed in one batch, returned itself when it is the whole grid."""
+    points = [tuple(float(x) for x in u) for u in grid]
+    if not points:
         raise ValueError("no grid points")
-    found = {key: _full_frame_cached.get(key) for key in keys}
-    missing = [key[1] for key, frame in found.items() if frame is None]
+    found = [_full_frame_cached.get((definition, u)) for u in points]
+    missing = list(dict.fromkeys(u for u, e in zip(points, found) if e is None))
     if missing:
-        found.update(((definition, u), frame) for u, frame
-                     in zip(missing, _computed(definition, missing)))
-    rows = [vars(found[key]) for key in keys]
-    return BlaschkeFrame(**{name: np.stack([row[name] for row in rows])
-                            for name in rows[0]})
+        batch = _computed(definition, missing)
+        rows = {u: (batch, row) for row, u in enumerate(missing)}
+        found = [e or rows[u] for u, e in zip(points, found)]
+    return _gather(found)
 
 
 def clear_frame_cache() -> None:

@@ -80,13 +80,14 @@ def _scaled_def(defn: ImmersionDef, c: float) -> ImmersionDef:
                         provenance=defn.provenance)
 
 
-def normalize_homothety(defn: ImmersionDef, probe=None) -> HomothetyResult:
+def normalize_homothety(defn: ImmersionDef, probe=None,
+                        grid=()) -> HomothetyResult:
     """Rescale phi -> c phi so the mean curvature becomes -1.
 
     The exact scaling law H(c phi) = c^(-2(n+1)/(n+2)) H(phi) gives the
     scale in closed form, c = |H|^((n+2)/(2(n+1))) with H read at the
-    probe point. One frame of the scaled definition at the probe point
-    verifies the result.
+    probe point. The scaled frame at the probe point verifies it, in one
+    batch with the scaled frames at `grid`, which callers read next.
     """
     n = defn.nvars
     if probe is None:
@@ -101,7 +102,7 @@ def normalize_homothety(defn: ImmersionDef, probe=None) -> HomothetyResult:
     if abs(scale - 1.0) < 1e-12:
         return HomothetyResult(def_scaled=defn, scale=1.0)
     scaled = _scaled_def(defn, scale)
-    miss = blaschke.full_frame(scaled, probe).H + 1.0
+    miss = blaschke.frames_on_grid(scaled, [probe, *grid]).H[0] + 1.0
     if abs(miss) > 1e-9:
         raise GeometryError(
             f"scale {scale:.6g} misses H = -1 by {miss:.3g} at the probe "
@@ -463,7 +464,7 @@ def _prepare(defn: ImmersionDef, grid):
                     else f"not hyperbolic (H = {h0:.6g} >= 0)")
             return defn, 1.0, None, [sphere], note, False
         if abs(h0 + 1.0) > 1e-9:
-            scaled = normalize_homothety(defn, probe=tuple(grid[0]))
+            scaled = normalize_homothety(defn, tuple(grid[0]), grid[1:])
             work, scale = scaled.def_scaled, scaled.scale
         else:
             work, scale = defn, 1.0
@@ -863,9 +864,9 @@ def _factor_at_unit_curvature(defn: ImmersionDef, factor: ImmersionDef,
                               grid, label: str, residuals: dict):
     """The factor rescaled to H = -1, with its mean curvature and sphere
     residuals over the factor grid recorded under `label`."""
-    norm = normalize_homothety(factor)
-    frames = blaschke.frames_on_grid(norm.def_scaled,
-                                     _factor_grid(defn, factor, grid))
+    points = _factor_grid(defn, factor, grid)
+    norm = normalize_homothety(factor, grid=points)
+    frames = blaschke.frames_on_grid(norm.def_scaled, points)
     residuals[f"{label}_mean_curvature"] = float(np.max(np.abs(frames.H
                                                               + 1.0)))
     residuals[f"{label}_sphere"] = checks.sphere_residual(frames).max_residual
