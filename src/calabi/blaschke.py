@@ -22,10 +22,11 @@ The cross product and det gtilde use a division-free Laplace expansion:
 minors that vanish at a point are harmless.
 
 Frames are cached per (definition, point) in an LRU of 4096 entries,
-`_full_frame_cached`, and `cache_info().misses` counts one miss per frame
-computed. `frames_on_grid` computes only its misses, in one batch, and
-returns the grid as one frame whose fields carry a leading grid-point
-axis: the checks and the decomposition read that batch directly.
+`_full_frame_cached`, as rows of the batches that computed them, and
+`cache_info().misses` counts one miss per frame computed. `frames_on_grid`
+computes only its misses, in one batch, and returns the grid as one batch
+with a leading grid-point axis (the computed batch itself when it is the
+whole grid): the checks and the decomposition read it directly.
 
 Index conventions for the stored arrays: tensors with one contravariant
 slot keep it last, so gamma[i, j, k] is Gamma^k_ij, K[i, j, k] is
@@ -351,6 +352,18 @@ class _FrameCache:
 _full_frame_cached = _FrameCache(maxsize=4096)
 
 
+def _points(grid) -> list[tuple]:
+    """Parameter points as tuples of floats, the point half of a cache
+    key; an empty grid or a non-finite coordinate is a ValueError."""
+    points = [tuple(float(x) for x in u) for u in grid]
+    if not points:
+        raise ValueError("no grid points")
+    for u in points:
+        if not all(map(math.isfinite, u)):
+            raise ValueError(f"point {format_point(u)} is not finite")
+    return points
+
+
 def _gather(entries) -> BlaschkeFrame:
     """The rows entry[1] of the batches entry[0] as one batch: one gather
     per run of rows from one batch, or that batch if the run is all of it."""
@@ -380,7 +393,7 @@ def _computed(definition: ImmersionDef, points: list[tuple]) -> BlaschkeFrame:
 
 def full_frame(definition: ImmersionDef, u) -> BlaschkeFrame:
     """Complete Blaschke frame at a point (order-4 jets), cached."""
-    key = (definition, tuple(float(x) for x in u))
+    key = (definition, _points([u])[0])
     if _full_frame_cached.get(key) is None:
         _computed(definition, [key[1]])
     entry = _full_frame_cached.frames[key]
@@ -393,9 +406,7 @@ def frames_on_grid(definition: ImmersionDef, grid) -> BlaschkeFrame:
     """The frames at every point of an iterable of parameter points, as
     one batch frame in grid order. The points missing from the cache are
     computed in one batch, returned itself when it is the whole grid."""
-    points = [tuple(float(x) for x in u) for u in grid]
-    if not points:
-        raise ValueError("no grid points")
+    points = _points(grid)
     found = [_full_frame_cached.get((definition, u)) for u in points]
     missing = list(dict.fromkeys(u for u, e in zip(points, found) if e is None))
     if missing:

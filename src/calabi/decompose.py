@@ -456,6 +456,8 @@ def _prepare(defn: ImmersionDef, grid):
     note too, not an exception."""
     try:
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        if not grid.size:
+            raise ValueError("no grid points")
         h0 = blaschke.full_frame(defn, tuple(grid[0])).H
         if h0 >= 0.0:
             # the input frames only choose which of the two gates failed

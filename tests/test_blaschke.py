@@ -214,6 +214,50 @@ def test_frame_cache_counts_one_miss_per_frame(pair_product):
     assert misses() == 46
 
 
+def test_frames_on_grid_returns_its_computed_batch(pair_product):
+    """A grid computed in one batch is that batch, on the second call
+    too, so a cached grid costs no copy."""
+    grid = make_grid(-0.3, 0.3, 3, 3)
+    blaschke.clear_frame_cache()
+    first = blaschke.frames_on_grid(pair_product, grid)
+    assert blaschke.frames_on_grid(pair_product, grid) is first
+
+
+@pytest.mark.parametrize("grid", [
+    [(0.1, 0.2, -0.1), (0.2, -0.1, 0.1), (0.1, 0.2, -0.1), (0.2, -0.1, 0.1),
+     (0.0, 0.1, 0.2)],
+    [(0.0, 0.1, 0.2), (0.3, -0.1, 0.0), (0.2, 0.2, 0.2), (0.1, 0.2, -0.1),
+     (0.0, 0.1, 0.2)],
+], ids=["repeated_points", "rows_of_two_batches"])
+def test_gathered_rows_are_the_one_point_frames(pair_product, grid):
+    """Rows gathered from the cache, with repeated points or from two
+    batches, are the one-point frames bit for bit."""
+    blaschke.clear_frame_cache()
+    blaschke.frames_on_grid(pair_product, [(0.1, 0.2, -0.1), (0.0, 0.1, 0.2)])
+    batch = blaschke.frames_on_grid(pair_product, grid)
+    assert len(batch) == len(grid)
+    for p, u in enumerate(grid):
+        frame = blaschke.full_frame(pair_product, u)
+        for name in _FIELDS:
+            assert np.array_equal(getattr(batch, name)[p],
+                                  getattr(frame, name)), name
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([], "no grid points"),
+    ([(0.1, 0.0, 0.0), (0.1, math.nan, 0.0)], r"point \(0.1, nan, 0.0\)"),
+    ([(math.inf, 0.0, 0.0)], r"point \(inf, 0.0, 0.0\) is not finite"),
+], ids=["empty", "nan", "inf"])
+def test_bad_grid_is_a_value_error(pair_product, grid, message):
+    blaschke.clear_frame_cache()
+    with pytest.raises(ValueError, match=message):
+        blaschke.frames_on_grid(pair_product, grid)
+    if grid:
+        with pytest.raises(ValueError, match=message):
+            blaschke.full_frame(pair_product, grid[-1])
+    assert blaschke._full_frame_cached.cache_info().misses == 0
+
+
 def test_grid_leaving_the_domain_raises_the_one_point_error():
     from calabi.jets import JetDomainError
     lg = parse_immersion(

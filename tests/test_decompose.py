@@ -187,6 +187,23 @@ def test_detect_on_a_one_point_grid(pair_product):
     assert verdict.constancy_residual == 0.0
 
 
+@pytest.mark.parametrize("grid, message", [
+    (np.empty((0, 3)), "no grid points"),
+    ([], "no grid points"),
+    ([(0.1, 0.0, 0.0), (0.1, math.nan, 0.0)],
+     r"point \(0.1, nan, 0.0\) is not finite"),
+    ([(math.inf, 0.0, 0.0)], r"point \(inf, 0.0, 0.0\) is not finite"),
+], ids=["empty_array", "empty_list", "nan", "inf"])
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_bad_grid_is_a_value_error(pair_product, grid, message, scale):
+    """A grid with no points or a non-finite coordinate is refused up
+    front, on and off the H = -1 gauge, not reported as a jet division."""
+    defn = decompose._scaled_def(pair_product, scale)
+    for run in (decompose.detect, decompose.theorem3_gate):
+        with pytest.raises(ValueError, match=message):
+            run(defn, grid)
+
+
 def test_detect_point(point_verdict):
     verdict, _ = point_verdict
     assert verdict.kind == "PointProduct"
@@ -333,6 +350,19 @@ def _frames_computed() -> int:
     return blaschke._full_frame_cached.cache_info().misses
 
 
+def _batches(monkeypatch) -> list:
+    """The sizes of the frame batches computed from now on."""
+    sizes = []
+    real = blaschke._frame_batch
+
+    def wrapper(definition, points):
+        sizes.append(len(points))
+        return real(definition, points)
+
+    monkeypatch.setattr(blaschke, "_frame_batch", wrapper)
+    return sizes
+
+
 def _failing_tracker(monkeypatch, row_at):
     """Make the tracker's solve fail at the row `row_at(rows)` returns,
     for the number of rows in the solve, or at every row for None. The
@@ -369,14 +399,17 @@ def test_normalize_homothety_computes_at_most_two_frames(pair_product):
     assert _frames_computed() <= 2
 
 
-def test_detect_off_gauge_computes_each_grid_frame_once(pair_product):
-    """One frame reads H at the first point, one verifies the homothety
-    there, and the rescaled grid adds the other seven."""
+def test_detect_off_gauge_computes_each_grid_frame_once(pair_product,
+                                                        monkeypatch):
+    """One frame reads H at the first point, and one batch verifies the
+    homothety there and computes the rescaled grid with it."""
     scaled = decompose._scaled_def(pair_product, 1.7)
+    batches = _batches(monkeypatch)
     blaschke.clear_frame_cache()
     verdict = decompose.detect(scaled, make_grid(-0.2, 0.2, 2, 3))
     assert verdict.kind == "PairProduct"
     assert _frames_computed() <= 9
+    assert batches == [1, 8]
 
 
 def test_detect_falls_back_to_search_when_tracking_fails(pair_product,
@@ -402,8 +435,10 @@ def test_roundtrip_searches_each_base_frame_once(point_product,
                                                  pair_product, monkeypatch):
     """detect, the theorem 3 gate and extraction share the search of
     their base frame: two searches for the two products of a round
-    trip."""
+    trip. The 69 frames of the trip come in 10 batches: each homothety
+    check shares its batch with the grid its caller reads next."""
     searches = _counted(monkeypatch, "find_axes")
+    batches = _batches(monkeypatch)
     blaschke.clear_frame_cache()
     g25, g27 = make_grid(-0.3, 0.3, 5, 2), make_grid(-0.3, 0.3, 3, 3)
     v_point = decompose.detect(point_product, g25)
@@ -411,6 +446,7 @@ def test_roundtrip_searches_each_base_frame_once(point_product,
     v_pair = decompose.detect(pair_product, g27)
     assert decompose.theorem3_gate(pair_product, g27).applies
     decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
+    assert (len(batches), sum(batches), _frames_computed()) == (10, 69, 69)
     assert len(searches) == 2
     assert {id(args[0]) for args in searches} == {
         id(blaschke.full_frame(point_product, g25[0])),
