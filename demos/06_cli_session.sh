@@ -29,6 +29,24 @@ calabi detect "$work/c4.immersion" --grid g27 --seed 42 \
 echo "== extract =="
 calabi extract "$work/c4.immersion" --grid g27 -o "$work/factors"
 
+# The same product scaled by 1.7: detect reads H once, rescales to
+# H = -1 (scale 1/1.7) and extracts the same factors.
+cat > "$work/c4_scaled.immersion" <<'EOF'
+#@product(kind=pair, n2=1, n3=1, axis=t, factors=h2|h2)
+immersion c4_scaled {
+  vars: t, s, r;
+  components: (0.85 * exp(t + s), 0.85 * exp(t - s),
+               0.85 * exp(r - t), 0.85 * exp(-t - r));
+}
+EOF
+
+echo "== detect off the H = -1 gauge =="
+calabi detect "$work/c4_scaled.immersion" --grid g27
+
+echo "== extract off the H = -1 gauge =="
+calabi extract "$work/c4_scaled.immersion" --grid g27 \
+    -o "$work/factors_scaled"
+
 echo "== artifacts =="
-ls "$work/factors"
+ls "$work/factors" "$work/factors_scaled"
 head -n 3 "$work/factors/factor1.immersion"

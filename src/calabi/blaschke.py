@@ -22,7 +22,8 @@ The cross product and det gtilde use a division-free Laplace expansion:
 minors that vanish at a point are harmless.
 
 Frames are cached per (definition, point) in an LRU of 4096 entries,
-`_full_frame_cached`, as rows of the batches that computed them, and
+`_full_frame_cached`, as rows of the batches that computed them, or that
+`homothetic_frames` mapped from the frames of phi to those of c phi;
 `cache_info().misses` counts one miss per frame computed. `frames_on_grid`
 computes only its misses, in one batch, and returns the grid as one batch
 with a leading grid-point axis (the computed batch itself when it is the
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, groupby
 
@@ -336,7 +337,6 @@ class _FrameCache:
         return entry
 
     def put(self, key, batch: BlaschkeFrame, row: int) -> None:
-        self.misses += 1
         self.frames[key] = [batch, row, None]
         if len(self.frames) > self.maxsize:
             del self.frames[next(iter(self.frames))]
@@ -386,6 +386,7 @@ def _computed(definition: ImmersionDef, points: list[tuple]) -> BlaschkeFrame:
         if len(points) == 1:
             raise
         return _gather([(_computed(definition, [u]), 0) for u in points])
+    _full_frame_cached.misses += len(points)
     for row, u in enumerate(points):
         _full_frame_cached.put((definition, u), batch, row)
     return batch
@@ -414,6 +415,25 @@ def frames_on_grid(definition: ImmersionDef, grid) -> BlaschkeFrame:
         rows = {u: (batch, row) for row, u in enumerate(missing)}
         found = [e or rows[u] for u, e in zip(points, found)]
     return _gather(found)
+
+
+def homothetic_frames(scaled: ImmersionDef, frames: BlaschkeFrame,
+                      c: float) -> BlaschkeFrame:
+    """The frames of `scaled` = c phi mapped from `frames`, those of phi,
+    and cached as rows of the mapped batch where a point has no entry yet.
+    With a = 2(n+1)/(n+2), h, C, dh and recon_residual scale by c^a, h_inv,
+    S and H by c^-a, position, tangent and second by c and xi by c^(1-a);
+    the rest does not change (K. Nomizu and T. Sasaki, Affine Differential
+    Geometry, Cambridge 1994, ch. II)."""
+    a = 2.0 * (frames.n + 1) / (frames.n + 2)
+    powers = dict(h=a, C=a, dh=a, recon_residual=a, h_inv=-a, S=-a, H=-a,
+                  position=1.0, tangent=1.0, second=1.0, xi=1.0 - a)
+    mapped = replace(frames, **{
+        name: getattr(frames, name) * c ** e for name, e in powers.items()})
+    for row, u in enumerate(_points(mapped.u)):
+        if (scaled, u) not in _full_frame_cached.frames:
+            _full_frame_cached.put((scaled, u), mapped, row)
+    return mapped
 
 
 def clear_frame_cache() -> None:

@@ -1,9 +1,11 @@
 """Detection and extraction of product structure from the difference tensor.
 
 Given a hyperbolic affine sphere, the pipeline is: rescale to mean
-curvature -1, locate axis candidates T with K(T,T) = lambda1 T among
-h-unit directions, classify the spectrum of K_T, and test the
-eigenvalue relations that characterize the two product patterns:
+curvature -1 (in closed form, with the frames mapped by the homothety
+law rather than computed again; see `normalize_homothety`), locate axis
+candidates T with K(T,T) = lambda1 T among h-unit directions, classify
+the spectrum of K_T, and test the eigenvalue relations that
+characterize the two product patterns:
 
   one cluster  {lambda2 > 0}                    point product
   two clusters {lambda2 > 0 > lambda3}          pair product
@@ -80,34 +82,29 @@ def _scaled_def(defn: ImmersionDef, c: float) -> ImmersionDef:
                         provenance=defn.provenance)
 
 
-def normalize_homothety(defn: ImmersionDef, probe=None,
-                        grid=()) -> HomothetyResult:
+def normalize_homothety(defn: ImmersionDef, grid=None) -> HomothetyResult:
     """Rescale phi -> c phi so the mean curvature becomes -1.
 
-    The exact scaling law H(c phi) = c^(-2(n+1)/(n+2)) H(phi) gives the
-    scale in closed form, c = |H|^((n+2)/(2(n+1))) with H read at the
-    probe point. The scaled frame at the probe point verifies it, in one
-    batch with the scaled frames at `grid`, which callers read next.
+    H(c phi) = c^(-2(n+1)/(n+2)) H(phi) gives c in closed form from H at
+    the first point of `grid`, by default (0.11, 0.22, ...). The frames of
+    the grid are computed once, at the input scale, and mapped to those of
+    c phi (see `blaschke.homothetic_frames`) for callers to read next.
     """
     n = defn.nvars
-    if probe is None:
-        probe = tuple(0.11 * (i + 1) for i in range(n))
-    h0 = blaschke.full_frame(defn, probe).H
+    if grid is None:
+        grid = [tuple(0.11 * (i + 1) for i in range(n))]
+    frames = blaschke.frames_on_grid(defn, grid)
+    h0 = float(frames.H[0])
     if h0 >= 0.0:
         raise NotHyperbolicError(
-            f"{defn.name!r} has H = {h0:.6g} >= 0 at the probe point; "
-            "only hyperbolic spheres can be rescaled to H = -1"
-        )
+            f"{defn.name!r} has H = {h0:.6g} >= 0 at "
+            f"{blaschke.format_point(frames.u[0])}; only hyperbolic "
+            "spheres can be rescaled to H = -1")
     scale = abs(h0) ** ((n + 2) / (2.0 * (n + 1)))
     if abs(scale - 1.0) < 1e-12:
         return HomothetyResult(def_scaled=defn, scale=1.0)
     scaled = _scaled_def(defn, scale)
-    miss = blaschke.frames_on_grid(scaled, [probe, *grid]).H[0] + 1.0
-    if abs(miss) > 1e-9:
-        raise GeometryError(
-            f"scale {scale:.6g} misses H = -1 by {miss:.3g} at the probe "
-            "point; H does not follow the homothety law"
-        )
+    blaschke.homothetic_frames(scaled, frames, scale)
     return HomothetyResult(def_scaled=scaled, scale=float(scale))
 
 
@@ -455,24 +452,18 @@ def _prepare(defn: ImmersionDef, grid):
     orientation_ok). Geometry the frame pipeline refuses is a failure
     note too, not an exception."""
     try:
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        if not grid.size:
-            raise ValueError("no grid points")
-        h0 = blaschke.full_frame(defn, tuple(grid[0])).H
+        frames = blaschke.frames_on_grid(defn, grid)
+        h0 = frames.H[0]
         if h0 >= 0.0:
             # the input frames only choose which of the two gates failed
-            sphere = checks.sphere_residual(defn, grid)
+            sphere = checks.sphere_residual(frames)
             note = ("not an affine sphere" if not sphere.passed
                     else f"not hyperbolic (H = {h0:.6g} >= 0)")
             return defn, 1.0, None, [sphere], note, False
-        if abs(h0 + 1.0) > 1e-9:
-            scaled = normalize_homothety(defn, tuple(grid[0]), grid[1:])
-            work, scale = scaled.def_scaled, scaled.scale
-        else:
-            work, scale = defn, 1.0
-        # S = H id is invariant under homotheties, so the sphere gate runs
-        # on the work frames, where H = -1 makes its absolute tolerance
-        # scale free
+        norm = normalize_homothety(defn, grid)
+        work, scale = norm.def_scaled, norm.scale
+        # S = H id survives homotheties: the sphere gate reads the work
+        # frames, where H = -1 makes its absolute tolerance scale free
         frames = blaschke.frames_on_grid(work, grid)
     except (GeometryError, JetDomainError) as exc:
         return defn, 1.0, None, [], str(exc), False
@@ -862,19 +853,6 @@ def _factor_grid(defn: ImmersionDef, factor: ImmersionDef, grid):
     return np.unique(np.round(np.atleast_2d(grid)[:, cols], 12), axis=0)
 
 
-def _factor_at_unit_curvature(defn: ImmersionDef, factor: ImmersionDef,
-                              grid, label: str, residuals: dict):
-    """The factor rescaled to H = -1, with its mean curvature and sphere
-    residuals over the factor grid recorded under `label`."""
-    points = _factor_grid(defn, factor, grid)
-    norm = normalize_homothety(factor, grid=points)
-    frames = blaschke.frames_on_grid(norm.def_scaled, points)
-    residuals[f"{label}_mean_curvature"] = float(np.max(np.abs(frames.H
-                                                              + 1.0)))
-    residuals[f"{label}_sphere"] = checks.sphere_residual(frames).max_residual
-    return norm
-
-
 def _calibrate_from_provenance(defn: ImmersionDef, grid,
                                lam2_first: bool, kind: str,
                                n2: int, n3: int, residuals: dict):
@@ -887,31 +865,33 @@ def _calibrate_from_provenance(defn: ImmersionDef, grid,
     the constructors emit. d2 then follows from the gauge constraint
     d1^(n2+1) d2^(n3+1) = 1.
     """
-    c1_base, c2_base = base_coefficients(kind, n2, n3)
+    c_base = base_coefficients(kind, n2, n3)
     m2 = defn.provenance.n2 + 1
     first, second = list(range(m2)), list(range(m2, defn.ncomponents))
-    idx2, idx3 = (first, second) if lam2_first else (second, first)
-    fac1 = _slice_factor_def(defn, idx2, "factor1")
-    fac2 = _slice_factor_def(defn, idx3, "factor2")
-
-    norm1 = _factor_at_unit_curvature(defn, fac1, grid, "factor1", residuals)
-    d1 = 1.0 / (norm1.scale * c1_base)
+    blocks = (first, second) if lam2_first else (second, first)
+    defs, gauges = [], []
+    for k, idx in enumerate(blocks):
+        label = f"factor{k + 1}"
+        factor = _slice_factor_def(defn, idx, label)
+        if factor is None:
+            # zero-dimensional block: a constant vector, gauge read directly
+            vals = eval_components(defn, np.zeros(defn.nvars))
+            gauges.append(float(np.linalg.norm([vals[i] for i in idx]))
+                          / c_base[k])
+            continue
+        # H + 1 and the sphere test over the factor grid, on mapped frames
+        points = _factor_grid(defn, factor, grid)
+        norm = normalize_homothety(factor, points)
+        frames = blaschke.frames_on_grid(norm.def_scaled, points)
+        residuals[f"{label}_mean_curvature"] = float(
+            np.max(np.abs(frames.H + 1.0)))
+        residuals[f"{label}_sphere"] = checks.sphere_residual(
+            frames).max_residual
+        defs.append(norm.def_scaled)
+        gauges.append(1.0 / (norm.scale * c_base[k]))
+    d1 = gauges[0]
     d2 = d1 ** (-(n2 + 1.0) / (n3 + 1.0))
-
-    defs = [norm1.def_scaled]
-    if fac2 is not None:
-        norm2 = _factor_at_unit_curvature(defn, fac2, grid, "factor2",
-                                          residuals)
-        d2_direct = 1.0 / (norm2.scale * c2_base)
-        residuals["gauge_consistency"] = abs(d2 - d2_direct)
-        defs.append(norm2.def_scaled)
-    else:
-        # zero-dimensional block: a constant vector, gauge read directly
-        probe = np.zeros(defn.nvars)
-        vals = eval_components(defn, probe)
-        block = np.array([vals[i] for i in idx3])
-        d2_direct = float(np.linalg.norm(block)) / c2_base
-        residuals["gauge_consistency"] = abs(d2 - d2_direct)
+    residuals["gauge_consistency"] = abs(d2 - gauges[1])
     return tuple(defs), float(d1), float(d2)
 
 

@@ -390,6 +390,30 @@ def test_check_note_prints_plain_floats(workdir, tmp_path, capsys):
     assert "np.float64" not in row["note"]
 
 
+def test_detect_and_extract_rescale_off_gauge_input(workdir, tmp_path):
+    """The pair product scaled by 1.7 is detected at scale 1/1.7 and
+    extracted like the product at H = -1."""
+    pair = dsl.parse_immersion(
+        (workdir / "pair.immersion").read_text(encoding="utf-8"))
+    path = tmp_path / "scaled.immersion"
+    path.write_text(dsl.print_immersion(decompose._scaled_def(pair, 1.7))
+                    + "\n", encoding="utf-8")
+    res = run_cli("detect", str(path), "--grid", "g27")
+    assert res.returncode == 0, res.stdout.decode()
+    verdict = json.loads(res.stdout)["verdict"]
+    assert verdict["kind"] == "PairProduct"
+    assert verdict["scale"] == pytest.approx(1 / 1.7, rel=1e-12)
+
+    out = tmp_path / "factors"
+    res = run_cli("extract", str(path), "--grid", "g27", "-o", str(out))
+    assert res.returncode == 0, res.stdout.decode()
+    factors = json.loads(res.stdout)["factors"]
+    assert factors["failed_residuals"] == []
+    assert factors["metric_ratio"] == pytest.approx(2.0, abs=1e-12)
+    for idx in (1, 2):
+        assert (out / f"factor{idx}.immersion").is_file()
+
+
 def test_file_with_several_definitions_is_usage_error(tmp_path, capsys):
     path = tmp_path / "two.immersion"
     path.write_text(HYPERBOLA_SRC + "\n" + HYPERBOLA_B_SRC + "\n",

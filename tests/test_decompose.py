@@ -60,6 +60,41 @@ def test_normalize_homothety_closed_form(pair_product):
         assert abs(result.scale * c - 1.0) <= 1e-13, c
 
 
+@pytest.mark.parametrize("c", [1e-4, 1.7, 1e4])
+@pytest.mark.parametrize("product", ["pair_product", "quadric"])
+def test_homothety_law_matches_recomputed_frames(request, product, c):
+    """Every field of the frames of c phi mapped by the law agrees with
+    the frames computed from c phi, to 1e-12 relative to the field or to
+    c^e, e its exponent: rounding is all that fields zero in exact
+    arithmetic show (K on the quadric, Rhat and nabla_K on the products,
+    the residuals). The bent product has gamma_hat and dh, the quadric
+    Rhat. The mapped rows serve the rescaled definition as cached frames
+    and count as no frame computed."""
+    defn = request.getfixturevalue(product)
+    if product == "pair_product":
+        defn = _bent(defn)
+    grid = make_grid(-0.3, 0.3, 3, defn.nvars)
+    frames = blaschke._frame_batch(defn, grid)
+    scaled = decompose._scaled_def(defn, c)
+    blaschke.clear_frame_cache()
+    mapped = blaschke.homothetic_frames(scaled, frames, c)
+    assert blaschke.frames_on_grid(scaled, grid) is mapped
+    assert _frames_computed() == 0
+    fresh = blaschke._frame_batch(scaled, grid)
+    a = 2.0 * (defn.nvars + 1) / (defn.nvars + 2)
+    exponents = {"h": a, "C": a, "dh": a, "recon_residual": a, "h_inv": -a,
+                 "S": -a, "H": -a, "position": 1.0, "tangent": 1.0,
+                 "second": 1.0, "xi": 1.0 - a}
+    for name in blaschke.BlaschkeFrame.__dataclass_fields__:
+        want = getattr(fresh, name)
+        floor = max(np.max(np.abs(want)), c ** exponents.get(name, 0.0))
+        error = np.max(np.abs(getattr(mapped, name) - want))
+        assert error <= 1e-12 * floor, name
+    nonzero = ("gamma_hat", "dh") if product == "pair_product" else ("Rhat",)
+    for name in nonzero:
+        assert np.max(np.abs(getattr(frames, name))) > 0.1, name
+
+
 def test_normalize_homothety_is_idempotent(pair_product):
     result = decompose.normalize_homothety(pair_product)
     assert result.scale == 1.0
@@ -392,24 +427,47 @@ def test_detect_searches_once_and_computes_each_frame_once(pair_product,
 
 
 def test_normalize_homothety_computes_at_most_two_frames(pair_product):
+    """The probe frame is computed at the input scale; the frame of the
+    rescaled definition there is mapped from it."""
     scaled = decompose._scaled_def(pair_product, 1.7)
     blaschke.clear_frame_cache()
     result = decompose.normalize_homothety(scaled)
     assert result.scale == pytest.approx(1 / 1.7, rel=1e-13)
-    assert _frames_computed() <= 2
+    assert _frames_computed() <= 1
 
 
 def test_detect_off_gauge_computes_each_grid_frame_once(pair_product,
                                                         monkeypatch):
-    """One frame reads H at the first point, and one batch verifies the
-    homothety there and computes the rescaled grid with it."""
+    """One batch computes the grid at the input scale, and the rescaled
+    grid is mapped from it. Mapping it again keeps the cached rows, so
+    the theorem 3 gate shares the search of detection."""
     scaled = decompose._scaled_def(pair_product, 1.7)
     batches = _batches(monkeypatch)
+    searches = _counted(monkeypatch, "find_axes")
     blaschke.clear_frame_cache()
-    verdict = decompose.detect(scaled, make_grid(-0.2, 0.2, 2, 3))
+    grid = make_grid(-0.2, 0.2, 2, 3)
+    verdict = decompose.detect(scaled, grid)
     assert verdict.kind == "PairProduct"
-    assert _frames_computed() <= 9
-    assert batches == [1, 8]
+    assert decompose.theorem3_gate(scaled, grid).applies
+    assert _frames_computed() == 8
+    assert batches == [8]
+    assert len(searches) == 1
+
+
+def test_extract_on_an_off_gauge_verdict_computes_no_frame(pair_product):
+    """Extraction on `verdict.def_scaled` reads the rows that detection
+    mapped; without provenance there are no factors to calibrate, so it
+    computes no frame at all."""
+    anonymous = dataclasses.replace(pair_product, provenance=None)
+    grid = make_grid(-0.2, 0.2, 2, 3)
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(decompose._scaled_def(anonymous, 1.7), grid)
+    assert verdict.kind == "PairProduct"
+    assert verdict.def_scaled != anonymous
+    warm = _frames_computed()
+    data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
+    assert _frames_computed() == warm
+    assert data.metric_ratio == pytest.approx(2.0, abs=1e-12)
 
 
 def test_detect_falls_back_to_search_when_tracking_fails(pair_product,
@@ -435,8 +493,9 @@ def test_roundtrip_searches_each_base_frame_once(point_product,
                                                  pair_product, monkeypatch):
     """detect, the theorem 3 gate and extraction share the search of
     their base frame: two searches for the two products of a round
-    trip. The 69 frames of the trip come in 10 batches: each homothety
-    check shares its batch with the grid its caller reads next."""
+    trip. The 63 frames of the trip come in 5 batches: one per product
+    grid and one per factor grid, each factor rescaled by the homothety
+    law without computing its frames again."""
     searches = _counted(monkeypatch, "find_axes")
     batches = _batches(monkeypatch)
     blaschke.clear_frame_cache()
@@ -446,7 +505,7 @@ def test_roundtrip_searches_each_base_frame_once(point_product,
     v_pair = decompose.detect(pair_product, g27)
     assert decompose.theorem3_gate(pair_product, g27).applies
     decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
-    assert (len(batches), sum(batches), _frames_computed()) == (10, 69, 69)
+    assert (len(batches), sum(batches), _frames_computed()) == (5, 63, 63)
     assert len(searches) == 2
     assert {id(args[0]) for args in searches} == {
         id(blaschke.full_frame(point_product, g25[0])),
@@ -753,6 +812,33 @@ def test_sphere_gate_does_not_depend_on_the_coordinates(
     assert data.metric_ratio == pytest.approx(2.0, abs=1e-8)
 
 
+def test_homothety_does_not_recheck_h_on_a_mapped_product(
+        double_point_product):
+    """Under this map H is accurate to a few 1e-8 at a grid point. A
+    recomputed rescale that held H + 1 to 1e-9 at the probe point refused
+    the sphere with "scale 1 misses H = -1 by -7.63e-09"."""
+    a = np.eye(5) + 0.6 * np.random.default_rng(39).standard_normal((5, 5))
+    mapped = _linear_reparam(double_point_product, a)
+    grid = make_grid(-0.1, 0.1, 2, 5)
+    verdict = decompose.detect(mapped, grid)
+    assert verdict.kind == "PairProduct", verdict.notes
+    s = verdict.spectrum
+    assert (s.n2, s.n3) == (2, 2)
+    assert (s.lambda1, s.lambda2, s.lambda3) == pytest.approx(
+        (0.0, 1.0, -1.0), abs=1e-6)
+    data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
+    assert data.metric_ratio == pytest.approx(2.0, abs=1e-8)
+
+
+def test_an_ill_conditioned_map_is_still_refused(double_point_product):
+    """cond(A) = 941: the sphere gate refuses this map (see ROADMAP on
+    conditioning); reading H once must not let it through."""
+    a = np.eye(5) + 0.6 * np.random.default_rng(38).standard_normal((5, 5))
+    mapped = _linear_reparam(double_point_product, a)
+    verdict = decompose.detect(mapped, make_grid(-0.1, 0.1, 2, 5))
+    assert verdict.kind is None
+
+
 def test_rounding_in_the_residuals_does_not_choose_the_structure(
         mixed_product, mixed_verdict, monkeypatch):
     """Equivalent structures have residuals equal up to rounding. Offsets
@@ -1050,15 +1136,15 @@ def test_double_point_product_detect_and_extract(double_point_product,
 ])
 def test_extract_computes_only_factor_frames(request, product, verdict):
     """With the grid frames cached, extraction computes the frames of
-    each factor and nothing else: one reads H at the probe point, one
-    verifies the homothety, and one per point of the factor grid."""
+    each factor and nothing else, one per point of the factor grid: the
+    rescaled factor's frames are mapped from them."""
     defn = request.getfixturevalue(product)
     verdict, grid = request.getfixturevalue(verdict)
     blaschke.clear_frame_cache()
     decompose.detect(defn, grid)
     warm = _frames_computed()
     data = decompose.extract_pair_factors(defn, verdict, grid)
-    factor_frames = sum(2 + len(decompose._factor_grid(defn, fac, grid))
+    factor_frames = sum(len(decompose._factor_grid(defn, fac, grid))
                         for fac in data.factor_defs)
     assert _frames_computed() - warm == factor_frames
 
