@@ -85,10 +85,10 @@ def _scaled_def(defn: ImmersionDef, c: float) -> ImmersionDef:
 def normalize_homothety(defn: ImmersionDef, grid=None) -> HomothetyResult:
     """Rescale phi -> c phi so the mean curvature becomes -1.
 
-    H(c phi) = c^(-2(n+1)/(n+2)) H(phi) gives c in closed form from H at
-    the first point of `grid`, by default (0.11, 0.22, ...). The frames of
-    the grid are computed once, at the input scale, and mapped to those of
-    c phi (see `blaschke.homothetic_frames`) for callers to read next.
+    H(c phi) = c^(-2(n+1)/(n+2)) H(phi) (Nomizu and Sasaki 1994) gives c
+    from H at the first point of `grid`, by default (0.11, 0.22, ...). The
+    grid's frames are computed once, at the input scale, and mapped to
+    those of c phi (`blaschke.homothetic_frames`), which callers read next.
     """
     n = defn.nvars
     if grid is None:

@@ -831,8 +831,9 @@ def test_homothety_does_not_recheck_h_on_a_mapped_product(
 
 
 def test_an_ill_conditioned_map_is_still_refused(double_point_product):
-    """cond(A) = 941: the sphere gate refuses this map (see ROADMAP on
-    conditioning); reading H once must not let it through."""
+    """cond(A) = 941: the sphere gate refuses this map, and reading H once
+    must not let it through. The note is not asserted: it says "not an
+    affine sphere" where it should name the conditioning."""
     a = np.eye(5) + 0.6 * np.random.default_rng(38).standard_normal((5, 5))
     mapped = _linear_reparam(double_point_product, a)
     verdict = decompose.detect(mapped, make_grid(-0.1, 0.1, 2, 5))
