@@ -14,10 +14,10 @@ still exact at the point; no finite differences are involved.
 
 The pipeline runs on a batch of points at once, with jet matrices as
 coefficient arrays of shape (points, rows, cols, size) (see `jets`);
-`full_frame` and `blaschke_metric_and_normal` are the one-point case. A
-jet matrix A = A0 + N, A0 its constant term, is inverted as A^-1 =
-sum_{k <= order} (-A0^-1 N)^k A0^-1, exact at the jet order since N has
-no constant term, so LAPACK only inverts the A0.
+`full_frame` is the one-point case, and `blaschke_metric_and_normal`
+reads h and xi from it. A jet matrix A = A0 + N, A0 its constant term,
+is inverted as A^-1 = sum_{k <= order} (-A0^-1 N)^k A0^-1, exact at the
+jet order since N has no constant term, so LAPACK only inverts the A0.
 The cross product and det gtilde use a division-free Laplace expansion:
 minors that vanish at a point are harmless.
 
@@ -258,13 +258,6 @@ def _metric_and_levi(comps: np.ndarray, n: int):
     return tang, second, h, h_inv, dh, gamma_hat, xi
 
 
-def blaschke_metric_and_normal(definition: ImmersionDef, u) -> MetricNormal:
-    """Affine metric and affine normal at a point (order-3 jets)."""
-    comps = _component_jets(definition, [u], order=3)
-    _, _, h, _, _, _, xi = _metric_and_levi(comps, definition.nvars)
-    return MetricNormal(h=_values(h)[0], xi=_values(xi)[0])
-
-
 def _frame_batch(definition: ImmersionDef, points: np.ndarray) -> BlaschkeFrame:
     """Complete Blaschke frames at a batch of points (order-4 jets)."""
     n = definition.nvars
@@ -401,6 +394,12 @@ def full_frame(definition: ImmersionDef, u) -> BlaschkeFrame:
     if entry[2] is None:
         entry[2] = entry[0][entry[1]]     # made once: one object per key
     return entry[2]
+
+
+def blaschke_metric_and_normal(definition: ImmersionDef, u) -> MetricNormal:
+    """Affine metric and affine normal at a point, read from `full_frame`."""
+    frame = full_frame(definition, u)
+    return MetricNormal(h=frame.h, xi=frame.xi)
 
 
 def frames_on_grid(definition: ImmersionDef, grid) -> BlaschkeFrame:

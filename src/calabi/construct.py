@@ -17,6 +17,11 @@ a sphere of the same kind one dimension higher.  With N = n2 + n3 + 2:
       (c1 e^(t/sqrt(n)) psi1(p),  c2 e^(-sqrt(n) t)),   n = n1 + 1,
       c1 = sqrt(n)/sqrt(n+1),  c2 = 1/sqrt(n+1)
 
+The axis rates a and -b are lambda2 and lambda3, the K_T eigenvalues on
+the factor blocks, and lambda1 = lambda2 + lambda3 (Dillen and Vrancken,
+"Calabi-type composition of affine spheres", 1994); `_rates` gives
+them, at n3 = 0 for a point product.
+
 The block coefficients are forced by the unimodular normalization: a
 pair (c1, c2) yields mean curvature -1 exactly when c1^(n2+1) c2^(n3+1)
 has the value above, leaving the one-parameter gauge freedom
@@ -64,22 +69,22 @@ class SpectrumPrediction:
     lambda3: float | None
 
 
+def _rates(n2: int, n3: int) -> tuple[float, float]:
+    """The axis rates (lambda2, lambda3) of the blocks of a product with
+    factor dimensions n2 and n3; lambda1 = lambda2 + lambda3."""
+    return (math.sqrt(n3 + 1) / math.sqrt(n2 + 1),
+            -math.sqrt(n2 + 1) / math.sqrt(n3 + 1))
+
+
 def predicted_spectrum(kind: str, n2: int, n3: int = 0) -> SpectrumPrediction:
     if kind == "point":
-        n = n2 + 1
-        lam2 = 1.0 / math.sqrt(n)
-        return SpectrumPrediction(
-            kind="point", n2=n2, n3=0,
-            lambda1=-(n - 1) / math.sqrt(n), lambda2=lam2, lambda3=None,
-        )
-    if kind == "pair":
-        lam2 = math.sqrt(n3 + 1) / math.sqrt(n2 + 1)
-        lam3 = -math.sqrt(n2 + 1) / math.sqrt(n3 + 1)
-        return SpectrumPrediction(
-            kind="pair", n2=n2, n3=n3,
-            lambda1=lam2 + lam3, lambda2=lam2, lambda3=lam3,
-        )
-    raise ValueError(f"unknown product kind {kind!r}")
+        n3 = 0
+    elif kind != "pair":
+        raise ValueError(f"unknown product kind {kind!r}")
+    lam2, lam3 = _rates(n2, n3)
+    return SpectrumPrediction(
+        kind=kind, n2=n2, n3=n3, lambda1=lam2 + lam3, lambda2=lam2,
+        lambda3=lam3 if kind == "pair" else None)
 
 
 # the factor gate samples the corners of [-0.25, 0.25]^n
@@ -137,8 +142,7 @@ def _product(kind: str, factors, blocks) -> ImmersionDef:
     n2 = factors[0].nvars
     n3 = factors[1].nvars if len(factors) == 2 else 0
     c1, c2 = base_coefficients(kind, n2, n3)
-    rate1 = math.sqrt(n3 + 1) / math.sqrt(n2 + 1)
-    rate2 = -math.sqrt(n2 + 1) / math.sqrt(n3 + 1)
+    rate1, rate2 = _rates(n2, n3)
     axis = fresh_name("t", [v for psi in factors for v in psi.vars])
     names = tuple(psi.name for psi in factors)
     prov = Provenance(kind=kind, n2=n2, n3=n3, axis=axis, factors=names)
@@ -157,7 +161,7 @@ def product_ode_identity(defn: ImmersionDef, grid,
 
     A Calabi product satisfies, componentwise,
 
-        psi_tt = ((n3 - n2) / sqrt((n2+1)(n3+1))) psi_t + psi
+        psi_tt = lambda1 psi_t + psi,   lambda1 = lambda2 + lambda3,
 
     with n3 = 0 for point products. Requires provenance metadata; the
     report residual is the worst componentwise violation on the grid.
@@ -179,10 +183,10 @@ def product_ode_identity(defn: ImmersionDef, grid,
 
 
 def ode_coefficient(defn: ImmersionDef) -> float:
-    """The psi_t coefficient in the product ODE, from provenance."""
+    """The psi_t coefficient lambda1 in the product ODE, from provenance."""
     prov = defn.provenance
     if prov is None:
         raise ProvenanceError(
             f"{defn.name!r} carries no product provenance; it was not "
             "produced by the Calabi constructors")
-    return (prov.n3 - prov.n2) / math.sqrt((prov.n2 + 1) * (prov.n3 + 1))
+    return sum(_rates(prov.n2, prov.n3))

@@ -327,8 +327,8 @@ def classify_spectrum(frame: BlaschkeFrame,
     K_T is assembled in the h-inner product, symmetric by total symmetry
     of the cubic form; an asymmetry past rounding raises
     AsymmetricMatrixError naming the point. The T eigenpair, found by
-    eigenvector overlap, is split off and the rest is clustered with the
-    1e-6 merge gap. T is oriented so that the top cluster is not
+    eigenvector overlap, is split off and the rest, ascending, is cut
+    into clusters at steps larger than CLUSTER_GAP. T is oriented so that the top cluster is not
     negative: K_(-T) = -K_T, so the flip negates the spectrum and
     reverses the clusters in closed form. One cluster then matches the
     point pattern, two the pair pattern with lambda2 > 0 > lambda3;
@@ -340,10 +340,13 @@ def classify_spectrum(frame: BlaschkeFrame,
 
 def _structure(K: np.ndarray, h: np.ndarray, axis: CandidateAxis, values,
                vectors) -> SpectralStructure:
-    """`classify_spectrum` from the split-off spectrum of K_T."""
-    clusters = [(mean, len(members), vectors[:, members].T)
-                for mean, members in numerics.cluster_values(
-                    values, gap=CLUSTER_GAP)]
+    """`classify_spectrum` from the split-off spectrum of K_T, ascending,
+    cut into clusters at steps larger than CLUSTER_GAP."""
+    cuts = [0] + [i for i in range(1, len(values))
+                  if values[i] - values[i - 1] > CLUSTER_GAP] + [len(values)]
+    clusters = [(float(np.mean(values[a:b])), b - a,
+                 vectors[:, a:b].T.copy()) for a, b in zip(cuts, cuts[1:])
+                if a < b]
     if clusters and clusters[-1][0] < 0.0:
         axis = axis.flipped()
         clusters = [(-mean, mult, basis)
@@ -392,14 +395,14 @@ def _gate(structure: SpectralStructure, tol: float,
     return None
 
 
-# cached frame -> {(restarts, seed): (search, structures)}
+# cached frame -> {(restarts, seed): structures}
 _STRUCTURES = weakref.WeakKeyDictionary()
 
 
 def _axis_structures(defn: ImmersionDef, u, restarts: int, seed: int):
-    """`find_axes` at the frame of defn at the point u and the structure
-    of every candidate, from one eigensolve, as (search, structures);
-    callers compare the axis residuals with their tolerance.
+    """The structure of every `find_axes` candidate at the frame of defn
+    at the point u, from one eigensolve; callers compare the axis
+    residuals with their tolerance.
 
     Memoized for the lifetime of the cached frame `full_frame(defn, u)`,
     keyed on (restarts, seed): the frame cache makes frames unique per
@@ -410,8 +413,8 @@ def _axis_structures(defn: ImmersionDef, u, restarts: int, seed: int):
     memo = _STRUCTURES.setdefault(frame, {})
     if (restarts, seed) not in memo:
         search = find_axes(frame, restarts=restarts, seed=seed)
-        memo[restarts, seed] = (search, tuple(_classify(
-            _repeated(frame, len(search)), search)))
+        memo[restarts, seed] = tuple(_classify(
+            _repeated(frame, len(search)), search))
     return memo[restarts, seed]
 
 
@@ -543,8 +546,8 @@ def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
     """The preferred product structure at the base point and the largest
     eigenvalue drift from it across the grid, as (structure, drift,
     failure note); a drift above tol fails at its worst point."""
-    search, structures = _axis_structures(work, frames.u[0], restarts, seed)
-    if not search:
+    structures = _axis_structures(work, frames.u[0], restarts, seed)
+    if not structures:
         return None, math.inf, "no axis direction solves K(X,X) = mu X"
     scored = [s for s in structures if _gate(s, tol) is None]
     if not scored:
@@ -644,8 +647,7 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
             note="K ≈ 0: spectrum collapses, no (V, W) split to gate")
 
     try:
-        _search, structures = _axis_structures(work, frames.u[0], restarts,
-                                               seed)
+        structures = _axis_structures(work, frames.u[0], restarts, seed)
     except numerics.AsymmetricMatrixError as exc:
         return Theorem3Gate(parallel=parallel, curvature_action_residual=rk,
                             note=str(exc))
@@ -657,12 +659,9 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
     best = min(pairs, key=_structure_key)
 
     lam1, lam2, lam3 = best.lambda1, best.lambda2, best.lambda3
-    derived = {
-        "lambda2_branch": abs((lam1 - 2.0 * lam2)
-                              * (-1.0 - lam1 * lam2 + lam2 ** 2)),
-        "lambda3_branch": abs((lam1 - 2.0 * lam3)
-                              * (-1.0 - lam1 * lam3 + lam3 ** 2)),
-    }
+    derived = {f"lambda{k}_branch": abs((lam1 - 2.0 * lam)
+                                        * (-1.0 - lam1 * lam + lam ** 2))
+               for k, lam in ((2, lam2), (3, lam3))}
     margins = {
         "lambda2_vs_lambda3": abs(lam2 - lam3),
         "lambda1_vs_2lambda2": abs(lam1 - 2.0 * lam2),
@@ -701,26 +700,28 @@ class FactorData:
 
 
 def _grid_fields(frames: BlaschkeFrame, structures) -> SimpleNamespace:
-    """The frame fields with the tracked axis T, its derivative
-    dT[p, d, k] = d_d T^k and the rows spanning the lambda2 and lambda3
-    blocks, each with a leading grid-point axis p.
+    """The frame fields with the rows [T | V | W] of the tracked axis T and
+    of the bases of its lambda2 and lambda3 blocks, T, basis2 and basis3
+    as views of them, and dT[p, d, k] = d_d T^k, each with a leading
+    grid-point axis p.
 
     dT follows from implicit differentiation of the axis system
     (K(T,T) = mu T, h(T,T) = 1), with the Jacobian of `_axis_system` at
     each point, in one solve for all of them. A point structure has no
     lambda3 block: its basis3 has no rows."""
-    T = np.stack([s.axis.T for s in structures])
+    # clusters ascend, so the lambda2 block comes last and lambda3 first
+    rows = np.stack([np.vstack([s.axis.T] + [c[2] for c in s.clusters[::-1]])
+                     for s in structures])
+    T, k2 = rows[:, 0], structures[0].n2
     npts, n = T.shape
-    basis3 = (np.stack([s.clusters[0][2] for s in structures])
-              if structures[0].pattern == "pair" else np.zeros((npts, 0, n)))
     _f, jac = _axis_system(frames.h, frames.K, T,
                            [s.lambda1 for s in structures])
     rhs = np.zeros((npts, n + 1, n))
     rhs[:, :n] = -np.einsum("pdijk,pi,pj->pkd", frames.dK, T, T)
     rhs[:, n] = -np.einsum("pdij,pi,pj->pd", frames.dh, T, T)
     return SimpleNamespace(
-        **vars(frames), T=T, basis3=basis3,
-        basis2=np.stack([s.clusters[-1][2] for s in structures]),
+        **vars(frames), rows=rows, T=T, basis2=rows[:, 1:1 + k2],
+        basis3=rows[:, 1 + k2:],
         dT=np.linalg.solve(jac, rhs)[:, :n].transpose(0, 2, 1))
 
 
@@ -737,34 +738,15 @@ def _d_phi(f: SimpleNamespace, xs: np.ndarray, lam2: float, lam3: float):
     return -lam3 * amb + d_t, lam2 * amb - d_t, amb
 
 
-def _nabla_t(f: SimpleNamespace, xs: np.ndarray,
+def _nabla_t(xs: np.ndarray, dT: np.ndarray, T: np.ndarray,
              gamma: np.ndarray) -> np.ndarray:
-    """nabla_x T = x^i (d_i T^k + gamma^k_ij T^j) for the rows x of xs."""
-    return xs @ f.dT + np.einsum("pri,pijk,pj->prk", xs, gamma, f.T)
+    """nabla_x T = x^i (d_i T^k + gamma^k_ij T^j) for the rows x of xs,
+    with a leading grid-point axis on every argument."""
+    return xs @ dT + np.einsum("pri,pijk,pj->prk", xs, gamma, T)
 
 
 def _amax(a) -> float:
     return float(np.max(np.abs(a), initial=0.0))
-
-
-def _drift_residuals(f: SimpleNamespace, phi2_raw, phi3_raw, lam2: float,
-                     lam3: float) -> dict:
-    t2, t3, _ = _d_phi(f, f.T[:, None], lam2, lam3)
-    v2, v3, v_amb = _d_phi(f, f.basis2, lam2, lam3)
-    w2, w3, w_amb = _d_phi(f, f.basis3, lam2, lam3)
-    geo_vw = (_nabla_t(f, f.basis2, f.gamma_hat) @ f.h
-              @ f.basis3.transpose(0, 2, 1))
-    geo_wv = (_nabla_t(f, f.basis3, f.gamma_hat) @ f.h
-              @ f.basis2.transpose(0, 2, 1))
-    return {
-        "phi2_axis": _amax(t2[:, 0] - lam2 * phi2_raw),
-        "phi3_axis": _amax(t3[:, 0] - lam3 * phi3_raw),
-        "phi2_cokernel": _amax(w2),
-        "phi3_cokernel": _amax(v3),
-        "phi2_immersion": _amax(v2 - (lam2 - lam3) * v_amb),
-        "phi3_immersion": _amax(w3 - (lam2 - lam3) * w_amb),
-        "totally_geodesic": max(_amax(geo_vw), _amax(geo_wv)),
-    }
 
 
 def _metric_ratio(f: SimpleNamespace, lam2: float, lam3: float):
@@ -786,9 +768,9 @@ def _metric_ratio(f: SimpleNamespace, lam2: float, lam3: float):
     mean diagonal of m over the h-orthonormal block basis and the largest
     deviation of m from (lambda2 - lambda3) lambda2 times the identity.
     """
-    b = f.basis2
-    m = ((-lam3 * b + _nabla_t(f, b, f.gamma)) @ f.h
-         @ b.transpose(0, 2, 1))[0] / -lam3
+    b = f.basis2[:1]                      # the base point, a batch of one
+    nab = _nabla_t(b, f.dT[:1], f.T[:1], f.gamma[:1])
+    m = ((-lam3 * b + nab) @ f.h[:1] @ b.transpose(0, 2, 1))[0] / -lam3
     expected = (lam2 - lam3) * lam2
     worst = float(np.max(np.abs(m - expected * np.eye(len(m)))))
     return float(np.mean(np.diag(m))), worst
@@ -808,8 +790,7 @@ def _provenance_aligned_axis(defn: ImmersionDef, frames: BlaschkeFrame,
     GeometryError when no candidate keeps to one block."""
     m2 = defn.provenance.n2 + 1
     best, best_score, lam2_first = None, math.inf, True
-    _search, structures = _axis_structures(defn, frames.u[0], restarts, seed)
-    for structure in structures:
+    for structure in _axis_structures(defn, frames.u[0], restarts, seed):
         if _gate(structure, tol, spectrum) is not None:
             continue
         lam3 = structure.lambda3
@@ -925,7 +906,23 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     t_amb = (f.T[:, None] @ f.tangent)[:, 0]
     phi2_raw = -lam3 * f.position + t_amb
     phi3_raw = lam2 * f.position - t_amb
-    residuals = _drift_residuals(f, phi2_raw, phi3_raw, lam2, lam3)
+
+    # one pass over the rows [T | V | W]: D phi2, D phi3, the ambient
+    # images and hat nabla T, each read in slices below
+    dphi2, dphi3, amb = _d_phi(f, f.rows, lam2, lam3)
+    geo = _nabla_t(f.rows, f.dT, f.T, f.gamma_hat)
+    v, w = slice(1, 1 + n2), slice(1 + n2, None)
+    residuals = {
+        "phi2_axis": _amax(dphi2[:, 0] - lam2 * phi2_raw),
+        "phi3_axis": _amax(dphi3[:, 0] - lam3 * phi3_raw),
+        "phi2_cokernel": _amax(dphi2[:, w]),
+        "phi3_cokernel": _amax(dphi3[:, v]),
+        "phi2_immersion": _amax(dphi2[:, v] - (lam2 - lam3) * amb[:, v]),
+        "phi3_immersion": _amax(dphi3[:, w] - (lam2 - lam3) * amb[:, w]),
+        "totally_geodesic": max(
+            _amax(geo[:, v] @ f.h @ f.basis3.transpose(0, 2, 1)),
+            _amax(geo[:, w] @ f.h @ f.basis2.transpose(0, 2, 1))),
+    }
 
     # the axis flow parameter at each point
     if axis_idx is not None:
@@ -938,24 +935,19 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     phi2_samples = np.exp(-lam2 * t_par)[:, None] * phi2_raw
     phi3_samples = np.exp(-lam3 * t_par)[:, None] * phi3_raw
 
-    d_v_phi2, _, v_amb = _d_phi(f, f.basis2, lam2, lam3)
     width = phi2_raw.shape[1]
     sub2 = numerics.subspace_rank(
-        np.vstack([phi2_raw, d_v_phi2.reshape(-1, width)]))
+        np.vstack([phi2_raw, dphi2[:, v].reshape(-1, width)]))
     sub3 = numerics.subspace_rank(
-        np.vstack([phi3_raw, _d_phi(f, f.basis3, lam2, lam3)[1]
-                   .reshape(-1, width)]))
-    joint = numerics.subspace_rank(
-        np.vstack([sub2.basis, sub3.basis]))
-    residuals["subspace_overlap"] = float(
-        sub2.rank + sub3.rank - joint.rank)
+        np.vstack([phi3_raw, dphi3[:, w].reshape(-1, width)]))
+    joint = numerics.subspace_rank(np.vstack([sub2.basis, sub3.basis]))
+    residuals["subspace_overlap"] = float(sub2.rank + sub3.rank - joint.rank)
 
     metric_ratio, residuals["metric_ratio"] = _metric_ratio(f, lam2, lam3)
-    rate = float(np.linalg.norm(d_v_phi2[0, 0]) / np.linalg.norm(v_amb[0, 0]))
+    rate = float(np.linalg.norm(dphi2[0, 1]) / np.linalg.norm(amb[0, 1]))
 
     if kind == "point":
-        nab_t_t = _nabla_t(f, f.T[:, None], f.gamma_hat)[0, 0]
-        residuals["axis_geodesic"] = float(_h_norms(f.h[0], nab_t_t))
+        residuals["axis_geodesic"] = float(_h_norms(f.h[0], geo[0, 0]))
         residuals["phi3_constant"] = _amax(phi3_samples - phi3_samples[0])
 
     factor_defs, d1, d2 = None, 1.0, 1.0

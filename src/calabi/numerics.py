@@ -6,7 +6,7 @@ factor of M to a standard symmetric problem and solved by LAPACK
 (`numpy.linalg.eigh`), for one pair of matrices or for stacks of shape
 (..., n, n) in one call. Eigenvectors are M-orthonormal, eigenvalues
 ascending, and each vector's sign is fixed so its first entry of
-significant size is positive.
+significant size is positive; so is each row of a `subspace_rank` basis.
 """
 
 from __future__ import annotations
@@ -89,15 +89,15 @@ def subspace_rank(vectors, tol: float = 1e-7) -> SubspaceBasis:
     """Numerical rank and orthonormal basis of the span of sample rows.
 
     Rank counts singular values above `tol` relative to the largest one.
+    Each basis row's sign is fixed as the eigenvectors' are, so that its
+    first entry of significant size is positive.
     """
     stack = np.atleast_2d(np.asarray(vectors, dtype=float))
     if stack.size == 0:
         return SubspaceBasis(rank=0, basis=np.zeros((0, 0)))
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return SubspaceBasis(rank=0, basis=np.zeros((0, stack.shape[1])))
     rank = int(np.sum(s > tol * s[0]))
-    return SubspaceBasis(rank=rank, basis=vh[:rank].copy())
+    return SubspaceBasis(rank=rank, basis=_fix_signs(vh[:rank].T).T)
 
 
 def find_root_bisection(f, lo: float, hi: float, tol: float = 1e-12,
@@ -124,22 +124,6 @@ def find_root_bisection(f, lo: float, hi: float, tol: float = 1e-12,
         else:
             hi, fhi = mid, fm
     return 0.5 * (lo + hi)
-
-
-def cluster_values(values, gap: float = 1e-6) -> list[tuple[float, list[int]]]:
-    """Group sorted scalars into clusters separated by more than `gap`.
-
-    Returns (mean, member indices) per cluster, ascending by mean.
-    """
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and values[idx] - values[clusters[-1][-1]] <= gap:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return [(float(np.mean(values[c])), c) for c in clusters]
 
 
 def metric_orthonormal_basis(h: np.ndarray) -> np.ndarray:

@@ -214,6 +214,24 @@ def test_frame_cache_counts_one_miss_per_frame(pair_product):
     assert misses() == 46
 
 
+def test_metric_and_normal_is_a_reading_of_the_frame(pair_product):
+    """h and xi are those of `full_frame` bit for bit; a cold point costs
+    one frame, a cached one none."""
+    def misses():
+        return blaschke._full_frame_cached.cache_info().misses
+
+    u = (0.1, -0.2, 0.25)
+    blaschke.clear_frame_cache()
+    cold = blaschke.blaschke_metric_and_normal(pair_product, u)
+    assert misses() == 1
+    frame = blaschke.full_frame(pair_product, u)
+    warm = blaschke.blaschke_metric_and_normal(pair_product, u)
+    assert misses() == 1
+    for got in (cold, warm):
+        assert np.array_equal(got.h, frame.h)
+        assert np.array_equal(got.xi, frame.xi)
+
+
 def test_frames_on_grid_returns_its_computed_batch(pair_product):
     """A grid computed in one batch is that batch, on the second call
     too, so a cached grid costs no copy."""

@@ -181,6 +181,39 @@ def test_classify_flips_axis_to_positive_lambda2(point_product):
     assert left.lambda1 == pytest.approx(right.lambda1, abs=1e-10)
 
 
+def _split(values):
+    """`decompose._structure` of a hand-made ascending spectrum, with K = 0,
+    h = id and an axis e_0 of lambda1 = 0."""
+    n = len(values) + 1
+    axis = decompose.CandidateAxis(T=np.eye(n)[0], lambda1=0.0,
+                                   axis_residual=0.0)
+    return decompose._structure(np.zeros((n, n, n)), np.eye(n), axis,
+                                np.array(values), np.eye(n)[:, 1:])
+
+
+def test_structure_chains_close_eigenvalues_into_one_cluster():
+    """Steps of 2e-7 span 1.2e-6, past the 1e-6 gap, and still make one
+    cluster: the split reads the steps, not the spread."""
+    values = 0.5 + 2e-7 * np.arange(7)
+    s = _split(values)
+    assert [(mult, len(basis)) for _mean, mult, basis in s.clusters] == [
+        (7, 7)]
+    assert s.clusters[0][0] == pytest.approx(0.5 + 6e-7, abs=1e-15)
+    assert (s.pattern, s.n2, s.n3) == ("point", 7, 0)
+    assert type(s.n2) is int
+
+
+def test_structure_splits_at_a_step_past_the_gap():
+    """A step of 1e-5 splits a cluster; a step of 5e-8 does not."""
+    s = _split([-0.5, -0.5 + 5e-8, 1.0, 1.0 + 1e-5])
+    assert [mult for _mean, mult, _basis in s.clusters] == [2, 1, 1]
+    assert [mean for mean, _mult, _basis in s.clusters] == pytest.approx(
+        [-0.5, 1.0, 1.0 + 1e-5], abs=1e-7)
+    assert s.pattern == "unclassified"
+    s = _split([-0.5, -0.5 + 5e-8, 1.0, 1.0 + 2e-7])
+    assert (s.pattern, s.n2, s.n3) == ("pair", 2, 2)
+
+
 def test_eigenspaces_are_h_orthonormal(mixed_product):
     frame = blaschke.full_frame(mixed_product, (0.1, 0.05, -0.1, 0.2))
     axes = decompose.find_axes(frame)
@@ -849,9 +882,9 @@ def test_rounding_in_the_residuals_does_not_choose_the_structure(
     real = decompose._axis_structures
 
     def offset(*args):
-        search, structures = real(*args)
+        structures = real(*args)
         n = len(structures)
-        return search, tuple(
+        return tuple(
             dataclasses.replace(s, cross_residual=s.cross_residual
                                 + 1e-13 * (n - i) / n)
             for i, s in enumerate(structures))

@@ -68,21 +68,6 @@ def test_eig_rejects_indefinite_mass_matrix():
         numerics.solve_sym_eig_generalized(a, m)
 
 
-def test_cluster_values_merges_close_eigenvalues():
-    values = [1.0, 1.0 + 2e-7, -0.5, -0.5 + 5e-8, 3.0]
-    clusters = numerics.cluster_values(values, gap=1e-6)
-    means = [mean for mean, _ in clusters]
-    sizes = [len(idx) for _, idx in clusters]
-    assert sizes == [2, 2, 1]
-    assert means[0] == pytest.approx(-0.5, abs=1e-7)
-    assert means[2] == pytest.approx(3.0)
-
-
-def test_cluster_values_keeps_separated_values_apart():
-    clusters = numerics.cluster_values([0.0, 1e-5], gap=1e-6)
-    assert len(clusters) == 2
-
-
 def test_subspace_rank_counts_independent_directions():
     rows = [[1.0, 0.0, 0.0, 0.0],
             [0.0, 1.0, 0.0, 0.0],
@@ -91,6 +76,20 @@ def test_subspace_rank_counts_independent_directions():
     sub = numerics.subspace_rank(rows)
     assert sub.rank == 2
     assert sub.basis.shape == (2, 4)
+
+
+def test_subspace_rank_fixes_the_sign_of_each_basis_row():
+    """A basis row of the SVD has the sign rounding gives it; each row's
+    first entry of significant size is positive, so rows and -rows span
+    the same basis."""
+    rows = np.random.default_rng(11).standard_normal((6, 3)) @ np.diag(
+        [3.0, 1.0, 0.2]) @ np.random.default_rng(12).standard_normal((3, 5))
+    sub, neg = numerics.subspace_rank(rows), numerics.subspace_rank(-rows)
+    assert sub.rank == neg.rank == 3
+    assert np.allclose(sub.basis, neg.basis, rtol=0, atol=1e-14)
+    lead = [row[np.abs(row) > 1e-10 * np.max(np.abs(row))][0]
+            for row in sub.basis]
+    assert all(x > 0.0 for x in lead)
 
 
 def test_bisection_finds_cube_root():
