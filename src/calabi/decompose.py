@@ -328,12 +328,12 @@ def classify_spectrum(frame: BlaschkeFrame,
     of the cubic form; an asymmetry past rounding raises
     AsymmetricMatrixError naming the point. The T eigenpair, found by
     eigenvector overlap, is split off and the rest, ascending, is cut
-    into clusters at steps larger than CLUSTER_GAP. T is oriented so that the top cluster is not
-    negative: K_(-T) = -K_T, so the flip negates the spectrum and
-    reverses the clusters in closed form. One cluster then matches the
-    point pattern, two the pair pattern with lambda2 > 0 > lambda3;
-    anything else is unclassified rather than raised; `_gate` holds the
-    result to a tolerance.
+    into clusters at steps larger than CLUSTER_GAP. T is oriented so that
+    the top cluster is not negative: K_(-T) = -K_T, so the flip negates
+    the spectrum and reverses the clusters in closed form. One cluster
+    then matches the point pattern, two the pair pattern with lambda2 > 0
+    > lambda3; anything else is unclassified rather than raised; `_gate`
+    holds the result to a tolerance.
     """
     return _classify(_repeated(frame, 1), [axis])[0]
 
@@ -344,6 +344,8 @@ def _structure(K: np.ndarray, h: np.ndarray, axis: CandidateAxis, values,
     cut into clusters at steps larger than CLUSTER_GAP."""
     cuts = [0] + [i for i in range(1, len(values))
                   if values[i] - values[i - 1] > CLUSTER_GAP] + [len(values)]
+    # C-ordered bases: stacked transposed views would be F-ordered, and
+    # the extraction's matmuls would round differently on them
     clusters = [(float(np.mean(values[a:b])), b - a,
                  vectors[:, a:b].T.copy()) for a, b in zip(cuts, cuts[1:])
                 if a < b]
@@ -539,6 +541,12 @@ def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
 def _lambdas(structure: SpectralStructure) -> list:
     return [lam for lam in (structure.lambda1, structure.lambda2,
                             structure.lambda3) if lam is not None]
+
+
+def _lam3(structure: SpectralStructure) -> float:
+    """lambda3, or the formal lambda1 - lambda2 of a point structure."""
+    lam3 = structure.lambda3
+    return structure.lambda1 - structure.lambda2 if lam3 is None else lam3
 
 
 def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
@@ -793,11 +801,8 @@ def _provenance_aligned_axis(defn: ImmersionDef, frames: BlaschkeFrame,
     for structure in _axis_structures(defn, frames.u[0], restarts, seed):
         if _gate(structure, tol, spectrum) is not None:
             continue
-        lam3 = structure.lambda3
-        if lam3 is None:
-            lam3 = structure.lambda1 - structure.lambda2
         # clusters ascend, so the lambda2 block (the positive one) is last
-        mat = np.vstack([-lam3 * frames.position[0]
+        mat = np.vstack([-_lam3(structure) * frames.position[0]
                          + structure.axis.T @ frames.tangent[0],
                          structure.clusters[-1][2] @ frames.tangent[0]])
         mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
@@ -877,14 +882,13 @@ def _calibrate_from_provenance(defn: ImmersionDef, grid,
 
 
 def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
-             lam3_formal: float, tol: float, kind: str) -> FactorData:
+             tol: float, kind: str) -> FactorData:
     if verdict.spectrum is None:
         raise VerdictError("verdict carries no spectral structure")
     if not verdict.orientation_ok:
         raise VerdictError("extraction requires the xi = phi orientation")
     spectrum = verdict.spectrum
-    lam2 = spectrum.lambda2
-    lam3 = lam3_formal
+    lam2, lam3 = spectrum.lambda2, _lam3(spectrum)
     n2, n3 = spectrum.n2, spectrum.n3
 
     frames = blaschke.frames_on_grid(defn, grid)
@@ -977,8 +981,7 @@ def extract_pair_factors(defn: ImmersionDef, verdict: DecompositionVerdict,
     if verdict.kind != "PairProduct":
         raise VerdictError(f"verdict kind is {verdict.kind!r}, "
                            "extract_pair_factors needs PairProduct")
-    return _extract(defn, verdict, grid, verdict.spectrum.lambda3, tol,
-                    "pair")
+    return _extract(defn, verdict, grid, tol, "pair")
 
 
 def extract_point_factor(defn: ImmersionDef, verdict: DecompositionVerdict,
@@ -993,6 +996,4 @@ def extract_point_factor(defn: ImmersionDef, verdict: DecompositionVerdict,
     if verdict.kind != "PointProduct":
         raise VerdictError(f"verdict kind is {verdict.kind!r}, "
                            "extract_point_factor needs PointProduct")
-    spectrum = verdict.spectrum
-    lam3_formal = spectrum.lambda1 - spectrum.lambda2
-    return _extract(defn, verdict, grid, lam3_formal, tol, "point")
+    return _extract(defn, verdict, grid, tol, "point")
