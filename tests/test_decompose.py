@@ -1185,7 +1185,7 @@ def test_extract_computes_only_factor_frames(request, product, verdict):
 
 def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
     """_grid_fields, _d_phi and _cross_residual against per-point,
-    per-vector loop references."""
+    per-vector loop references; the rows extraction reads are [T | V | W]."""
     verdict, grid = mixed_verdict
     s = verdict.spectrum
     lam2, lam3 = s.lambda2, s.lambda3
@@ -1194,6 +1194,7 @@ def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
     assert failure is None
     f = decompose._grid_fields(frames, structures)
     xs = np.concatenate([f.T[:, None], f.basis2, f.basis3], axis=1)
+    assert np.array_equal(f.rows, xs)
     d2, d3, amb = decompose._d_phi(f, xs, lam2, lam3)
     n = frames[0].n
     for p, frame in enumerate(frames):
