@@ -6,6 +6,11 @@ and Levi-Civita connections, the difference tensor K = nabla - hat
 nabla, the cubic form C = h(K(.,.),.), the shape operator S with
 D_X xi = -S X, the curvature of h, and the covariant derivative of K.
 
+The metric comes in closed form, h = |det G|^(-1/(n+2)) G with
+G_ij = det(d_1 phi, ..., d_n phi, d_i d_j phi), the sign of G chosen so
+that h is positive definite (K. Nomizu and T. Sasaki, Affine
+Differential Geometry, Cambridge 1994, ch. II); xi = Laplace_h phi / n.
+
 Everything is computed in exact truncated jet arithmetic: the component
 jets of phi at order 4 are pushed through the same algebra one would
 write on paper, and each differentiation lowers the jet order by one.
@@ -18,7 +23,7 @@ coefficient arrays of shape (points, rows, cols, size) (see `jets`);
 reads h and xi from it. A jet matrix A = A0 + N, A0 its constant term,
 is inverted as A^-1 = sum_{k <= order} (-A0^-1 N)^k A0^-1, exact at the
 jet order since N has no constant term, so LAPACK only inverts the A0.
-The cross product and det gtilde use a division-free Laplace expansion:
+The cross product and det G use a division-free Laplace expansion:
 minors that vanish at a point are harmless.
 
 Frames are cached per (definition, point) in an LRU of 4096 entries,
@@ -47,8 +52,7 @@ from itertools import combinations, groupby
 import numpy as np
 
 from .dsl import ImmersionDef
-from .jets import (Jet, JetDomainError, eval_jets, grad, jet_sqrt, matmul, mul,
-                   space_of)
+from .jets import Jet, JetDomainError, eval_jets, grad, matmul, mul, space_of
 
 
 class GeometryError(ValueError):
@@ -60,8 +64,8 @@ class DegenerateSurfaceError(GeometryError):
 
 
 class IndefiniteMetricError(GeometryError):
-    """The tentative metric is indefinite; the pipeline requires a
-    locally convex (definite) hypersurface."""
+    """The form G, h up to a factor, is indefinite; the pipeline requires
+    a locally convex (definite) hypersurface."""
 
 
 class ArityError(GeometryError):
@@ -200,49 +204,46 @@ def _component_jets(definition: ImmersionDef, points, order: int) -> np.ndarray:
 
 def _metric_and_levi(comps: np.ndarray, n: int):
     """Tangent and second-derivative jets, the affine metric h, its
-    inverse, dh, the Levi-Civita connection and the affine normal."""
+    inverse, dh, the Levi-Civita connection and the affine normal.
+
+    h = |det G|^(-1/(n+2)) G, G_ij = zhat . d_i d_j phi (Nomizu and Sasaki
+    1994). G carries the tangent volume, so its definiteness and
+    degeneracy are judged at unit size, on G / max|G|."""
     P = comps.shape[0]
     tang = np.swapaxes(grad(comps, n), 1, 2)      # tang[p, i, a] = d_i phi^a
     idx = np.arange(n)
     second = np.swapaxes(grad(tang, n), 2, 3)     # second[p, i, j, a]
     second = second[:, np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)]
 
-    # generalized cross product: zhat_a = (-1)^(n+a) det(tangent minus column
-    # a), at the order of the second derivatives, all that its uses need
+    # zhat . v = det(d_1 phi, ..., d_n phi, v): zhat_a is (-1)^(n+a) times
+    # the minor without column a, at the order of the second derivatives
     low = tang[..., : second.shape[-1]]
     signs = (-1.0) ** (n + np.arange(n + 1))
     zhat = _minors(low, n)[:, ::-1] * signs[:, None]
-    norm2 = mul(zhat, zhat, n).sum(axis=1)
     # |zhat| is the volume of the tangent vectors, at most prod_i |d_i phi|
+    norm2 = np.sum(zhat[..., 0] ** 2, axis=1)
     lengths2 = np.prod(np.sum(tang[..., 0] ** 2, axis=2), axis=1)
-    if np.any(norm2[:, 0] <= 1e-20 * lengths2):
+    if np.any(norm2 <= 1e-20 * lengths2):
         raise DegenerateSurfaceError("tangent map is degenerate at this point")
-    norm = jet_sqrt(Jet(space_of(n, norm2.shape[-1]), norm2))
-    zeta = mul(zhat, (1.0 / norm).c[:, None], n)
 
-    # decompose d_i d_j phi = gamma_tilde^k_ij d_k phi + gtilde_ij zeta
-    basis = np.concatenate([low, zeta[:, None]], axis=1).swapaxes(1, 2)
-    rhs = second.reshape(P, n * n, n + 1, -1).swapaxes(1, 2)
-    gt = _solve(basis, rhs, n)[:, n].reshape(P, n, n, -1)
-
-    gt0 = gt[..., 0]
-    scale = np.maximum(np.max(np.abs(gt0), axis=(1, 2)), 1e-30)
-    eig = np.linalg.eigvalsh(0.5 * (gt0 + gt0.swapaxes(1, 2))) / scale[:, None]
+    G = mul(zhat[:, None, None], second, n).sum(axis=3)
+    scale = np.max(np.abs(G[..., 0]), axis=(1, 2))
+    G = G / np.where(scale > 0.0, scale, 1.0)[:, None, None, None]
+    eig = np.linalg.eigvalsh(G[..., 0])           # symmetric by construction
     flip = np.all(eig < -1e-12, axis=1)
     if not np.all(flip | np.all(eig > 1e-12, axis=1)):
         raise IndefiniteMetricError(
-            "tentative second fundamental form is not definite"
-        )
-    sign = np.where(flip, -1.0, 1.0)
-    gt = gt * sign[:, None, None, None]
-    det_gt = _minors(gt, n)[:, 0]
-    if np.any(np.abs(det_gt[:, 0]) < 1e-12 * scale ** n):
+            "tentative second fundamental form is not definite")
+    G = G * np.where(flip, -1.0, 1.0)[:, None, None, None]
+    det_g = _minors(G, n)[:, 0]
+    if np.any(np.abs(det_g[:, 0]) < 1e-12):
         raise DegenerateSurfaceError("second fundamental form is degenerate")
 
-    # Blaschke normalization: h = (Dvol^2 / det gtilde)^(1/(n+2)) gtilde
-    dv = Jet(norm.space, norm.c * sign[:, None])
-    factor = (dv * dv / Jet(space_of(n, det_gt.shape[-1]), det_gt)) ** (1.0 / (n + 2))
-    h = mul(factor.c[:, None, None], gt, n)
+    # Blaschke normalization at unit size, the scale restored: G = scale G1
+    # gives |det G|^(-1/(n+2)) G = scale^(2/(n+2)) |det G1|^(-1/(n+2)) G1
+    factor = Jet(space_of(n, det_g.shape[-1]), det_g) ** (-1.0 / (n + 2))
+    factor = factor.c * (scale ** (2.0 / (n + 2)))[:, None]
+    h = mul(factor[:, None, None], G, n)
     h_inv = _solve(h, None, n)
 
     # gamma_hat^k_ij = h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2

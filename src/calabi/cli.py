@@ -238,8 +238,9 @@ def _cmd_analyze(args, project: dict) -> tuple[dict, bool]:
         "axis_note": note,
     }
     if axes and note is None:
-        best = min(axes, key=lambda c: c.axis_residual)
-        structure = decompose.classify_spectrum(frame, best)
+        # detect's preference, not residuals at rounding level
+        structure = min((decompose.classify_spectrum(frame, c) for c in axes),
+                        key=decompose._structure_key)
         spectrum = [float(structure.lambda1)]
         for mean, mult, _basis in structure.clusters:
             spectrum.extend([float(mean)] * mult)

@@ -82,17 +82,15 @@ def _scaled_def(defn: ImmersionDef, c: float) -> ImmersionDef:
                         provenance=defn.provenance)
 
 
-def normalize_homothety(defn: ImmersionDef, grid=None) -> HomothetyResult:
+def normalize_homothety(defn: ImmersionDef, grid) -> HomothetyResult:
     """Rescale phi -> c phi so the mean curvature becomes -1.
 
     H(c phi) = c^(-2(n+1)/(n+2)) H(phi) (Nomizu and Sasaki 1994) gives c
-    from H at the first point of `grid`, by default (0.11, 0.22, ...). The
-    grid's frames are computed once, at the input scale, and mapped to
-    those of c phi (`blaschke.homothetic_frames`), which callers read next.
+    from H at the first point of `grid`. The grid's frames are computed
+    once, at the input scale, and mapped to those of c phi
+    (`blaschke.homothetic_frames`), which callers read next.
     """
     n = defn.nvars
-    if grid is None:
-        grid = [tuple(0.11 * (i + 1) for i in range(n))]
     frames = blaschke.frames_on_grid(defn, grid)
     h0 = float(frames.H[0])
     if h0 >= 0.0:

@@ -91,7 +91,7 @@ def _space(nvars: int, order: int) -> _JetSpace:
     if not 1 <= nvars <= MAX_NVARS:
         raise ValueError(f"nvars must be in 1..{MAX_NVARS}, got {nvars}")
     if not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"order must in 0..{MAX_ORDER}, got {order}")
+        raise ValueError(f"order must be in 0..{MAX_ORDER}, got {order}")
     return space_of(nvars, math.comb(nvars + order, order))
 
 

@@ -94,7 +94,7 @@ def subspace_rank(vectors, tol: float = 1e-7) -> SubspaceBasis:
     """
     stack = np.atleast_2d(np.asarray(vectors, dtype=float))
     if stack.size == 0:
-        return SubspaceBasis(rank=0, basis=np.zeros((0, 0)))
+        return SubspaceBasis(rank=0, basis=np.zeros((0, stack.shape[1])))
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     rank = int(np.sum(s > tol * s[0]))
     return SubspaceBasis(rank=rank, basis=_fix_signs(vh[:rank].T).T)

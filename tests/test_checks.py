@@ -56,7 +56,8 @@ def test_quadric_curvature_is_constant_negative():
     quadric = parse_immersion(
         "immersion hyperboloid { vars: u1, u2; components: "
         "(u1, u2, sqrt(1 + u1*u1 + u2*u2)); }")
-    scaled = decompose.normalize_homothety(quadric).def_scaled
+    scaled = decompose.normalize_homothety(
+        quadric, [(0.11, 0.22)]).def_scaled
     grid = make_grid(-0.4, 0.4, 3, 2)
     reports = checks.gauss_codazzi_residual(scaled, grid)
     assert reports["gauss"].max_residual <= 1e-6

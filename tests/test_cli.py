@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from calabi import blaschke, cli, decompose, dsl
-from conftest import HYPERBOLA_B_SRC, HYPERBOLA_SRC, QUADRIC_SRC
+from conftest import HYPERBOLA_B_SRC, HYPERBOLA_SRC, QUADRIC_SRC, make_grid
 
 REPORT_KEYS = {"name", "max_residual", "tolerance", "pass", "worst_point"}
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -442,6 +442,19 @@ def test_analyze_summary(workdir):
     assert summary["axis_pattern"] in ("point", "pair")
     assert len(summary["affine_normal"]) == 4
     assert math.isfinite(summary["axis_lambda1"])
+
+
+def test_analyze_reports_the_axis_detect_prefers(workdir, capsys):
+    """At every point of the pair product analyze classifies the axis of
+    the pair structure, as detect does; choosing the smallest axis
+    residual, all at rounding level, gave a point axis at some of them."""
+    for u in make_grid(-0.3, 0.3, 3, 3):
+        at = ",".join(repr(float(x)) for x in u)
+        assert cli.main(["analyze", str(workdir / "pair.immersion"),
+                         f"--at={at}"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["axis_pattern"] == "pair", at
+        assert summary["axis_lambda1"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_analyze_flags_a_quadric(workdir):

@@ -49,14 +49,14 @@ def double_point_verdict(double_point_product):
 def test_normalize_homothety_closed_form(pair_product):
     defn = parse_immersion(
         "immersion hyp { vars: s; components: (exp(s), exp(-s)); }")
-    result = decompose.normalize_homothety(defn)
+    result = decompose.normalize_homothety(defn, [(0.11,)])
     assert result.scale == pytest.approx(1 / math.sqrt(2), abs=1e-10)
     frame = blaschke.full_frame(result.def_scaled, (0.3,))
     assert frame.H == pytest.approx(-1.0, abs=1e-9)
     # c * phi at H = -1 must come back with scale 1/c to rounding
     for c in (1.7, 1e3, 1e6):
         scaled = decompose._scaled_def(pair_product, c)
-        result = decompose.normalize_homothety(scaled)
+        result = decompose.normalize_homothety(scaled, [(0.11, 0.22, 0.33)])
         assert abs(result.scale * c - 1.0) <= 1e-13, c
 
 
@@ -96,14 +96,14 @@ def test_homothety_law_matches_recomputed_frames(request, product, c):
 
 
 def test_normalize_homothety_is_idempotent(pair_product):
-    result = decompose.normalize_homothety(pair_product)
+    result = decompose.normalize_homothety(pair_product, [(0.11, 0.22, 0.33)])
     assert result.scale == 1.0
     assert result.def_scaled is pair_product
 
 
 def test_normalize_homothety_rejects_parabolic(paraboloid):
     with pytest.raises(decompose.NotHyperbolicError):
-        decompose.normalize_homothety(paraboloid)
+        decompose.normalize_homothety(paraboloid, [(0.11, 0.22)])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,7 @@ def test_normalize_homothety_computes_at_most_two_frames(pair_product):
     rescaled definition there is mapped from it."""
     scaled = decompose._scaled_def(pair_product, 1.7)
     blaschke.clear_frame_cache()
-    result = decompose.normalize_homothety(scaled)
+    result = decompose.normalize_homothety(scaled, [(0.11, 0.22, 0.33)])
     assert result.scale == pytest.approx(1 / 1.7, rel=1e-13)
     assert _frames_computed() <= 1
 
@@ -557,17 +557,21 @@ def test_detect_reports_an_asymmetric_k_t_as_a_verdict(pair_product,
                                                        monkeypatch):
     """An asymmetry past symmetrize's tolerance at a tracked point is a
     None verdict naming the point, not a raised ValueError. The skew
-    reaches the one stacked eigensolve of the tracked points, in every
-    matrix whose metric is not the base point's."""
+    reaches every eigensolve after the first, which classifies the base
+    point's search; the next one is the stacked solve of the tracked
+    points."""
     grid = make_grid(-0.3, 0.3, 2, 3)
     blaschke.clear_frame_cache()
     base_h = blaschke.full_frame(pair_product, grid[0]).h
     real = numerics.solve_sym_eig_generalized
+    calls = []
 
     def skewed(a, m):
-        off_base = np.any(m != base_h, axis=(-2, -1))[..., None, None]
-        return real(a + off_base * 1e-6 * np.triu(np.ones(a.shape[-2:]), 1),
-                    m)
+        calls.append(m)
+        if len(calls) == 1:
+            assert np.all(m == base_h)
+            return real(a, m)
+        return real(a + 1e-6 * np.triu(np.ones(a.shape[-2:]), 1), m)
 
     monkeypatch.setattr(numerics, "solve_sym_eig_generalized", skewed)
     verdict = decompose.detect(pair_product, grid)
@@ -575,14 +579,20 @@ def test_detect_reports_an_asymmetric_k_t_as_a_verdict(pair_product,
     (note,) = verdict.notes
     assert "asymmetry" in note
     assert blaschke.format_point(grid[1]) in note
+    assert len(calls) == 2
 
 
 def test_detect_with_a_tol_below_the_axis_residuals_gives_a_verdict(
         pair_product):
     """The search and its memo do not depend on tol; the callers compare
-    each axis residual with it, so no candidate raises."""
-    verdict = decompose.detect(pair_product, make_grid(-0.3, 0.3, 3, 3),
-                               tol=1e-16)
+    each axis residual with it, so no candidate raises. The tol is half
+    the smallest axis residual of the base point's search, so every
+    candidate there fails."""
+    grid = make_grid(-0.3, 0.3, 3, 3)
+    blaschke.clear_frame_cache()
+    structures = decompose._axis_structures(pair_product, grid[0], 32, 42)
+    tol = 0.5 * min(s.axis.axis_residual for s in structures)
+    verdict = decompose.detect(pair_product, grid, tol=tol)
     assert verdict.kind is None
     assert verdict.notes == (
         "no axis matches either product pattern within tolerance",)
@@ -861,6 +871,20 @@ def test_homothety_does_not_recheck_h_on_a_mapped_product(
         (0.0, 1.0, -1.0), abs=1e-6)
     data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
     assert data.metric_ratio == pytest.approx(2.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [6, 8, 39])
+def test_theorem3_gate_applies_under_a_linear_map(double_point_product,
+                                                  seed):
+    """A linear reparametrization keeps the cubic form parallel. With h
+    solved from the decomposition of d_i d_j phi against (d phi, unit
+    normal) these maps read a parallel residual of 1.9e-6 to 3.8e-6,
+    past its 1e-6 tolerance; in closed form it reads below 3e-8."""
+    a = np.eye(5) + 0.6 * np.random.default_rng(seed).standard_normal((5, 5))
+    mapped = _linear_reparam(double_point_product, a)
+    gate = decompose.theorem3_gate(mapped, make_grid(-0.1, 0.1, 2, 5))
+    assert gate.parallel.max_residual <= 1e-7
+    assert gate.applies, gate.note
 
 
 def test_an_ill_conditioned_map_is_still_refused(double_point_product):

@@ -92,6 +92,15 @@ def test_subspace_rank_fixes_the_sign_of_each_basis_row():
     assert all(x > 0.0 for x in lead)
 
 
+def test_subspace_rank_of_no_rows_keeps_the_width():
+    """No rows and all-zero rows both span nothing in the same space: a
+    (0, n) basis, which stacks with any other basis of that width."""
+    for rows in (np.zeros((0, 3)), np.zeros((2, 3))):
+        sub = numerics.subspace_rank(rows)
+        assert sub.rank == 0
+        assert sub.basis.shape == (0, 3)
+
+
 def test_bisection_finds_cube_root():
     root = numerics.find_root_bisection(lambda x: x ** 3 - 2.0, 0.0, 2.0)
     assert root == pytest.approx(2.0 ** (1 / 3), abs=1e-11)
