@@ -204,8 +204,7 @@ def _component_jets(definition: ImmersionDef, points, order: int) -> np.ndarray:
 
 def _metric_and_levi(comps: np.ndarray, n: int):
     """Tangent and second-derivative jets, the affine metric h, its
-    inverse, dh, the Levi-Civita connection and the affine normal.
-
+    inverse, dh, the Levi-Civita connection and the affine normal, with
     h = |det G|^(-1/(n+2)) G, G_ij = zhat . d_i d_j phi (Nomizu and Sasaki
     1994). G carries the tangent volume, so its definiteness and
     degeneracy are judged at unit size, on G / max|G|."""

@@ -83,15 +83,17 @@ def test_apolarity_from_normalization(mixed_product):
     assert np.max(np.abs(trace)) <= 1e-10
 
 
-GRAPH_SRC = ("immersion graph { vars: u, v; components: "
-             "(u, v, exp(u) + exp(v) + u*v/2); }")
+@pytest.fixture(scope="module")
+def graph():
+    return parse_immersion("immersion graph { vars: u, v; components: "
+                           "(u, v, exp(u) + exp(v) + u*v/2); }")
 
 
-def test_graph_metric_is_the_normalized_hessian():
+def test_graph_metric_is_the_normalized_hessian(graph):
     """For a graph (u, f(u)) the cross product is (-df, 1), so G is the
     Hessian D^2 f and h = |det D^2 f|^(-1/(n+2)) D^2 f."""
     grid = make_grid(-0.3, 0.3, 3, 2)
-    frames = blaschke.frames_on_grid(parse_immersion(GRAPH_SRC), grid)
+    frames = blaschke.frames_on_grid(graph, grid)
     hess = np.full((len(grid), 2, 2), 0.5)
     hess[:, 0, 0], hess[:, 1, 1] = np.exp(grid[:, 0]), np.exp(grid[:, 1])
     want = np.linalg.det(hess)[:, None, None] ** -0.25 * hess
@@ -107,9 +109,7 @@ def test_graph_metric_is_the_normalized_hessian():
 def test_blaschke_normalization(request, fixture, grid):
     """The volume of (d_1 phi, ..., d_n phi, xi) is that of h, and the
     frame reproduces d_i d_j phi and d_i xi without a transversal part."""
-    defn = (parse_immersion(GRAPH_SRC) if fixture == "graph"
-            else request.getfixturevalue(fixture))
-    frames = blaschke.frames_on_grid(defn, grid)
+    frames = blaschke.frames_on_grid(request.getfixturevalue(fixture), grid)
     ambient = np.concatenate([frames.tangent, frames.xi[:, None]], axis=1)
     volume = np.abs(np.linalg.det(ambient))
     assert np.allclose(volume, np.sqrt(np.linalg.det(frames.h)),
