@@ -23,15 +23,16 @@ relative to the d1 = d2 = 1 constants the constructors emit.
 
 Each base frame is searched once: `_axis_structures` memoizes the
 candidates and their classified spectra on the frame. One gate, `_gate`,
-holds a structure to the tolerance at every point. Away from the base
-point one tracker, `_track`, follows the axis for both detection and
-extraction: one batched Newton solve with a row per point, each seeded
-from the base axis, and a full search only where that solve fails or
-its structure fails the gate. A search solves all its restarts in one
-batched Newton call, and one stacked eigensolve classifies a search or
-the tracked points. The grid frames are one batch (see
-`blaschke.frames_on_grid`), so detection and extraction work on arrays
-with a leading grid-point axis.
+holds a structure to the tolerance. Away from the base point one
+tracker, `_track`, follows the axis for both detection and extraction:
+one batched Newton solve with a row per point, each seeded from the base
+axis, one stacked eigensolve, and the same gate on arrays, `_gate_rows`;
+a full search only where a row fails. A Newton row stops at a singular
+Jacobian, when backtracking cannot reduce |F|, or at |F| <= 1e-13, and
+fails if |F| is then above 1e-11. A search solves all its restarts in
+one batched Newton call and one eigensolve. The grid frames are one
+batch (see `blaschke.frames_on_grid`), so detection and extraction work
+on arrays with a leading grid-point axis.
 """
 
 from __future__ import annotations
@@ -160,30 +161,23 @@ def _norms(f: np.ndarray) -> np.ndarray:
     return np.sqrt((f[..., None, :] @ f[..., None])[..., 0, 0])
 
 
-def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """np.linalg.solve on a stack, halved until a singular matrix, which
-    fails the whole call, is alone; its row gets NaN."""
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(rhs) == 1:
-            return np.full_like(rhs, np.nan)
-        mid = len(rhs) // 2
-        return np.concatenate([_solve_rows(jac[:mid], rhs[:mid]),
-                               _solve_rows(jac[mid:], rhs[mid:])])
-
-
 def _solve_axis(h: np.ndarray, K: np.ndarray,
                 x0: np.ndarray) -> list[CandidateAxis | None]:
     """The axis a damped Newton solve of (K(X,X) - mu X, h(X,X) - 1) = 0
-    reaches from each row of x0, (R, n), under the metric h[r] and the
-    difference tensor K[r] of that row, with mu seeded by the cubic form
-    C(x0, x0, x0); None for a row that ends with |F| above 1e-11. The
-    rows share one batched linear solve per iteration and each backtracks
-    on its own. A row stops at a singular Jacobian or when backtracking
-    cannot reduce |F|, which past 1e-13 is the rounding floor of its
-    point."""
+    reaches from each row of x0, (R, n), under h[r] and K[r], with mu
+    seeded by the cubic form C(x0, x0, x0). The rows share one batched
+    linear solve per iteration and each backtracks on its own. A row stops
+    at |F| <= 1e-13, at a singular Jacobian J (sigma_min <= 1e-13
+    sigma_max, the conditioning bound of `blaschke._solve`, read as
+    diag(B^-1, 1) J diag(B, 1) in the row's h-orthonormal basis B, where
+    no change of coordinates moves it), or when backtracking cannot
+    reduce |F|, which past 1e-13 is the rounding floor of its point; None
+    if it stops with |F| above 1e-11."""
     x = np.array(x0, dtype=float)
+    n = x.shape[-1]
+    b = np.zeros((len(x), n + 1, n + 1))
+    b[:, :n, :n], b[:, n, n] = numerics.metric_orthonormal_basis(h), 1.0
+    b_inv = np.linalg.inv(b)
     kxx = np.einsum("rijk,ri,rj->rk", K, x, x)
     mu = (kxx[:, None] @ h @ x[..., None])[:, 0, 0]
     f, jac = _axis_system(h, K, x, mu)
@@ -191,12 +185,14 @@ def _solve_axis(h: np.ndarray, K: np.ndarray,
     stopped = np.zeros(len(x), dtype=bool)
     for _ in range(80):
         rows = np.flatnonzero(~stopped & (norm > 1e-13))
+        sv = np.linalg.svd(b_inv[rows] @ jac[rows] @ b[rows],
+                           compute_uv=False)
+        singular = sv[:, -1] <= 1e-13 * sv[:, 0]
+        stopped[rows[singular]], rows = True, rows[~singular]
         if rows.size == 0:
             break
-        step = _solve_rows(jac[rows], -f[rows])
-        finite = np.isfinite(step).all(axis=-1)
-        stopped[rows[~finite]] = True
-        rows, step, damp = rows[finite], step[finite], np.ones(finite.sum())
+        step = np.linalg.solve(jac[rows], -f[rows, :, None])[..., 0]
+        damp = np.ones(len(rows))
         for _ in range(40):
             x_new = x[rows] + damp[:, None] * step[:, :-1]
             mu_new = mu[rows] + damp * step[:, -1]
@@ -235,10 +231,12 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
     basis = numerics.metric_orthonormal_basis(frame.h)
     rng = np.random.default_rng(seed)
     seeds = [basis[:, j] for j in range(n)]
+    # relative to |v| and to h, which u -> s u scales by s^2
+    floor = 1e-8 * math.sqrt(np.max(np.abs(frame.h)))
     while len(seeds) < restarts:
         v = rng.standard_normal(n)
         nv = float(_h_norms(frame.h, v))
-        if nv > 1e-8:
+        if nv > floor * np.linalg.norm(v):
             seeds.append(v / nv)
 
     rows = _repeated(frame, len(seeds))
@@ -289,18 +287,27 @@ class SpectralStructure:
         return self.axis.lambda1
 
 
-def _cross_residual(K: np.ndarray, h: np.ndarray, basis2, basis3) -> float:
+def _cross_residual(K: np.ndarray, h: np.ndarray, basis2, basis3):
     """Largest h-norm of K(v, w) over the rows v, w of the two bases."""
-    kvw = np.einsum("ijk,ai,bj->abk", K, basis2, basis3)
-    return float(np.max(_h_norms(h, kvw), initial=0.0))
+    kvw = np.einsum("...ijk,...ai,...bj->...abk", K, basis2, basis3)
+    return np.max(_h_norms(h[..., None, None, :, :], kvw), axis=(-2, -1),
+                  initial=0.0)
 
 
-def _classify(frames: BlaschkeFrame, axes) -> list[SpectralStructure]:
-    """`classify_spectrum` of axes[p] at frames[p] for every p, in one
-    eigensolve and without the tolerance check."""
-    if not axes:
-        return []
-    t_vecs = np.stack([axis.T for axis in axes])
+def _relations(n2: int, n3: int, lam1, lam2, lam3=None) -> dict:
+    """The eigenvalue relation residuals of the point pattern (n3 = 0) or
+    of the pair pattern, of floats or of arrays alike."""
+    thm1 = abs(1.0 + lam1 * lam2 - lam2 ** 2)
+    if not n3:
+        return {"thm1": thm1, "apolar": abs(lam1 + n2 * lam2)}
+    return {"thm1": thm1, "sum": abs(lam1 - lam2 - lam3),
+            "prod": abs(lam2 * lam3 + 1.0),
+            "apolar": abs(lam1 + n2 * lam2 + n3 * lam3)}
+
+
+def _spectra(frames: BlaschkeFrame, t_vecs: np.ndarray):
+    """The eigenvalues, ascending, and eigenvector columns of K_T at
+    frames[p], T = t_vecs[p], with the T eigenpair split off; one solve."""
     a = np.einsum("pi,pijk->pjk", t_vecs, frames.C)
     try:
         eig = numerics.solve_sym_eig_generalized(a, frames.h)
@@ -312,10 +319,19 @@ def _classify(frames: BlaschkeFrame, axes) -> list[SpectralStructure]:
                                t_vecs))
     is_t = np.arange(t_vecs.shape[1]) == np.argmax(overlap, axis=1)[:, None]
     keep = np.argsort(is_t, axis=1, kind="stable")[:, :-1]
-    values = np.take_along_axis(eig.values, keep, axis=1)
-    vectors = np.take_along_axis(eig.vectors, keep[:, None], axis=2)
-    return [_structure(*args)
-            for args in zip(frames.K, frames.h, axes, values, vectors)]
+    return (np.take_along_axis(eig.values, keep, axis=1),
+            np.take_along_axis(eig.vectors, keep[:, None], axis=2))
+
+
+def _classify(frame: BlaschkeFrame, axes) -> list[SpectralStructure]:
+    """`classify_spectrum` of each of the axes at one frame, in one
+    eigensolve and without the tolerance check."""
+    if not axes:
+        return []
+    spectra = _spectra(_repeated(frame, len(axes)),
+                       np.stack([axis.T for axis in axes]))
+    return [_structure(frame.K, frame.h, *args)
+            for args in zip(axes, *spectra)]
 
 
 def classify_spectrum(frame: BlaschkeFrame,
@@ -333,7 +349,7 @@ def classify_spectrum(frame: BlaschkeFrame,
     > lambda3; anything else is unclassified rather than raised; `_gate`
     holds the result to a tolerance.
     """
-    return _classify(_repeated(frame, 1), [axis])[0]
+    return _classify(frame, [axis])[0]
 
 
 def _structure(K: np.ndarray, h: np.ndarray, axis: CandidateAxis, values,
@@ -355,15 +371,11 @@ def _structure(K: np.ndarray, h: np.ndarray, axis: CandidateAxis, values,
     pattern, cross, relations = "unclassified", 0.0, {}
     if len(clusters) == 1:
         pattern, (lam2, n2, _basis) = "point", clusters[0]
-        relations = {"thm1": abs(1.0 + lam1 * lam2 - lam2 ** 2),
-                     "apolar": abs(lam1 + n2 * lam2)}
+        relations = _relations(n2, 0, lam1, lam2)
     elif len(clusters) == 2 and clusters[0][0] < 0.0 < clusters[1][0]:
         pattern, ((lam3, n3, basis3), (lam2, n2, basis2)) = "pair", clusters
-        relations = {"thm1": abs(1.0 + lam1 * lam2 - lam2 ** 2),
-                     "sum": abs(lam1 - lam2 - lam3),
-                     "prod": abs(lam2 * lam3 + 1.0),
-                     "apolar": abs(lam1 + n2 * lam2 + n3 * lam3)}
-        cross = _cross_residual(K, h, basis2, basis3)
+        relations = _relations(n2, n3, lam1, lam2, lam3)
+        cross = float(_cross_residual(K, h, basis2, basis3))
     return SpectralStructure(
         axis=axis, clusters=tuple(clusters), n2=n2, n3=n3, lambda2=lam2,
         lambda3=lam3, cross_residual=cross, relation_residuals=relations,
@@ -413,8 +425,7 @@ def _axis_structures(defn: ImmersionDef, u, restarts: int, seed: int):
     memo = _STRUCTURES.setdefault(frame, {})
     if (restarts, seed) not in memo:
         search = find_axes(frame, restarts=restarts, seed=seed)
-        memo[restarts, seed] = tuple(_classify(
-            _repeated(frame, len(search)), search))
+        memo[restarts, seed] = tuple(_classify(frame, search))
     return memo[restarts, seed]
 
 
@@ -499,41 +510,69 @@ def _structure_key(structure: SpectralStructure) -> tuple:
             -min(structure.n2, structure.n3))
 
 
+def _gate_rows(frames: BlaschkeFrame, axes, ref: SpectralStructure,
+               tol: float):
+    """`_gate` against `ref`, and h(T, T_ref) >= 0, of the structure of
+    axes[p] at frames[p] for every p from one eigensolve: the rows
+    [T | V | W], the lambdas of `_lambdas` and the pass mask. The cut is
+    that of `ref`; a negative top cluster flips T as in `_structure`."""
+    n2, n3 = ref.n2, ref.n3
+    t = np.stack([axis.T for axis in axes])
+    values, vectors = _spectra(frames, t)
+    means = [values[:, n3:].mean(axis=1)]          # the lambda2 block
+    if n3:
+        means.append(values[:, :n3].mean(axis=1))  # the lambda3 block
+    sign = np.where(means[0] < 0.0, -1.0, 1.0)[:, None]
+    lams = sign * np.stack([[axis.lambda1 for axis in axes]] + means, axis=1)
+    rows = np.concatenate([(sign * t)[:, None], np.swapaxes(
+        np.roll(vectors, -n3, axis=2), 1, 2)], axis=1)   # [T | V | W]
+    cuts = np.diff(values, axis=1) > CLUSTER_GAP
+    passed = np.all(cuts == (np.arange(1, len(t[0]) - 1) == n3), axis=1)
+    passed &= (n3 == 0) | ((lams[:, -1] < 0.0) & (0.0 < lams[:, 1]))
+    fails = [[axis.axis_residual for axis in axes],
+             _cross_residual(frames.K, frames.h, rows[:, 1:1 + n2],
+                             rows[:, 1 + n2:]),
+             *_relations(n2, n3, *lams.T).values()]
+    passed &= ~np.any(np.array(fails) > tol, axis=0)
+    passed &= (rows[:, :1] @ frames.h @ ref.axis.T)[:, 0] >= 0.0
+    return rows, lams, passed
+
+
 def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
            restarts: int, seed: int):
-    """The product structure of `ref` followed across the frames from its
-    axis, as (one structure per frame, None) or (None, failure note).
-
-    One batched Newton solve, every row seeded from the axis of `ref`,
-    and one eigensolve classify every point. A point whose solve fails,
-    whose structure fails `_gate` against `ref`, or whose axis points
-    away from that of `ref` in the metric of the point, is searched in
-    full, and the candidate closest to the axis of `ref` decides there;
-    the note names the first point where this fails the gate too."""
-    t_ref = ref.axis.T
-    axes = _solve_axis(frames.h, frames.K,
-                       np.broadcast_to(t_ref, frames.u.shape))
+    """The structure of `ref` followed across the frames from its axis, as
+    (rows [T | V | W], lambdas of `_lambdas`, None) with a leading
+    grid-point axis, or (None, None, failure note). A point whose Newton
+    row stops unsolved or fails `_gate_rows` is searched in full, and the
+    candidate closest to the axis of `ref` in the metric of the point
+    decides; the note names the first point where that fails `_gate`."""
+    t_ref, npts = ref.axis.T, len(frames)
+    rows, passed = np.empty((npts,) + t_ref.shape * 2), np.zeros(npts, bool)
+    lams = np.empty((npts, len(_lambdas(ref))))
+    axes = _solve_axis(frames.h, frames.K, np.broadcast_to(t_ref,
+                                                           frames.u.shape))
     solved = [p for p, axis in enumerate(axes) if axis is not None
               and axis.axis_residual <= AXIS_RESIDUAL_TOL]
-    structures = [None] * len(frames)
-    for p, structure in zip(solved, _classify(frames[solved],
-                                              [axes[p] for p in solved])):
-        if (float(structure.axis.T @ frames.h[p] @ t_ref) >= 0.0
-                and _gate(structure, tol, ref) is None):
-            structures[p] = structure
-    for p in [p for p, structure in enumerate(structures) if structure is None]:
+    if solved:
+        rows[solved], lams[solved], passed[solved] = _gate_rows(
+            frames[solved], [axes[p] for p in solved], ref, tol)
+    for p in np.flatnonzero(~passed):
         point = blaschke.format_point(frames.u[p])
         search = find_axes(frames[p], restarts=restarts, seed=seed)
         if not search:
-            return None, f"axis disappears at grid point {point}"
+            return None, None, f"axis disappears at grid point {point}"
         aligned = max(search, key=lambda c: abs(c.T @ frames.h[p] @ t_ref))
         if float(aligned.T @ frames.h[p] @ t_ref) < 0.0:
             aligned = aligned.flipped()
-        (structures[p],) = _classify(frames[p:p + 1], [aligned])
-        failure = _gate(structures[p], tol, ref)
+        (structure,) = _classify(frames[p], [aligned])
+        failure = _gate(structure, tol, ref)
         if failure is not None:
-            return None, f"{failure} at grid point {point}"
-    return structures, None
+            return None, None, f"{failure} at grid point {point}"
+        # clusters ascend, so the lambda2 block comes last and lambda3 first
+        rows[p] = np.vstack([structure.axis.T]
+                            + [c[2] for c in structure.clusters[::-1]])
+        lams[p] = _lambdas(structure)
+    return rows, lams, None
 
 
 def _lambdas(structure: SpectralStructure) -> list:
@@ -560,12 +599,10 @@ def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
         return None, math.inf, ("no axis matches either product pattern "
                                 "within tolerance")
     base = min(scored, key=_structure_key)
-    tracked, failure = _track(frames[1:], base, tol, restarts, seed)
+    _rows, lams, failure = _track(frames[1:], base, tol, restarts, seed)
     if failure is not None:
         return None, math.inf, failure
-    drifts = [0.0] + [max(abs(a - b) for a, b in zip(_lambdas(s),
-                                                     _lambdas(base)))
-                      for s in tracked]
+    drifts = np.append(0.0, np.max(np.abs(lams - _lambdas(base)), axis=1))
     worst = int(np.argmax(drifts))
     if drifts[worst] > tol:
         return None, math.inf, (
@@ -705,29 +742,26 @@ class FactorData:
     immersion_rate: float
 
 
-def _grid_fields(frames: BlaschkeFrame, structures) -> SimpleNamespace:
-    """The frame fields with the rows [T | V | W] of the tracked axis T and
-    of the bases of its lambda2 and lambda3 blocks, T, basis2 and basis3
-    as views of them, and dT[p, d, k] = d_d T^k, each with a leading
-    grid-point axis p.
+def _grid_fields(frames: BlaschkeFrame, rows: np.ndarray, lam1: np.ndarray,
+                 n2: int) -> SimpleNamespace:
+    """The frame fields with the rows [T | V | W] `_track` returns, of the
+    tracked axis T (eigenvalue lam1) and of the bases of its lambda2 and
+    lambda3 blocks, T, basis2 and basis3 as views of them, and
+    dT[p, d, k] = d_d T^k, each with a leading grid-point axis p.
 
     dT follows from implicit differentiation of the axis system
     (K(T,T) = mu T, h(T,T) = 1), with the Jacobian of `_axis_system` at
     each point, in one solve for all of them. A point structure has no
     lambda3 block: its basis3 has no rows."""
-    # clusters ascend, so the lambda2 block comes last and lambda3 first
-    rows = np.stack([np.vstack([s.axis.T] + [c[2] for c in s.clusters[::-1]])
-                     for s in structures])
-    T, k2 = rows[:, 0], structures[0].n2
+    T = rows[:, 0]
     npts, n = T.shape
-    _f, jac = _axis_system(frames.h, frames.K, T,
-                           [s.lambda1 for s in structures])
+    _f, jac = _axis_system(frames.h, frames.K, T, lam1)
     rhs = np.zeros((npts, n + 1, n))
     rhs[:, :n] = -np.einsum("pdijk,pi,pj->pkd", frames.dK, T, T)
     rhs[:, n] = -np.einsum("pdij,pi,pj->pd", frames.dh, T, T)
     return SimpleNamespace(
-        **vars(frames), rows=rows, T=T, basis2=rows[:, 1:1 + k2],
-        basis3=rows[:, 1 + k2:],
+        **vars(frames), rows=rows, T=T, basis2=rows[:, 1:1 + n2],
+        basis3=rows[:, 1 + n2:],
         dT=np.linalg.solve(jac, rhs)[:, :n].transpose(0, 2, 1))
 
 
@@ -899,11 +933,11 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     if axis_idx is not None:
         ref, lam2_first = _provenance_aligned_axis(
             defn, frames, spectrum, tol, verdict.restarts, verdict.seed)
-    structures, failure = _track(frames, ref, tol, verdict.restarts,
+    rows, lams, failure = _track(frames, ref, tol, verdict.restarts,
                                  verdict.seed)
     if failure is not None:
         raise GeometryError(failure)
-    f = _grid_fields(frames, structures)
+    f = _grid_fields(frames, rows, lams[:, 0], n2)
 
     t_amb = (f.T[:, None] @ f.tangent)[:, 0]
     phi2_raw = -lam3 * f.position + t_amb

@@ -1,6 +1,12 @@
 import dataclasses
 import gc
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -598,27 +604,22 @@ def test_detect_with_a_tol_below_the_axis_residuals_gives_a_verdict(
         "no axis matches either product pattern within tolerance",)
 
 
-def _altered_at(monkeypatch, point, **changes):
-    """Classify as before, with `changes` made to the structure of every
-    axis classified at the grid point `point`."""
-    real = decompose._classify
-
-    def classify(frames, axes):
-        return [dataclasses.replace(s, **{
-                    name: change(s) for name, change in changes.items()})
-                if np.array_equal(u, point) else s
-                for u, s in zip(frames.u, real(frames, axes))]
-
-    monkeypatch.setattr(decompose, "_classify", classify)
-
-
 def test_detect_tests_the_cross_block_at_every_tracked_point(pair_product,
                                                              monkeypatch):
     """A cross residual K(V,W) of 1e-3 at one tracked point refuses the
     product there, after the fallback search finds the same structure;
-    the tracker once tested K(V,W) only at the base point."""
+    the tracker once tested K(V,W) only at the base point. The residual
+    is read as 1e-3 wherever K is that of the point, in the stacked gate
+    of the tracked points and in the structure of the search."""
     grid = make_grid(-0.3, 0.3, 3, 3)
-    _altered_at(monkeypatch, grid[5], cross_residual=lambda s: 1e-3)
+    k_at = blaschke.frames_on_grid(pair_product, grid).K[5]
+    real = decompose._cross_residual
+
+    def cross(K, h, basis2, basis3):
+        at = np.all(K == k_at, axis=(-3, -2, -1))
+        return np.where(at, 1e-3, real(K, h, basis2, basis3))
+
+    monkeypatch.setattr(decompose, "_cross_residual", cross)
     verdict = decompose.detect(pair_product, grid)
     assert verdict.kind is None
     assert verdict.notes == (
@@ -627,10 +628,18 @@ def test_detect_tests_the_cross_block_at_every_tracked_point(pair_product,
 
 
 def test_drift_note_names_its_worst_point(pair_product, monkeypatch):
-    """lambda2 moved by 1e-3 at one point, with the relation residuals
-    left as they were, passes the gate there and fails the drift test."""
+    """lambda2 moved by 1e-3 at one point after the tracker's gate passed
+    it, with the relation residuals left as they were, fails the drift
+    test there."""
     grid = make_grid(-0.3, 0.3, 3, 3)
-    _altered_at(monkeypatch, grid[7], lambda2=lambda s: s.lambda2 + 1e-3)
+    real = decompose._track
+
+    def track(frames, *args):
+        rows, lams, failure = real(frames, *args)
+        lams[np.all(frames.u == grid[7], axis=1), 1] += 1e-3
+        return rows, lams, failure
+
+    monkeypatch.setattr(decompose, "_track", track)
     verdict = decompose.detect(pair_product, grid)
     assert verdict.kind is None
     assert verdict.notes == (
@@ -746,21 +755,77 @@ def test_restarts_solve_alike_in_one_stack_and_one_by_one(request, product,
             assert np.allclose(a.T, b.T, rtol=0, atol=1e-13)
 
 
-def test_a_singular_jacobian_fails_only_its_own_row(pair_product):
-    """The zero seed has an all-zero Jacobian, which makes a stacked
-    np.linalg.solve raise for every row."""
+def test_a_singular_jacobian_fails_only_its_own_row(pair_product,
+                                                   monkeypatch):
+    """The zero seed has an all-zero Jacobian, which made a stacked
+    np.linalg.solve raise for every row. The second h-orthonormal basis
+    vector here is orthogonal to the axis, where the Jacobian is singular
+    only up to rounding (condition number 2.9e16 in coordinates): the
+    solve did not raise, and the row halved its step 40 times before it
+    was dropped. The conditioning test now stops both before the solve,
+    after the one evaluation at the seed, and the other rows of the stack
+    solve as they do alone."""
     frame = blaschke.full_frame(pair_product, (0.1, -0.2, 0.15))
-    seeds = np.array([[0.0, 0.0, 0.0], [0.6, 0.5, -0.2], [-0.1, 0.3, 0.8]])
-    stacked = decompose._solve_axis(np.stack([frame.h] * 3),
-                                    np.stack([frame.K] * 3), seeds)
-    assert stacked[0] is None
-    for seed, axis in zip(seeds[1:], stacked[1:]):
-        (alone,) = decompose._solve_axis(frame.h[None], frame.K[None],
-                                         seed[None])
-        assert axis is not None and alone is not None
-        assert np.array_equal(axis.T, alone.T)
-        assert axis.lambda1 == alone.lambda1
-        assert axis.axis_residual == alone.axis_residual
+    basis = numerics.metric_orthonormal_basis(frame.h)
+    calls = _counted(monkeypatch, "_axis_system")
+    for singular in (np.zeros(3), basis[:, 1]):
+        calls.clear()
+        assert decompose._solve_axis(frame.h[None], frame.K[None],
+                                     singular[None]) == [None]
+        assert len(calls) == 1
+        seeds = np.array([singular, [0.6, 0.5, -0.2], [-0.1, 0.3, 0.8]])
+        stacked = decompose._solve_axis(np.stack([frame.h] * 3),
+                                        np.stack([frame.K] * 3), seeds)
+        assert stacked[0] is None
+        for seed, axis in zip(seeds[1:], stacked[1:]):
+            (alone,) = decompose._solve_axis(frame.h[None], frame.K[None],
+                                             seed[None])
+            assert axis is not None and alone is not None
+            assert np.array_equal(axis.T, alone.T)
+            assert axis.lambda1 == alone.lambda1
+            assert axis.axis_residual == alone.axis_residual
+
+
+@pytest.mark.parametrize("product, u", [
+    ("point_product", (0.1, -0.2)),
+    ("pair_product", (0.1, -0.2, 0.15)),
+])
+def test_find_axes_evaluates_the_axis_system_at_most_12_times(
+        request, product, u, monkeypatch):
+    """Stacked evaluations of F and its Jacobian in one search: 45 and 46
+    when the seeds orthogonal to the axis, whose Jacobian is singular,
+    halved their steps 40 times each before they were dropped."""
+    frame = blaschke.full_frame(request.getfixturevalue(product), u)
+    calls = _counted(monkeypatch, "_axis_system")
+    assert decompose.find_axes(frame)
+    assert len(calls) <= 12
+
+
+_DETECT_CHILD = """
+import json, sys
+import numpy as np
+from calabi import decompose, parse_immersion
+defn = parse_immersion(sys.stdin.read())
+print(decompose.detect(defn, np.array(json.loads(sys.argv[1]))).kind)
+"""
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-12])
+def test_detect_returns_under_a_tiny_rescale(pair_product, s):
+    """Under u -> s u the metric is s^2 h, and `find_axes` kept a random
+    seed only at an h-norm above an absolute 1e-8, so at these scales it
+    drew seeds forever. The floor is now relative to the seed and to h.
+    detect runs in a child process with a timeout, so that a hang fails
+    this test instead of blocking the suite."""
+    mapped = _linear_reparam(pair_product, s * np.eye(3))
+    grid = make_grid(-0.3, 0.3, 3, 3) / s
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _DETECT_CHILD, json.dumps(grid.tolist())],
+        input=dsl.print_immersion(mapped), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["PairProduct"]
 
 
 def test_a_solve_stopped_at_its_rounding_floor_is_kept(pair_product):
@@ -1101,9 +1166,9 @@ def test_tracker_follows_the_moving_axis_of_a_bent_product(
     real_track = decompose._track
 
     def spy(frames, ref, *args):
-        structures, failure = real_track(frames, ref, *args)
-        tracked.append((frames, ref, structures))
-        return structures, failure
+        rows, lams, failure = real_track(frames, ref, *args)
+        tracked.append((frames, ref, rows, lams))
+        return rows, lams, failure
 
     monkeypatch.setattr(decompose, "_track", spy)
     searches = _counted(monkeypatch, "find_axes")
@@ -1112,18 +1177,21 @@ def test_tracker_follows_the_moving_axis_of_a_bent_product(
     assert verdict.kind == "PairProduct", verdict.notes
     decompose.extract_pair_factors(bent, verdict, grid)
     assert len(searches) == 1
-    assert [len(frames) for frames, _ref, _s in tracked] == [
+    assert [len(frames) for frames, *_ in tracked] == [
         len(grid) - 1, len(grid)]
-    for frames, ref, structures in tracked:
-        assert np.max(np.abs(structures[-1].axis.T - ref.axis.T)) > 0.1
-        for p, structure in enumerate(structures):
+    for frames, ref, rows, lams in tracked:
+        assert np.max(np.abs(rows[-1, 0] - ref.axis.T)) > 0.1
+        for p, (row, lam) in enumerate(zip(rows, lams)):
+            structure = decompose.classify_spectrum(frames[p], (
+                decompose.CandidateAxis(T=row[0], lambda1=lam[0],
+                                        axis_residual=0.0)))
             assert ((structure.pattern, structure.n2, structure.n3)
                     == (ref.pattern, ref.n2, ref.n3))
             search = decompose.find_axes(frames[p])
             cosines = [float(c.T @ frames.h[p] @ ref.axis.T) for c in search]
             best = int(np.argmax(np.abs(cosines)))
             aligned = np.sign(cosines[best]) * search[best].T
-            assert np.max(np.abs(structure.axis.T - aligned)) <= 1e-12
+            assert np.max(np.abs(row[0] - aligned)) <= 1e-12
 
 
 @pytest.mark.parametrize("product, grid", [
@@ -1214,17 +1282,17 @@ def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
     s = verdict.spectrum
     lam2, lam3 = s.lambda2, s.lambda3
     frames = blaschke.frames_on_grid(mixed_product, grid)
-    structures, failure = decompose._track(frames, s, 1e-6, 32, 42)
+    rows, lams, failure = decompose._track(frames, s, 1e-6, 32, 42)
     assert failure is None
-    f = decompose._grid_fields(frames, structures)
+    f = decompose._grid_fields(frames, rows, lams[:, 0], s.n2)
     xs = np.concatenate([f.T[:, None], f.basis2, f.basis3], axis=1)
-    assert np.array_equal(f.rows, xs)
+    assert np.array_equal(f.rows, xs) and np.array_equal(rows, xs)
     d2, d3, amb = decompose._d_phi(f, xs, lam2, lam3)
     n = frames[0].n
     for p, frame in enumerate(frames):
         # dT by implicit differentiation of the axis system at one point
         _res, jac = decompose._axis_system(frame.h, frame.K, f.T[p],
-                                           structures[p].lambda1)
+                                           lams[p, 0])
         rhs = np.zeros((n + 1, n))
         for d in range(n):
             rhs[:n, d] = -sum(frame.dK[d, i, j] * f.T[p, i] * f.T[p, j]
@@ -1249,6 +1317,83 @@ def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
         assert decompose._cross_residual(frame.K, frame.h, f.basis2[p],
                                          f.basis3[p]) \
             == pytest.approx(cross, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("case", ["mixed", "bent_pair", "bent_mixed", 0, 9])
+def test_the_array_gate_agrees_with_gate_at_every_tracked_point(
+        mixed_product, pair_product, double_point_product, case):
+    """`_gate_rows` passes a tracked point exactly where `_gate` passes the
+    structure of its axis with h(T, T_ref) >= 0, and then gives the rows
+    [T | V | W] and the lambdas of that structure bit for bit. Every
+    classified candidate of the base search serves as ref; every point is
+    solved from T_ref and from -T_ref, whose point spectra flip back and
+    whose pair spectra change shape, at tol 1e-6 and at the median
+    residual of the structures, so that both outcomes occur. An integer
+    case is the seed of a map of the n = 5 product."""
+    if case == "mixed":
+        defn, grid = mixed_product, make_grid(-0.2, 0.2, 2, 4)
+    elif case == "bent_pair":
+        defn, grid = _bent(pair_product), make_grid(-0.3, 0.3, 3, 3)
+    elif case == "bent_mixed":
+        defn, grid = _bent(mixed_product), make_grid(-0.2, 0.2, 3, 4)
+    else:
+        a = np.eye(5) + 0.3 * np.random.default_rng(case).standard_normal(
+            (5, 5))
+        defn = _linear_reparam(double_point_product, a)
+        grid = make_grid(-0.1, 0.1, 2, 5)
+    verdict = decompose.detect(defn, grid)
+    assert verdict.kind == "PairProduct", verdict.notes
+    frames = blaschke.frames_on_grid(verdict.def_scaled, grid)
+    frames = frames[np.tile(np.arange(len(grid)), 2)]
+    outcomes = set()
+    for ref in decompose._axis_structures(verdict.def_scaled, grid[0], 32,
+                                          42):
+        if ref.pattern == "unclassified":
+            continue
+        seeds = np.repeat([ref.axis.T, -ref.axis.T], len(grid), axis=0)
+        axes = decompose._solve_axis(frames.h, frames.K, seeds)
+        solved = [p for p, axis in enumerate(axes) if axis is not None
+                  and axis.axis_residual <= decompose.AXIS_RESIDUAL_TOL]
+        axes, tracked = [axes[p] for p in solved], frames[solved]
+        structures = [decompose.classify_spectrum(tracked[i], axis)
+                      for i, axis in enumerate(axes)]
+        residuals = [max(s.axis.axis_residual, s.cross_residual,
+                         *s.relation_residuals.values())
+                     for s in structures]
+        for tol in (1e-6, float(np.median(residuals))):
+            rows, lams, passed = decompose._gate_rows(tracked, axes, ref,
+                                                      tol)
+            for i, s in enumerate(structures):
+                want = (decompose._gate(s, tol, ref) is None
+                        and s.axis.T @ tracked.h[i] @ ref.axis.T >= 0.0)
+                assert passed[i] == want, (ref.pattern, ref.n2, tol, i)
+                outcomes.add(want)
+                if want:
+                    assert np.array_equal(rows[i], np.vstack(
+                        [s.axis.T] + [c[2] for c in s.clusters[::-1]]))
+                    assert list(lams[i]) == decompose._lambdas(s)
+    assert outcomes == {True, False}
+
+
+def test_the_array_gate_refuses_clusters_that_do_not_straddle_zero():
+    """K_T with eigenvalues 0.5 and 2 beside the axis e0, h = id: two
+    clusters at the cut of a (1, 1) pair, but both positive, so `_gate`
+    reads the spectrum as unclassified. At a tolerance of 1e3 the
+    eigenvalue relations pass; `_gate_rows` must still refuse it."""
+    K = np.zeros((3, 3, 3))
+    K[0, 0, 0], K[0, 1, 1], K[1, 0, 1], K[1, 1, 0] = 0.3, 0.5, 0.5, 0.5
+    K[0, 2, 2], K[2, 0, 2], K[2, 2, 0] = 2.0, 2.0, 2.0
+    frames = SimpleNamespace(K=K[None], C=K[None], h=np.eye(3)[None],
+                             u=np.zeros((1, 3)))
+    axis = decompose.CandidateAxis(T=np.eye(3)[0], lambda1=0.3,
+                                   axis_residual=0.0)
+    values, vectors = decompose._spectra(frames, axis.T[None])
+    s = decompose._structure(K, np.eye(3), axis, values[0], vectors[0])
+    assert s.pattern == "unclassified"
+    ref = dataclasses.replace(s, pattern="pair", n2=1, n3=1)
+    assert decompose._gate(s, 1e3, ref) is not None
+    _rows, _lams, passed = decompose._gate_rows(frames, [axis], ref, 1e3)
+    assert not passed[0]
 
 
 def test_extract_falls_back_to_search_when_tracking_fails(pair_product,
