@@ -51,6 +51,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
+from . import numerics
 from .dsl import ImmersionDef
 from .jets import Jet, JetDomainError, eval_jets, grad, matmul, mul, space_of
 
@@ -157,6 +158,7 @@ class BlaschkeFrame:
     second: np.ndarray           # second[i, j] = d_i d_j phi, ambient vectors
     h: np.ndarray
     h_inv: np.ndarray
+    basis: np.ndarray            # h-orthonormal columns, basis^T h basis = id
     xi: np.ndarray
     gamma: np.ndarray            # induced connection
     gamma_hat: np.ndarray        # Levi-Civita connection of h
@@ -258,6 +260,14 @@ def _metric_and_levi(comps: np.ndarray, n: int):
     return tang, second, h, h_inv, dh, gamma_hat, xi
 
 
+def _basis(h: np.ndarray) -> np.ndarray:
+    """The h-orthonormal basis of each metric of a batch."""
+    try:
+        return numerics.metric_orthonormal_basis(h)
+    except numerics.NotPositiveDefiniteError as exc:
+        raise IndefiniteMetricError(f"affine {exc}") from None
+
+
 def _frame_batch(definition: ImmersionDef, points: np.ndarray) -> BlaschkeFrame:
     """Complete Blaschke frames at a batch of points (order-4 jets)."""
     n = definition.nvars
@@ -301,9 +311,9 @@ def _frame_batch(definition: ImmersionDef, points: np.ndarray) -> BlaschkeFrame:
     dh_vals = np.moveaxis(dh[..., 0], 3, 1)       # dh[p, k, i, j] = d_k h_ij
     return BlaschkeFrame(
         u=points, position=position, tangent=tangent, second=second_vals,
-        h=h_vals, h_inv=h_inv_vals, xi=xi_vals, gamma=gamma, gamma_hat=gh,
-        K=K, C=C, S=S, H=H, Rhat=Rhat, nabla_K=nabla_K, dh=dh_vals, dK=dK,
-        recon_residual=recon, normal_defect=defect)
+        h=h_vals, h_inv=h_inv_vals, basis=_basis(h_vals), xi=xi_vals,
+        gamma=gamma, gamma_hat=gh, K=K, C=C, S=S, H=H, Rhat=Rhat, dh=dh_vals,
+        nabla_K=nabla_K, dK=dK, recon_residual=recon, normal_defect=defect)
 
 
 # --- frame cache ----------------------------------------------------------
@@ -346,15 +356,16 @@ _full_frame_cached = _FrameCache(maxsize=4096)
 
 
 def _points(grid) -> list[tuple]:
-    """Parameter points as tuples of floats, the point half of a cache
-    key; an empty grid or a non-finite coordinate is a ValueError."""
-    points = [tuple(float(x) for x in u) for u in grid]
-    if not points:
+    """The rows of a point array (or sequence) as tuples of floats, the
+    point half of a cache key; no rows or a non-finite one: ValueError."""
+    points = np.asarray(grid, dtype=float)
+    if not len(points):
         raise ValueError("no grid points")
-    for u in points:
-        if not all(map(math.isfinite, u)):
-            raise ValueError(f"point {format_point(u)} is not finite")
-    return points
+    finite = np.isfinite(points).all(axis=-1)
+    if not finite.all():
+        raise ValueError(
+            f"point {format_point(points[np.argmin(finite)])} is not finite")
+    return list(map(tuple, points.tolist()))
 
 
 def _gather(entries) -> BlaschkeFrame:
@@ -403,7 +414,7 @@ def blaschke_metric_and_normal(definition: ImmersionDef, u) -> MetricNormal:
 
 
 def frames_on_grid(definition: ImmersionDef, grid) -> BlaschkeFrame:
-    """The frames at every point of an iterable of parameter points, as
+    """The frames at every point of an array or sequence of points, as
     one batch frame in grid order. The points missing from the cache are
     computed in one batch, returned itself when it is the whole grid."""
     points = _points(grid)
@@ -423,12 +434,13 @@ def homothetic_frames(scaled: ImmersionDef, frames: BlaschkeFrame,
     With a = 2(n+1)/(n+2), h, C, dh and recon_residual scale by c^a, h_inv,
     S and H by c^-a, position, tangent and second by c and xi by c^(1-a);
     the rest does not change (K. Nomizu and T. Sasaki, Affine Differential
-    Geometry, Cambridge 1994, ch. II)."""
+    Geometry, Cambridge 1994, ch. II), and the basis is factored again."""
     a = 2.0 * (frames.n + 1) / (frames.n + 2)
     powers = dict(h=a, C=a, dh=a, recon_residual=a, h_inv=-a, S=-a, H=-a,
                   position=1.0, tangent=1.0, second=1.0, xi=1.0 - a)
-    mapped = replace(frames, **{
-        name: getattr(frames, name) * c ** e for name, e in powers.items()})
+    fields = {name: getattr(frames, name) * c ** e
+              for name, e in powers.items()}
+    mapped = replace(frames, basis=_basis(fields["h"]), **fields)
     for row, u in enumerate(_points(mapped.u)):
         if (scaled, u) not in _full_frame_cached.frames:
             _full_frame_cached.put((scaled, u), mapped, row)

@@ -19,7 +19,6 @@ import numpy as np
 from . import blaschke
 from .blaschke import BlaschkeFrame, DegenerateSurfaceError, GeometryError
 from .dsl import ImmersionDef
-from .numerics import metric_orthonormal_basis
 
 
 # Residuals below NOISE_FLOOR * tolerance are rounding: a worst point
@@ -88,12 +87,11 @@ def xi_offset(frames: BlaschkeFrame) -> tuple[float, int] | None:
 def sphere_residual(definition_or_frames, grid=None, tol: float = 1e-6) -> CheckReport:
     """Affine sphere test: S = H id with H constant across the frames.
 
-    S - H id is measured in an h-orthonormal frame B, where S reads
-    B^T h S B, so the residual does not depend on the coordinates.
+    S - H id is measured in the h-orthonormal basis B of the frames, where
+    S reads B^T h S B, so the residual does not depend on the coordinates.
     """
     fr = _frames(definition_or_frames, grid)
-    b = metric_orthonormal_basis(fr.h)
-    s_ortho = b.swapaxes(1, 2) @ fr.h @ fr.S @ b
+    s_ortho = fr.basis.swapaxes(1, 2) @ fr.h @ fr.S @ fr.basis
     dev = np.max(np.abs(s_ortho - fr.H[:, None, None] * np.eye(fr.n)), axis=(1, 2))
     res = np.maximum(dev, np.abs(fr.H - fr.H[0]))
     return CheckReport.from_samples("sphere", res, fr.u, tol)
@@ -104,11 +102,11 @@ def apolarity_residual(definition_or_frames, grid=None, tol: float = 1e-8) -> Ch
 
     The trace of the endomorphism Y -> K(X, Y) is frame independent, so
     it is the coordinate trace sum_j K^j_ij contracted with the
-    h-orthonormal basis vectors.
+    h-orthonormal basis vectors the frames carry.
     """
     fr = _frames(definition_or_frames, grid)
     tvec = np.einsum("pijj->pi", fr.K)[:, None]
-    res = np.abs(tvec @ metric_orthonormal_basis(fr.h))
+    res = np.abs(tvec @ fr.basis)
     return CheckReport.from_samples("apolarity", res, fr.u, tol)
 
 

@@ -164,12 +164,7 @@ def _parse_tols(pairs: list[str]) -> dict[str, float]:
 
 
 def _round_trip_float(x) -> float | None:
-    if x is None:
-        return None
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        return None
-    return x
+    return None if x is None or not math.isfinite(float(x)) else float(x)
 
 
 def _report_row(report: CheckReport) -> dict:

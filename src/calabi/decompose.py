@@ -149,11 +149,11 @@ def _axis_system(h: np.ndarray, K: np.ndarray, x: np.ndarray, mu):
     return f, jac
 
 
-def _repeated(frame: BlaschkeFrame, rows: int) -> BlaschkeFrame:
-    """A one-point frame as a batch of `rows` equal rows, broadcast."""
-    return BlaschkeFrame(**{
-        name: np.broadcast_to(value, (rows,) + np.shape(value))
-        for name, value in vars(frame).items()})
+def _repeated(frame: BlaschkeFrame, rows: int) -> SimpleNamespace:
+    """A one-point frame's u, h, K, C and basis as `rows` equal rows."""
+    return SimpleNamespace(**{
+        name: np.broadcast_to(v, (rows,) + v.shape) for name, v in
+        vars(frame).items() if name in ("u", "h", "K", "C", "basis")})
 
 
 def _norms(f: np.ndarray) -> np.ndarray:
@@ -161,22 +161,21 @@ def _norms(f: np.ndarray) -> np.ndarray:
     return np.sqrt((f[..., None, :] @ f[..., None])[..., 0, 0])
 
 
-def _solve_axis(h: np.ndarray, K: np.ndarray,
-                x0: np.ndarray) -> list[CandidateAxis | None]:
+def _solve_axis(frames, x0: np.ndarray) -> list[CandidateAxis | None]:
     """The axis a damped Newton solve of (K(X,X) - mu X, h(X,X) - 1) = 0
-    reaches from each row of x0, (R, n), under h[r] and K[r], with mu
-    seeded by the cubic form C(x0, x0, x0). The rows share one batched
-    linear solve per iteration and each backtracks on its own. A row stops
-    at |F| <= 1e-13, at a singular Jacobian J (sigma_min <= 1e-13
-    sigma_max, the conditioning bound of `blaschke._solve`, read as
-    diag(B^-1, 1) J diag(B, 1) in the row's h-orthonormal basis B, where
-    no change of coordinates moves it), or when backtracking cannot
-    reduce |F|, which past 1e-13 is the rounding floor of its point; None
-    if it stops with |F| above 1e-11."""
-    x = np.array(x0, dtype=float)
+    reaches from each row of x0, (R, n), under h, K and the h-orthonormal
+    basis B of frames[r], with mu seeded by the cubic form C(x0, x0, x0).
+    The rows share one batched linear solve per iteration and each
+    backtracks on its own. A row stops at |F| <= 1e-13, at a singular
+    Jacobian J (sigma_min <= 1e-13 sigma_max, the conditioning bound of
+    `blaschke._solve`, read as diag(B^-1, 1) J diag(B, 1), where no
+    change of coordinates moves it), or when backtracking cannot reduce
+    |F|, which past 1e-13 is the rounding floor of its point; None if it
+    stops with |F| above 1e-11."""
+    h, K, x = frames.h, frames.K, np.array(x0, dtype=float)
     n = x.shape[-1]
     b = np.zeros((len(x), n + 1, n + 1))
-    b[:, :n, :n], b[:, n, n] = numerics.metric_orthonormal_basis(h), 1.0
+    b[:, :n, :n], b[:, n, n] = frames.basis, 1.0
     b_inv = np.linalg.inv(b)
     kxx = np.einsum("rijk,ri,rj->rk", K, x, x)
     mu = (kxx[:, None] @ h @ x[..., None])[:, 0, 0]
@@ -185,10 +184,11 @@ def _solve_axis(h: np.ndarray, K: np.ndarray,
     stopped = np.zeros(len(x), dtype=bool)
     for _ in range(80):
         rows = np.flatnonzero(~stopped & (norm > 1e-13))
-        sv = np.linalg.svd(b_inv[rows] @ jac[rows] @ b[rows],
-                           compute_uv=False)
-        singular = sv[:, -1] <= 1e-13 * sv[:, 0]
-        stopped[rows[singular]], rows = True, rows[~singular]
+        if rows.size:
+            sv = np.linalg.svd(b_inv[rows] @ jac[rows] @ b[rows],
+                               compute_uv=False)
+            singular = sv[:, -1] <= 1e-13 * sv[:, 0]
+            stopped[rows[singular]], rows = True, rows[~singular]
         if rows.size == 0:
             break
         step = np.linalg.solve(jac[rows], -f[rows, :, None])[..., 0]
@@ -214,6 +214,22 @@ def _solve_axis(h: np.ndarray, K: np.ndarray,
             for r in range(len(x))]
 
 
+def _random_seeds(h: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """`count` h-unit rows of standard normal draws v, kept at an h-norm
+    above 1e-8 |v| sqrt(max|h|) (u -> s u scales h by s^2). Drawn in
+    blocks, with the stream, the h-norms and so the rows of one draw of n
+    values at a time: one vector's einsum sums by rows first at n = 2."""
+    rng, n = np.random.default_rng(seed), len(h)
+    floor, kept = 1e-8 * math.sqrt(np.max(np.abs(h))), [np.empty((0, n))]
+    while sum(map(len, kept)) < count:
+        v = rng.standard_normal((count, n))
+        nv = _h_norms(h, v) if n != 2 else np.sqrt(np.maximum(
+            ((v[:, :, None] * h) * v[:, None, :]).sum(2).sum(1), 0.0))
+        keep = nv > floor * _norms(v)
+        kept.append(v[keep] / nv[keep, None])
+    return np.concatenate(kept)[:max(count, 0)]
+
+
 def find_axes(frame: BlaschkeFrame, restarts: int = 32,
               seed: int = 42) -> list[CandidateAxis]:
     """All h-unit solutions of K(X,X) = mu X found from seeded restarts,
@@ -227,21 +243,11 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
     base frame once, through the memo of `_axis_structures`; only the
     fallback of `_track` calls it directly.
     """
-    n = frame.n
-    basis = numerics.metric_orthonormal_basis(frame.h)
-    rng = np.random.default_rng(seed)
-    seeds = [basis[:, j] for j in range(n)]
-    # relative to |v| and to h, which u -> s u scales by s^2
-    floor = 1e-8 * math.sqrt(np.max(np.abs(frame.h)))
-    while len(seeds) < restarts:
-        v = rng.standard_normal(n)
-        nv = float(_h_norms(frame.h, v))
-        if nv > floor * np.linalg.norm(v):
-            seeds.append(v / nv)
-
-    rows = _repeated(frame, len(seeds))
+    seeds = np.concatenate([frame.basis.T, _random_seeds(
+        frame.h, restarts - frame.n, seed)])
     found: dict[tuple, CandidateAxis] = {}
-    for axis in filter(None, _solve_axis(rows.h, rows.K, seeds)):
+    for axis in filter(None, _solve_axis(_repeated(frame, len(seeds)),
+                                         seeds)):
         lead = next((comp for comp in axis.T if abs(comp) > 1e-8), 0.0)
         if lead < 0.0:
             axis = axis.flipped()
@@ -310,7 +316,7 @@ def _spectra(frames: BlaschkeFrame, t_vecs: np.ndarray):
     frames[p], T = t_vecs[p], with the T eigenpair split off; one solve."""
     a = np.einsum("pi,pijk->pjk", t_vecs, frames.C)
     try:
-        eig = numerics.solve_sym_eig_generalized(a, frames.h)
+        eig = numerics.solve_sym_eig_generalized(a, frames.basis)
     except numerics.AsymmetricMatrixError as exc:
         point = blaschke.format_point(frames.u[exc.index[0]])
         raise numerics.AsymmetricMatrixError(
@@ -549,8 +555,7 @@ def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
     t_ref, npts = ref.axis.T, len(frames)
     rows, passed = np.empty((npts,) + t_ref.shape * 2), np.zeros(npts, bool)
     lams = np.empty((npts, len(_lambdas(ref))))
-    axes = _solve_axis(frames.h, frames.K, np.broadcast_to(t_ref,
-                                                           frames.u.shape))
+    axes = _solve_axis(frames, np.broadcast_to(t_ref, frames.u.shape))
     solved = [p for p, axis in enumerate(axes) if axis is not None
               and axis.axis_residual <= AXIS_RESIDUAL_TOL]
     if solved:

@@ -41,16 +41,10 @@ _SCALARS = (int, float, np.floating, np.integer)
 
 
 def _multi_indices(nvars: int, order: int) -> list[tuple[int, ...]]:
-    out = []
-    for deg in range(order + 1):
-        block = set()
-        for combo in combinations_with_replacement(range(nvars), deg):
-            alpha = [0] * nvars
-            for i in combo:
-                alpha[i] += 1
-            block.add(tuple(alpha))
-        out.extend(sorted(block))
-    return out
+    """Multi-indices of degree <= order, by degree, each degree sorted."""
+    return [alpha for deg in range(order + 1) for alpha in sorted(
+        {tuple(map(combo.count, range(nvars)))
+         for combo in combinations_with_replacement(range(nvars), deg)})]
 
 
 class _JetSpace:

@@ -1,12 +1,13 @@
 """Dense symmetric linear algebra for small dimensions.
 
 Everything here targets matrices of size <= 8. The generalized
-symmetric eigenproblem A v = lambda M v is reduced with a Cholesky
-factor of M to a standard symmetric problem and solved by LAPACK
-(`numpy.linalg.eigh`), for one pair of matrices or for stacks of shape
-(..., n, n) in one call. Eigenvectors are M-orthonormal, eigenvalues
-ascending, and each vector's sign is fixed so its first entry of
-significant size is positive; so is each row of a `subspace_rank` basis.
+symmetric eigenproblem A v = lambda M v is reduced to B^T A B by the
+M-orthonormal basis B that the caller factors once per M (a frame batch
+carries that of its h) and solved by LAPACK (`numpy.linalg.eigh`), for
+one pair of matrices or for stacks (..., n, n) in one call. Eigenvectors
+are M-orthonormal, eigenvalues ascending, and each vector's sign is fixed
+so its first entry of significant size is positive; so is each row of a
+`subspace_rank` basis.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -vectors, vectors)
 
 
-def solve_sym_eig_generalized(a: np.ndarray, m: np.ndarray) -> EigenResult:
+def solve_sym_eig_generalized(a: np.ndarray, basis: np.ndarray) -> EigenResult:
     """Solve A v = lambda M v with symmetric A and positive definite M,
-    for one pair of matrices or stacks (..., n, n) in one call."""
-    basis = metric_orthonormal_basis(m)
+    given as `metric_orthonormal_basis(M)`, for one pair of matrices or
+    stacks (..., n, n) in one call."""
     b = _t(basis) @ symmetrize(a) @ basis
     values, q = np.linalg.eigh(0.5 * (b + _t(b)))   # ascending
     return EigenResult(values=values, vectors=_fix_signs(basis @ q))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from calabi import blaschke
+from calabi import blaschke, numerics
 from calabi.dsl import parse_immersion
 from conftest import make_grid
 
@@ -294,6 +294,26 @@ def test_gathered_rows_are_the_one_point_frames(pair_product, grid):
         for name in _FIELDS:
             assert np.array_equal(getattr(batch, name)[p],
                                   getattr(frame, name)), name
+
+
+def test_every_frame_carries_the_basis_of_its_h(pair_product):
+    """The basis of a computed batch, of a grid that mixes cached rows
+    with new ones, of one-point frames and of slices and index arrays is
+    `numerics.metric_orthonormal_basis(h)` bit for bit."""
+    def misses():
+        return blaschke._full_frame_cached.cache_info().misses
+
+    blaschke.clear_frame_cache()
+    computed = blaschke.frames_on_grid(pair_product,
+                                       make_grid(-0.3, 0.3, 2, 3))
+    grid = make_grid(-0.3, 0.3, 3, 3)        # shares its 8 corners
+    mixed = blaschke.frames_on_grid(pair_product, grid)
+    assert misses() == 8 + 19
+    singles = [blaschke.full_frame(pair_product, u) for u in grid[::5]]
+    for frames in (computed, mixed, mixed[2:9], mixed[[26, 0, 13]],
+                   *singles):
+        assert np.array_equal(frames.basis,
+                              numerics.metric_orthonormal_basis(frames.h))
 
 
 @pytest.mark.parametrize("grid, message", [

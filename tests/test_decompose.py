@@ -75,7 +75,8 @@ def test_homothety_law_matches_recomputed_frames(request, product, c):
     arithmetic show (K on the quadric, Rhat and nabla_K on the products,
     the residuals). The bent product has gamma_hat and dh, the quadric
     Rhat. The mapped rows serve the rescaled definition as cached frames
-    and count as no frame computed."""
+    and count as no frame computed; their basis is that of their h bit
+    for bit."""
     defn = request.getfixturevalue(product)
     if product == "pair_product":
         defn = _bent(defn)
@@ -85,6 +86,11 @@ def test_homothety_law_matches_recomputed_frames(request, product, c):
     blaschke.clear_frame_cache()
     mapped = blaschke.homothetic_frames(scaled, frames, c)
     assert blaschke.frames_on_grid(scaled, grid) is mapped
+    # the basis is factored from the mapped h, in every reading of the rows
+    for batch in (mapped, mapped[3:7], mapped[[8, 0, 8]],
+                  blaschke.full_frame(scaled, grid[-1])):
+        assert np.array_equal(batch.basis,
+                              numerics.metric_orthonormal_basis(batch.h))
     assert _frames_computed() == 0
     fresh = blaschke._frame_batch(scaled, grid)
     a = 2.0 * (defn.nvars + 1) / (defn.nvars + 2)
@@ -444,8 +450,8 @@ def _failing_tracker(monkeypatch, row_at):
     the restarts of a search do not."""
     real = decompose._solve_axis
 
-    def solve(h, K, x0):
-        axes = real(h, K, x0)
+    def solve(frames, x0):
+        axes = real(frames, x0)
         if np.all(x0 == x0[0]):
             row = row_at(len(x0))
             axes = [None if row is None or r == row else axis
@@ -551,6 +557,88 @@ def test_roundtrip_searches_each_base_frame_once(point_product,
         id(blaschke.full_frame(pair_product, g27[0]))}
 
 
+def _linalg_calls(monkeypatch, *names) -> dict:
+    """The number of calls of each named `np.linalg` function from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_roundtrip_factors_each_metric_once(point_product, pair_product,
+                                            monkeypatch):
+    """A round trip shaped like the benchmark op factors h once per frame
+    batch and once per homothety map: 8 Cholesky factorizations for its
+    5 batches and 3 mapped factor batches, where the checks, the search,
+    the tracker and every eigensolve factored h again (23). The axis
+    solve stops before an SVD of no rows: 17 SVDs (23)."""
+    counts = _linalg_calls(monkeypatch, "cholesky", "svd")
+    blaschke.clear_frame_cache()
+    g25, g27 = make_grid(-0.3, 0.3, 5, 2), make_grid(-0.3, 0.3, 3, 3)
+    v_point = decompose.detect(point_product, g25)
+    decompose.extract_point_factor(v_point.def_scaled, v_point, g25)
+    v_pair = decompose.detect(pair_product, g27)
+    assert decompose.theorem3_gate(pair_product, g27).applies
+    decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
+    assert counts == {"cholesky": 8, "svd": 17}
+
+
+def _cholesky_failing_at(monkeypatch, h_bad):
+    """Make np.linalg.cholesky fail on any stack that holds the metric
+    h_bad, as it fails on a metric that is not positive definite."""
+    real = np.linalg.cholesky
+
+    def cholesky(a, *args, **kwargs):
+        a = np.asarray(a)
+        hit = np.all(np.isclose(a, h_bad, rtol=1e-12, atol=0.0),
+                     axis=(-2, -1))
+        if np.any(hit):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+
+
+def test_a_failed_basis_is_a_verdict_not_an_exception(pair_product,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+    """The frames factor h once, in the frame batch, so a failed Cholesky
+    is an IndefiniteMetricError there, which detect and the CLI report:
+    the batch of the grid fails, its points go one at a time, and the
+    point whose h does not factor names the failure. When the checks
+    factored h themselves, the NotPositiveDefiniteError escaped detect."""
+    from calabi import cli
+    path = tmp_path / "pair.immersion"
+    path.write_text(dsl.print_immersion(pair_product) + "\n",
+                    encoding="utf-8")
+    grid = cli._resolve_grid("g27", 3, {})
+    blaschke.clear_frame_cache()
+    h_bad = blaschke.full_frame(pair_product, grid[-1]).h
+    blaschke.clear_frame_cache()
+    _cholesky_failing_at(monkeypatch, h_bad)
+    verdict = decompose.detect(pair_product, grid)
+    assert verdict.kind is None
+    assert verdict.notes == ("affine metric is not positive definite",)
+    with pytest.raises(blaschke.IndefiniteMetricError):
+        blaschke.frames_on_grid(pair_product, grid)
+    assert decompose.theorem3_gate(pair_product, grid).note == (
+        "affine metric is not positive definite")
+    capsys.readouterr()
+    assert cli.main(["detect", str(path), "--grid", "g27"]) == 1
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["kind"] == "None"
+    assert verdict["note"] == "affine metric is not positive definite"
+    assert cli.main(["check", str(path), "--grid", "g27"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "affine metric is not positive definite"
+
+
 def test_search_memo_is_dropped_with_the_frames(pair_product):
     decompose.detect(pair_product, make_grid(-0.3, 0.3, 2, 3))
     assert len(decompose._STRUCTURES) > 0
@@ -568,16 +656,16 @@ def test_detect_reports_an_asymmetric_k_t_as_a_verdict(pair_product,
     points."""
     grid = make_grid(-0.3, 0.3, 2, 3)
     blaschke.clear_frame_cache()
-    base_h = blaschke.full_frame(pair_product, grid[0]).h
+    base_basis = blaschke.full_frame(pair_product, grid[0]).basis
     real = numerics.solve_sym_eig_generalized
     calls = []
 
-    def skewed(a, m):
-        calls.append(m)
+    def skewed(a, basis):
+        calls.append(basis)
         if len(calls) == 1:
-            assert np.all(m == base_h)
-            return real(a, m)
-        return real(a + 1e-6 * np.triu(np.ones(a.shape[-2:]), 1), m)
+            assert np.all(basis == base_basis)
+            return real(a, basis)
+        return real(a + 1e-6 * np.triu(np.ones(a.shape[-2:]), 1), basis)
 
     monkeypatch.setattr(numerics, "solve_sym_eig_generalized", skewed)
     verdict = decompose.detect(pair_product, grid)
@@ -745,8 +833,12 @@ def test_restarts_solve_alike_in_one_stack_and_one_by_one(request, product,
                 for c in axes]
         assert keys == sorted(keys)
     real = decompose._solve_axis
-    monkeypatch.setattr(decompose, "_solve_axis", lambda h, K, x0: [
-        real(h[r:r + 1], K[r:r + 1], x0[r:r + 1])[0] for r in range(len(x0))])
+    def one_by_one(frames, x0):
+        rows = [SimpleNamespace(**{k: v[r:r + 1] for k, v in
+                                   vars(frames).items()}) for r in range(len(x0))]
+        return [real(row, x0[r:r + 1])[0] for r, row in enumerate(rows)]
+
+    monkeypatch.setattr(decompose, "_solve_axis", one_by_one)
     for frame, reference in zip(frames, stacked):
         alone = decompose.find_axes(frame)
         assert len(alone) == len(reference) > 0
@@ -770,15 +862,14 @@ def test_a_singular_jacobian_fails_only_its_own_row(pair_product,
     calls = _counted(monkeypatch, "_axis_system")
     for singular in (np.zeros(3), basis[:, 1]):
         calls.clear()
-        assert decompose._solve_axis(frame.h[None], frame.K[None],
+        assert decompose._solve_axis(decompose._repeated(frame, 1),
                                      singular[None]) == [None]
         assert len(calls) == 1
         seeds = np.array([singular, [0.6, 0.5, -0.2], [-0.1, 0.3, 0.8]])
-        stacked = decompose._solve_axis(np.stack([frame.h] * 3),
-                                        np.stack([frame.K] * 3), seeds)
+        stacked = decompose._solve_axis(decompose._repeated(frame, 3), seeds)
         assert stacked[0] is None
         for seed, axis in zip(seeds[1:], stacked[1:]):
-            (alone,) = decompose._solve_axis(frame.h[None], frame.K[None],
+            (alone,) = decompose._solve_axis(decompose._repeated(frame, 1),
                                              seed[None])
             assert axis is not None and alone is not None
             assert np.array_equal(axis.T, alone.T)
@@ -799,6 +890,59 @@ def test_find_axes_evaluates_the_axis_system_at_most_12_times(
     calls = _counted(monkeypatch, "_axis_system")
     assert decompose.find_axes(frame)
     assert len(calls) <= 12
+
+
+def _loop_seeds(h: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """The random seeds as `find_axes` drew them, one vector at a time."""
+    rng = np.random.default_rng(seed)
+    floor = 1e-8 * math.sqrt(np.max(np.abs(h)))
+    seeds = []
+    while len(seeds) < count:
+        v = rng.standard_normal(len(h))
+        nv = float(decompose._h_norms(h, v))
+        if nv > floor * np.linalg.norm(v):
+            seeds.append(v / nv)
+    return np.array(seeds).reshape(-1, len(h))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_seeds_drawn_as_one_array_are_those_of_the_loop(n):
+    """The array draw gives the seeds of the per-vector loop bit for bit:
+    the Generator stream is the same, and so are the h-norms. At an
+    indefinite h the floor rejects about half the draws; 1e-18 h is the
+    metric under u -> 1e-9 u."""
+    a = np.random.default_rng(n).standard_normal((n, n))
+    spd = a @ a.T + n * np.eye(n)
+    indefinite = np.diag(np.where(np.arange(n) % 2, -1.0, 1.0))
+    for h in (spd, 1e-18 * spd, indefinite, 1e-18 * indefinite):
+        for seed in range(10):
+            for count in (n, 32 - n):
+                want = _loop_seeds(h, count, seed)
+                got = decompose._random_seeds(h, count, seed)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (h[0, 0], seed, count)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-9])
+@pytest.mark.parametrize("product, u", [
+    ("point_product", (0.1, -0.2)),
+    ("pair_product", (0.1, -0.2, 0.15)),
+])
+def test_find_axes_solves_from_the_seeds_of_the_loop(request, product, u, s,
+                                                     monkeypatch):
+    """The rows `find_axes` hands to the Newton solve are the basis
+    vectors of the frame and then the seeds of the per-vector loop."""
+    defn = request.getfixturevalue(product)
+    defn = _linear_reparam(defn, s * np.eye(defn.nvars))
+    frame = blaschke.full_frame(defn, tuple(np.array(u) / s))
+    seen = []
+    real = decompose._solve_axis
+    monkeypatch.setattr(decompose, "_solve_axis",
+                        lambda frames, x0: seen.append(x0) or real(frames, x0))
+    assert decompose.find_axes(frame)
+    want = np.concatenate([frame.basis.T,
+                           _loop_seeds(frame.h, 32 - frame.n, 42)])
+    assert np.array_equal(seen[0], want)
 
 
 _DETECT_CHILD = """
@@ -838,9 +982,12 @@ def test_a_solve_stopped_at_its_rounding_floor_is_kept(pair_product):
     p_inv = np.linalg.inv(p)
     h = p.T @ frame.h @ p
     K = np.einsum("abk,ai,bj,ck->ijc", frame.K, p, p, p_inv)
+    rows = SimpleNamespace(**{name: np.stack([value] * len(axes)) for name,
+                              value in [("h", h), ("K", K), (
+                                  "basis",
+                                  numerics.metric_orthonormal_basis(h))]})
     solved = decompose._solve_axis(
-        np.stack([h] * len(axes)), np.stack([K] * len(axes)),
-        np.stack([p_inv @ axis.T for axis in axes]))
+        rows, np.stack([p_inv @ axis.T for axis in axes]))
     for axis, ref in zip(solved, axes):
         assert axis is not None
         assert np.allclose(p @ axis.T, ref.T, rtol=0, atol=1e-9)
@@ -1351,7 +1498,7 @@ def test_the_array_gate_agrees_with_gate_at_every_tracked_point(
         if ref.pattern == "unclassified":
             continue
         seeds = np.repeat([ref.axis.T, -ref.axis.T], len(grid), axis=0)
-        axes = decompose._solve_axis(frames.h, frames.K, seeds)
+        axes = decompose._solve_axis(frames, seeds)
         solved = [p for p, axis in enumerate(axes) if axis is not None
                   and axis.axis_residual <= decompose.AXIS_RESIDUAL_TOL]
         axes, tracked = [axes[p] for p in solved], frames[solved]
@@ -1384,7 +1531,7 @@ def test_the_array_gate_refuses_clusters_that_do_not_straddle_zero():
     K[0, 0, 0], K[0, 1, 1], K[1, 0, 1], K[1, 1, 0] = 0.3, 0.5, 0.5, 0.5
     K[0, 2, 2], K[2, 0, 2], K[2, 2, 0] = 2.0, 2.0, 2.0
     frames = SimpleNamespace(K=K[None], C=K[None], h=np.eye(3)[None],
-                             u=np.zeros((1, 3)))
+                             basis=np.eye(3)[None], u=np.zeros((1, 3)))
     axis = decompose.CandidateAxis(T=np.eye(3)[0], lambda1=0.3,
                                    axis_residual=0.0)
     values, vectors = decompose._spectra(frames, axis.T[None])

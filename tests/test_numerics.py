@@ -19,7 +19,8 @@ def test_generalized_eig_matches_scipy():
         raw = rng.standard_normal((n, n))
         a = numerics.symmetrize(raw + raw.T)
         m = _random_spd(rng, n)
-        ours = numerics.solve_sym_eig_generalized(a, m)
+        ours = numerics.solve_sym_eig_generalized(
+            a, numerics.metric_orthonormal_basis(m))
         ref = scipy.linalg.eigh(a, m, eigvals_only=True)
         assert np.allclose(ours.values, ref, atol=1e-10)
         # m-orthonormal columns
@@ -37,11 +38,13 @@ def test_stacked_eig_matches_per_matrix_calls():
         raw = rng.standard_normal((6, n, n))
         a = raw + raw.transpose(0, 2, 1)
         m = np.stack([_random_spd(rng, n) for _ in range(6)])
-        stacked = numerics.solve_sym_eig_generalized(a, m)
+        stacked = numerics.solve_sym_eig_generalized(
+            a, numerics.metric_orthonormal_basis(m))
         assert stacked.values.shape == (6, n)
         assert stacked.vectors.shape == (6, n, n)
         for p in range(6):
-            one = numerics.solve_sym_eig_generalized(a[p], m[p])
+            one = numerics.solve_sym_eig_generalized(
+                a[p], numerics.metric_orthonormal_basis(m[p]))
             assert np.allclose(stacked.values[p], one.values, rtol=0,
                                atol=1e-14)
             assert np.allclose(stacked.vectors[p], one.vectors, rtol=0,
@@ -62,10 +65,11 @@ def test_asymmetric_matrix_in_a_stack_is_named_by_its_index():
 
 
 def test_eig_rejects_indefinite_mass_matrix():
-    a = np.eye(2)
+    """The mass matrix enters the eigensolve as its M-orthonormal basis,
+    which an indefinite M does not have."""
     m = np.diag([1.0, -1.0])
     with pytest.raises(numerics.NotPositiveDefiniteError):
-        numerics.solve_sym_eig_generalized(a, m)
+        numerics.metric_orthonormal_basis(m)
 
 
 def test_subspace_rank_counts_independent_directions():
@@ -122,9 +126,8 @@ def test_metric_orthonormal_basis_property():
 @given(hnp.arrays(np.float64, (3, 3),
                   elements=st.floats(-5, 5, allow_nan=False)))
 def test_eigenvalues_real_and_sorted_for_any_symmetric_part(a):
-    m = np.eye(3)
     sym = numerics.symmetrize(a + a.T)
-    res = numerics.solve_sym_eig_generalized(sym, m)
+    res = numerics.solve_sym_eig_generalized(sym, np.eye(3))
     assert np.all(np.diff(res.values) >= -1e-12)
     ref = np.linalg.eigvalsh(sym)
     assert np.allclose(res.values, ref, atol=1e-8)
