@@ -215,10 +215,10 @@ def _solve_axis(frames, x0: np.ndarray) -> list[CandidateAxis | None]:
 
 
 def _random_seeds(h: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """`count` h-unit rows of standard normal draws v, kept at an h-norm
-    above 1e-8 |v| sqrt(max|h|) (u -> s u scales h by s^2). Drawn in
-    blocks, with the stream, the h-norms and so the rows of one draw of n
-    values at a time: one vector's einsum sums by rows first at n = 2."""
+    """`count` h-unit rows of the seed's standard normal draws v, keeping
+    those with an h-norm above 1e-8 |v| sqrt(max|h|) (u -> s u scales h by
+    s^2). Drawn in blocks, they equal draws of one vector at a time, bit
+    for bit; at n = 2 numpy's einsum of one vector sums by rows first."""
     rng, n = np.random.default_rng(seed), len(h)
     floor, kept = 1e-8 * math.sqrt(np.max(np.abs(h))), [np.empty((0, n))]
     while sum(map(len, kept)) < count:

@@ -833,10 +833,11 @@ def test_restarts_solve_alike_in_one_stack_and_one_by_one(request, product,
                 for c in axes]
         assert keys == sorted(keys)
     real = decompose._solve_axis
+
     def one_by_one(frames, x0):
-        rows = [SimpleNamespace(**{k: v[r:r + 1] for k, v in
-                                   vars(frames).items()}) for r in range(len(x0))]
-        return [real(row, x0[r:r + 1])[0] for r, row in enumerate(rows)]
+        return [real(SimpleNamespace(**{k: v[r:r + 1] for k, v in
+                                        vars(frames).items()}),
+                     x0[r:r + 1])[0] for r in range(len(x0))]
 
     monkeypatch.setattr(decompose, "_solve_axis", one_by_one)
     for frame, reference in zip(frames, stacked):
@@ -982,10 +983,10 @@ def test_a_solve_stopped_at_its_rounding_floor_is_kept(pair_product):
     p_inv = np.linalg.inv(p)
     h = p.T @ frame.h @ p
     K = np.einsum("abk,ai,bj,ck->ijc", frame.K, p, p, p_inv)
-    rows = SimpleNamespace(**{name: np.stack([value] * len(axes)) for name,
-                              value in [("h", h), ("K", K), (
-                                  "basis",
-                                  numerics.metric_orthonormal_basis(h))]})
+    basis = numerics.metric_orthonormal_basis(h)
+    rows = SimpleNamespace(h=np.stack([h] * len(axes)),
+                           K=np.stack([K] * len(axes)),
+                           basis=np.stack([basis] * len(axes)))
     solved = decompose._solve_axis(
         rows, np.stack([p_inv @ axis.T for axis in axes]))
     for axis, ref in zip(solved, axes):
