@@ -32,51 +32,19 @@ from .dsl import (ImmersionDef, ImmersionSyntaxError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityError",
-    "BlaschkeFrame",
-    "CandidateAxis",
-    "CheckReport",
-    "DecompositionVerdict",
-    "DegenerateSurfaceError",
-    "FactorData",
-    "FactorGaugeError",
-    "GaugeError",
-    "GeometryError",
-    "HomothetyResult",
-    "ImmersionDef",
-    "ImmersionSyntaxError",
-    "ImmersionValidationError",
-    "IndefiniteMetricError",
-    "NotHyperbolicError",
-    "Provenance",
-    "ProvenanceError",
-    "SpectralStructure",
-    "SpectrumPrediction",
-    "Theorem3Gate",
-    "VerdictError",
-    "apolarity_residual",
-    "base_coefficients",
-    "build_scaled_embedding",
-    "calabi_pair",
-    "calabi_point",
-    "classify_spectrum",
-    "detect",
-    "extract_pair_factors",
-    "extract_point_factor",
-    "find_axes",
-    "frames_on_grid",
-    "full_frame",
-    "gauss_codazzi_residual",
-    "is_quadric",
-    "normalize_homothety",
-    "ode_coefficient",
-    "parallel_cubic_residual",
-    "parse_immersion",
-    "parse_program",
-    "predicted_spectrum",
-    "print_immersion",
-    "product_ode_identity",
-    "sphere_residual",
-    "theorem3_gate",
+    "ArityError", "BlaschkeFrame", "CandidateAxis", "CheckReport",
+    "DecompositionVerdict", "DegenerateSurfaceError", "FactorData",
+    "FactorGaugeError", "GaugeError", "GeometryError", "HomothetyResult",
+    "ImmersionDef", "ImmersionSyntaxError", "ImmersionValidationError",
+    "IndefiniteMetricError", "NotHyperbolicError", "Provenance",
+    "ProvenanceError", "SpectralStructure", "SpectrumPrediction",
+    "Theorem3Gate", "VerdictError", "apolarity_residual",
+    "base_coefficients", "build_scaled_embedding", "calabi_pair",
+    "calabi_point", "classify_spectrum", "detect", "extract_pair_factors",
+    "extract_point_factor", "find_axes", "frames_on_grid", "full_frame",
+    "gauss_codazzi_residual", "is_quadric", "normalize_homothety",
+    "ode_coefficient", "parallel_cubic_residual", "parse_immersion",
+    "parse_program", "predicted_spectrum", "print_immersion",
+    "product_ode_identity", "sphere_residual", "theorem3_gate",
     "unimodular_criterion",
 ]

@@ -17,22 +17,24 @@ write on paper, and each differentiation lowers the jet order by one.
 The orders work out so that S, the curvature tensor and hat nabla K are
 still exact at the point; no finite differences are involved.
 
-The pipeline runs on a batch of points at once, with jet matrices as
-coefficient arrays of shape (points, rows, cols, size) (see `jets`);
-`full_frame` is the one-point case, and `blaschke_metric_and_normal`
-reads h and xi from it. A jet matrix A = A0 + N, A0 its constant term,
-is inverted as A^-1 = sum_{k <= order} (-A0^-1 N)^k A0^-1, exact at the
-jet order since N has no constant term, so LAPACK only inverts the A0.
-The cross product and det G use a division-free Laplace expansion:
-minors that vanish at a point are harmless.
+A batch holds the points of one or more definitions of one n: only the
+component jets depend on the definition, and every later stage runs once
+over all the rows, with jet matrices as (points, rows, cols, size) and
+their products taken by `jets.matmul`. A jet matrix A = A0 + N, A0 its
+constant term, is inverted as A^-1 = sum_{k <= order} (-A0^-1 N)^k A0^-1,
+exact at the jet order since N has no constant term, so LAPACK only
+inverts the A0. The cross product and det G use a division-free Laplace
+expansion: minors that vanish at a point are harmless.
 
 Frames are cached per (definition, point) in an LRU of 4096 entries,
 `_full_frame_cached`, as rows of the batches that computed them, or that
 `homothetic_frames` mapped from the frames of phi to those of c phi;
 `cache_info().misses` counts one miss per frame computed. `frames_on_grid`
 computes only its misses, in one batch, and returns the grid as one batch
-with a leading grid-point axis (the computed batch itself when it is the
-whole grid): the checks and the decomposition read it directly.
+with a leading grid-point axis (the computed batch, or a slice of it,
+when the grid is a run of its rows); `cache_frames` computes the grids
+of several definitions in one batch, as extraction does for the factors
+of a pair. `full_frame` is the one-point case.
 
 Index conventions for the stored arrays: tensors with one contravariant
 slot keep it last, so gamma[i, j, k] is Gamma^k_ij, K[i, j, k] is
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, groupby
@@ -53,7 +56,8 @@ import numpy as np
 
 from . import numerics
 from .dsl import ImmersionDef
-from .jets import Jet, JetDomainError, eval_jets, grad, matmul, mul, space_of
+from .jets import (Jet, JetDomainError, eval_jets, grad, grad0, matmul, mul,
+                   space_of)
 
 
 class GeometryError(ValueError):
@@ -104,20 +108,21 @@ def _solve(a: np.ndarray, b, n: int) -> np.ndarray:
     """A^-1 B = sum_{k <= order} (-A0^-1 N)^k A0^-1 B for jet matrices
     A = A0 + N (P, m, m, size) and B (P, m, c, size); B = None stands for
     the identity."""
-    if b is None:
-        b = np.zeros(a.shape)
-        b[..., 0] = np.eye(a.shape[1])
-    size = min(a.shape[-1], b.shape[-1])
+    size = a.shape[-1] if b is None else min(a.shape[-1], b.shape[-1])
     a, a0 = a[..., :size], a[..., 0]
     try:
         inv0 = np.linalg.inv(a0)
     except np.linalg.LinAlgError:
         inv0 = np.full(a0.shape, np.inf)
     # the conditioning of A0, not the size of its pivots: scale free
-    cond = np.abs(a0).sum(-1).max(-1) * np.abs(inv0).sum(-1).max(-1)
-    if not np.all(cond <= 1e13):
+    cond = abs(a0).sum(-1).max(-1) * abs(inv0).sum(-1).max(-1)
+    if not (cond <= 1e13).all():
         raise DegenerateSurfaceError("singular jet system (degenerate frame)")
-    y = np.einsum("pik,pkjt->pijt", inv0, b[..., :size])
+    if b is None:
+        y = np.zeros(a.shape)
+        y[..., 0] = inv0
+    else:
+        y = np.einsum("pik,pkjt->pijt", inv0, b[..., :size])
     step = np.einsum("pik,pkjt->pijt", -inv0, a)   # -A0^-1 N
     step[..., 0] = 0.0
     x = y
@@ -138,10 +143,7 @@ def format_point(u) -> str:
 # --- result types ---------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MetricNormal:
-    h: np.ndarray
-    xi: np.ndarray
+MetricNormal = namedtuple("MetricNormal", "h xi")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,11 +199,10 @@ def _component_jets(definition: ImmersionDef, points, order: int) -> np.ndarray:
             f"hypersurface needs {n + 1} components for {n} variables, "
             f"got {definition.ncomponents}"
         )
-    shape = (len(points), math.comb(n + order, order))
-    comps = eval_jets(definition, points, order)
-    return np.stack([np.broadcast_to(
-        c.c if isinstance(c, Jet) else Jet.constant(c, n, order).c, shape)
-        for c in comps], axis=1)
+    out = np.zeros((len(points), n + 1, math.comb(n + order, order)))
+    for k, c in enumerate(eval_jets(definition, points, order)):
+        out[:, k] = c.c if isinstance(c, Jet) else Jet.constant(c, n, order).c
+    return out
 
 
 def _metric_and_levi(comps: np.ndarray, n: int):
@@ -211,9 +212,9 @@ def _metric_and_levi(comps: np.ndarray, n: int):
     1994). G carries the tangent volume, so its definiteness and
     degeneracy are judged at unit size, on G / max|G|."""
     P = comps.shape[0]
-    tang = np.swapaxes(grad(comps, n), 1, 2)      # tang[p, i, a] = d_i phi^a
+    tang = grad(comps, n).swapaxes(1, 2)          # tang[p, i, a] = d_i phi^a
     idx = np.arange(n)
-    second = np.swapaxes(grad(tang, n), 2, 3)     # second[p, i, j, a]
+    second = grad(tang, n).swapaxes(2, 3)         # second[p, i, j, a]
     second = second[:, np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)]
 
     # zhat . v = det(d_1 phi, ..., d_n phi, v): zhat_a is (-1)^(n+a) times
@@ -222,22 +223,22 @@ def _metric_and_levi(comps: np.ndarray, n: int):
     signs = (-1.0) ** (n + np.arange(n + 1))
     zhat = _minors(low, n)[:, ::-1] * signs[:, None]
     # |zhat| is the volume of the tangent vectors, at most prod_i |d_i phi|
-    norm2 = np.sum(zhat[..., 0] ** 2, axis=1)
-    lengths2 = np.prod(np.sum(tang[..., 0] ** 2, axis=2), axis=1)
-    if np.any(norm2 <= 1e-20 * lengths2):
+    norm2 = (zhat[..., 0] ** 2).sum(1)
+    lengths2 = (tang[..., 0] ** 2).sum(2).prod(1)
+    if (norm2 <= 1e-20 * lengths2).any():
         raise DegenerateSurfaceError("tangent map is degenerate at this point")
 
     G = mul(zhat[:, None, None], second, n).sum(axis=3)
-    scale = np.max(np.abs(G[..., 0]), axis=(1, 2))
+    scale = abs(G[..., 0]).max((1, 2))
     G = G / np.where(scale > 0.0, scale, 1.0)[:, None, None, None]
     eig = np.linalg.eigvalsh(G[..., 0])           # symmetric by construction
-    flip = np.all(eig < -1e-12, axis=1)
-    if not np.all(flip | np.all(eig > 1e-12, axis=1)):
+    flip = (eig < -1e-12).all(1)
+    if not (flip | (eig > 1e-12).all(1)).all():
         raise IndefiniteMetricError(
             "tentative second fundamental form is not definite")
     G = G * np.where(flip, -1.0, 1.0)[:, None, None, None]
     det_g = _minors(G, n)[:, 0]
-    if np.any(np.abs(det_g[:, 0]) < 1e-12):
+    if (abs(det_g[:, 0]) < 1e-12).any():
         raise DegenerateSurfaceError("second fundamental form is degenerate")
 
     # Blaschke normalization at unit size, the scale restored: G = scale G1
@@ -268,32 +269,35 @@ def _basis(h: np.ndarray) -> np.ndarray:
         raise IndefiniteMetricError(f"affine {exc}") from None
 
 
-def _frame_batch(definition: ImmersionDef, points: np.ndarray) -> BlaschkeFrame:
-    """Complete Blaschke frames at a batch of points (order-4 jets)."""
-    n = definition.nvars
+def _frame_batch(parts) -> BlaschkeFrame:
+    """Complete Blaschke frames (order-4 jets) at the points of each
+    (definition, points) part, definitions of one n, as one batch with the
+    rows of the parts in order; only the component jets are per part."""
+    n = parts[0][0].nvars
+    points = np.concatenate([pts for _, pts in parts])
     P = len(points)
-    comps = _component_jets(definition, points, order=4)
+    comps = np.concatenate([_component_jets(d, pts, 4) for d, pts in parts])
     tang, second, h, h_inv, dh, gamma_hat, xi = _metric_and_levi(comps, n)
 
     # induced connection: decompose second derivatives against (d phi, xi)
     basis = np.concatenate([tang[..., :xi.shape[-1]], xi[:, None]], 1).swapaxes(1, 2)
     sol = _solve(basis, second.reshape(P, n * n, n + 1, -1).swapaxes(1, 2), n)
     gamma = _values(sol[:, :n]).reshape(P, n, n, n).transpose(0, 2, 3, 1)
-    recon = np.max(np.abs(sol[:, n, :, 0] - h[..., 0].reshape(P, n * n)), axis=1)
+    recon = abs(sol[:, n, :, 0] - h[..., 0].reshape(P, n * n)).max(1)
     K_jets = (sol[:, :n].reshape(P, n, n, n, -1).transpose(0, 2, 3, 1, 4)
               - gamma_hat[..., : sol.shape[-1]])
     K, gh, h_vals = _values(K_jets), _values(gamma_hat), _values(h)
     C = np.einsum("pijl,plk->pijk", K, h_vals)
 
     # shape operator from d_i xi = -S^k_i d_k phi (+ transversal defect)
-    coeffs = np.linalg.solve(basis[..., 0], grad(xi, n)[..., 0])
+    coeffs = np.linalg.solve(basis[..., 0], grad0(xi, n))
     S = -coeffs[:, :n]
-    defect = np.max(np.abs(coeffs[:, n]), axis=1)
-    H = np.trace(S, axis1=1, axis2=2) / n
+    defect = abs(coeffs[:, n]).max(1)
+    H = S.trace(axis1=1, axis2=2) / n
 
     # derivative tensors, derivative index first: dK[p, m, i, j, k] = d_m K^k_ij
-    dgh = np.moveaxis(grad(gamma_hat, n)[..., 0], 4, 1)
-    dK = np.moveaxis(grad(K_jets, n)[..., 0], 4, 1)
+    dgh = grad0(gamma_hat, n).transpose(0, 4, 1, 2, 3)
+    dK = grad0(K_jets, n).transpose(0, 4, 1, 2, 3)
 
     # curvature: R[i,j,k,l] = d_i Gh[j,k,l] - d_j Gh[i,k,l]
     #            + Gh[j,k,m] Gh[i,m,l] - Gh[i,k,m] Gh[j,m,l]
@@ -308,7 +312,7 @@ def _frame_batch(definition: ImmersionDef, points: np.ndarray) -> BlaschkeFrame:
 
     position, tangent, second_vals = _values(comps), _values(tang), _values(second)
     h_inv_vals, xi_vals = _values(h_inv), _values(xi)
-    dh_vals = np.moveaxis(dh[..., 0], 3, 1)       # dh[p, k, i, j] = d_k h_ij
+    dh_vals = dh[..., 0].transpose(0, 3, 1, 2)    # dh[p, k, i, j] = d_k h_ij
     return BlaschkeFrame(
         u=points, position=position, tangent=tangent, second=second_vals,
         h=h_vals, h_inv=h_inv_vals, basis=_basis(h_vals), xi=xi_vals,
@@ -369,38 +373,59 @@ def _points(grid) -> list[tuple]:
 
 
 def _gather(entries) -> BlaschkeFrame:
-    """The rows entry[1] of the batches entry[0] as one batch: one gather
-    per run of rows from one batch, or that batch if the run is all of it."""
+    """The rows entry[1] of the batches entry[0] as one batch: that batch
+    or a slice of it when the rows are consecutive rows of one batch,
+    else one gather per run of rows from one batch."""
     runs = [(batch, [e[1] for e in run])
             for batch, run in groupby(entries, lambda e: e[0])]
-    if len(runs) == 1 and runs[0][1] == list(range(len(runs[0][0]))):
-        return runs[0][0]
+    batch, rows = runs[0]
+    if len(runs) == 1 and rows == list(range(rows[0], rows[0] + len(rows))):
+        return batch if len(rows) == len(batch) else batch[rows[0]:rows[-1] + 1]
     return BlaschkeFrame(**{name: np.concatenate([
         getattr(batch, name)[rows] for batch, rows in runs])
         for name in BlaschkeFrame.__dataclass_fields__})
 
 
-def _computed(definition: ImmersionDef, points: list[tuple]) -> BlaschkeFrame:
-    """Compute the frames at `points` in one batch, cache a row of it per
-    point and return it. When the batch fails, the points go one at a
-    time, so the error raised is the one of the first failing point."""
+def _computed(parts, one_by_one: bool = True) -> BlaschkeFrame:
+    """Compute the frames at the points of each (definition, point tuples)
+    part in one batch, cache each row under its definition and return the
+    batch. A failed batch goes one point at a time, so the error raised
+    is that of the first failing point, unless not `one_by_one`."""
+    keys = [(d, u) for d, points in parts for u in points]
     try:
-        batch = _frame_batch(definition, np.array(points, dtype=float))
+        batch = _frame_batch([(d, np.array(points, dtype=float))
+                              for d, points in parts])
     except (GeometryError, JetDomainError):
-        if len(points) == 1:
+        if len(keys) == 1 or not one_by_one:
             raise
-        return _gather([(_computed(definition, [u]), 0) for u in points])
-    _full_frame_cached.misses += len(points)
-    for row, u in enumerate(points):
-        _full_frame_cached.put((definition, u), batch, row)
+        return _gather([(_computed([(d, [u])]), 0) for d, u in keys])
+    _full_frame_cached.misses += len(keys)
+    for row, key in enumerate(keys):
+        _full_frame_cached.put(key, batch, row)
     return batch
+
+
+def cache_frames(items) -> None:
+    """Compute the frames missing from the cache at the points of each
+    (definition, grid) of `items`, one batch per n, each row cached under
+    its own definition. A failed batch caches nothing: each definition
+    then computes its frames, and raises its error, on its own."""
+    groups = {}
+    for definition, grid in items:
+        missing = [u for u in dict.fromkeys(_points(grid))
+                   if (definition, u) not in _full_frame_cached.frames]
+        if missing:
+            groups.setdefault(definition.nvars, []).append((definition, missing))
+    for parts in groups.values():
+        with suppress(GeometryError, JetDomainError):
+            _computed(parts, one_by_one=False)
 
 
 def full_frame(definition: ImmersionDef, u) -> BlaschkeFrame:
     """Complete Blaschke frame at a point (order-4 jets), cached."""
     key = (definition, _points([u])[0])
     if _full_frame_cached.get(key) is None:
-        _computed(definition, [key[1]])
+        _computed([(definition, [key[1]])])
     entry = _full_frame_cached.frames[key]
     if entry[2] is None:
         entry[2] = entry[0][entry[1]]     # made once: one object per key
@@ -421,7 +446,7 @@ def frames_on_grid(definition: ImmersionDef, grid) -> BlaschkeFrame:
     found = [_full_frame_cached.get((definition, u)) for u in points]
     missing = list(dict.fromkeys(u for u, e in zip(points, found) if e is None))
     if missing:
-        batch = _computed(definition, missing)
+        batch = _computed([(definition, missing)])
         rows = {u: (batch, row) for row, u in enumerate(missing)}
         found = [e or rows[u] for u, e in zip(points, found)]
     return _gather(found)

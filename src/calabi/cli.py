@@ -389,7 +389,6 @@ def _cmd_extract(args, project: dict) -> tuple[dict, bool]:
 
     residual_rows = {k: _round_trip_float(v)
                      for k, v in sorted(data.residuals.items())}
-    failed_residuals = [k for k, v in data.residuals.items() if v > tol]
     body["factors"] = {
         "kind": data.kind,
         "d1": _round_trip_float(data.d1),
@@ -399,11 +398,11 @@ def _cmd_extract(args, project: dict) -> tuple[dict, bool]:
         "subspace_dims": [int(data.subspace2.shape[0]),
                           int(data.subspace3.shape[0])],
         "residuals": residual_rows,
-        "failed_residuals": sorted(failed_residuals),
+        "failed_residuals": list(data.failed_residuals),
         "files": files,
     }
     failed = (any(not row["pass"] for row in body["reports"])
-              or bool(failed_residuals))
+              or bool(data.failed_residuals))
     return body, failed
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -71,10 +72,7 @@ class VerdictError(ValueError):
 # homothety normalization
 
 
-@dataclass(frozen=True)
-class HomothetyResult:
-    def_scaled: ImmersionDef
-    scale: float
+HomothetyResult = namedtuple("HomothetyResult", "def_scaled scale")
 
 
 def _scaled_def(defn: ImmersionDef, c: float) -> ImmersionDef:
@@ -745,6 +743,7 @@ class FactorData:
     residuals: dict
     metric_ratio: float
     immersion_rate: float
+    failed_residuals: tuple = ()   # sorted names of residuals above tol
 
 
 def _grid_fields(frames: BlaschkeFrame, rows: np.ndarray, lam1: np.ndarray,
@@ -872,8 +871,10 @@ def _slice_factor_def(defn: ImmersionDef, indices, label: str):
 
 
 def _factor_grid(defn: ImmersionDef, factor: ImmersionDef, grid):
+    """The sorted distinct rows of the factor's columns, to 12 digits."""
     cols = [defn.vars.index(v) for v in factor.vars]
-    return np.unique(np.round(np.atleast_2d(grid)[:, cols], 12), axis=0)
+    rows = np.round(np.atleast_2d(grid)[:, cols], 12).tolist()
+    return np.array(sorted(set(map(tuple, rows))))
 
 
 def _calibrate_from_provenance(defn: ImmersionDef, grid,
@@ -892,10 +893,13 @@ def _calibrate_from_provenance(defn: ImmersionDef, grid,
     m2 = defn.provenance.n2 + 1
     first, second = list(range(m2)), list(range(m2, defn.ncomponents))
     blocks = (first, second) if lam2_first else (second, first)
+    factors = [_slice_factor_def(defn, idx, f"factor{k + 1}")
+               for k, idx in enumerate(blocks)]
+    grids = {f: _factor_grid(defn, f, grid) for f in factors if f is not None}
+    blaschke.cache_frames(grids.items())   # factors of one n: one batch
     defs, gauges = [], []
-    for k, idx in enumerate(blocks):
+    for k, (idx, factor) in enumerate(zip(blocks, factors)):
         label = f"factor{k + 1}"
-        factor = _slice_factor_def(defn, idx, label)
         if factor is None:
             # zero-dimensional block: a constant vector, gauge read directly
             vals = eval_components(defn, np.zeros(defn.nvars))
@@ -903,9 +907,8 @@ def _calibrate_from_provenance(defn: ImmersionDef, grid,
                           / c_base[k])
             continue
         # H + 1 and the sphere test over the factor grid, on mapped frames
-        points = _factor_grid(defn, factor, grid)
-        norm = normalize_homothety(factor, points)
-        frames = blaschke.frames_on_grid(norm.def_scaled, points)
+        norm = normalize_homothety(factor, grids[factor])
+        frames = blaschke.frames_on_grid(norm.def_scaled, grids[factor])
         residuals[f"{label}_mean_curvature"] = float(
             np.max(np.abs(frames.H + 1.0)))
         residuals[f"{label}_sphere"] = checks.sphere_residual(
@@ -1002,6 +1005,8 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
         subspace2=sub2.basis, subspace3=sub3.basis,
         factor_defs=factor_defs, residuals=residuals,
         metric_ratio=float(metric_ratio), immersion_rate=rate,
+        failed_residuals=tuple(sorted(k for k, v in residuals.items()
+                                      if v > tol)),
     )
 
 

@@ -143,6 +143,8 @@ def _free_vars(e: Expr) -> set[str]:
 
 
 def _validate_expr(e: Expr) -> None:
+    if isinstance(e, Constant):
+        _fmt_number(e.value)   # refuses a non-finite constant, as printing does
     if isinstance(e, (Variable, Constant)):
         return
     if not isinstance(e, Apply):
@@ -190,7 +192,9 @@ def call(fn: str, arg: Expr) -> Apply:
 
 
 def eval_expr(e: Expr, env: dict):
-    """Evaluate an expression over the values in `env`: floats or jets."""
+    """Evaluate an expression over the values in `env`: floats or jets.
+    Function applications are kept in `env` under their node, so one
+    that several components share, such as exp(t), is evaluated once."""
     if isinstance(e, Variable):
         try:
             return env[e.name]
@@ -201,12 +205,14 @@ def eval_expr(e: Expr, env: dict):
     if e.op in BINARY:
         lhs, rhs = e.args
         return BINARY[e.op](eval_expr(lhs, env), eval_expr(rhs, env))
-    arg = eval_expr(e.args[0], env)
     if e.op == "neg":
-        return -arg
-    if isinstance(arg, _jets.Jet):
-        return _jets.jet_elementary(arg, e.op)
-    return getattr(math, e.op)(arg)
+        return -eval_expr(e.args[0], env)
+    value = env.get(e)
+    if value is None:
+        arg = eval_expr(e.args[0], env)
+        value = env[e] = (_jets.jet_elementary(arg, e.op) if isinstance(
+            arg, _jets.Jet) else getattr(math, e.op)(arg))
+    return value
 
 
 def eval_components(defn: ImmersionDef, point) -> list[float]:
@@ -219,7 +225,7 @@ def eval_components(defn: ImmersionDef, point) -> list[float]:
 
 
 def _fmt_number(v: float) -> str:
-    if v != v or v in (float("inf"), float("-inf")):
+    if not math.isfinite(v):
         raise ImmersionValidationError(f"non-finite constant {v!r}")
     return repr(float(v))
 

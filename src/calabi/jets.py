@@ -15,10 +15,13 @@ operator syntax of `dsl.eval_expr`; `value` and `partial` read one point.
 Arithmetic is exact truncation: the product of jets of orders r and s is
 the truncated Cauchy product at order min(r, s), one gather through the
 `mul_a`/`mul_b` tables and one segmented sum per output coefficient over
-the whole batch. Elementary functions compose the univariate Taylor
-series of the function at each point's constant term, an array
-(..., order+1), with the zero-constant part of the jet (Horner form,
-which is exact for truncated series).
+the whole batch. `matmul` gathers the terms of a product of jet matrices
+from views with the coefficient axis first, (size, ..., rows, cols), so
+one stacked matrix product covers every term, and returns such a view;
+no call moves an axis of the data. Elementary functions compose the
+univariate Taylor series of the function at each point's constant term,
+an array (..., order+1), with the zero-constant part of the jet (Horner
+form, which is exact for truncated series).
 
 Multi-indices are enumerated in graded lexicographic order, so the
 coefficients of every lower order form a prefix of the last axis:
@@ -106,16 +109,19 @@ def mul(a: np.ndarray, b: np.ndarray, nvars: int) -> np.ndarray:
     """Truncated Cauchy product of coefficient arrays, broadcast over
     their leading axes, at the lower of the two orders."""
     sp = space_of(nvars, min(a.shape[-1], b.shape[-1]))
-    return np.add.reduceat(a[..., sp.mul_a] * b[..., sp.mul_b], sp.mul_starts,
-                           axis=-1)
+    return np.add.reduceat(a.take(sp.mul_a, -1) * b.take(sp.mul_b, -1),
+                           sp.mul_starts, axis=-1)
 
 
 def matmul(a: np.ndarray, b: np.ndarray, nvars: int) -> np.ndarray:
-    """Product of jet matrices (..., r, k, size) @ (..., k, c, size)."""
+    """Product of jet matrices (..., r, k, size) @ (..., k, c, size) with
+    as many leading axes: one stacked matrix product over the terms of the
+    Cauchy product, summed by term; a view of an array (size, ..., r, c)."""
     sp = space_of(nvars, min(a.shape[-1], b.shape[-1]))
-    terms = (np.moveaxis(a, -1, -3)[..., sp.mul_a, :, :]
-             @ np.moveaxis(b, -1, -3)[..., sp.mul_b, :, :])
-    return np.moveaxis(np.add.reduceat(terms, sp.mul_starts, axis=-3), -3, -1)
+    terms = (a.transpose(-1, *range(a.ndim - 1)).take(sp.mul_a, 0)
+             @ b.transpose(-1, *range(b.ndim - 1)).take(sp.mul_b, 0))
+    out = np.add.reduceat(terms, sp.mul_starts, axis=0)
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def grad(a: np.ndarray, nvars: int) -> np.ndarray:
@@ -126,6 +132,11 @@ def grad(a: np.ndarray, nvars: int) -> np.ndarray:
     return a[..., sp.grad_src] * sp.grad_fac
 
 
+def grad0(a: np.ndarray, nvars: int) -> np.ndarray:
+    """The first partials at the point, grad(a)[..., 0]: (..., nvars)."""
+    return a.take(space_of(nvars, a.shape[-1]).grad_src[:, 0], -1)
+
+
 class JetDomainError(ArithmeticError):
     """Elementary function applied outside its domain (log of a
     nonpositive value, fractional power at a nonpositive base, division
@@ -134,7 +145,7 @@ class JetDomainError(ArithmeticError):
 
 def _check_domain(a0: np.ndarray, bad: np.ndarray, what: str) -> None:
     """Raise for the first point of the batch outside the domain."""
-    if np.any(bad):
+    if bad.any():
         raise JetDomainError(f"{what} {float(a0[bad][0])!r}")
 
 
@@ -260,14 +271,16 @@ def _compose(a: Jet, series: np.ndarray) -> Jet:
     """f(a) where series[..., k] holds the univariate Taylor coefficients
     of f at each point's a.value. Exact for truncated jets because
     (a - a0) has no constant term."""
+    sp = a.space
     u = a.c.copy()
     u[..., 0] = 0.0
-    out = series[..., a.order, None] * u
-    for k in range(a.order - 1, 0, -1):
+    ub = u.take(sp.mul_b, -1)     # the factors of u in `mul`, gathered once
+    out = series[..., sp.order, None] * u
+    for k in range(sp.order - 1, 0, -1):
         out[..., 0] += series[..., k]
-        out = mul(out, u, a.nvars)
+        out = np.add.reduceat(out.take(sp.mul_a, -1) * ub, sp.mul_starts, -1)
     out[..., 0] += series[..., 0]
-    return Jet(a.space, out)
+    return Jet(sp, out)
 
 
 def _reciprocal(b: Jet) -> Jet:
@@ -294,9 +307,7 @@ def _int_pow(a: Jet, p: int) -> Jet:
 def _real_pow(a: Jet, p: float) -> Jet:
     a0 = a.c[..., :1]
     _check_domain(a0, a0 <= 0.0, "fractional power of nonpositive base")
-    coef = np.ones(a.order + 1)
-    for k in range(a.order):
-        coef[k + 1] = coef[k] * ((p - k) / (k + 1))
+    coef = np.cumprod([1.0] + [(p - k) / (k + 1) for k in range(a.order)])
     return _compose(a, coef * a0 ** (p - np.arange(a.order + 1)))
 
 
@@ -323,24 +334,13 @@ def jet_sqrt(a: Jet) -> Jet:
     return _real_pow(a, 0.5)
 
 
-def jet_sin(a: Jet) -> Jet:
-    return _taylor(a, lambda x, k: np.sin(x + k * math.pi / 2))
-
-
-def jet_cos(a: Jet) -> Jet:
-    return _taylor(a, lambda x, k: np.cos(x + k * math.pi / 2))
-
-
-def jet_sinh(a: Jet) -> Jet:
-    return _taylor(a, lambda x, k: np.where(k % 2, np.cosh(x), np.sinh(x)))
-
-
-def jet_cosh(a: Jet) -> Jet:
-    return _taylor(a, lambda x, k: np.where(k % 2, np.sinh(x), np.cosh(x)))
-
-
-_ELEMENTARY = {"exp": jet_exp, "log": jet_log, "sqrt": jet_sqrt, "sin": jet_sin,
-               "cos": jet_cos, "sinh": jet_sinh, "cosh": jet_cosh}
+# the others as `_taylor` of their k-th derivatives at each point x
+_ELEMENTARY = {"exp": jet_exp, "log": jet_log, "sqrt": jet_sqrt, **{
+    fn: lambda a, derivs=derivs: _taylor(a, derivs) for fn, derivs in (
+        ("sin", lambda x, k: np.sin(x + k * math.pi / 2)),
+        ("cos", lambda x, k: np.cos(x + k * math.pi / 2)),
+        ("sinh", lambda x, k: np.where(k % 2, np.cosh(x), np.sinh(x))),
+        ("cosh", lambda x, k: np.where(k % 2, np.sinh(x), np.cosh(x))))}}
 
 
 def jet_elementary(a: Jet, fn: str) -> Jet:

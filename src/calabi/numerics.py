@@ -12,7 +12,7 @@ so its first entry of significant size is positive; so is each row of a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class AsymmetricMatrixError(ValueError):
 
 
 def _t(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -58,10 +58,8 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _t(a))
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    values: np.ndarray  # ascending
-    vectors: np.ndarray  # columns, M-orthonormal
+# values ascending, vectors as M-orthonormal columns
+EigenResult = namedtuple("EigenResult", "values vectors")
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -80,10 +78,8 @@ def solve_sym_eig_generalized(a: np.ndarray, basis: np.ndarray) -> EigenResult:
     return EigenResult(values=values, vectors=_fix_signs(basis @ q))
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    rank: int
-    basis: np.ndarray  # rows form an orthonormal basis of the span
+# basis rows form an orthonormal basis of the span
+SubspaceBasis = namedtuple("SubspaceBasis", "rank basis")
 
 
 def subspace_rank(vectors, tol: float = 1e-7) -> SubspaceBasis:
@@ -128,9 +124,9 @@ def find_root_bisection(f, lo: float, hi: float, tol: float = 1e-12,
 
 
 def metric_orthonormal_basis(h: np.ndarray) -> np.ndarray:
-    """Columns b_i with b_i^T h b_j = delta_ij, for positive definite h
-    or each matrix of a stack of them."""
-    h = symmetrize(h)
+    """Columns b_i with b_i^T h b_j = delta_ij, for symmetric positive
+    definite h or each matrix of a stack of them (its lower triangle is
+    read, so h is not checked for symmetry)."""
     try:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:

@@ -315,6 +315,21 @@ def test_malformed_grid_or_option_is_usage_error(workdir, tmp_path, grid,
     assert b"Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("component", ["exp(s)^1e999", "exp(s)*1e999"])
+def test_non_finite_constant_is_usage_error(tmp_path, component):
+    """A constant that reads as inf is refused on the way in: exit 2 with
+    one error line, where the power raised an OverflowError traceback
+    and the factor reported a degenerate tangent map."""
+    path = tmp_path / "inf.immersion"
+    path.write_text(f"immersion inf {{ vars: s; components: "
+                    f"({component}, exp(-s)); }}\n", encoding="utf-8")
+    res = run_cli("check", str(path), "--grid=-0.3:0.3:3")
+    assert res.returncode == 2, res.stdout.decode()
+    assert res.stdout == b""
+    assert res.stderr.startswith(b"error: non-finite constant inf")
+    assert b"Traceback" not in res.stderr
+
+
 def _project(tmp_path, options: dict) -> str:
     path = tmp_path / "project.json"
     path.write_text(json.dumps({"options": options}), encoding="utf-8")

@@ -81,7 +81,7 @@ def test_homothety_law_matches_recomputed_frames(request, product, c):
     if product == "pair_product":
         defn = _bent(defn)
     grid = make_grid(-0.3, 0.3, 3, defn.nvars)
-    frames = blaschke._frame_batch(defn, grid)
+    frames = blaschke._frame_batch([(defn, grid)])
     scaled = decompose._scaled_def(defn, c)
     blaschke.clear_frame_cache()
     mapped = blaschke.homothetic_frames(scaled, frames, c)
@@ -92,7 +92,7 @@ def test_homothety_law_matches_recomputed_frames(request, product, c):
         assert np.array_equal(batch.basis,
                               numerics.metric_orthonormal_basis(batch.h))
     assert _frames_computed() == 0
-    fresh = blaschke._frame_batch(scaled, grid)
+    fresh = blaschke._frame_batch([(scaled, grid)])
     a = 2.0 * (defn.nvars + 1) / (defn.nvars + 2)
     exponents = {"h": a, "C": a, "dh": a, "recon_residual": a, "h_inv": -a,
                  "S": -a, "H": -a, "position": 1.0, "tangent": 1.0,
@@ -431,13 +431,14 @@ def _frames_computed() -> int:
 
 
 def _batches(monkeypatch) -> list:
-    """The sizes of the frame batches computed from now on."""
+    """The sizes of the frame batches computed from now on; a batch of
+    several definitions counts once, with all its rows."""
     sizes = []
     real = blaschke._frame_batch
 
-    def wrapper(definition, points):
-        sizes.append(len(points))
-        return real(definition, points)
+    def wrapper(parts):
+        sizes.append(sum(len(points) for _, points in parts))
+        return real(parts)
 
     monkeypatch.setattr(blaschke, "_frame_batch", wrapper)
     return sizes
@@ -538,9 +539,11 @@ def test_roundtrip_searches_each_base_frame_once(point_product,
                                                  pair_product, monkeypatch):
     """detect, the theorem 3 gate and extraction share the search of
     their base frame: two searches for the two products of a round
-    trip. The 63 frames of the trip come in 5 batches: one per product
-    grid and one per factor grid, each factor rescaled by the homothety
-    law without computing its frames again."""
+    trip. The 63 frames of the trip come in 4 batches: one per product
+    grid, one for the factor grid of the point product, and one for both
+    factor grids of the pair product, whose factors have the same n.
+    Each factor is rescaled by the homothety law without computing its
+    frames again."""
     searches = _counted(monkeypatch, "find_axes")
     batches = _batches(monkeypatch)
     blaschke.clear_frame_cache()
@@ -550,11 +553,96 @@ def test_roundtrip_searches_each_base_frame_once(point_product,
     v_pair = decompose.detect(pair_product, g27)
     assert decompose.theorem3_gate(pair_product, g27).applies
     decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
-    assert (len(batches), sum(batches), _frames_computed()) == (5, 63, 63)
+    assert (len(batches), sum(batches), _frames_computed()) == (4, 63, 63)
     assert len(searches) == 2
     assert {id(args[0]) for args in searches} == {
         id(blaschke.full_frame(point_product, g25[0])),
         id(blaschke.full_frame(pair_product, g27[0]))}
+
+
+def _factor_parts(defn, grid) -> list:
+    """The (factor definition, factor grid) pairs of a product with
+    provenance, its blocks in component order; a zero-dimensional block
+    has none."""
+    m2 = defn.provenance.n2 + 1
+    parts = []
+    for k, idx in enumerate((range(m2), range(m2, defn.ncomponents))):
+        factor = decompose._slice_factor_def(defn, list(idx), f"factor{k + 1}")
+        if factor is not None:
+            parts.append((factor, decompose._factor_grid(defn, factor, grid)))
+    return parts
+
+
+@pytest.mark.parametrize("product, dims", [("pair_product", 3),
+                                           ("double_point_product", 5)])
+def test_merged_factor_batch_matches_separate_batches(request, product, dims):
+    """Both factors of a pair, of one n, share one batch after their
+    component jets. Every field of its rows equals, bit for bit, that of
+    the factor's own batch, and `cache_frames` caches each row under its
+    own definition for `frames_on_grid` to read."""
+    defn = request.getfixturevalue(product)
+    parts = _factor_parts(defn, make_grid(-0.3, 0.3, 3, dims) + 0.01)
+    merged = blaschke._frame_batch(parts)
+    start = 0
+    for part in parts:
+        alone = blaschke._frame_batch([part])
+        rows = merged[start:start + len(alone)]
+        start += len(alone)
+        for name in blaschke.BlaschkeFrame.__dataclass_fields__:
+            got, want = getattr(rows, name), getattr(alone, name)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+    assert start == len(merged)
+    blaschke.clear_frame_cache()
+    blaschke.cache_frames(parts)
+    assert _frames_computed() == len(merged)
+    for factor, grid in parts:
+        frames = blaschke.frames_on_grid(factor, grid)
+        assert np.array_equal(frames.u, grid)
+    assert _frames_computed() == len(merged)
+
+
+def test_a_failed_factor_batch_raises_from_its_own_factor(pair_verdict,
+                                                          monkeypatch):
+    """When the batch of both factors fails, nothing of it is cached:
+    each factor computes its own batch, in order, and the failing one
+    raises its error from the first failing point, as when every factor
+    had a batch of its own."""
+    verdict, grid = pair_verdict
+    real = blaschke._frame_batch
+    batches = []
+
+    def frame_batch(parts):
+        batches.append([(d.name[-7:], len(points)) for d, points in parts])
+        for d, points in parts:
+            if d.name.endswith("factor2") and np.any(points[:, 0] > 0.0):
+                raise dsl._jets.JetDomainError(f"{d.name} fails")
+        return real(parts)
+
+    monkeypatch.setattr(blaschke, "_frame_batch", frame_batch)
+    blaschke.clear_frame_cache()
+    with pytest.raises(dsl._jets.JetDomainError, match="factor2 fails"):
+        decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
+    assert batches[1:] == [[("factor1", 3), ("factor2", 3)], [("factor1", 3)],
+                           [("factor2", 3)], [("factor2", 1)],
+                           [("factor2", 1)], [("factor2", 1)]]
+
+
+def test_factor_grid_is_that_of_np_unique(point_product, pair_product):
+    """The sorted distinct rows of the round trip's factor grids, with the
+    grid offsets the benchmark draws, are those np.unique(axis=0) gave."""
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        offset = rng.uniform(-0.05, 0.05, size=3)
+        for defn, grid in ((point_product, make_grid(-0.3, 0.3, 5, 2)),
+                           (pair_product, make_grid(-0.3, 0.3, 3, 3))):
+            grid = grid + offset[:defn.nvars]
+            for factor, points in _factor_parts(defn, grid):
+                cols = [defn.vars.index(v) for v in factor.vars]
+                want = np.unique(np.round(grid[:, cols], 12), axis=0)
+                assert points.dtype == want.dtype
+                assert points.shape == want.shape
+                assert points.tobytes() == want.tobytes()
 
 
 def _linalg_calls(monkeypatch, *names) -> dict:
@@ -574,10 +662,11 @@ def _linalg_calls(monkeypatch, *names) -> dict:
 def test_roundtrip_factors_each_metric_once(point_product, pair_product,
                                             monkeypatch):
     """A round trip shaped like the benchmark op factors h once per frame
-    batch and once per homothety map: 8 Cholesky factorizations for its
-    5 batches and 3 mapped factor batches, where the checks, the search,
-    the tracker and every eigensolve factored h again (23). The axis
-    solve stops before an SVD of no rows: 17 SVDs (23)."""
+    batch and once per homothety map: 7 Cholesky factorizations for its
+    4 batches and 3 mapped factor batches, where the checks, the search,
+    the tracker and every eigensolve factored h again (23), and each
+    factor grid had a batch of its own (8). The axis solve stops before
+    an SVD of no rows: 17 SVDs (23)."""
     counts = _linalg_calls(monkeypatch, "cholesky", "svd")
     blaschke.clear_frame_cache()
     g25, g27 = make_grid(-0.3, 0.3, 5, 2), make_grid(-0.3, 0.3, 3, 3)
@@ -586,7 +675,7 @@ def test_roundtrip_factors_each_metric_once(point_product, pair_product,
     v_pair = decompose.detect(pair_product, g27)
     assert decompose.theorem3_gate(pair_product, g27).applies
     decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
-    assert counts == {"cholesky": 8, "svd": 17}
+    assert counts == {"cholesky": 7, "svd": 17}
 
 
 def _cholesky_failing_at(monkeypatch, h_bad):
@@ -1365,6 +1454,30 @@ def test_search_fallback_on_a_bent_product_keeps_the_tracked_axes(
                                               abs=1e-12)
     assert np.allclose(data.phi2_samples, tracked.phi2_samples, atol=1e-12)
     assert np.allclose(data.phi3_samples, tracked.phi3_samples, atol=1e-12)
+
+
+@pytest.mark.parametrize("bend, failed", [
+    (False, ()),
+    (True, ("phi3_constant", "subspace_overlap")),
+])
+def test_extraction_names_its_failed_residuals(point_product, bend, failed):
+    """FactorData lists the residuals above the tol given to extraction,
+    sorted, as the CLI reports them. On [-0.8, 0.8]^2 the bent point
+    product is detected, but the tracked axis jumps between equivalent
+    structures (ROADMAP item 2), and two residuals read 1.41 and 2."""
+    defn = _bent(point_product) if bend else point_product
+    grid = make_grid(-0.8, 0.8, 3, 2)
+    verdict = decompose.detect(defn, grid)
+    assert verdict.kind == "PointProduct"
+    data = decompose.extract_point_factor(defn, verdict, grid, tol=1e-6)
+    assert data.failed_residuals == failed
+    assert data.failed_residuals == tuple(sorted(
+        k for k, v in data.residuals.items() if v > 1e-6))
+    if bend:
+        assert data.residuals["phi3_constant"] == pytest.approx(1.41, abs=0.01)
+        assert data.residuals["subspace_overlap"] == 2.0
+        assert decompose.extract_point_factor(
+            defn, verdict, grid, tol=3.0).failed_residuals == ()
 
 
 @pytest.mark.parametrize("product, ratio", [

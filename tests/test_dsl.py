@@ -56,6 +56,27 @@ def test_undeclared_variable_rejected():
     assert "'v'" in str(err.value)
 
 
+@pytest.mark.parametrize("component", ["exp(s)^1e999", "exp(s)*1e999",
+                                       "exp(s)*(-1e999)"])
+def test_parser_refuses_a_non_finite_constant(component):
+    """1e999 reads as inf: the exponent of the first form crashed the jet
+    power with an OverflowError, the factor of the second made the
+    tangent map degenerate."""
+    with pytest.raises(ImmersionValidationError, match="non-finite"):
+        parse_immersion(f"immersion x {{ vars: s; components: "
+                        f"({component}, exp(-s)); }}")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_definition_refuses_a_non_finite_constant(value):
+    s = dsl.var("s")
+    for comp in (dsl.const(value), dsl.mul(dsl.const(value), s),
+                 dsl.Apply("^", (dsl.call("exp", s), dsl.const(value)))):
+        with pytest.raises(ImmersionValidationError, match="non-finite"):
+            dsl.ImmersionDef(name="x", vars=("s",),
+                             components=(comp, dsl.call("exp", s)))
+
+
 def test_program_with_multiple_definitions():
     source = (
         "immersion a { vars: u; components: (u, u*u); }\n"

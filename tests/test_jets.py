@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from calabi import dsl
 from calabi.jets import (_ELEMENTARY, Jet, JetDomainError, _space, eval_jets,
-                         jet_exp, jet_log, jet_sqrt)
+                         jet_exp, jet_log, jet_sqrt, matmul, mul)
 
 
 def test_product_rule_second_order():
@@ -140,3 +140,31 @@ def test_batched_domain_error_names_the_first_bad_point():
         "immersion lg { vars: u; components: (u, log(u)); }")
     with pytest.raises(JetDomainError, match="-0.5"):
         eval_jets(defn, np.array([[0.2], [-0.5], [-0.7]]), order=2)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("shapes", [
+    ((4, 2, 3), (4, 3, 2)),      # a stack of 4 products (2 x 3)(3 x 2)
+    ((1, 1, 1), (1, 1, 1)),
+    ((3, 1, 4), (1, 4, 3)),      # leading axes broadcast
+    ((2, 5, 2, 1), (2, 5, 1, 4)),
+])
+@pytest.mark.parametrize("orders", [(4, 4), (2, 4), (3, 1)])
+def test_matmul_is_the_sum_of_jet_products(nvars, shapes, orders):
+    """matmul(a, b)[..., i, j, :] = sum_k mul(a[..., i, k, :],
+    b[..., k, j, :]), at the lower of the two orders, on stacks of jet
+    matrices with the coefficient axis last."""
+    rng = np.random.default_rng(nvars)
+    a, b = (rng.standard_normal(shape + (math.comb(nvars + r, r),))
+            for shape, r in zip(shapes, orders))
+    got = matmul(a, b, nvars)
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    size = min(a.shape[-1], b.shape[-1])
+    want = np.zeros(lead + (a.shape[-3], b.shape[-2], size))
+    for i in range(a.shape[-3]):
+        for j in range(b.shape[-2]):
+            for k in range(a.shape[-2]):
+                want[..., i, j, :] += mul(a[..., i, k, :], b[..., k, j, :],
+                                          nvars)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
