@@ -31,7 +31,7 @@ truncation is a slice, and the order of an array follows from its size.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
 
@@ -307,7 +307,8 @@ def _int_pow(a: Jet, p: int) -> Jet:
 def _real_pow(a: Jet, p: float) -> Jet:
     a0 = a.c[..., :1]
     _check_domain(a0, a0 <= 0.0, "fractional power of nonpositive base")
-    coef = np.cumprod([1.0] + [(p - k) / (k + 1) for k in range(a.order)])
+    coef = np.array(list(accumulate([(p - k) / (k + 1) for k in range(a.order)],
+                                    lambda c, f: c * f, initial=1.0)))
     return _compose(a, coef * a0 ** (p - np.arange(a.order + 1)))
 
 
