@@ -13,6 +13,7 @@ import pytest
 
 from calabi import blaschke, construct, decompose, dsl, numerics
 from calabi.dsl import parse_immersion
+from calabi.jets import JetDomainError
 from conftest import make_grid
 
 
@@ -616,12 +617,12 @@ def test_a_failed_factor_batch_raises_from_its_own_factor(pair_verdict,
         batches.append([(d.name[-7:], len(points)) for d, points in parts])
         for d, points in parts:
             if d.name.endswith("factor2") and np.any(points[:, 0] > 0.0):
-                raise dsl._jets.JetDomainError(f"{d.name} fails")
+                raise JetDomainError(f"{d.name} fails")
         return real(parts)
 
     monkeypatch.setattr(blaschke, "_frame_batch", frame_batch)
     blaschke.clear_frame_cache()
-    with pytest.raises(dsl._jets.JetDomainError, match="factor2 fails"):
+    with pytest.raises(JetDomainError, match="factor2 fails"):
         decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
     assert batches[1:] == [[("factor1", 3), ("factor2", 3)], [("factor1", 3)],
                            [("factor2", 3)], [("factor2", 1)],
