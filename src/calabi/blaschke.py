@@ -161,6 +161,7 @@ class BlaschkeFrame:
     h: np.ndarray
     h_inv: np.ndarray
     basis: np.ndarray            # h-orthonormal columns, basis^T h basis = id
+    K_ortho: np.ndarray          # C(b_i, b_j, b_k) over the columns b of basis
     xi: np.ndarray
     gamma: np.ndarray            # induced connection
     gamma_hat: np.ndarray        # Levi-Civita connection of h
@@ -261,12 +262,15 @@ def _metric_and_levi(comps: np.ndarray, n: int):
     return tang, second, h, h_inv, dh, gamma_hat, xi
 
 
-def _basis(h: np.ndarray) -> np.ndarray:
-    """The h-orthonormal basis of each metric of a batch."""
+def _orthonormal(h: np.ndarray, C: np.ndarray) -> dict:
+    """The h-orthonormal basis B of each h of a batch and K_ortho = C(B, B, B)."""
     try:
-        return numerics.metric_orthonormal_basis(h)
+        basis = numerics.metric_orthonormal_basis(h)
     except numerics.NotPositiveDefiniteError as exc:
         raise IndefiniteMetricError(f"affine {exc}") from None
+    b_t = basis.swapaxes(1, 2)
+    c_b = (b_t[:, None] @ C @ basis[:, None]).reshape(C.shape[:2] + (-1,))
+    return dict(basis=basis, K_ortho=(b_t @ c_b).reshape(C.shape))
 
 
 def _frame_batch(parts) -> BlaschkeFrame:
@@ -315,7 +319,7 @@ def _frame_batch(parts) -> BlaschkeFrame:
     dh_vals = dh[..., 0].transpose(0, 3, 1, 2)    # dh[p, k, i, j] = d_k h_ij
     return BlaschkeFrame(
         u=points, position=position, tangent=tangent, second=second_vals,
-        h=h_vals, h_inv=h_inv_vals, basis=_basis(h_vals), xi=xi_vals,
+        h=h_vals, h_inv=h_inv_vals, **_orthonormal(h_vals, C), xi=xi_vals,
         gamma=gamma, gamma_hat=gh, K=K, C=C, S=S, H=H, Rhat=Rhat, dh=dh_vals,
         nabla_K=nabla_K, dK=dK, recon_residual=recon, normal_defect=defect)
 
@@ -459,13 +463,14 @@ def homothetic_frames(scaled: ImmersionDef, frames: BlaschkeFrame,
     With a = 2(n+1)/(n+2), h, C, dh and recon_residual scale by c^a, h_inv,
     S and H by c^-a, position, tangent and second by c and xi by c^(1-a);
     the rest does not change (K. Nomizu and T. Sasaki, Affine Differential
-    Geometry, Cambridge 1994, ch. II), and the basis is factored again."""
+    Geometry, Cambridge 1994, ch. II); basis and K_ortho are formed again."""
     a = 2.0 * (frames.n + 1) / (frames.n + 2)
     powers = dict(h=a, C=a, dh=a, recon_residual=a, h_inv=-a, S=-a, H=-a,
                   position=1.0, tangent=1.0, second=1.0, xi=1.0 - a)
     fields = {name: getattr(frames, name) * c ** e
               for name, e in powers.items()}
-    mapped = replace(frames, basis=_basis(fields["h"]), **fields)
+    mapped = replace(frames, **_orthonormal(fields["h"], fields["C"]),
+                     **fields)
     for row, u in enumerate(_points(mapped.u)):
         if (scaled, u) not in _full_frame_cached.frames:
             _full_frame_cached.put((scaled, u), mapped, row)

@@ -21,18 +21,19 @@ phi2/phi3 are pointwise derivative identities, so no integration of the
 axis flow is needed; d1 and d2 are the axis-translation gauge measured
 relative to the d1 = d2 = 1 constants the constructors emit.
 
-Each base frame is searched once: `_axis_structures` memoizes the
-candidates and their classified spectra on the frame. One gate, `_gate`,
-holds a structure to the tolerance. Away from the base point one
-tracker, `_track`, follows the axis for both detection and extraction:
-one batched Newton solve with a row per point, each seeded from the base
-axis, one stacked eigensolve, and the same gate on arrays, `_gate_rows`;
-a full search only where a row fails. A Newton row stops at a singular
-Jacobian, when backtracking cannot reduce |F|, or at |F| <= 1e-13, and
-fails if |F| is then above 1e-11. A search solves all its restarts in
-one batched Newton call and one eigensolve. The grid frames are one
-batch (see `blaschke.frames_on_grid`), so detection and extraction work
-on arrays with a leading grid-point axis.
+Axes are solved as y = B^-1 T in the h-orthonormal basis B of a frame,
+unit Z-eigenvectors of K_ortho = C(B, B, B) (L. Qi, J. Symbolic Comput.
+40, 2005), which a linear change of the parameters does not move. A base
+frame is searched once (memoized by `_axis_structures`) from the e_i and
+normalized standard normal draws, in one batched Newton call and one
+eigensolve; `_gate` holds a structure to the tolerance. Away from the
+base point `_track` follows the axis for detection and extraction: one
+batched Newton solve seeded from the base axis, one stacked eigensolve,
+the same gate on arrays (`_gate_rows`), a full search only where a row
+fails. A Newton row stops at a singular Jacobian, when backtracking
+cannot reduce |F|, or at |F| <= 1e-13 (fails above 1e-11), all read in
+y. Grid frames are one batch (`blaschke.frames_on_grid`), so the arrays
+carry a leading grid-point axis.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,47 +112,43 @@ def normalize_homothety(defn: ImmersionDef, grid) -> HomothetyResult:
 
 @dataclass(frozen=True)
 class CandidateAxis:
-    """h-unit direction T with K(T,T) = lambda1 T."""
+    """h-unit direction T with K(T,T) = lambda1 T, and T = B y in the
+    h-orthonormal basis B of its frame (y None for an axis made by hand)."""
 
     T: np.ndarray
     lambda1: float
     axis_residual: float
+    y: np.ndarray | None = None
 
     def flipped(self) -> "CandidateAxis":
-        return CandidateAxis(T=-self.T, lambda1=-self.lambda1,
-                             axis_residual=self.axis_residual)
+        return replace(self, T=-self.T, lambda1=-self.lambda1,
+                       y=None if self.y is None else -self.y)
 
 
-def _h_norms(h: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """h-norm of each vector along the last axis of vs, under one metric
-    or one per leading index of vs."""
-    return np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", vs, h, vs),
-                              0.0))
-
-
-def _axis_system(h: np.ndarray, K: np.ndarray, x: np.ndarray, mu):
-    """F = (K(X,X) - mu X, h(X,X) - 1) and its Jacobian in (X, mu) for
-    the rows X of x, with h and K of one point or one per row; stacked
+def _axis_system(k_ortho: np.ndarray, y: np.ndarray):
+    """mu = K_ortho(y, y, y), F = (K_ortho(y, y) - mu y, (1 - |y|^2) / 2)
+    and its Jacobian in (y, mu), [[2 K_ortho(y) - mu I, -y], [-y^T, 0]],
+    which is symmetric, for the rows y with K_ortho of one point or one per
+    row: K(X,X) = mu X, h(X,X) = 1 in y = B^-1 X, as (F, J, mu). Stacked
     matmuls round as one row alone does, so a row solves alike in any
     stack."""
-    n = x.shape[-1]
-    mu = np.asarray(mu, dtype=float)[..., None]
-    h_xx = (x[..., None, :] @ h @ x[..., None])[..., 0]
-    f = np.concatenate([np.einsum("...ijk,...i,...j->...k", K, x, x)
-                        - mu * x, h_xx - 1.0], axis=-1)
-    jac = np.zeros(x.shape[:-1] + (n + 1, n + 1))
-    jac[..., :n, :n] = (2.0 * np.einsum("...ijk,...i->...kj", K, x)
-                        - mu[..., None] * np.eye(n))
-    jac[..., :n, n] = -x
-    jac[..., n, :n] = (2.0 * h @ x[..., None])[..., 0]
-    return f, jac
+    n = y.shape[-1]
+    k_y = np.einsum("...ijk,...i->...kj", k_ortho, y)
+    k_yy = (k_y @ y[..., None])[..., 0]
+    mu = (y[..., None, :] @ k_yy[..., None])[..., 0]
+    y_y = (y[..., None, :] @ y[..., None])[..., 0]
+    f = np.concatenate([k_yy - mu * y, 0.5 - 0.5 * y_y], axis=-1)
+    jac = np.zeros(y.shape[:-1] + (n + 1, n + 1))
+    jac[..., :n, :n] = 2.0 * k_y - mu[..., None] * np.eye(n)
+    jac[..., :n, n] = jac[..., n, :n] = -y
+    return f, jac, mu[..., 0]
 
 
 def _repeated(frame: BlaschkeFrame, rows: int) -> SimpleNamespace:
-    """A one-point frame's u, h, K, C and basis as `rows` equal rows."""
+    """A one-point frame's u, basis and K_ortho as `rows` equal rows."""
     return SimpleNamespace(**{
         name: np.broadcast_to(v, (rows,) + v.shape) for name, v in
-        vars(frame).items() if name in ("u", "h", "K", "C", "basis")})
+        vars(frame).items() if name in ("u", "basis", "K_ortho")})
 
 
 def _norms(f: np.ndarray) -> np.ndarray:
@@ -159,97 +156,79 @@ def _norms(f: np.ndarray) -> np.ndarray:
     return np.sqrt((f[..., None, :] @ f[..., None])[..., 0, 0])
 
 
-def _solve_axis(frames, x0: np.ndarray) -> list[CandidateAxis | None]:
-    """The axis a damped Newton solve of (K(X,X) - mu X, h(X,X) - 1) = 0
-    reaches from each row of x0, (R, n), under h, K and the h-orthonormal
-    basis B of frames[r], with mu seeded by the cubic form C(x0, x0, x0).
-    The rows share one batched linear solve per iteration and each
-    backtracks on its own. A row stops at |F| <= 1e-13, at a singular
-    Jacobian J (sigma_min <= 1e-13 sigma_max, the conditioning bound of
-    `blaschke._solve`, read as diag(B^-1, 1) J diag(B, 1), where no
-    change of coordinates moves it), or when backtracking cannot reduce
-    |F|, which past 1e-13 is the rounding floor of its point; None if it
-    stops with |F| above 1e-11."""
-    h, K, x = frames.h, frames.K, np.array(x0, dtype=float)
-    n = x.shape[-1]
-    b = np.zeros((len(x), n + 1, n + 1))
-    b[:, :n, :n], b[:, n, n] = frames.basis, 1.0
-    b_inv = np.linalg.inv(b)
-    kxx = np.einsum("rijk,ri,rj->rk", K, x, x)
-    mu = (kxx[:, None] @ h @ x[..., None])[:, 0, 0]
-    f, jac = _axis_system(h, K, x, mu)
+def _solve_axis(frames, y0: np.ndarray) -> list[CandidateAxis | None]:
+    """The axis T = B y a damped Newton solve of `_axis_system` reaches
+    from each row of y0, (R, n), in the basis B of frames[r]. The rows
+    share one batched linear solve per iteration and each backtracks on
+    its own, trial points put back on the unit sphere. A row stops at
+    |F| <= 1e-13, at a singular Jacobian (an |eigenvalue| <= 1e-13 times
+    the largest, the conditioning bound of `blaschke._solve`), or when
+    backtracking cannot reduce |F|, which past 1e-13 is the rounding floor
+    of its point; None if it stops with |F| above 1e-11."""
+    k_ortho, y = frames.K_ortho, np.array(y0, dtype=float)
+    f, jac, mu = _axis_system(k_ortho, y)
     norm = _norms(f)
-    stopped = np.zeros(len(x), dtype=bool)
+    stopped = np.zeros(len(y), dtype=bool)
     for _ in range(80):
         rows = np.flatnonzero(~stopped & (norm > 1e-13))
         if rows.size:
-            sv = np.linalg.svd(b_inv[rows] @ jac[rows] @ b[rows],
-                               compute_uv=False)
-            singular = sv[:, -1] <= 1e-13 * sv[:, 0]
+            ev = np.abs(np.linalg.eigvalsh(jac[rows]))
+            singular = ev.min(axis=1) <= 1e-13 * ev.max(axis=1)
             stopped[rows[singular]], rows = True, rows[~singular]
         if rows.size == 0:
             break
         step = np.linalg.solve(jac[rows], -f[rows, :, None])[..., 0]
         damp = np.ones(len(rows))
         for _ in range(40):
-            x_new = x[rows] + damp[:, None] * step[:, :-1]
-            mu_new = mu[rows] + damp * step[:, -1]
-            f_new, jac_new = _axis_system(h[rows], K[rows], x_new, mu_new)
+            y_new = y[rows] + damp[:, None] * step[:, :-1]
+            y_new /= _norms(y_new)[:, None]
+            f_new, jac_new, mu_new = _axis_system(k_ortho[rows], y_new)
             norm_new = _norms(f_new)
             ok = ((norm_new < norm[rows] * (1.0 - 1e-4 * damp))
                   | (norm_new <= 1e-13))
             done = rows[ok]
-            x[done], mu[done], f[done], jac[done], norm[done] = (
-                x_new[ok], mu_new[ok], f_new[ok], jac_new[ok], norm_new[ok])
+            y[done], mu[done], f[done], jac[done], norm[done] = (
+                y_new[ok], mu_new[ok], f_new[ok], jac_new[ok], norm_new[ok])
             rows, step, damp = rows[~ok], step[~ok], 0.5 * damp[~ok]
             if rows.size == 0:
                 break
         stopped[rows] = True
-    resid = _h_norms(h, f[:, :-1])
-    return [CandidateAxis(T=x[r], lambda1=float(mu[r]),
-                          axis_residual=float(resid[r]))
+    resid, t = _norms(f[:, :-1]), (frames.basis @ y[..., None])[..., 0]
+    return [CandidateAxis(T=t[r], lambda1=float(mu[r]),
+                          axis_residual=float(resid[r]), y=y[r])
             if norm[r] <= 1e-11 else None
-            for r in range(len(x))]
+            for r in range(len(y))]
 
 
-def _random_seeds(h: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """`count` h-unit rows of the seed's standard normal draws v, keeping
-    those with an h-norm above 1e-8 |v| sqrt(max|h|) (u -> s u scales h by
-    s^2). Drawn in blocks, they equal draws of one vector at a time, bit
-    for bit; at n = 2 numpy's einsum of one vector sums by rows first."""
-    rng, n = np.random.default_rng(seed), len(h)
-    floor, kept = 1e-8 * math.sqrt(np.max(np.abs(h))), [np.empty((0, n))]
-    while sum(map(len, kept)) < count:
-        v = rng.standard_normal((count, n))
-        nv = _h_norms(h, v) if n != 2 else np.sqrt(np.maximum(
-            ((v[:, :, None] * h) * v[:, None, :]).sum(2).sum(1), 0.0))
-        keep = nv > floor * _norms(v)
-        kept.append(v[keep] / nv[keep, None])
-    return np.concatenate(kept)[:max(count, 0)]
+def _random_seeds(n: int, count: int, seed: int) -> np.ndarray:
+    """`count` unit rows of the seed's standard normal draws in R^n."""
+    v = np.random.default_rng(seed).standard_normal((max(count, 0), n))
+    return v / _norms(v)[:, None]
 
 
 def find_axes(frame: BlaschkeFrame, restarts: int = 32,
               seed: int = 42) -> list[CandidateAxis]:
     """All h-unit solutions of K(X,X) = mu X found from seeded restarts,
-    solved together in one batched Newton call.
+    solved in y = B^-1 X together in one batched Newton call: the basis
+    vectors e_i, then the seed's normalized standard normal draws.
 
-    T and -T solve together (with mu and -mu), so solutions are
-    deduplicated by fixing the sign of the first significant coordinate,
-    and ordered by that rounded key (mu, then T, to 7 digits), which
-    rounding in the solve does not change. Newton handles mu = 0 axes,
-    which pure ascent on the cubic misses. The pipeline searches each
-    base frame once, through the memo of `_axis_structures`; only the
-    fallback of `_track` calls it directly.
+    y and -y solve together (with mu and -mu), so solutions are
+    deduplicated by fixing the sign of the first significant coordinate
+    of y, and ordered by that rounded key (mu, then y, to 7 digits),
+    which rounding in the solve does not change. Newton handles mu = 0
+    axes, which pure ascent on the cubic misses. The pipeline searches
+    each base frame once, through the memo of `_axis_structures`; only
+    the fallback of `_track` calls it directly.
     """
-    seeds = np.concatenate([frame.basis.T, _random_seeds(
-        frame.h, restarts - frame.n, seed)])
+    seeds = np.concatenate([np.eye(frame.n), _random_seeds(
+        frame.n, restarts - frame.n, seed)])
     found: dict[tuple, CandidateAxis] = {}
     for axis in filter(None, _solve_axis(_repeated(frame, len(seeds)),
                                          seeds)):
-        lead = next((comp for comp in axis.T if abs(comp) > 1e-8), 0.0)
+        lead = next((comp for comp in axis.y if abs(comp) > 1e-8), 0.0)
         if lead < 0.0:
             axis = axis.flipped()
-        key = (round(axis.lambda1, 7),) + tuple(np.round(axis.T, 7))
+        key = (round(axis.lambda1, 7),) + tuple(np.round(axis.y, 7))
         if key not in found and axis.axis_residual <= AXIS_RESIDUAL_TOL:
             found[key] = axis
     return [found[key] for key in sorted(found)]
@@ -257,11 +236,11 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
 
 def is_quadric(frames: BlaschkeFrame) -> bool:
     """Whether K ≈ 0 at every frame: by the Pick-Berwald theorem the
-    surface is then a quadric, with no canonical axis. K is measured in
-    the metric, |K|^2 = h^ia tr(K_i K_a), which no change of coordinates
+    surface is then a quadric, with no canonical axis. |K| is read in the
+    h-orthonormal basis, as |K_ortho|, which no change of coordinates
     moves, so a rescaled parameter does not make K look small."""
-    k_sq = np.einsum("...ikj,...ajk->...ia", frames.K, frames.K) * frames.h_inv
-    return float(np.max(k_sq.sum(axis=(-2, -1)))) <= QUADRIC_K_TOL ** 2
+    k_sq = np.sum(frames.K_ortho ** 2, axis=(-3, -2, -1))
+    return float(np.max(k_sq)) <= QUADRIC_K_TOL ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +252,8 @@ class SpectralStructure:
     """Eigenstructure of K_T split off the axis eigenpair.
 
     `clusters` holds (eigenvalue, multiplicity, basis) triples, ascending,
-    each basis an array of h-orthonormal coordinate rows; `pattern` is
-    "point", "pair" or "unclassified" for any other spectrum."""
+    each basis an array of h-orthonormal rows in parameter coordinates;
+    `pattern` is "point", "pair" or "unclassified" for any other spectrum."""
 
     axis: CandidateAxis
     clusters: tuple
@@ -291,11 +270,11 @@ class SpectralStructure:
         return self.axis.lambda1
 
 
-def _cross_residual(K: np.ndarray, h: np.ndarray, basis2, basis3):
-    """Largest h-norm of K(v, w) over the rows v, w of the two bases."""
-    kvw = np.einsum("...ijk,...ai,...bj->...abk", K, basis2, basis3)
-    return np.max(_h_norms(h[..., None, None, :, :], kvw), axis=(-2, -1),
-                  initial=0.0)
+def _cross_residual(k_ortho: np.ndarray, basis2, basis3):
+    """Largest h-norm of K(V, W) over the rows v, w of the two bases, in
+    the h-orthonormal basis: the norm of K_ortho(v, w)."""
+    kvw = np.einsum("...ijk,...ai,...bj->...abk", k_ortho, basis2, basis3)
+    return np.max(_norms(kvw), axis=(-2, -1), initial=0.0)
 
 
 def _relations(n2: int, n3: int, lam1, lam2, lam3=None) -> dict:
@@ -309,19 +288,19 @@ def _relations(n2: int, n3: int, lam1, lam2, lam3=None) -> dict:
             "apolar": abs(lam1 + n2 * lam2 + n3 * lam3)}
 
 
-def _spectra(frames: BlaschkeFrame, t_vecs: np.ndarray):
-    """The eigenvalues, ascending, and eigenvector columns of K_T at
-    frames[p], T = t_vecs[p], with the T eigenpair split off; one solve."""
-    a = np.einsum("pi,pijk->pjk", t_vecs, frames.C)
+def _spectra(frames: BlaschkeFrame, y: np.ndarray):
+    """The eigenvalues, ascending, and eigenvector columns in the basis B
+    of K_T at frames[p], T = B y[p], with the T eigenpair split off; one
+    solve of the reduced matrices B^T K_T B = K_ortho(y)."""
+    a = np.einsum("pi,pijk->pjk", y, frames.K_ortho)
     try:
-        eig = numerics.solve_sym_eig_generalized(a, frames.basis)
+        eig = numerics.solve_sym_eig_generalized(a)
     except numerics.AsymmetricMatrixError as exc:
         point = blaschke.format_point(frames.u[exc.index[0]])
         raise numerics.AsymmetricMatrixError(
             f"K_T at grid point {point}: {exc}") from None
-    overlap = np.abs(np.einsum("pjs,pjk,pk->ps", eig.vectors, frames.h,
-                               t_vecs))
-    is_t = np.arange(t_vecs.shape[1]) == np.argmax(overlap, axis=1)[:, None]
+    overlap = np.abs((y[:, None] @ eig.vectors)[:, 0])
+    is_t = np.arange(y.shape[1]) == np.argmax(overlap, axis=1)[:, None]
     keep = np.argsort(is_t, axis=1, kind="stable")[:, :-1]
     return (np.take_along_axis(eig.values, keep, axis=1),
             np.take_along_axis(eig.vectors, keep[:, None], axis=2))
@@ -333,8 +312,8 @@ def _classify(frame: BlaschkeFrame, axes) -> list[SpectralStructure]:
     if not axes:
         return []
     spectra = _spectra(_repeated(frame, len(axes)),
-                       np.stack([axis.T for axis in axes]))
-    return [_structure(frame.K, frame.h, *args)
+                       np.stack([axis.y for axis in axes]))
+    return [_structure(frame.K_ortho, frame.basis, *args)
             for args in zip(axes, *spectra)]
 
 
@@ -342,8 +321,9 @@ def classify_spectrum(frame: BlaschkeFrame,
                       axis: CandidateAxis) -> SpectralStructure:
     """Cluster the K_T spectrum and test it against the product patterns.
 
-    K_T is assembled in the h-inner product, symmetric by total symmetry
-    of the cubic form; an asymmetry past rounding raises
+    K_T is assembled in the h-orthonormal basis B, as K_ortho(y) with
+    T = B y (y = B^T h T for an axis made by hand), symmetric by total
+    symmetry of the cubic form; an asymmetry past rounding raises
     AsymmetricMatrixError naming the point. The T eigenpair, found by
     eigenvector overlap, is split off and the rest, ascending, is cut
     into clusters at steps larger than CLUSTER_GAP. T is oriented so that
@@ -353,33 +333,38 @@ def classify_spectrum(frame: BlaschkeFrame,
     > lambda3; anything else is unclassified rather than raised; `_gate`
     holds the result to a tolerance.
     """
+    if axis.y is None:
+        axis = replace(axis, y=axis.T @ frame.h @ frame.basis)
     return _classify(frame, [axis])[0]
 
 
-def _structure(K: np.ndarray, h: np.ndarray, axis: CandidateAxis, values,
-               vectors) -> SpectralStructure:
+def _structure(k_ortho: np.ndarray, basis: np.ndarray, axis: CandidateAxis,
+               values, vectors) -> SpectralStructure:
     """`classify_spectrum` from the split-off spectrum of K_T, ascending,
-    cut into clusters at steps larger than CLUSTER_GAP."""
+    and its eigenvector columns in the basis, cut into clusters at steps
+    larger than CLUSTER_GAP."""
     cuts = [0] + [i for i in range(1, len(values))
                   if values[i] - values[i - 1] > CLUSTER_GAP] + [len(values)]
-    # C-ordered bases: stacked transposed views would be F-ordered, and
-    # the extraction's matmuls would round differently on them
-    clusters = [(float(np.mean(values[a:b])), b - a,
-                 vectors[:, a:b].T.copy()) for a, b in zip(cuts, cuts[1:])
-                if a < b]
+    # C-ordered rows: on F-ordered views the extraction's matmuls round
+    # differently
+    rows = vectors.T @ basis.T
+    clusters = [(float(np.mean(values[a:b])), b - a, rows[a:b])
+                for a, b in zip(cuts, cuts[1:]) if a < b]
     if clusters and clusters[-1][0] < 0.0:
         axis = axis.flipped()
-        clusters = [(-mean, mult, basis)
-                    for mean, mult, basis in reversed(clusters)]
+        clusters = [(-mean, mult, block)
+                    for mean, mult, block in reversed(clusters)]
     lam1, lam2, lam3, n2, n3 = axis.lambda1, None, None, 0, 0
     pattern, cross, relations = "unclassified", 0.0, {}
     if len(clusters) == 1:
         pattern, (lam2, n2, _basis) = "point", clusters[0]
         relations = _relations(n2, 0, lam1, lam2)
     elif len(clusters) == 2 and clusters[0][0] < 0.0 < clusters[1][0]:
-        pattern, ((lam3, n3, basis3), (lam2, n2, basis2)) = "pair", clusters
+        pattern, ((lam3, n3, _b3), (lam2, n2, _b2)) = "pair", clusters
         relations = _relations(n2, n3, lam1, lam2, lam3)
-        cross = float(_cross_residual(K, h, basis2, basis3))
+        # a pair is never flipped: the lowest n3 columns are its lambda3 block
+        cross = float(_cross_residual(k_ortho, vectors[:, n3:].T,
+                                      vectors[:, :n3].T))
     return SpectralStructure(
         axis=axis, clusters=tuple(clusters), n2=n2, n3=n3, lambda2=lam2,
         lambda3=lam3, cross_residual=cross, relation_residuals=relations,
@@ -522,20 +507,20 @@ def _gate_rows(frames: BlaschkeFrame, axes, ref: SpectralStructure,
     that of `ref`; a negative top cluster flips T as in `_structure`."""
     n2, n3 = ref.n2, ref.n3
     t = np.stack([axis.T for axis in axes])
-    values, vectors = _spectra(frames, t)
+    values, vectors = _spectra(frames, np.stack([axis.y for axis in axes]))
     means = [values[:, n3:].mean(axis=1)]          # the lambda2 block
     if n3:
         means.append(values[:, :n3].mean(axis=1))  # the lambda3 block
     sign = np.where(means[0] < 0.0, -1.0, 1.0)[:, None]
     lams = sign * np.stack([[axis.lambda1 for axis in axes]] + means, axis=1)
-    rows = np.concatenate([(sign * t)[:, None], np.swapaxes(
-        np.roll(vectors, -n3, axis=2), 1, 2)], axis=1)   # [T | V | W]
+    vw = np.swapaxes(np.roll(vectors, -n3, axis=2), 1, 2)   # rows [V | W]
+    rows = np.concatenate([(sign * t)[:, None],
+                           vw @ np.swapaxes(frames.basis, 1, 2)], axis=1)
     cuts = np.diff(values, axis=1) > CLUSTER_GAP
     passed = np.all(cuts == (np.arange(1, len(t[0]) - 1) == n3), axis=1)
     passed &= (n3 == 0) | ((lams[:, -1] < 0.0) & (0.0 < lams[:, 1]))
     fails = [[axis.axis_residual for axis in axes],
-             _cross_residual(frames.K, frames.h, rows[:, 1:1 + n2],
-                             rows[:, 1 + n2:]),
+             _cross_residual(frames.K_ortho, vw[:, :n2], vw[:, n2:]),
              *_relations(n2, n3, *lams.T).values()]
     passed &= ~np.any(np.array(fails) > tol, axis=0)
     passed &= (rows[:, :1] @ frames.h @ ref.axis.T)[:, 0] >= 0.0
@@ -549,11 +534,13 @@ def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
     grid-point axis, or (None, None, failure note). A point whose Newton
     row stops unsolved or fails `_gate_rows` is searched in full, and the
     candidate closest to the axis of `ref` in the metric of the point
-    decides; the note names the first point where that fails `_gate`."""
+    decides; the note names the first point where that fails `_gate`.
+    Row p starts from y = B^-1 T_ref = B^T h T_ref in its basis B."""
     t_ref, npts = ref.axis.T, len(frames)
     rows, passed = np.empty((npts,) + t_ref.shape * 2), np.zeros(npts, bool)
     lams = np.empty((npts, len(_lambdas(ref))))
-    axes = _solve_axis(frames, np.broadcast_to(t_ref, frames.u.shape))
+    y_ref = ((t_ref @ frames.h)[:, None] @ frames.basis)[:, 0]
+    axes = _solve_axis(frames, y_ref)
     solved = [p for p, axis in enumerate(axes) if axis is not None
               and axis.axis_residual <= AXIS_RESIDUAL_TOL]
     if solved:
@@ -564,8 +551,8 @@ def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
         search = find_axes(frames[p], restarts=restarts, seed=seed)
         if not search:
             return None, None, f"axis disappears at grid point {point}"
-        aligned = max(search, key=lambda c: abs(c.T @ frames.h[p] @ t_ref))
-        if float(aligned.T @ frames.h[p] @ t_ref) < 0.0:
+        aligned = max(search, key=lambda c: abs(c.y @ y_ref[p]))
+        if float(aligned.y @ y_ref[p]) < 0.0:
             aligned = aligned.flipped()
         (structure,) = _classify(frames[p], [aligned])
         failure = _gate(structure, tol, ref)
@@ -746,27 +733,30 @@ class FactorData:
     failed_residuals: tuple = ()   # sorted names of residuals above tol
 
 
-def _grid_fields(frames: BlaschkeFrame, rows: np.ndarray, lam1: np.ndarray,
+def _grid_fields(frames: BlaschkeFrame, rows: np.ndarray,
                  n2: int) -> SimpleNamespace:
     """The frame fields with the rows [T | V | W] `_track` returns, of the
-    tracked axis T (eigenvalue lam1) and of the bases of its lambda2 and
-    lambda3 blocks, T, basis2 and basis3 as views of them, and
-    dT[p, d, k] = d_d T^k, each with a leading grid-point axis p.
+    tracked axis T and of the bases of its lambda2 and lambda3 blocks, T,
+    basis2 and basis3 as views of them, and dT[p, d, k] = d_d T^k, each
+    with a leading grid-point axis p.
 
     dT follows from implicit differentiation of the axis system
-    (K(T,T) = mu T, h(T,T) = 1), with the Jacobian of `_axis_system` at
-    each point, in one solve for all of them. A point structure has no
-    lambda3 block: its basis3 has no rows."""
+    (K(T,T) = mu T, (1 - h(T,T)) / 2 = 0) in the parameters, in one solve
+    for all points. Its Jacobian in T is diag(B, 1) J diag(B^-1, 1), with
+    J that of `_axis_system` at y = B^-1 T (K(T) = B K_ortho(y) B^-1 and
+    h T = B^-T y), so the solve is J's, read in and out through B. A point
+    structure has no lambda3 block: its basis3 has no rows."""
     T = rows[:, 0]
     npts, n = T.shape
-    _f, jac = _axis_system(frames.h, frames.K, T, lam1)
+    b_inv = np.linalg.inv(frames.basis)
+    _f, jac, _mu = _axis_system(frames.K_ortho, (b_inv @ T[..., None])[..., 0])
     rhs = np.zeros((npts, n + 1, n))
-    rhs[:, :n] = -np.einsum("pdijk,pi,pj->pkd", frames.dK, T, T)
-    rhs[:, n] = -np.einsum("pdij,pi,pj->pd", frames.dh, T, T)
+    rhs[:, :n] = -b_inv @ np.einsum("pdijk,pi,pj->pkd", frames.dK, T, T)
+    rhs[:, n] = 0.5 * np.einsum("pdij,pi,pj->pd", frames.dh, T, T)
+    d_t = frames.basis @ np.linalg.solve(jac, rhs)[:, :n]
     return SimpleNamespace(
         **vars(frames), rows=rows, T=T, basis2=rows[:, 1:1 + n2],
-        basis3=rows[:, 1 + n2:],
-        dT=np.linalg.solve(jac, rhs)[:, :n].transpose(0, 2, 1))
+        basis3=rows[:, 1 + n2:], dT=d_t.transpose(0, 2, 1))
 
 
 def _d_phi(f: SimpleNamespace, xs: np.ndarray, lam2: float, lam3: float):
@@ -941,11 +931,11 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     if axis_idx is not None:
         ref, lam2_first = _provenance_aligned_axis(
             defn, frames, spectrum, tol, verdict.restarts, verdict.seed)
-    rows, lams, failure = _track(frames, ref, tol, verdict.restarts,
-                                 verdict.seed)
+    rows, _lams, failure = _track(frames, ref, tol, verdict.restarts,
+                                  verdict.seed)
     if failure is not None:
         raise GeometryError(failure)
-    f = _grid_fields(frames, rows, lams[:, 0], n2)
+    f = _grid_fields(frames, rows, n2)
 
     t_amb = (f.T[:, None] @ f.tangent)[:, 0]
     phi2_raw = -lam3 * f.position + t_amb
@@ -991,7 +981,8 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     rate = float(np.linalg.norm(dphi2[0, 1]) / np.linalg.norm(amb[0, 1]))
 
     if kind == "point":
-        residuals["axis_geodesic"] = float(_h_norms(f.h[0], geo[0, 0]))
+        residuals["axis_geodesic"] = math.sqrt(max(
+            float(geo[0, 0] @ f.h[0] @ geo[0, 0]), 0.0))
         residuals["phi3_constant"] = _amax(phi3_samples - phi3_samples[0])
 
     factor_defs, d1, d2 = None, 1.0, 1.0

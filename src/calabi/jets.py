@@ -260,9 +260,10 @@ class Jet:
         return NotImplemented
 
     def __pow__(self, p):
-        if isinstance(p, (int, np.integer)) or (
-            isinstance(p, float) and p == int(p) and abs(p) < 64
-        ):
+        integral = isinstance(p, (int, np.integer))
+        if not integral and not math.isfinite(p):
+            raise JetDomainError(f"non-finite exponent {p}")
+        if integral or isinstance(p, float) and p == int(p) and abs(p) < 64:
             return _int_pow(self, int(p))
         return _real_pow(self, float(p))
 

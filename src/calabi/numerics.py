@@ -1,13 +1,12 @@
 """Dense symmetric linear algebra for small dimensions.
 
 Everything here targets matrices of size <= 8. The generalized
-symmetric eigenproblem A v = lambda M v is reduced to B^T A B by the
-M-orthonormal basis B that the caller factors once per M (a frame batch
-carries that of its h) and solved by LAPACK (`numpy.linalg.eigh`), for
-one pair of matrices or for stacks (..., n, n) in one call. Eigenvectors
-are M-orthonormal, eigenvalues ascending, and each vector's sign is fixed
-so its first entry of significant size is positive; so is each row of a
-`subspace_rank` basis.
+symmetric eigenproblem A v = lambda M v is solved as B^T A B q = lambda q,
+v = B q, in the M-orthonormal basis B the caller factors once per M (a
+frame batch carries that of its h), by LAPACK (`numpy.linalg.eigh`) for
+one matrix or for stacks (..., n, n) in one call. Eigenvalues ascend, and
+each vector's sign is fixed so its first entry of significant size is
+positive; so is each row of a `subspace_rank` basis.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _t(a))
 
 
-# values ascending, vectors as M-orthonormal columns
+# values ascending, vectors as orthonormal columns
 EigenResult = namedtuple("EigenResult", "values vectors")
 
 
@@ -69,13 +68,13 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -vectors, vectors)
 
 
-def solve_sym_eig_generalized(a: np.ndarray, basis: np.ndarray) -> EigenResult:
-    """Solve A v = lambda M v with symmetric A and positive definite M,
-    given as `metric_orthonormal_basis(M)`, for one pair of matrices or
-    stacks (..., n, n) in one call."""
-    b = _t(basis) @ symmetrize(a) @ basis
-    values, q = np.linalg.eigh(0.5 * (b + _t(b)))   # ascending
-    return EigenResult(values=values, vectors=_fix_signs(basis @ q))
+def solve_sym_eig_generalized(reduced: np.ndarray) -> EigenResult:
+    """Solve A v = lambda M v, symmetric A and positive definite M, given
+    as the reduced matrix B^T A B, B = `metric_orthonormal_basis(M)`, and
+    checked for symmetry by `symmetrize`: the eigenvalues, ascending, and
+    orthonormal eigenvectors q, v = B q, of one matrix or of a stack."""
+    values, q = np.linalg.eigh(symmetrize(reduced))
+    return EigenResult(values=values, vectors=_fix_signs(q))
 
 
 # basis rows form an orthonormal basis of the span

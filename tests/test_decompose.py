@@ -448,13 +448,13 @@ def _batches(monkeypatch) -> list:
 def _failing_tracker(monkeypatch, row_at):
     """Make the tracker's solve fail at the row `row_at(rows)` returns,
     for the number of rows in the solve, or at every row for None. The
-    tracker's solve is the one whose rows all start from the base axis;
-    the restarts of a search do not."""
+    tracker solves on a batch of grid frames; a search solves its
+    restarts on the repeated rows of one frame."""
     real = decompose._solve_axis
 
     def solve(frames, x0):
         axes = real(frames, x0)
-        if np.all(x0 == x0[0]):
+        if isinstance(frames, blaschke.BlaschkeFrame):
             row = row_at(len(x0))
             axes = [None if row is None or r == row else axis
                     for r, axis in enumerate(axes)]
@@ -666,9 +666,13 @@ def test_roundtrip_factors_each_metric_once(point_product, pair_product,
     batch and once per homothety map: 7 Cholesky factorizations for its
     4 batches and 3 mapped factor batches, where the checks, the search,
     the tracker and every eigensolve factored h again (23), and each
-    factor grid had a batch of its own (8). The axis solve stops before
-    an SVD of no rows: 17 SVDs (23)."""
-    counts = _linalg_calls(monkeypatch, "cholesky", "svd")
+    factor grid had a batch of its own (8). The axis solve tests the
+    symmetric bordered Jacobian of each Newton iteration with eigvalsh,
+    where an SVD of the Jacobian read in the h-orthonormal frame ran
+    (17 SVDs, 23 before the solve stopped before an SVD of no rows): 6
+    SVDs, all in the extraction's subspace ranks, and 20 eigvalsh, 4 in
+    the frame batches and 16 in the two searches' Newton iterations."""
+    counts = _linalg_calls(monkeypatch, "cholesky", "svd", "eigvalsh")
     blaschke.clear_frame_cache()
     g25, g27 = make_grid(-0.3, 0.3, 5, 2), make_grid(-0.3, 0.3, 3, 3)
     v_point = decompose.detect(point_product, g25)
@@ -676,7 +680,7 @@ def test_roundtrip_factors_each_metric_once(point_product, pair_product,
     v_pair = decompose.detect(pair_product, g27)
     assert decompose.theorem3_gate(pair_product, g27).applies
     decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
-    assert counts == {"cholesky": 7, "svd": 17}
+    assert counts == {"cholesky": 7, "svd": 6, "eigvalsh": 20}
 
 
 def _cholesky_failing_at(monkeypatch, h_bad):
@@ -746,16 +750,14 @@ def test_detect_reports_an_asymmetric_k_t_as_a_verdict(pair_product,
     points."""
     grid = make_grid(-0.3, 0.3, 2, 3)
     blaschke.clear_frame_cache()
-    base_basis = blaschke.full_frame(pair_product, grid[0]).basis
     real = numerics.solve_sym_eig_generalized
     calls = []
 
-    def skewed(a, basis):
-        calls.append(basis)
+    def skewed(reduced):
+        calls.append(len(reduced))
         if len(calls) == 1:
-            assert np.all(basis == base_basis)
-            return real(a, basis)
-        return real(a + 1e-6 * np.triu(np.ones(a.shape[-2:]), 1), basis)
+            return real(reduced)
+        return real(reduced + 1e-6 * np.triu(np.ones(reduced.shape[-2:]), 1))
 
     monkeypatch.setattr(numerics, "solve_sym_eig_generalized", skewed)
     verdict = decompose.detect(pair_product, grid)
@@ -763,7 +765,7 @@ def test_detect_reports_an_asymmetric_k_t_as_a_verdict(pair_product,
     (note,) = verdict.notes
     assert "asymmetry" in note
     assert blaschke.format_point(grid[1]) in note
-    assert len(calls) == 2
+    assert calls == [7, len(grid) - 1]   # the base candidates, the tracked
 
 
 def test_detect_with_a_tol_below_the_axis_residuals_gives_a_verdict(
@@ -790,12 +792,12 @@ def test_detect_tests_the_cross_block_at_every_tracked_point(pair_product,
     is read as 1e-3 wherever K is that of the point, in the stacked gate
     of the tracked points and in the structure of the search."""
     grid = make_grid(-0.3, 0.3, 3, 3)
-    k_at = blaschke.frames_on_grid(pair_product, grid).K[5]
+    k_at = blaschke.frames_on_grid(pair_product, grid).K_ortho[5]
     real = decompose._cross_residual
 
-    def cross(K, h, basis2, basis3):
-        at = np.all(K == k_at, axis=(-3, -2, -1))
-        return np.where(at, 1e-3, real(K, h, basis2, basis3))
+    def cross(k_ortho, basis2, basis3):
+        at = np.all(k_ortho == k_at, axis=(-3, -2, -1))
+        return np.where(at, 1e-3, real(k_ortho, basis2, basis3))
 
     monkeypatch.setattr(decompose, "_cross_residual", cross)
     verdict = decompose.detect(pair_product, grid)
@@ -858,9 +860,9 @@ def test_detect_and_extract_classify_each_pass_in_one_eigensolve(
     solves = []
     real = numerics.solve_sym_eig_generalized
 
-    def counted(a, m):
-        solves.append(np.shape(a))
-        return real(a, m)
+    def counted(reduced):
+        solves.append(np.shape(reduced))
+        return real(reduced)
 
     monkeypatch.setattr(numerics, "solve_sym_eig_generalized", counted)
     blaschke.clear_frame_cache()
@@ -885,9 +887,9 @@ def test_a_solve_failing_inside_a_chain_searches_only_its_point(
     solves = []
     real_eig = numerics.solve_sym_eig_generalized
 
-    def counted(a, m):
-        solves.append(len(a))
-        return real_eig(a, m)
+    def counted(reduced):
+        solves.append(len(reduced))
+        return real_eig(reduced)
 
     monkeypatch.setattr(numerics, "solve_sym_eig_generalized", counted)
     blaschke.clear_frame_cache()
@@ -919,7 +921,7 @@ def test_restarts_solve_alike_in_one_stack_and_one_by_one(request, product,
     frames = [blaschke.full_frame(defn, tuple(u)) for u in points]
     stacked = [decompose.find_axes(frame) for frame in frames]
     for axes in stacked:
-        keys = [(round(c.lambda1, 7),) + tuple(np.round(c.T, 7))
+        keys = [(round(c.lambda1, 7),) + tuple(np.round(c.y, 7))
                 for c in axes]
         assert keys == sorted(keys)
     real = decompose._solve_axis
@@ -942,16 +944,15 @@ def test_a_singular_jacobian_fails_only_its_own_row(pair_product,
                                                    monkeypatch):
     """The zero seed has an all-zero Jacobian, which made a stacked
     np.linalg.solve raise for every row. The second h-orthonormal basis
-    vector here is orthogonal to the axis, where the Jacobian is singular
-    only up to rounding (condition number 2.9e16 in coordinates): the
+    vector, e_2 in the rows' coordinates y = B^-1 x, is orthogonal to the
+    axis here, where the Jacobian is singular only up to rounding: the
     solve did not raise, and the row halved its step 40 times before it
-    was dropped. The conditioning test now stops both before the solve,
-    after the one evaluation at the seed, and the other rows of the stack
-    solve as they do alone."""
+    was dropped. The conditioning test stops both before the solve, after
+    the one evaluation at the seed, and the other rows of the stack solve
+    as they do alone."""
     frame = blaschke.full_frame(pair_product, (0.1, -0.2, 0.15))
-    basis = numerics.metric_orthonormal_basis(frame.h)
     calls = _counted(monkeypatch, "_axis_system")
-    for singular in (np.zeros(3), basis[:, 1]):
+    for singular in (np.zeros(3), np.eye(3)[1]):
         calls.clear()
         assert decompose._solve_axis(decompose._repeated(frame, 1),
                                      singular[None]) == [None]
@@ -983,35 +984,26 @@ def test_find_axes_evaluates_the_axis_system_at_most_12_times(
     assert len(calls) <= 12
 
 
-def _loop_seeds(h: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """The random seeds as `find_axes` drew them, one vector at a time."""
+def _loop_seeds(n: int, count: int, seed: int) -> np.ndarray:
+    """The seed's standard normal draws in R^n, one vector at a time, each
+    scaled to unit length."""
     rng = np.random.default_rng(seed)
-    floor = 1e-8 * math.sqrt(np.max(np.abs(h)))
-    seeds = []
-    while len(seeds) < count:
-        v = rng.standard_normal(len(h))
-        nv = float(decompose._h_norms(h, v))
-        if nv > floor * np.linalg.norm(v):
-            seeds.append(v / nv)
-    return np.array(seeds).reshape(-1, len(h))
+    seeds = [v / np.linalg.norm(v) for v in
+             (rng.standard_normal(n) for _ in range(count))]
+    return np.array(seeds).reshape(-1, n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_seeds_drawn_as_one_array_are_those_of_the_loop(n):
     """The array draw gives the seeds of the per-vector loop bit for bit:
-    the Generator stream is the same, and so are the h-norms. At an
-    indefinite h the floor rejects about half the draws; 1e-18 h is the
-    metric under u -> 1e-9 u."""
-    a = np.random.default_rng(n).standard_normal((n, n))
-    spd = a @ a.T + n * np.eye(n)
-    indefinite = np.diag(np.where(np.arange(n) % 2, -1.0, 1.0))
-    for h in (spd, 1e-18 * spd, indefinite, 1e-18 * indefinite):
-        for seed in range(10):
-            for count in (n, 32 - n):
-                want = _loop_seeds(h, count, seed)
-                got = decompose._random_seeds(h, count, seed)
-                assert got.shape == want.shape
-                assert np.array_equal(got, want), (h[0, 0], seed, count)
+    the Generator stream is the same, and so are the norms. No count of
+    seeds gives no rows."""
+    for seed in range(10):
+        for count in (n, 32 - n, 0, -1):
+            want = _loop_seeds(n, count, seed)
+            got = decompose._random_seeds(n, count, seed)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (seed, count)
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-9])
@@ -1021,19 +1013,37 @@ def test_seeds_drawn_as_one_array_are_those_of_the_loop(n):
 ])
 def test_find_axes_solves_from_the_seeds_of_the_loop(request, product, u, s,
                                                      monkeypatch):
-    """The rows `find_axes` hands to the Newton solve are the basis
-    vectors of the frame and then the seeds of the per-vector loop."""
+    """The rows `find_axes` hands to the Newton solve, in the frame's
+    h-orthonormal coordinates y = B^-1 x, are the basis vectors e_i and
+    then the seeds of the per-vector loop, so they do not depend on the
+    scale s of u -> s u."""
     defn = request.getfixturevalue(product)
     defn = _linear_reparam(defn, s * np.eye(defn.nvars))
     frame = blaschke.full_frame(defn, tuple(np.array(u) / s))
     seen = []
     real = decompose._solve_axis
     monkeypatch.setattr(decompose, "_solve_axis",
-                        lambda frames, x0: seen.append(x0) or real(frames, x0))
+                        lambda frames, y0: seen.append(y0) or real(frames, y0))
     assert decompose.find_axes(frame)
-    want = np.concatenate([frame.basis.T,
-                           _loop_seeds(frame.h, 32 - frame.n, 42)])
+    want = np.concatenate([np.eye(frame.n),
+                           _loop_seeds(frame.n, 32 - frame.n, 42)])
     assert np.array_equal(seen[0], want)
+
+
+def test_find_axes_finds_the_same_classes_under_a_rescale(pair_product):
+    """Under u -> s u, T scales by 1/s, and the stop, keep, dedupe and sign
+    tests of the search once read it in coordinates: 7, 4, 1, 5 and 6
+    classes at s = 1, 1e-8, 1e4, 1e-9 and 1e-12. In y = B^-1 T they read
+    coordinates of unit length at every s."""
+    lams = []
+    for s in (1e-12, 1e-9, 1e-8, 1.0, 1e4):
+        mapped = _linear_reparam(pair_product, s * np.eye(3))
+        frame = blaschke.full_frame(mapped,
+                                    tuple(np.array([0.1, 0.2, -0.15]) / s))
+        axes = decompose.find_axes(frame)
+        assert len(axes) == 7, s
+        lams.append([axis.lambda1 for axis in axes])
+    assert np.allclose(lams, lams[3], rtol=0, atol=1e-9)
 
 
 _DETECT_CHILD = """
@@ -1064,25 +1074,29 @@ def test_detect_returns_under_a_tiny_rescale(pair_product, s):
 
 
 def test_a_solve_stopped_at_its_rounding_floor_is_kept(pair_product):
-    """In coordinates u -> P u the axes are P^-1 T. With this P rounding
-    leaves |F| above 1e-13 at some of them, where backtracking cannot
+    """In coordinates u -> P u the axes are P^-1 T, solved as y = B^-1 P^-1
+    T in the h-orthonormal basis B there. The cubic form of that basis is
+    scaled by 1e3, as that of c phi is at c^(-a/2) = 1e3, so that rounding
+    leaves |F| above 1e-13 at some of the axes, where backtracking cannot
     reduce it; such a row has solved the system and is kept."""
     frame = blaschke.full_frame(pair_product, (0.1, -0.2, 0.15))
     axes = decompose.find_axes(frame)
     p = np.array([[1.0, 8.0, 0.0], [0.0, 1.0, 8.0], [0.0, 0.0, 1.0]])
     p_inv = np.linalg.inv(p)
-    h = p.T @ frame.h @ p
-    K = np.einsum("abk,ai,bj,ck->ijc", frame.K, p, p, p_inv)
-    basis = numerics.metric_orthonormal_basis(h)
-    rows = SimpleNamespace(h=np.stack([h] * len(axes)),
-                           K=np.stack([K] * len(axes)),
+    basis = numerics.metric_orthonormal_basis(p.T @ frame.h @ p)
+    c_p = np.einsum("abc,ai,bj,ck->ijk", frame.C, p, p, p)
+    k_ortho = 1e3 * np.einsum("abc,ai,bj,ck->ijk", c_p, basis, basis, basis)
+    rows = SimpleNamespace(K_ortho=np.stack([k_ortho] * len(axes)),
                            basis=np.stack([basis] * len(axes)))
-    solved = decompose._solve_axis(
-        rows, np.stack([p_inv @ axis.T for axis in axes]))
+    solved = decompose._solve_axis(rows, np.stack(
+        [np.linalg.solve(basis, p_inv @ axis.T) for axis in axes]))
     for axis, ref in zip(solved, axes):
         assert axis is not None
         assert np.allclose(p @ axis.T, ref.T, rtol=0, atol=1e-9)
-        assert axis.lambda1 == pytest.approx(ref.lambda1, abs=1e-9)
+        assert axis.lambda1 == pytest.approx(1e3 * ref.lambda1, abs=1e-6)
+    f, _jac, _mu = decompose._axis_system(
+        rows.K_ortho, np.stack([axis.y for axis in solved]))
+    assert np.max(decompose._norms(f)) > 1e-13
 
 
 def _linear_reparam(defn: dsl.ImmersionDef, a: np.ndarray):
@@ -1271,8 +1285,8 @@ def test_theorem3_gate_reports_an_asymmetric_k_t_as_a_note(pair_product,
                                                           monkeypatch):
     real = numerics.solve_sym_eig_generalized
 
-    def skewed(a, m):
-        return real(a + 1e-6 * np.triu(np.ones_like(a), 1), m)
+    def skewed(reduced):
+        return real(reduced + 1e-6 * np.triu(np.ones_like(reduced), 1))
 
     monkeypatch.setattr(numerics, "solve_sym_eig_generalized", skewed)
     blaschke.clear_frame_cache()   # the base search must run, not the memo
@@ -1465,7 +1479,10 @@ def test_extraction_names_its_failed_residuals(point_product, bend, failed):
     """FactorData lists the residuals above the tol given to extraction,
     sorted, as the CLI reports them. On [-0.8, 0.8]^2 the bent point
     product is detected, but the tracked axis jumps between equivalent
-    structures (ROADMAP item 2), and two residuals read 1.41 and 2."""
+    structures (ROADMAP item 2), and two residuals read 0.54 and 2. The
+    first depends on which of the three equivalent structures the base
+    search prefers: it read 1.41 when the search keyed its candidates on
+    T instead of y = B^-1 T."""
     defn = _bent(point_product) if bend else point_product
     grid = make_grid(-0.8, 0.8, 3, 2)
     verdict = decompose.detect(defn, grid)
@@ -1475,7 +1492,7 @@ def test_extraction_names_its_failed_residuals(point_product, bend, failed):
     assert data.failed_residuals == tuple(sorted(
         k for k, v in data.residuals.items() if v > 1e-6))
     if bend:
-        assert data.residuals["phi3_constant"] == pytest.approx(1.41, abs=0.01)
+        assert data.residuals["phi3_constant"] == pytest.approx(0.54, abs=0.01)
         assert data.residuals["subspace_overlap"] == 2.0
         assert decompose.extract_point_factor(
             defn, verdict, grid, tol=3.0).failed_residuals == ()
@@ -1546,15 +1563,18 @@ def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
     frames = blaschke.frames_on_grid(mixed_product, grid)
     rows, lams, failure = decompose._track(frames, s, 1e-6, 32, 42)
     assert failure is None
-    f = decompose._grid_fields(frames, rows, lams[:, 0], s.n2)
+    f = decompose._grid_fields(frames, rows, s.n2)
     xs = np.concatenate([f.T[:, None], f.basis2, f.basis3], axis=1)
     assert np.array_equal(f.rows, xs) and np.array_equal(rows, xs)
     d2, d3, amb = decompose._d_phi(f, xs, lam2, lam3)
     n = frames[0].n
     for p, frame in enumerate(frames):
-        # dT by implicit differentiation of the axis system at one point
-        _res, jac = decompose._axis_system(frame.h, frame.K, f.T[p],
-                                           lams[p, 0])
+        # dT by implicit differentiation of K(T,T) = mu T, h(T,T) = 1 at
+        # one point, in the parameters
+        t, mu = f.T[p], lams[p, 0]
+        jac = np.zeros((n + 1, n + 1))
+        jac[:n, :n] = 2.0 * np.einsum("ijk,i->kj", frame.K, t) - mu * np.eye(n)
+        jac[:n, n], jac[n, :n] = -t, 2.0 * frame.h @ t
         rhs = np.zeros((n + 1, n))
         for d in range(n):
             rhs[:n, d] = -sum(frame.dK[d, i, j] * f.T[p, i] * f.T[p, j]
@@ -1576,8 +1596,10 @@ def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
         cross = max(math.sqrt(max(k @ frame.h @ k, 0.0))
                     for v in f.basis2[p] for w in f.basis3[p]
                     for k in [np.einsum("ijk,i,j->k", frame.K, v, w)])
-        assert decompose._cross_residual(frame.K, frame.h, f.basis2[p],
-                                         f.basis3[p]) \
+        # the bases in the h-orthonormal basis B of the point, B^-1 x
+        y2, y3 = (np.linalg.solve(frame.basis, b.T).T
+                  for b in (f.basis2[p], f.basis3[p]))
+        assert decompose._cross_residual(frame.K_ortho, y2, y3) \
             == pytest.approx(cross, rel=0, abs=1e-15)
 
 
@@ -1646,9 +1668,10 @@ def test_the_array_gate_refuses_clusters_that_do_not_straddle_zero():
     K[0, 0, 0], K[0, 1, 1], K[1, 0, 1], K[1, 1, 0] = 0.3, 0.5, 0.5, 0.5
     K[0, 2, 2], K[2, 0, 2], K[2, 2, 0] = 2.0, 2.0, 2.0
     frames = SimpleNamespace(K=K[None], C=K[None], h=np.eye(3)[None],
-                             basis=np.eye(3)[None], u=np.zeros((1, 3)))
+                             basis=np.eye(3)[None], K_ortho=K[None],
+                             u=np.zeros((1, 3)))
     axis = decompose.CandidateAxis(T=np.eye(3)[0], lambda1=0.3,
-                                   axis_residual=0.0)
+                                   axis_residual=0.0, y=np.eye(3)[0])
     values, vectors = decompose._spectra(frames, axis.T[None])
     s = decompose._structure(K, np.eye(3), axis, values[0], vectors[0])
     assert s.pattern == "unclassified"

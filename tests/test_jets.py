@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calabi import dsl
-from calabi.jets import (_ELEMENTARY, Jet, JetDomainError, _space, eval_jets,
-                         jet_exp, jet_log, jet_sqrt, matmul, mul)
+from calabi.jets import (_ELEMENTARY, Jet, JetDomainError, _real_pow, _space,
+                         eval_jets, jet_exp, jet_log, jet_sqrt, matmul, mul)
 
 
 def test_product_rule_second_order():
@@ -46,6 +46,21 @@ def test_power_matches_repeated_product():
     f = (1 + u * u) ** 3
     g = (1 + u * u) * (1 + u * u) * (1 + u * u)
     assert np.allclose(f.c, g.c, rtol=1e-13)
+
+
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_exponent_is_a_domain_error(p):
+    """int(p) of a non-finite float raised OverflowError or ValueError."""
+    with pytest.raises(JetDomainError, match="non-finite exponent"):
+        Jet.variable(0.5, 0, 1, 4) ** p
+
+
+def test_finite_float_exponents_keep_their_values():
+    """The finiteness test changes no result: 2.0 is still an integer
+    power and 0.5 a real one, bit for bit."""
+    u = Jet.variable(0.5, 0, 1, 4)
+    assert np.array_equal((u ** 2.0).c, (u ** 2).c)
+    assert np.array_equal((u ** 0.5).c, _real_pow(u, 0.5).c)
 
 
 def _finite_difference(defn, point, comp_idx, var_idx, step=1e-5):
