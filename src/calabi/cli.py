@@ -234,8 +234,7 @@ def _cmd_analyze(args, project: dict) -> tuple[dict, bool]:
     }
     if axes and note is None:
         # detect's preference, not residuals at rounding level
-        structure = min((decompose.classify_spectrum(frame, c) for c in axes),
-                        key=decompose._structure_key)
+        structure = decompose.classify_spectrum(frame, axes)
         spectrum = [float(structure.lambda1)]
         for mean, mult, _basis in structure.clusters:
             spectrum.extend([float(mean)] * mult)
@@ -487,6 +486,10 @@ def main(argv=None) -> int:
                             sorted(opts["tolerances"].items())] + args.tol
         except (AttributeError, TypeError, ValueError) as exc:
             raise UsageError(f"project options: {exc}") from exc
+        for name in ("seed", "restarts"):
+            if getattr(args, name) < 0:
+                raise UsageError(f"{name} must be >= 0, not "
+                                 f"{getattr(args, name)}")
         envelope = {
             "command": args.command,
             "inputs": ([args.file] if hasattr(args, "file")

@@ -23,17 +23,15 @@ relative to the d1 = d2 = 1 constants the constructors emit.
 
 Axes are solved as y = B^-1 T in the h-orthonormal basis B of a frame,
 unit Z-eigenvectors of K_ortho = C(B, B, B) (L. Qi, J. Symbolic Comput.
-40, 2005), which a linear change of the parameters does not move. A base
-frame is searched once (memoized by `_axis_structures`) from the e_i and
-normalized standard normal draws, in one batched Newton call and one
-eigensolve; `_gate` holds a structure to the tolerance. Away from the
-base point `_track` follows the axis for detection and extraction: one
-batched Newton solve seeded from the base axis, one stacked eigensolve,
-the same gate on arrays (`_gate_rows`), a full search only where a row
-fails. A Newton row stops at a singular Jacobian, when backtracking
-cannot reduce |F|, or at |F| <= 1e-13 (fails above 1e-11), all read in
-y. Grid frames are one batch (`blaschke.frames_on_grid`), so the arrays
-carry a leading grid-point axis.
+40, 2005), which a linear change of the parameters does not move. One
+function, `_gate`, classifies and tests every structure as arrays, a
+stack of (frame row, axis) pairs in one eigensolve: the candidates of a
+base frame's search (memoized by `_axis_structures`) and the points
+`_track` follows the axis to, one batched Newton solve seeded from the
+base axis, with a full search only where a row is not accepted. A Newton
+row stops at a singular Jacobian, when backtracking cannot reduce |F|,
+or at |F| <= 1e-13 (fails above 1e-11), all read in y. Grid frames are
+one batch (`blaschke.frames_on_grid`): arrays carry a leading point axis.
 """
 
 from __future__ import annotations
@@ -277,24 +275,75 @@ def _cross_residual(k_ortho: np.ndarray, basis2, basis3):
     return np.max(_norms(kvw), axis=(-2, -1), initial=0.0)
 
 
-def _relations(n2: int, n3: int, lam1, lam2, lam3=None) -> dict:
-    """The eigenvalue relation residuals of the point pattern (n3 = 0) or
-    of the pair pattern, of floats or of arrays alike."""
-    thm1 = abs(1.0 + lam1 * lam2 - lam2 ** 2)
-    if not n3:
-        return {"thm1": thm1, "apolar": abs(lam1 + n2 * lam2)}
-    return {"thm1": thm1, "sum": abs(lam1 - lam2 - lam3),
-            "prod": abs(lam2 * lam3 + 1.0),
-            "apolar": abs(lam1 + n2 * lam2 + n3 * lam3)}
+# the tests of a product structure in the order `_gate` applies them; the
+# last one is the tracker's
+GATE_TESTS = ("axis", "shape", "thm1", "sum", "prod", "apolar", "cross",
+              "orientation")
 
 
-def _spectra(frames: BlaschkeFrame, y: np.ndarray):
-    """The eigenvalues, ascending, and eigenvector columns in the basis B
-    of K_T at frames[p], T = B y[p], with the T eigenpair split off; one
-    solve of the reduced matrices B^T K_T B = K_ortho(y)."""
-    a = np.einsum("pi,pijk->pjk", y, frames.K_ortho)
+def _pattern(n2, n3) -> str:
+    return "unclassified" if not n2 else "pair" if n3 else "point"
+
+
+class Gated(namedtuple("Gated", "y rows means lams n2 n3 tests")):
+    """`_gate`'s structures, one per row: the oriented axis y = B^-1 T;
+    the rows [T | V | W], T and the eigenvectors of K_T in parameter
+    coordinates, cluster by cluster, the top one of the unoriented K_T
+    first; the oriented mean of each one's cluster; (lambda1, the first
+    and the last of those means); n2 and n3, 0 when unclassified; and the
+    residuals of the first seven GATE_TESTS (0 where none applies)."""
+
+    def failures(self, tol: float, shape=None, y_ref=None):
+        """The index in GATE_TESTS of the first test each row fails, or
+        len(GATE_TESTS), and its residual (h for a row that passes): the
+        residuals against tol; the shape, (n2, n3) = `shape` or else any
+        product pattern; with y_ref, the rows of T_ref in each row's basis,
+        h(T, T_ref) = y.y_ref >= 0."""
+        h = (np.full((len(self.y), 1), np.inf) if y_ref is None
+             else (self.y[:, None] @ y_ref[..., None])[:, 0])
+        bad = np.concatenate([self.tests > tol, h < 0.0], axis=1)
+        bad[:, 1] = (self.n2 == 0 if shape is None else
+                     (self.n2 != shape[0]) | (self.n3 != shape[1]))
+        first = np.where(bad.any(axis=1), bad.argmax(axis=1), len(GATE_TESTS))
+        return first, np.concatenate([self.tests, h, h], axis=1)[
+            np.arange(len(h)), first]
+
+    def refusal(self, p: int, tol: float, shape=None, y_ref=None):
+        """The note of the first test of `failures` row p fails, or None."""
+        failed, resid = self.failures(tol, shape, y_ref)
+        if failed[p] == len(GATE_TESTS):
+            return None
+        test, r = GATE_TESTS[failed[p]], resid[p]
+        n2, n3 = self.n2[p], self.n3[p]
+        if test == "shape":
+            want = ("{} ({}, {})".format(_pattern(*shape), *shape) if shape
+                    else "a product pattern")
+            return "axis spectrum is {} ({}, {}), not {}".format(
+                _pattern(n2, n3), n2, n3, want)
+        if test == "orientation":
+            return f"h(T, T_ref) = {r:.3g} < 0"
+        name = {"axis": "axis residual", "cross": "cross residual K(V, W)"}
+        return (f"{name.get(test, 'eigenvalue relation ' + test)} {r:.3g} "
+                f"exceeds tolerance {tol:.3g}")
+
+
+def _gate(frames, axes) -> Gated:
+    """The structure of K_T at frames[p] for T = axes[p], for every row at
+    once, with the residuals `Gated.failures` holds to a tolerance.
+
+    One eigensolve of B^T K_T B = K_ortho(y), T = B y, gives the spectrum
+    beside T (the eigenvector closest to y split off), cut into clusters
+    at steps larger than CLUSTER_GAP. T is oriented so that the top
+    cluster is not negative (K_(-T) = -K_T). One cluster is the point
+    pattern, two the pair pattern if lambda2 > 0 > lambda3; the tests of
+    a pattern are its eigenvalue relations (which with the shape fix the
+    eigenvalues) and the cross block K(V, W). Rows with the same cuts
+    share arrays, so a row rounds alike in any stack."""
+    y, t, lam1, resid = (np.array([getattr(axis, name) for axis in axes])
+                         for name in ("y", "T", "lambda1", "axis_residual"))
     try:
-        eig = numerics.solve_sym_eig_generalized(a)
+        eig = numerics.solve_sym_eig_generalized(
+            np.einsum("pi,pijk->pjk", y, frames.K_ortho))
     except numerics.AsymmetricMatrixError as exc:
         point = blaschke.format_point(frames.u[exc.index[0]])
         raise numerics.AsymmetricMatrixError(
@@ -302,108 +351,101 @@ def _spectra(frames: BlaschkeFrame, y: np.ndarray):
     overlap = np.abs((y[:, None] @ eig.vectors)[:, 0])
     is_t = np.arange(y.shape[1]) == np.argmax(overlap, axis=1)[:, None]
     keep = np.argsort(is_t, axis=1, kind="stable")[:, :-1]
-    return (np.take_along_axis(eig.values, keep, axis=1),
-            np.take_along_axis(eig.vectors, keep[:, None], axis=2))
+    values = np.take_along_axis(eig.values, keep, axis=1)
+    vectors = np.take_along_axis(eig.vectors, keep[:, None], axis=2)
+    (npts, m), cuts = values.shape, np.diff(values, axis=1) > CLUSTER_GAP
+    rows, means = np.empty((npts,) + t.shape[1:] * 2), np.empty_like(values)
+    sign, tests = np.empty((npts, 1)), np.zeros((npts, len(GATE_TESTS) - 1))
+    n2s, n3s = np.zeros(npts, int), np.zeros(npts, int)
+    keys = cuts @ (1 << np.arange(m - 1))    # rows with the same cuts
+    for key in sorted(set(keys.tolist())):
+        at = np.flatnonzero(keys == key)
+        bounds = [0, *(np.flatnonzero(cuts[at[0]]) + 1).tolist(), m]
+        down = list(zip(bounds[-2::-1], bounds[:0:-1]))    # the top first
+        order = np.concatenate([np.arange(a, b) for a, b in down])
+        v, mu = values[at], np.empty((len(at), m))
+        for a, b in down:   # summed as np.mean sums a slice
+            mu[:, a:b] = (np.add.reduce(v[:, a:b], axis=1) / (b - a))[:, None]
+        sign[at] = s = np.where(mu[:, -1:] < 0.0, -1.0, 1.0)
+        means[at] = mu = s * mu[:, order]
+        vw = np.swapaxes(vectors[at][..., order], 1, 2)     # rows [V | W]
+        rows[at, 1:] = vw @ np.swapaxes(frames.basis[at], 1, 2)
+        if len(down) > 2:
+            continue
+        n3 = bounds[1] if len(down) == 2 else 0
+        ok = (mu[:, -1] < 0.0) & (0.0 < mu[:, 0]) if n3 else slice(None)
+        at, n2, vw = at[ok], m - n3, vw[ok]
+        lam1_at, lam2, lam3 = s[ok, 0] * lam1[at], mu[ok, 0], mu[ok, -1]
+        n2s[at], n3s[at] = n2, n3
+        tests[at, 2] = abs(1.0 + lam1_at * lam2 - lam2 ** 2)
+        tests[at, 5] = abs(lam1_at + n2 * lam2 + n3 * lam3)
+        if n3:
+            tests[at, 3] = abs(lam1_at - lam2 - lam3)
+            tests[at, 4] = abs(lam2 * lam3 + 1.0)
+            tests[at, 6] = _cross_residual(frames.K_ortho[at], vw[:, :n2],
+                                           vw[:, n2:])
+    rows[:, 0], tests[:, 0] = sign * t, resid
+    return Gated(sign * y, rows, means, np.stack(
+        [sign[:, 0] * lam1, means[:, 0], means[:, -1]], axis=1), n2s, n3s,
+        tests)
 
 
-def _classify(frame: BlaschkeFrame, axes) -> list[SpectralStructure]:
-    """`classify_spectrum` of each of the axes at one frame, in one
-    eigensolve and without the tolerance check."""
-    if not axes:
-        return []
-    spectra = _spectra(_repeated(frame, len(axes)),
-                       np.stack([axis.y for axis in axes]))
-    return [_structure(frame.K_ortho, frame.basis, *args)
-            for args in zip(axes, *spectra)]
-
-
-def classify_spectrum(frame: BlaschkeFrame,
-                      axis: CandidateAxis) -> SpectralStructure:
-    """Cluster the K_T spectrum and test it against the product patterns.
-
-    K_T is assembled in the h-orthonormal basis B, as K_ortho(y) with
-    T = B y (y = B^T h T for an axis made by hand), symmetric by total
-    symmetry of the cubic form; an asymmetry past rounding raises
-    AsymmetricMatrixError naming the point. The T eigenpair, found by
-    eigenvector overlap, is split off and the rest, ascending, is cut
-    into clusters at steps larger than CLUSTER_GAP. T is oriented so that
-    the top cluster is not negative: K_(-T) = -K_T, so the flip negates
-    the spectrum and reverses the clusters in closed form. One cluster
-    then matches the point pattern, two the pair pattern with lambda2 > 0
-    > lambda3; anything else is unclassified rather than raised; `_gate`
-    holds the result to a tolerance.
-    """
-    if axis.y is None:
-        axis = replace(axis, y=axis.T @ frame.h @ frame.basis)
-    return _classify(frame, [axis])[0]
-
-
-def _structure(k_ortho: np.ndarray, basis: np.ndarray, axis: CandidateAxis,
-               values, vectors) -> SpectralStructure:
-    """`classify_spectrum` from the split-off spectrum of K_T, ascending,
-    and its eigenvector columns in the basis, cut into clusters at steps
-    larger than CLUSTER_GAP."""
-    cuts = [0] + [i for i in range(1, len(values))
-                  if values[i] - values[i - 1] > CLUSTER_GAP] + [len(values)]
-    # C-ordered rows: on F-ordered views the extraction's matmuls round
-    # differently
-    rows = vectors.T @ basis.T
-    clusters = [(float(np.mean(values[a:b])), b - a, rows[a:b])
-                for a, b in zip(cuts, cuts[1:]) if a < b]
-    if clusters and clusters[-1][0] < 0.0:
-        axis = axis.flipped()
-        clusters = [(-mean, mult, block)
-                    for mean, mult, block in reversed(clusters)]
-    lam1, lam2, lam3, n2, n3 = axis.lambda1, None, None, 0, 0
-    pattern, cross, relations = "unclassified", 0.0, {}
-    if len(clusters) == 1:
-        pattern, (lam2, n2, _basis) = "point", clusters[0]
-        relations = _relations(n2, 0, lam1, lam2)
-    elif len(clusters) == 2 and clusters[0][0] < 0.0 < clusters[1][0]:
-        pattern, ((lam3, n3, _b3), (lam2, n2, _b2)) = "pair", clusters
-        relations = _relations(n2, n3, lam1, lam2, lam3)
-        # a pair is never flipped: the lowest n3 columns are its lambda3 block
-        cross = float(_cross_residual(k_ortho, vectors[:, n3:].T,
-                                      vectors[:, :n3].T))
+def _spectral_structure(g: Gated, p: int) -> SpectralStructure:
+    """Row p of `_gate` as the one `SpectralStructure` a verdict, the
+    theorem 3 gate or `calabi analyze` reports."""
+    n2, n3 = int(g.n2[p]), int(g.n3[p])
+    pattern = _pattern(n2, n3)
+    means, first, mults = np.unique(g.means[p], return_index=True,
+                                    return_counts=True)
+    names = GATE_TESTS[2:6] if n3 else ("thm1", "apolar") if n2 else ()
     return SpectralStructure(
-        axis=axis, clusters=tuple(clusters), n2=n2, n3=n3, lambda2=lam2,
-        lambda3=lam3, cross_residual=cross, relation_residuals=relations,
+        axis=CandidateAxis(T=g.rows[p, 0], lambda1=float(g.lams[p, 0]),
+                           axis_residual=float(g.tests[p, 0]), y=g.y[p]),
+        clusters=tuple((float(mean), int(mult), g.rows[p, 1 + i:1 + i + mult])
+                       for mean, i, mult in zip(means, first, mults)),
+        n2=n2, n3=n3, lambda2=float(g.lams[p, 1]) if n2 else None,
+        lambda3=float(g.lams[p, 2]) if n3 else None,
+        cross_residual=float(g.tests[p, GATE_TESTS.index("cross")]),
+        relation_residuals={name: float(g.tests[p, GATE_TESTS.index(name)])
+                            for name in names},
         pattern=pattern)
 
 
-def _gate(structure: SpectralStructure, tol: float,
-          ref: SpectralStructure | None = None) -> str | None:
-    """The first product-structure test that `structure` fails, named with
-    its residual, or None: the axis residual; the shape, (pattern, n2, n3)
-    of `ref` or else any classified pattern; each eigenvalue relation
-    (with the shape, these fix the eigenvalues); the cross block K(V,W)."""
-    axis, cross = structure.axis.axis_residual, structure.cross_residual
-    shape = (structure.pattern, structure.n2, structure.n3)
-    if axis > tol:
-        return f"axis residual {axis:.3g} exceeds tolerance {tol:.3g}"
-    if structure.pattern == "unclassified" or (
-            ref and shape != (ref.pattern, ref.n2, ref.n3)):
-        base = ("{} ({}, {})".format(ref.pattern, ref.n2, ref.n3) if ref
-                else "a product pattern")
-        return "axis spectrum is {} ({}, {}), not ".format(*shape) + base
-    for name, r in structure.relation_residuals.items():
-        if r > tol:
-            return (f"eigenvalue relation {name} {r:.3g} exceeds tolerance "
-                    f"{tol:.3g}")
-    if cross > tol:
-        return (f"cross residual K(V, W) {cross:.3g} exceeds tolerance "
-                f"{tol:.3g}")
-    return None
+def _preferred(g: Gated, ok) -> int | None:
+    """The row detect prefers among the rows `ok`, or None.
+
+    Highly symmetric spheres admit several product structures at once
+    (the orthant hypersurface is the extreme case); prefer the finer
+    two-cluster split, then n2 <= n3, then the most balanced split.
+    Residuals of equivalent structures differ only by rounding, so they
+    never choose: among equal keys the first row wins, for a search the
+    first in the rounded-key order of `find_axes`."""
+    n2, n3 = g.n2.tolist(), g.n3.tolist()
+    return min(np.flatnonzero(ok).tolist(), default=None, key=lambda p: (
+        n3[p] == 0, n2[p] > n3[p], -min(n2[p], n3[p])))
 
 
-# cached frame -> {(restarts, seed): structures}
+def classify_spectrum(frame: BlaschkeFrame, axis) -> SpectralStructure:
+    """The structure `_gate` finds for an axis at one frame (y = B^T h T
+    for an axis made by hand); an asymmetry of K_T past rounding raises
+    AsymmetricMatrixError naming the point. For a list of axes, the one
+    detect would prefer, unclassified spectra included (`calabi
+    analyze`)."""
+    axes = [axis] if isinstance(axis, CandidateAxis) else axis
+    axes = [a if a.y is not None else replace(a, y=a.T @ frame.h @ frame.basis)
+            for a in axes]
+    g = _gate(_repeated(frame, len(axes)), axes)
+    return _spectral_structure(g, _preferred(g, np.ones(len(axes), bool)))
+
+
+# cached frame -> {(restarts, seed): Gated or None}
 _STRUCTURES = weakref.WeakKeyDictionary()
 
 
 def _axis_structures(defn: ImmersionDef, u, restarts: int, seed: int):
-    """The structure of every `find_axes` candidate at the frame of defn
-    at the point u, from one eigensolve; callers compare the axis
-    residuals with their tolerance.
+    """`_gate` of every `find_axes` candidate at the frame of defn at the
+    point u, in the search's order, or None when the search finds none;
+    callers hold it to their tolerance with `Gated.failures`.
 
     Memoized for the lifetime of the cached frame `full_frame(defn, u)`,
     keyed on (restarts, seed): the frame cache makes frames unique per
@@ -414,7 +456,8 @@ def _axis_structures(defn: ImmersionDef, u, restarts: int, seed: int):
     memo = _STRUCTURES.setdefault(frame, {})
     if (restarts, seed) not in memo:
         search = find_axes(frame, restarts=restarts, seed=seed)
-        memo[restarts, seed] = tuple(_classify(frame, search))
+        memo[restarts, seed] = (_gate(_repeated(frame, len(search)), search)
+                                if search else None)
     return memo[restarts, seed]
 
 
@@ -483,97 +526,43 @@ def _prepare(defn: ImmersionDef, grid):
     return work, scale, frames, evidence, None, True
 
 
-def _structure_key(structure: SpectralStructure) -> tuple:
-    """Preference among the product structures found at one point.
-
-    Highly symmetric spheres admit several product structures at once
-    (the orthant hypersurface is the extreme case); prefer the finer
-    two-cluster split, then n2 <= n3, then the most balanced split.
-    Equivalent structures have residuals that differ only by rounding (T
-    and -T describe one structure with the blocks swapped), so residuals
-    never choose: among equal keys `min` keeps the first structure in the
-    rounded-key order of `find_axes`.
-    """
-    rank = 0 if structure.pattern == "pair" else 1
-    return (rank, structure.n2 > structure.n3,
-            -min(structure.n2, structure.n3))
-
-
-def _gate_rows(frames: BlaschkeFrame, axes, ref: SpectralStructure,
-               tol: float):
-    """`_gate` against `ref`, and h(T, T_ref) >= 0, of the structure of
-    axes[p] at frames[p] for every p from one eigensolve: the rows
-    [T | V | W], the lambdas of `_lambdas` and the pass mask. The cut is
-    that of `ref`; a negative top cluster flips T as in `_structure`."""
-    n2, n3 = ref.n2, ref.n3
-    t = np.stack([axis.T for axis in axes])
-    values, vectors = _spectra(frames, np.stack([axis.y for axis in axes]))
-    means = [values[:, n3:].mean(axis=1)]          # the lambda2 block
-    if n3:
-        means.append(values[:, :n3].mean(axis=1))  # the lambda3 block
-    sign = np.where(means[0] < 0.0, -1.0, 1.0)[:, None]
-    lams = sign * np.stack([[axis.lambda1 for axis in axes]] + means, axis=1)
-    vw = np.swapaxes(np.roll(vectors, -n3, axis=2), 1, 2)   # rows [V | W]
-    rows = np.concatenate([(sign * t)[:, None],
-                           vw @ np.swapaxes(frames.basis, 1, 2)], axis=1)
-    cuts = np.diff(values, axis=1) > CLUSTER_GAP
-    passed = np.all(cuts == (np.arange(1, len(t[0]) - 1) == n3), axis=1)
-    passed &= (n3 == 0) | ((lams[:, -1] < 0.0) & (0.0 < lams[:, 1]))
-    fails = [[axis.axis_residual for axis in axes],
-             _cross_residual(frames.K_ortho, vw[:, :n2], vw[:, n2:]),
-             *_relations(n2, n3, *lams.T).values()]
-    passed &= ~np.any(np.array(fails) > tol, axis=0)
-    passed &= (rows[:, :1] @ frames.h @ ref.axis.T)[:, 0] >= 0.0
-    return rows, lams, passed
-
-
 def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
-           restarts: int, seed: int):
-    """The structure of `ref` followed across the frames from its axis, as
-    (rows [T | V | W], lambdas of `_lambdas`, None) with a leading
-    grid-point axis, or (None, None, failure note). A point whose Newton
-    row stops unsolved or fails `_gate_rows` is searched in full, and the
-    candidate closest to the axis of `ref` in the metric of the point
-    decides; the note names the first point where that fails `_gate`.
-    Row p starts from y = B^-1 T_ref = B^T h T_ref in its basis B."""
-    t_ref, npts = ref.axis.T, len(frames)
-    rows, passed = np.empty((npts,) + t_ref.shape * 2), np.zeros(npts, bool)
-    lams = np.empty((npts, len(_lambdas(ref))))
+           restarts: int, seed: int, t_ref=None):
+    """The structure of `ref` followed across the frames from its axis, or
+    from t_ref, as (rows [T | V | W], lambdas, None) with a leading point
+    axis, or (None, None, failure note). Row p starts from y_ref = B^T h
+    T_ref in its basis B. A row is accepted when it passes `_gate` with
+    the shape of `ref` and h(T, T_ref) >= 0; a point whose Newton row
+    stops unsolved or is not accepted is searched in full, the candidate
+    closest to T_ref in its metric decides, and the note names the first
+    point where that one is not accepted."""
+    t_ref = ref.axis.T if t_ref is None else t_ref
+    shape, width = (ref.n2, ref.n3), 2 + (ref.n3 > 0)   # lambda3 of a pair
+    rows = np.empty((len(frames),) + t_ref.shape * 2)
+    lams, ok = np.empty((len(frames), width)), np.zeros(len(frames), bool)
     y_ref = ((t_ref @ frames.h)[:, None] @ frames.basis)[:, 0]
     axes = _solve_axis(frames, y_ref)
     solved = [p for p, axis in enumerate(axes) if axis is not None
               and axis.axis_residual <= AXIS_RESIDUAL_TOL]
     if solved:
-        rows[solved], lams[solved], passed[solved] = _gate_rows(
-            frames[solved], [axes[p] for p in solved], ref, tol)
-    for p in np.flatnonzero(~passed):
-        point = blaschke.format_point(frames.u[p])
-        search = find_axes(frames[p], restarts=restarts, seed=seed)
+        g = _gate(frames[solved], [axes[p] for p in solved])
+        ok[solved] = g.failures(tol, shape, y_ref[solved])[0] == len(
+            GATE_TESTS)
+        rows[solved], lams[solved] = g.rows, g.lams[:, :width]
+    for p in np.flatnonzero(~ok):
+        frame, point = frames[p], blaschke.format_point(frames.u[p])
+        search = find_axes(frame, restarts=restarts, seed=seed)
         if not search:
             return None, None, f"axis disappears at grid point {point}"
         aligned = max(search, key=lambda c: abs(c.y @ y_ref[p]))
         if float(aligned.y @ y_ref[p]) < 0.0:
             aligned = aligned.flipped()
-        (structure,) = _classify(frames[p], [aligned])
-        failure = _gate(structure, tol, ref)
-        if failure is not None:
-            return None, None, f"{failure} at grid point {point}"
-        # clusters ascend, so the lambda2 block comes last and lambda3 first
-        rows[p] = np.vstack([structure.axis.T]
-                            + [c[2] for c in structure.clusters[::-1]])
-        lams[p] = _lambdas(structure)
+        g = _gate(_repeated(frame, 1), [aligned])
+        note = g.refusal(0, tol, shape, y_ref[p:p + 1])
+        if note is not None:
+            return None, None, f"{note} at grid point {point}"
+        rows[p], lams[p] = g.rows[0], g.lams[0, :width]
     return rows, lams, None
-
-
-def _lambdas(structure: SpectralStructure) -> list:
-    return [lam for lam in (structure.lambda1, structure.lambda2,
-                            structure.lambda3) if lam is not None]
-
-
-def _lam3(structure: SpectralStructure) -> float:
-    """lambda3, or the formal lambda1 - lambda2 of a point structure."""
-    lam3 = structure.lambda3
-    return structure.lambda1 - structure.lambda2 if lam3 is None else lam3
 
 
 def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
@@ -581,18 +570,19 @@ def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
     """The preferred product structure at the base point and the largest
     eigenvalue drift from it across the grid, as (structure, drift,
     failure note); a drift above tol fails at its worst point."""
-    structures = _axis_structures(work, frames.u[0], restarts, seed)
-    if not structures:
+    gated = _axis_structures(work, frames.u[0], restarts, seed)
+    if gated is None:
         return None, math.inf, "no axis direction solves K(X,X) = mu X"
-    scored = [s for s in structures if _gate(s, tol) is None]
-    if not scored:
+    p = _preferred(gated, gated.failures(tol)[0] == len(GATE_TESTS))
+    if p is None:
         return None, math.inf, ("no axis matches either product pattern "
                                 "within tolerance")
-    base = min(scored, key=_structure_key)
+    base = _spectral_structure(gated, p)
     _rows, lams, failure = _track(frames[1:], base, tol, restarts, seed)
     if failure is not None:
         return None, math.inf, failure
-    drifts = np.append(0.0, np.max(np.abs(lams - _lambdas(base)), axis=1))
+    drifts = np.append(0.0, np.max(
+        np.abs(lams - gated.lams[p, :lams.shape[1]]), axis=1))
     worst = int(np.argmax(drifts))
     if drifts[worst] > tol:
         return None, math.inf, (
@@ -680,16 +670,17 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
             note="K ≈ 0: spectrum collapses, no (V, W) split to gate")
 
     try:
-        structures = _axis_structures(work, frames.u[0], restarts, seed)
+        gated = _axis_structures(work, frames.u[0], restarts, seed)
     except numerics.AsymmetricMatrixError as exc:
         return Theorem3Gate(parallel=parallel, curvature_action_residual=rk,
                             note=str(exc))
-    pairs = [s for s in structures
-             if s.pattern == "pair" and s.axis.axis_residual <= tol]
-    if not pairs:
+    # pairs whose axis residual and shape pass
+    p = None if gated is None else _preferred(
+        gated, (gated.failures(tol)[0] > 1) & (gated.n3 > 0))
+    if p is None:
         return Theorem3Gate(parallel=parallel, curvature_action_residual=rk,
                             note="no axis with a two-cluster spectrum")
-    best = min(pairs, key=_structure_key)
+    best = _spectral_structure(gated, p)
 
     lam1, lam2, lam3 = best.lambda1, best.lambda2, best.lambda3
     derived = {f"lambda{k}_branch": abs((lam1 - 2.0 * lam)
@@ -813,29 +804,32 @@ def _metric_ratio(f: SimpleNamespace, lam2: float, lam3: float):
 def _provenance_aligned_axis(defn: ImmersionDef, frames: BlaschkeFrame,
                              spectrum: SpectralStructure, tol: float,
                              restarts: int, seed: int):
-    """The structure matching the verdict spectrum whose lambda2 block
+    """The axis of a structure of the verdict's shape whose lambda2 block
     spans a single recorded component block, and whether that block is
-    the first one, as (structure, lambda2_first).
+    the first one, as (T, lambda2_first).
 
     On surfaces with several equivalent product structures the detected
     axis may belong to a grouping other than the recorded one; factor
     reconstruction needs the recorded grouping, which is identified by
     where the lambda2 eigenvectors point in ambient coordinates. Raises
     GeometryError when no candidate keeps to one block."""
-    m2 = defn.provenance.n2 + 1
+    m2, n2 = defn.provenance.n2 + 1, spectrum.n2
     best, best_score, lam2_first = None, math.inf, True
-    for structure in _axis_structures(defn, frames.u[0], restarts, seed):
-        if _gate(structure, tol, spectrum) is not None:
-            continue
-        # clusters ascend, so the lambda2 block (the positive one) is last
-        mat = np.vstack([-_lam3(structure) * frames.position[0]
-                         + structure.axis.T @ frames.tangent[0],
-                         structure.clusters[-1][2] @ frames.tangent[0]])
+    gated = _axis_structures(defn, frames.u[0], restarts, seed)
+    shaped = [] if gated is None else np.flatnonzero(gated.failures(
+        tol, (n2, spectrum.n3))[0] == len(GATE_TESTS))
+    for p in shaped:
+        lam1, lam2, lam3 = gated.lams[p]
+        if not spectrum.n3:
+            lam3 = lam1 - lam2      # the formal lambda3 of a point structure
+        mat = np.vstack([-lam3 * frames.position[0]
+                         + gated.rows[p, 0] @ frames.tangent[0],
+                         gated.rows[p, 1:1 + n2] @ frames.tangent[0]])
         mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
         first = float(np.sum(np.abs(mat[:, :m2])))
         second = float(np.sum(np.abs(mat[:, m2:])))
         if min(first, second) < best_score:
-            best, best_score = structure, min(first, second)
+            best, best_score = gated.rows[p, 0], min(first, second)
             lam2_first = first >= second
     if best is None or best_score > 1e-6:
         raise GeometryError(
@@ -918,7 +912,9 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     if not verdict.orientation_ok:
         raise VerdictError("extraction requires the xi = phi orientation")
     spectrum = verdict.spectrum
-    lam2, lam3 = spectrum.lambda2, _lam3(spectrum)
+    lam2, lam3 = spectrum.lambda2, spectrum.lambda3
+    if lam3 is None:
+        lam3 = spectrum.lambda1 - lam2  # the formal lambda3 of a point
     n2, n3 = spectrum.n2, spectrum.n3
 
     frames = blaschke.frames_on_grid(defn, grid)
@@ -927,12 +923,12 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     if prov is not None and prov.axis in defn.vars:
         axis_idx = defn.vars.index(prov.axis)
 
-    ref = spectrum
+    t_ref = None
     if axis_idx is not None:
-        ref, lam2_first = _provenance_aligned_axis(
+        t_ref, lam2_first = _provenance_aligned_axis(
             defn, frames, spectrum, tol, verdict.restarts, verdict.seed)
-    rows, _lams, failure = _track(frames, ref, tol, verdict.restarts,
-                                  verdict.seed)
+    rows, _lams, failure = _track(frames, spectrum, tol, verdict.restarts,
+                                  verdict.seed, t_ref)
     if failure is not None:
         raise GeometryError(failure)
     f = _grid_fields(frames, rows, n2)

@@ -368,6 +368,29 @@ def test_restarts_flag_beats_project_file(workdir, tmp_path, capsys,
     assert seen == [9, 8, 5, 32]
 
 
+@pytest.mark.parametrize("argv, options", [
+    (["detect", "--grid", "g27", "--seed", "-1"], None),
+    (["analyze", "--seed=-3"], None),
+    (["detect", "--grid", "g27", "--restarts=-2"], None),
+    (["detect", "--grid", "g27"], {"seed": -1}),
+    (["analyze"], {"restarts": -5}),
+])
+def test_a_negative_seed_or_restart_count_is_a_usage_error(
+        workdir, tmp_path, capsys, argv, options):
+    """A negative seed reached `numpy.random.default_rng`, which raised a
+    ValueError traceback; a negative restart count searched from the
+    basis vectors alone. Both are refused, from a flag or a project
+    file, with one error line and exit code 2."""
+    argv = argv[:1] + [str(workdir / "pair.immersion")] + argv[1:]
+    if options is not None:
+        argv += ["--project", _project(tmp_path, options)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_detect_refused_geometry_is_a_failed_verdict(tmp_path, capsys):
     saddle = tmp_path / "saddle.immersion"
     saddle.write_text(

@@ -195,13 +195,18 @@ def test_classify_flips_axis_to_positive_lambda2(point_product):
 
 
 def _split(values):
-    """`decompose._structure` of a hand-made ascending spectrum, with K = 0,
-    h = id and an axis e_0 of lambda1 = 0."""
+    """`decompose._gate` of a hand-made ascending spectrum, read as a
+    structure: K_T = diag(0, values) at the axis e_0 of lambda1 = 0, with
+    h = B = id."""
     n = len(values) + 1
+    k = np.zeros((n, n, n))
+    for i, value in enumerate(values, 1):
+        k[0, i, i] = k[i, 0, i] = k[i, i, 0] = value
+    frames = SimpleNamespace(K_ortho=k[None], basis=np.eye(n)[None],
+                             u=np.zeros((1, n)))
     axis = decompose.CandidateAxis(T=np.eye(n)[0], lambda1=0.0,
-                                   axis_residual=0.0)
-    return decompose._structure(np.zeros((n, n, n)), np.eye(n), axis,
-                                np.array(values), np.eye(n)[:, 1:])
+                                   axis_residual=0.0, y=np.eye(n)[0])
+    return decompose._spectral_structure(decompose._gate(frames, [axis]), 0)
 
 
 def test_structure_chains_close_eigenvalues_into_one_cluster():
@@ -683,6 +688,53 @@ def test_roundtrip_factors_each_metric_once(point_product, pair_product,
     assert counts == {"cholesky": 7, "svd": 6, "eigvalsh": 20}
 
 
+def _structures_built(monkeypatch) -> list:
+    """The patterns of the `SpectralStructure`s built from now on."""
+    built = []
+    real = decompose.SpectralStructure.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(kwargs.get("pattern"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(decompose.SpectralStructure, "__init__", init)
+    return built
+
+
+@pytest.mark.parametrize("product, grid", [
+    ("point_product", make_grid(-0.3, 0.3, 5, 2)),
+    ("pair_product", make_grid(-0.3, 0.3, 3, 3)),
+    ("mixed_product", make_grid(-0.2, 0.2, 3, 4)),
+    ("double_point_product", make_grid(-0.2, 0.2, 2, 5)),
+])
+def test_detect_builds_only_the_structure_it_reports(request, product, grid,
+                                                     monkeypatch):
+    """The base search is gated as arrays, so detect builds one
+    `SpectralStructure`, its verdict's; it built one per candidate of the
+    search, 3, 7, 13 and 18 on these products."""
+    defn = request.getfixturevalue(product)
+    built = _structures_built(monkeypatch)
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(defn, grid)
+    assert verdict.kind is not None, verdict.notes
+    assert built == [verdict.spectrum.pattern]
+
+
+def test_roundtrip_builds_at_most_three_structures(point_product,
+                                                   pair_product, monkeypatch):
+    """A round trip shaped like the benchmark op builds the structures it
+    reports: one per verdict and the theorem 3 gate's (10 before)."""
+    built = _structures_built(monkeypatch)
+    blaschke.clear_frame_cache()
+    g25, g27 = make_grid(-0.3, 0.3, 5, 2), make_grid(-0.3, 0.3, 3, 3)
+    v_point = decompose.detect(point_product, g25)
+    decompose.extract_point_factor(v_point.def_scaled, v_point, g25)
+    v_pair = decompose.detect(pair_product, g27)
+    assert decompose.theorem3_gate(pair_product, g27).applies
+    decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
+    assert len(built) <= 3
+
+
 def _cholesky_failing_at(monkeypatch, h_bad):
     """Make np.linalg.cholesky fail on any stack that holds the metric
     h_bad, as it fails on a metric that is not positive definite."""
@@ -776,8 +828,8 @@ def test_detect_with_a_tol_below_the_axis_residuals_gives_a_verdict(
     candidate there fails."""
     grid = make_grid(-0.3, 0.3, 3, 3)
     blaschke.clear_frame_cache()
-    structures = decompose._axis_structures(pair_product, grid[0], 32, 42)
-    tol = 0.5 * min(s.axis.axis_residual for s in structures)
+    gated = decompose._axis_structures(pair_product, grid[0], 32, 42)
+    tol = 0.5 * float(np.min(gated.tests[:, 0]))   # the axis residuals
     verdict = decompose.detect(pair_product, grid, tol=tol)
     assert verdict.kind is None
     assert verdict.notes == (
@@ -1223,12 +1275,11 @@ def test_rounding_in_the_residuals_does_not_choose_the_structure(
     real = decompose._axis_structures
 
     def offset(*args):
-        structures = real(*args)
-        n = len(structures)
-        return tuple(
-            dataclasses.replace(s, cross_residual=s.cross_residual
-                                + 1e-13 * (n - i) / n)
-            for i, s in enumerate(structures))
+        gated = real(*args)
+        n, tests = len(gated.tests), gated.tests.copy()
+        tests[:, decompose.GATE_TESTS.index("cross")] += (
+            1e-13 * (n - np.arange(n)) / n)
+        return gated._replace(tests=tests)
 
     monkeypatch.setattr(decompose, "_axis_structures", offset)
     again = decompose.detect(mixed_product, grid)
@@ -1471,31 +1522,38 @@ def test_search_fallback_on_a_bent_product_keeps_the_tracked_axes(
     assert np.allclose(data.phi3_samples, tracked.phi3_samples, atol=1e-12)
 
 
-@pytest.mark.parametrize("bend, failed", [
-    (False, ()),
-    (True, ("phi3_constant", "subspace_overlap")),
-])
-def test_extraction_names_its_failed_residuals(point_product, bend, failed):
+@pytest.mark.parametrize("bend", [False, True])
+def test_extraction_names_its_failed_residuals(point_product, bend):
     """FactorData lists the residuals above the tol given to extraction,
-    sorted, as the CLI reports them. On [-0.8, 0.8]^2 the bent point
-    product is detected, but the tracked axis jumps between equivalent
-    structures (ROADMAP item 2), and two residuals read 0.54 and 2. The
-    first depends on which of the three equivalent structures the base
-    search prefers: it read 1.41 when the search keyed its candidates on
-    T instead of y = B^-1 T."""
-    defn = _bent(point_product) if bend else point_product
+    sorted, as the CLI reports them: on the unbent point product, at a
+    tol below its largest nonzero residual. On [-0.8, 0.8]^2 the bent
+    point product is refused: the tracker's fallback kept 2 of its 8
+    tracked axes pointing against the base axis, h(T, T_ref) < 0, and the
+    extraction of that wrong split read phi3_constant 0.54 and
+    subspace_overlap 2 (ROADMAP item 2)."""
     grid = make_grid(-0.8, 0.8, 3, 2)
-    verdict = decompose.detect(defn, grid)
-    assert verdict.kind == "PointProduct"
-    data = decompose.extract_point_factor(defn, verdict, grid, tol=1e-6)
-    assert data.failed_residuals == failed
-    assert data.failed_residuals == tuple(sorted(
-        k for k, v in data.residuals.items() if v > 1e-6))
     if bend:
-        assert data.residuals["phi3_constant"] == pytest.approx(0.54, abs=0.01)
-        assert data.residuals["subspace_overlap"] == 2.0
-        assert decompose.extract_point_factor(
-            defn, verdict, grid, tol=3.0).failed_residuals == ()
+        verdict = decompose.detect(_bent(point_product), grid)
+        assert verdict.kind is None
+        assert verdict.notes == (
+            "h(T, T_ref) = -3.06 < 0 at grid point "
+            f"{blaschke.format_point(grid[1])}",)
+        return
+    verdict = decompose.detect(point_product, grid)
+    assert verdict.kind == "PointProduct"
+    data = decompose.extract_point_factor(point_product, verdict, grid,
+                                          tol=1e-6)
+    assert data.failed_residuals == ()
+    largest = max(data.residuals.values())
+    assert 0.0 < largest <= 1e-14
+    tol = 0.5 * largest
+    data = decompose.extract_point_factor(point_product, verdict, grid,
+                                          tol=tol)
+    assert data.failed_residuals
+    assert data.failed_residuals == tuple(sorted(
+        k for k, v in data.residuals.items() if v > tol))
+    assert decompose.extract_point_factor(
+        point_product, verdict, grid, tol=largest).failed_residuals == ()
 
 
 @pytest.mark.parametrize("product, ratio", [
@@ -1606,14 +1664,14 @@ def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
 @pytest.mark.parametrize("case", ["mixed", "bent_pair", "bent_mixed", 0, 9])
 def test_the_array_gate_agrees_with_gate_at_every_tracked_point(
         mixed_product, pair_product, double_point_product, case):
-    """`_gate_rows` passes a tracked point exactly where `_gate` passes the
-    structure of its axis with h(T, T_ref) >= 0, and then gives the rows
-    [T | V | W] and the lambdas of that structure bit for bit. Every
-    classified candidate of the base search serves as ref; every point is
-    solved from T_ref and from -T_ref, whose point spectra flip back and
-    whose pair spectra change shape, at tol 1e-6 and at the median
-    residual of the structures, so that both outcomes occur. An integer
-    case is the seed of a map of the n = 5 product."""
+    """`_gate` classifies a row inside a stack exactly as it classifies the
+    row alone: every field bit for bit, and the same first failing test and
+    residual against the shape of `ref` with the tracker's orientation
+    test. Every classified candidate of the base search serves as ref;
+    every point is solved from T_ref and from -T_ref, whose point spectra
+    flip back and whose pair spectra change shape, at tol 1e-6 and at the
+    median of the rows' largest residuals, so that both outcomes occur. An
+    integer case is the seed of a map of the n = 5 product."""
     if case == "mixed":
         defn, grid = mixed_product, make_grid(-0.2, 0.2, 2, 4)
     elif case == "bent_pair":
@@ -1629,41 +1687,36 @@ def test_the_array_gate_agrees_with_gate_at_every_tracked_point(
     assert verdict.kind == "PairProduct", verdict.notes
     frames = blaschke.frames_on_grid(verdict.def_scaled, grid)
     frames = frames[np.tile(np.arange(len(grid)), 2)]
+    base = decompose._axis_structures(verdict.def_scaled, grid[0], 32, 42)
     outcomes = set()
-    for ref in decompose._axis_structures(verdict.def_scaled, grid[0], 32,
-                                          42):
-        if ref.pattern == "unclassified":
-            continue
-        seeds = np.repeat([ref.axis.T, -ref.axis.T], len(grid), axis=0)
-        axes = decompose._solve_axis(frames, seeds)
+    for ref in np.flatnonzero(base.n2 > 0):
+        shape = (base.n2[ref], base.n3[ref])
+        t_ref = np.repeat([base.rows[ref, 0], -base.rows[ref, 0]], len(grid),
+                          axis=0)
+        y_ref = ((t_ref[:, None] @ frames.h) @ frames.basis)[:, 0]
+        axes = decompose._solve_axis(frames, y_ref)
         solved = [p for p, axis in enumerate(axes) if axis is not None
                   and axis.axis_residual <= decompose.AXIS_RESIDUAL_TOL]
-        axes, tracked = [axes[p] for p in solved], frames[solved]
-        structures = [decompose.classify_spectrum(tracked[i], axis)
-                      for i, axis in enumerate(axes)]
-        residuals = [max(s.axis.axis_residual, s.cross_residual,
-                         *s.relation_residuals.values())
-                     for s in structures]
-        for tol in (1e-6, float(np.median(residuals))):
-            rows, lams, passed = decompose._gate_rows(tracked, axes, ref,
-                                                      tol)
-            for i, s in enumerate(structures):
-                want = (decompose._gate(s, tol, ref) is None
-                        and s.axis.T @ tracked.h[i] @ ref.axis.T >= 0.0)
-                assert passed[i] == want, (ref.pattern, ref.n2, tol, i)
-                outcomes.add(want)
-                if want:
-                    assert np.array_equal(rows[i], np.vstack(
-                        [s.axis.T] + [c[2] for c in s.clusters[::-1]]))
-                    assert list(lams[i]) == decompose._lambdas(s)
+        stack = decompose._gate(frames[solved], [axes[p] for p in solved])
+        alone = [decompose._gate(frames[[p]], [axes[p]]) for p in solved]
+        for i, row in enumerate(alone):
+            for name in stack._fields:
+                assert (getattr(row, name)[0].tobytes()
+                        == getattr(stack, name)[i].tobytes()), name
+        for tol in (1e-6, float(np.median(np.max(stack.tests, axis=1)))):
+            failed, resid = stack.failures(tol, shape, y_ref[solved])
+            for i, (row, p) in enumerate(zip(alone, solved)):
+                assert row.failures(tol, shape, y_ref[p:p + 1]) == (
+                    failed[i], resid[i])
+                outcomes.add(failed[i] == len(decompose.GATE_TESTS))
     assert outcomes == {True, False}
 
 
 def test_the_array_gate_refuses_clusters_that_do_not_straddle_zero():
     """K_T with eigenvalues 0.5 and 2 beside the axis e0, h = id: two
-    clusters at the cut of a (1, 1) pair, but both positive, so `_gate`
-    reads the spectrum as unclassified. At a tolerance of 1e3 the
-    eigenvalue relations pass; `_gate_rows` must still refuse it."""
+    clusters at the cut of a (1, 1) pair, but both positive, so the
+    spectrum is unclassified. At a tolerance of 1e3 the eigenvalue
+    relations pass; the gate must still refuse it at the shape test."""
     K = np.zeros((3, 3, 3))
     K[0, 0, 0], K[0, 1, 1], K[1, 0, 1], K[1, 1, 0] = 0.3, 0.5, 0.5, 0.5
     K[0, 2, 2], K[2, 0, 2], K[2, 2, 0] = 2.0, 2.0, 2.0
@@ -1672,13 +1725,12 @@ def test_the_array_gate_refuses_clusters_that_do_not_straddle_zero():
                              u=np.zeros((1, 3)))
     axis = decompose.CandidateAxis(T=np.eye(3)[0], lambda1=0.3,
                                    axis_residual=0.0, y=np.eye(3)[0])
-    values, vectors = decompose._spectra(frames, axis.T[None])
-    s = decompose._structure(K, np.eye(3), axis, values[0], vectors[0])
-    assert s.pattern == "unclassified"
-    ref = dataclasses.replace(s, pattern="pair", n2=1, n3=1)
-    assert decompose._gate(s, 1e3, ref) is not None
-    _rows, _lams, passed = decompose._gate_rows(frames, [axis], ref, 1e3)
-    assert not passed[0]
+    gated = decompose._gate(frames, [axis])
+    assert decompose._spectral_structure(gated, 0).pattern == "unclassified"
+    (failed,), _resid = gated.failures(1e3, (1, 1))
+    assert decompose.GATE_TESTS[failed] == "shape"
+    assert gated.refusal(0, 1e3, (1, 1)) == (
+        "axis spectrum is unclassified (0, 0), not pair (1, 1)")
 
 
 def test_extract_falls_back_to_search_when_tracking_fails(pair_product,
