@@ -1527,10 +1527,11 @@ def test_extraction_names_its_failed_residuals(point_product, bend):
     """FactorData lists the residuals above the tol given to extraction,
     sorted, as the CLI reports them: on the unbent point product, at a
     tol below its largest nonzero residual. On [-0.8, 0.8]^2 the bent
-    point product is refused: the tracker's fallback kept 2 of its 8
-    tracked axes pointing against the base axis, h(T, T_ref) < 0, and the
-    extraction of that wrong split read phi3_constant 0.54 and
-    subspace_overlap 2 (ROADMAP item 2)."""
+    point product is refused: 2 of its 8 tracked axes point against the
+    base axis, h(T, T_ref) < 0, which the tracker's fallback accepted
+    before it tested the orientation, and the extraction of that wrong
+    split read phi3_constant 0.54 and subspace_overlap 2 (ROADMAP item
+    2)."""
     grid = make_grid(-0.8, 0.8, 3, 2)
     if bend:
         verdict = decompose.detect(_bent(point_product), grid)
