@@ -155,6 +155,9 @@ def _parse_tols(pairs: list[str]) -> dict[str, float]:
         name, _, value = pair.partition("=")
         if not name or not value:
             raise UsageError(f"--tol expects name=value, got {pair!r}")
+        if name not in ("sphere", "apolarity", "gauss", "codazzi",
+                        "parallel_cubic", "unimodular", "detect"):
+            raise UsageError(f"unknown tolerance {name!r}")
         tols[name] = _finite(f"--tol {pair!r}", value)
     return tols
 
@@ -274,8 +277,7 @@ def _check_reports(defn: ImmersionDef, grid: np.ndarray,
 def _cmd_check(args, project: dict) -> tuple[dict, bool]:
     defn = _resolve_immersion(args.file, project)
     grid = _resolve_grid(args.grid, defn.nvars, project)
-    tols = _parse_tols(args.tol)
-    rows = _check_reports(defn, grid, tols)
+    rows = _check_reports(defn, grid, args.tols)
     return {"reports": rows}, any(not row["pass"] for row in rows)
 
 
@@ -340,7 +342,7 @@ def _detect_step(args, project: dict):
     with the reports and verdict rows of the JSON document."""
     defn = _resolve_immersion(args.file, project)
     grid = _resolve_grid(args.grid, defn.nvars, project)
-    tol = _parse_tols(args.tol).get("detect", 1e-6)
+    tol = args.tols.get("detect", 1e-6)
     verdict = decompose.detect(defn, grid, tol=tol,
                                restarts=args.restarts, seed=args.seed)
     body = {"reports": [_report_row(rep) for rep in verdict.evidence],
@@ -486,6 +488,7 @@ def main(argv=None) -> int:
                             sorted(opts["tolerances"].items())] + args.tol
         except (AttributeError, TypeError, ValueError) as exc:
             raise UsageError(f"project options: {exc}") from exc
+        args.tols = _parse_tols(args.tol)
         for name in ("seed", "restarts"):
             if getattr(args, name) < 0:
                 raise UsageError(f"{name} must be >= 0, not "

@@ -25,13 +25,13 @@ Axes are solved as y = B^-1 T in the h-orthonormal basis B of a frame,
 unit Z-eigenvectors of K_ortho = C(B, B, B) (L. Qi, J. Symbolic Comput.
 40, 2005), which a linear change of the parameters does not move. One
 function, `_gate`, classifies and tests every structure as arrays, a
-stack of (frame row, axis) pairs in one eigensolve: the candidates of a
-base frame's search (memoized by `_axis_structures`) and the points
-`_track` follows the axis to, one batched Newton solve seeded from the
-base axis, with a full search only where a row is not accepted. A Newton
-row stops at a singular Jacobian, when backtracking cannot reduce |F|,
-or at |F| <= 1e-13 (fails above 1e-11), all read in y. Grid frames are
-one batch (`blaschke.frames_on_grid`): arrays carry a leading point axis.
+stack of (frame row, axis) pairs in one eigensolve: the candidates of
+the one search of a base frame (memoized by `_axis_structures`) and the
+points `_track` continues the axis to, in rounds of one batched Newton
+solve seeded from accepted neighbours. A Newton row stops at a singular
+Jacobian, when backtracking cannot reduce |F|, or at |F| <= 1e-13
+(fails above 1e-11), all read in y. Grid frames are one batch
+(`blaschke.frames_on_grid`): arrays carry a leading point axis.
 """
 
 from __future__ import annotations
@@ -149,6 +149,13 @@ def _repeated(frame: BlaschkeFrame, rows: int) -> SimpleNamespace:
         vars(frame).items() if name in ("u", "basis", "K_ortho")})
 
 
+def _fields(frames: BlaschkeFrame, rows: np.ndarray):
+    """The batch, or the u, h, basis and K_ortho of some of its rows."""
+    return frames if len(rows) == len(frames) else SimpleNamespace(**{
+        name: v[rows] for name, v in vars(frames).items()
+        if name in ("u", "h", "basis", "K_ortho")})
+
+
 def _norms(f: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, rounded as np.linalg.norm of one row."""
     return np.sqrt((f[..., None, :] @ f[..., None])[..., 0, 0])
@@ -215,8 +222,7 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
     of y, and ordered by that rounded key (mu, then y, to 7 digits),
     which rounding in the solve does not change. Newton handles mu = 0
     axes, which pure ascent on the cubic misses. The pipeline searches
-    each base frame once, through the memo of `_axis_structures`; only
-    the fallback of `_track` calls it directly.
+    only its base frames, each once, through the memo of `_axis_structures`.
     """
     seeds = np.concatenate([np.eye(frame.n), _random_seeds(
         frame.n, restarts - frame.n, seed)])
@@ -309,10 +315,8 @@ class Gated(namedtuple("Gated", "y rows means lams n2 n3 tests")):
             np.arange(len(h)), first]
 
     def refusal(self, p: int, tol: float, shape=None, y_ref=None):
-        """The note of the first test of `failures` row p fails, or None."""
+        """The note of the first test of `failures` that row p fails."""
         failed, resid = self.failures(tol, shape, y_ref)
-        if failed[p] == len(GATE_TESTS):
-            return None
         test, r = GATE_TESTS[failed[p]], resid[p]
         n2, n3 = self.n2[p], self.n3[p]
         if test == "shape":
@@ -494,9 +498,9 @@ def _none_verdict(note, evidence=(), orientation_ok=False, def_scaled=None,
 def _prepare(defn: ImmersionDef, grid):
     """Common gates: sphere test, H < 0, homothety, orientation xi = phi.
 
-    Returns (work_def, scale, frames, evidence, failure_note,
-    orientation_ok). Geometry the frame pipeline refuses is a failure
-    note too, not an exception."""
+    Returns (work_def, scale, frames, evidence, failure_note): no note
+    means the orientation holds, and work_def and frames are None when a
+    gate before it fails. Refused geometry is a note, not an exception."""
     try:
         frames = blaschke.frames_on_grid(defn, grid)
         h0 = frames.H[0]
@@ -505,63 +509,62 @@ def _prepare(defn: ImmersionDef, grid):
             sphere = checks.sphere_residual(frames)
             note = ("not an affine sphere" if not sphere.passed
                     else f"not hyperbolic (H = {h0:.6g} >= 0)")
-            return defn, 1.0, None, [sphere], note, False
+            return None, 1.0, None, [sphere], note
         norm = normalize_homothety(defn, grid)
         work, scale = norm.def_scaled, norm.scale
         # S = H id survives homotheties: the sphere gate reads the work
         # frames, where H = -1 makes its absolute tolerance scale free
         frames = blaschke.frames_on_grid(work, grid)
     except (GeometryError, JetDomainError) as exc:
-        return defn, 1.0, None, [], str(exc), False
+        return None, 1.0, None, [], str(exc)
     sphere = checks.sphere_residual(frames)
     evidence = [sphere]
     if not sphere.passed:
-        return defn, 1.0, None, evidence, "not an affine sphere", False
+        return None, 1.0, None, evidence, "not an affine sphere"
     offset = checks.xi_offset(frames)
     if offset is not None:
         return work, scale, frames, evidence, (
             "affine normal is not the position field "
-            f"(offset {offset[0]:.3g}); recenter the sphere first"), False
+            f"(offset {offset[0]:.3g}); recenter the sphere first")
     evidence.append(checks.apolarity_residual(frames))
-    return work, scale, frames, evidence, None, True
+    return work, scale, frames, evidence, None
 
 
 def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
-           restarts: int, seed: int, t_ref=None):
-    """The structure of `ref` followed across the frames from its axis, or
-    from t_ref, as (rows [T | V | W], lambdas, None) with a leading point
-    axis, or (None, None, failure note). Row p starts from y_ref = B^T h
-    T_ref in its basis B. A row is accepted when it passes `_gate` with
-    the shape of `ref` and h(T, T_ref) >= 0; a point whose Newton row
-    stops unsolved or is not accepted is searched in full, the candidate
-    closest to T_ref in its metric decides, and the note names the first
-    point where that one is not accepted."""
+           u_ref, t_ref=None):
+    """The structure of `ref` continued across the frames from its axis
+    T_ref (or t_ref) at u_ref, as (rows [T | V | W], lambdas, None) with a
+    leading point axis, or (None, None, failure note). Each round solves
+    and gates the pending rows as one batch, a row from y_s = B^T h T_s in
+    its basis B: T_s is T_ref, then the T of the row's nearest accepted
+    point, u_ref first (Allgower and Georg, Introduction to Numerical
+    Continuation Methods, 2003). A row passes with the shape of `ref` and
+    y.y_s >= 0; a round that passes none refuses at its first pending one."""
     t_ref = ref.axis.T if t_ref is None else t_ref
-    shape, width = (ref.n2, ref.n3), 2 + (ref.n3 > 0)   # lambda3 of a pair
+    shape, t_s = (ref.n2, ref.n3), t_ref
     rows = np.empty((len(frames),) + t_ref.shape * 2)
-    lams, ok = np.empty((len(frames), width)), np.zeros(len(frames), bool)
-    y_ref = ((t_ref @ frames.h)[:, None] @ frames.basis)[:, 0]
-    axes = _solve_axis(frames, y_ref)
-    solved = [p for p, axis in enumerate(axes) if axis is not None
-              and axis.axis_residual <= AXIS_RESIDUAL_TOL]
-    if solved:
-        g = _gate(frames[solved], [axes[p] for p in solved])
-        ok[solved] = g.failures(tol, shape, y_ref[solved])[0] == len(
-            GATE_TESTS)
-        rows[solved], lams[solved] = g.rows, g.lams[:, :width]
-    for p in np.flatnonzero(~ok):
-        frame, point = frames[p], blaschke.format_point(frames.u[p])
-        search = find_axes(frame, restarts=restarts, seed=seed)
-        if not search:
-            return None, None, f"axis disappears at grid point {point}"
-        aligned = max(search, key=lambda c: abs(c.y @ y_ref[p]))
-        if float(aligned.y @ y_ref[p]) < 0.0:
-            aligned = aligned.flipped()
-        g = _gate(_repeated(frame, 1), [aligned])
-        note = g.refusal(0, tol, shape, y_ref[p:p + 1])
-        if note is not None:
+    lams, ok = np.empty((len(frames), 3)), np.zeros(len(frames), bool)
+    while not ok.all():
+        pending = np.flatnonzero(~ok)
+        part = _fields(frames, pending)
+        y_s = ((t_s[..., None, :] @ part.h) @ part.basis)[:, 0]
+        axes = _solve_axis(part, y_s)
+        solved = [i for i, axis in enumerate(axes) if axis is not None]
+        passed = np.zeros(len(solved), bool)
+        if solved:
+            g = _gate(_fields(frames, pending[solved]),
+                      [axes[i] for i in solved])
+            passed = g.failures(tol, shape, y_s[solved])[0] == len(GATE_TESTS)
+        if not passed.any():
+            point = blaschke.format_point(frames.u[pending[0]])
+            note = ("the tracked axis solve fails" if 0 not in solved
+                    else g.refusal(0, tol, shape, y_s[solved]))
             return None, None, f"{note} at grid point {point}"
-        rows[p], lams[p] = g.rows[0], g.lams[0, :width]
+        at = pending[solved][passed]
+        ok[at], rows[at], lams[at] = True, g.rows[passed], g.lams[passed]
+        near = np.vstack([u_ref, frames.u[ok]])
+        dist = np.sum((frames.u[~ok, None] - near) ** 2, axis=-1)
+        t_s = np.vstack([t_ref, rows[ok, 0]])[np.argmin(dist, axis=1)]
     return rows, lams, None
 
 
@@ -578,11 +581,10 @@ def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
         return None, math.inf, ("no axis matches either product pattern "
                                 "within tolerance")
     base = _spectral_structure(gated, p)
-    _rows, lams, failure = _track(frames[1:], base, tol, restarts, seed)
+    _rows, lams, failure = _track(frames[1:], base, tol, frames.u[0])
     if failure is not None:
         return None, math.inf, failure
-    drifts = np.append(0.0, np.max(
-        np.abs(lams - gated.lams[p, :lams.shape[1]]), axis=1))
+    drifts = np.append(0.0, np.max(np.abs(lams - gated.lams[p]), axis=1))
     worst = int(np.argmax(drifts))
     if drifts[worst] > tol:
         return None, math.inf, (
@@ -599,11 +601,9 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
     pipeline refuses: every failure mode is a verdict with kind None and
     an explanatory note.
     """
-    work, scale, frames, evidence, failure, orientation_ok = _prepare(
-        defn, grid)
+    work, scale, frames, evidence, failure = _prepare(defn, grid)
     if failure is not None:
-        return _none_verdict(failure, evidence, orientation_ok,
-                             work if frames is not None else None, scale)
+        return _none_verdict(failure, evidence, def_scaled=work, scale=scale)
 
     if is_quadric(frames):
         return _none_verdict(QUADRIC_NOTE, evidence, True, work, scale)
@@ -658,7 +658,7 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
     margin >= 1e-3). When the gate applies, detection may treat the
     two-cluster pattern as established without measuring K(V,W) itself.
     """
-    work, scale, frames, _evidence, failure, _ok = _prepare(defn, grid)
+    work, scale, frames, _evidence, failure = _prepare(defn, grid)
     if failure is not None:
         return Theorem3Gate(note=failure)
 
@@ -919,16 +919,12 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
 
     frames = blaschke.frames_on_grid(defn, grid)
     prov = defn.provenance
-    axis_idx = None
+    axis_idx = t_ref = None
     if prov is not None and prov.axis in defn.vars:
         axis_idx = defn.vars.index(prov.axis)
-
-    t_ref = None
-    if axis_idx is not None:
         t_ref, lam2_first = _provenance_aligned_axis(
             defn, frames, spectrum, tol, verdict.restarts, verdict.seed)
-    rows, _lams, failure = _track(frames, spectrum, tol, verdict.restarts,
-                                  verdict.seed, t_ref)
+    rows, _lams, failure = _track(frames, spectrum, tol, frames.u[0], t_ref)
     if failure is not None:
         raise GeometryError(failure)
     f = _grid_fields(frames, rows, n2)

@@ -391,6 +391,29 @@ def test_a_negative_seed_or_restart_count_is_a_usage_error(
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, options", [
+    (["detect", "--grid", "g27", "--tol", "detcet=1e-30"], None),
+    (["check", "--grid", "g27", "--tol=spehre=1e-30"], None),
+    (["extract", "--grid", "g27", "-o", "out", "--tol", "detect_=1"], None),
+    (["check", "--grid", "g27"], {"tolerances": {"gauss_codazzi": 1e-3}}),
+    (["analyze"], {"tolerances": {"axis": 1e-3}}),
+], ids=["detect_flag", "check_flag", "extract_flag", "check_project",
+        "analyze_project"])
+def test_an_unknown_tolerance_name_is_a_usage_error(
+        workdir, tmp_path, capsys, argv, options):
+    """A tolerance name that no command reads, from a flag or a project
+    file, is refused with one error line and exit code 2; it was ignored,
+    and the command ran with its default tolerance and exit code 0."""
+    argv = argv[:1] + [str(workdir / "pair.immersion")] + argv[1:]
+    if options is not None:
+        argv += ["--project", _project(tmp_path, options)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown tolerance ")
+    assert captured.err.count("\n") == 1
+
+
 def test_detect_refused_geometry_is_a_failed_verdict(tmp_path, capsys):
     saddle = tmp_path / "saddle.immersion"
     saddle.write_text(

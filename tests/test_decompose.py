@@ -450,22 +450,36 @@ def _batches(monkeypatch) -> list:
     return sizes
 
 
-def _failing_tracker(monkeypatch, row_at):
-    """Make the tracker's solve fail at the row `row_at(rows)` returns,
-    for the number of rows in the solve, or at every row for None. The
-    tracker solves on a batch of grid frames; a search solves its
-    restarts on the repeated rows of one frame."""
-    real = decompose._solve_axis
+def _tracker_rounds(monkeypatch, failing=(), rounds=math.inf):
+    """Return the number of rows of each tracker round from now on, and
+    make the tracker's Newton solve fail at the rows at the grid points
+    `failing` in the first `rounds` rounds of each `_track` call. A round
+    is a solve inside `_track`; the base search solves outside it."""
+    state = SimpleNamespace(round=None, sizes=[])
+    real_track, real_solve = decompose._track, decompose._solve_axis
 
-    def solve(frames, x0):
-        axes = real(frames, x0)
-        if isinstance(frames, blaschke.BlaschkeFrame):
-            row = row_at(len(x0))
-            axes = [None if row is None or r == row else axis
-                    for r, axis in enumerate(axes)]
+    def track(*args):
+        state.round = 0
+        try:
+            return real_track(*args)
+        finally:
+            state.round = None
+
+    def solve(frames, y0):
+        axes = real_solve(frames, y0)
+        if state.round is not None:
+            state.round += 1
+            state.sizes.append(len(y0))
+            if state.round <= rounds:
+                hit = (frames.u[:, None] == np.reshape(
+                    failing, (-1, frames.u.shape[1]))).all(-1)
+                axes = [None if fail else axis
+                        for fail, axis in zip(hit.any(-1), axes)]
         return axes
 
+    monkeypatch.setattr(decompose, "_track", track)
     monkeypatch.setattr(decompose, "_solve_axis", solve)
+    return state.sizes
 
 
 def test_detect_searches_once_and_computes_each_frame_once(pair_product,
@@ -522,15 +536,19 @@ def test_extract_on_an_off_gauge_verdict_computes_no_frame(pair_product):
     assert data.metric_ratio == pytest.approx(2.0, abs=1e-12)
 
 
-def test_detect_falls_back_to_search_when_tracking_fails(pair_product,
-                                                         pair_verdict,
-                                                         monkeypatch):
+def test_detect_solves_failed_rows_from_their_neighbours(pair_product,
+                                                          pair_verdict,
+                                                          monkeypatch):
+    """The 13 rows whose tracked solve fails in the first round are solved
+    in the second from the axes of their accepted neighbours, with no
+    search past the base frame's, and detect reads the same verdict."""
     tracked, grid = pair_verdict
-    _failing_tracker(monkeypatch, lambda rows: None)
+    sizes = _tracker_rounds(monkeypatch, grid[1::2], rounds=1)
     searches = _counted(monkeypatch, "find_axes")
     blaschke.clear_frame_cache()   # the base search is not memoized yet
     verdict = decompose.detect(pair_product, grid)
-    assert len(searches) == len(grid)
+    assert len(searches) == 1
+    assert sizes == [len(grid) - 1, 13]
     assert verdict.kind == tracked.kind
     assert verdict.notes == tracked.notes
     for attr in ("lambda1", "lambda2", "lambda3", "n2", "n3",
@@ -839,8 +857,8 @@ def test_detect_with_a_tol_below_the_axis_residuals_gives_a_verdict(
 def test_detect_tests_the_cross_block_at_every_tracked_point(pair_product,
                                                              monkeypatch):
     """A cross residual K(V,W) of 1e-3 at one tracked point refuses the
-    product there, after the fallback search finds the same structure;
-    the tracker once tested K(V,W) only at the base point. The residual
+    product there, once a second round seeded from its neighbours accepts
+    no row; the tracker once tested K(V,W) only at the base point. The residual
     is read as 1e-3 wherever K is that of the point, in the stacked gate
     of the tracked points and in the structure of the search."""
     grid = make_grid(-0.3, 0.3, 3, 3)
@@ -879,16 +897,27 @@ def test_drift_note_names_its_worst_point(pair_product, monkeypatch):
         f"{blaschke.format_point(grid[7])}",)
 
 
-def test_an_empty_fallback_search_names_its_point(pair_product,
-                                                  monkeypatch):
-    grid = make_grid(-0.3, 0.3, 3, 3)
-    decompose.detect(pair_product, grid)   # memoizes the base search
-    _failing_tracker(monkeypatch, lambda rows: 3 - (len(grid) - rows))
-    monkeypatch.setattr(decompose, "find_axes", lambda *args, **kw: [])
-    verdict = decompose.detect(pair_product, grid)
-    assert verdict.kind is None
-    assert verdict.notes == (
-        f"axis disappears at grid point {blaschke.format_point(grid[3])}",)
+def test_a_round_that_accepts_no_row_names_its_first_point(pair_product,
+                                                           pair_verdict,
+                                                           monkeypatch):
+    """When the tracked solve fails at every point, the first round
+    accepts no row and the refusal names the first point tracked: the
+    one after the base point in detect, the base point in extraction.
+    Nothing is searched past the base frame."""
+    verdict, grid = pair_verdict
+    sizes = _tracker_rounds(monkeypatch, grid)
+    searches = _counted(monkeypatch, "find_axes")
+    blaschke.clear_frame_cache()
+    refused = decompose.detect(pair_product, grid)
+    assert refused.kind is None
+    assert refused.notes == ("the tracked axis solve fails at grid point "
+                             f"{blaschke.format_point(grid[1])}",)
+    with pytest.raises(blaschke.GeometryError, match=(
+            r"^the tracked axis solve fails at grid point \(-0\.3, "
+            r"-0\.3, -0\.3\)$")):
+        decompose.extract_pair_factors(pair_product, verdict, grid)
+    assert len(searches) == 1
+    assert sizes == [len(grid) - 1, len(grid)]
 
 
 def test_extract_with_another_tol_reuses_the_base_search(pair_product,
@@ -927,14 +956,15 @@ def test_detect_and_extract_classify_each_pass_in_one_eigensolve(
 
 
 @pytest.mark.parametrize("broken", [2, 5])
-def test_a_solve_failing_inside_a_chain_searches_only_its_point(
+def test_a_solve_failing_inside_a_chain_is_solved_from_its_neighbour(
         pair_product, pair_verdict, broken, monkeypatch):
-    """When the tracked solve fails at one point in the middle of the grid,
-    the other points are classified together, that point is searched in
-    full and classified alone: each point is classified once."""
+    """When the tracked solve fails at one point in the middle of the grid
+    in the first round, the other points are classified together, and
+    that point is solved again in a second round from the axis of its
+    nearest accepted point and classified alone: each point is classified
+    once, and nothing is searched past the base frame."""
     tracked, grid = pair_verdict
-    # detect tracks the grid past its base point, extraction all of it
-    _failing_tracker(monkeypatch, lambda rows: broken - (len(grid) - rows))
+    _tracker_rounds(monkeypatch, grid[broken:broken + 1], rounds=1)
     searches = _counted(monkeypatch, "find_axes")
     solves = []
     real_eig = numerics.solve_sym_eig_generalized
@@ -947,7 +977,7 @@ def test_a_solve_failing_inside_a_chain_searches_only_its_point(
     blaschke.clear_frame_cache()
     verdict = decompose.detect(pair_product, grid)
     assert verdict.kind == "PairProduct"
-    assert len(searches) == 2
+    assert len(searches) == 1
     assert solves == [7, len(grid) - 2, 1]
     for attr in ("lambda1", "lambda2", "lambda3"):
         assert getattr(verdict.spectrum, attr) == getattr(
@@ -957,7 +987,7 @@ def test_a_solve_failing_inside_a_chain_searches_only_its_point(
     solves.clear()
     data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
     assert data.metric_ratio == pytest.approx(2.0, abs=1e-12)
-    assert len(searches) == 3
+    assert len(searches) == 1
     assert solves == [len(grid) - 1, 1]
 
 
@@ -1501,25 +1531,80 @@ def test_tracker_follows_the_moving_axis_of_a_bent_product(
     ("pair_product", make_grid(-0.3, 0.3, 3, 3)),
     ("mixed_product", make_grid(-0.2, 0.2, 3, 4)),
 ])
-def test_search_fallback_on_a_bent_product_keeps_the_tracked_axes(
+def test_failed_rows_on_a_bent_product_keep_the_tracked_axes(
         request, product, grid, monkeypatch):
-    """With every tracked solve failing, each point is searched in full
-    and the candidate closest to the base axis in the metric of the point
-    decides. In bent coordinates the largest Euclidean product with the
-    base axis picked the point-structure axis at the base point of the
-    pair product, and extraction failed with "axis spectrum changes shape
-    across the grid"."""
+    """With the tracked solve failing in the first round at every point
+    past the middle of the grid, each of them is solved in a later round
+    from the axis of its nearest accepted point, which moves with the
+    bend, and the extraction reads as with every row solved from the base
+    axis. Nothing is searched."""
     bent = _bent(request.getfixturevalue(product))
     verdict = decompose.detect(bent, grid)
     tracked = decompose.extract_pair_factors(bent, verdict, grid)
-    _failing_tracker(monkeypatch, lambda rows: None)
+    sizes = _tracker_rounds(monkeypatch, grid[len(grid) // 2:], rounds=1)
     searches = _counted(monkeypatch, "find_axes")
     data = decompose.extract_pair_factors(bent, verdict, grid)
-    assert len(searches) == len(grid)
+    assert searches == []
+    assert sizes == [len(grid), len(grid) - len(grid) // 2]
     assert data.metric_ratio == pytest.approx(tracked.metric_ratio,
                                               abs=1e-12)
     assert np.allclose(data.phi2_samples, tracked.phi2_samples, atol=1e-12)
     assert np.allclose(data.phi3_samples, tracked.phi3_samples, atol=1e-12)
+
+
+@pytest.mark.parametrize("product, count, box, second", [
+    ("pair_product", 3, 0.8, 10),
+    ("pair_product", 5, 0.8, 40),
+    ("mixed_product", 3, 0.4, 13),
+])
+def test_continuation_detects_the_wide_bent_boxes(
+        request, product, count, box, second, monkeypatch):
+    """The wide boxes of ROADMAP item 2. Seeded from the base axis, the
+    far rows solve to the axis of another structure, and detect refused
+    with "axis spectrum is point (2, 0), not pair (1, 1)" ((3, 0) and
+    (1, 2) on the mixed product). Seeded again from the axes of their
+    nearest accepted points, `second` rows keep the base structure in a
+    second round, in detect and in extraction alike. Both read the closed
+    forms, every residual is at most 1e-6, and only the base frame is
+    searched, once."""
+    bent = _bent(request.getfixturevalue(product))
+    grid = make_grid(-box, box, count, bent.nvars)
+    lams = ((0.0, 1.0, -1.0, 2.0) if product == "pair_product" else (
+        math.sqrt(1.5) - math.sqrt(2 / 3), math.sqrt(1.5), -math.sqrt(2 / 3),
+        2.5))
+    sizes = _tracker_rounds(monkeypatch)
+    searches = _counted(monkeypatch, "find_axes")
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(bent, grid)
+    assert verdict.kind == "PairProduct", verdict.notes
+    data = decompose.extract_pair_factors(bent, verdict, grid)
+    s = verdict.spectrum
+    assert (s.lambda1, s.lambda2, s.lambda3, data.metric_ratio) == (
+        pytest.approx(lams, abs=1e-9))
+    assert verdict.constancy_residual <= 1e-6
+    assert max(data.residuals.values()) <= 1e-6
+    assert len(searches) == 1
+    assert sizes == [len(grid) - 1, second, len(grid), second]
+
+
+def test_the_bent_point_product_on_the_wide_box_is_refused_unsearched(
+        point_product, monkeypatch):
+    """On [-0.8, 0.8]^2 the point next to the base point, whose nearest
+    accepted point stays the base point, solves against the base axis in
+    every round. Its note is the one the fallback search gave: the first
+    three rounds accept 5, 1 and 1 rows, and the fourth, which solves that
+    point alone, none. Only the base frame is searched."""
+    grid = make_grid(-0.8, 0.8, 3, 2)
+    sizes = _tracker_rounds(monkeypatch)
+    searches = _counted(monkeypatch, "find_axes")
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(_bent(point_product), grid)
+    assert verdict.kind is None
+    assert verdict.notes == (
+        "h(T, T_ref) = -3.06 < 0 at grid point "
+        f"{blaschke.format_point(grid[1])}",)
+    assert len(searches) == 1
+    assert sizes == [8, 3, 2, 1]
 
 
 @pytest.mark.parametrize("bend", [False, True])
@@ -1620,7 +1705,7 @@ def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
     s = verdict.spectrum
     lam2, lam3 = s.lambda2, s.lambda3
     frames = blaschke.frames_on_grid(mixed_product, grid)
-    rows, lams, failure = decompose._track(frames, s, 1e-6, 32, 42)
+    rows, lams, failure = decompose._track(frames, s, 1e-6, frames.u[0])
     assert failure is None
     f = decompose._grid_fields(frames, rows, s.n2)
     xs = np.concatenate([f.T[:, None], f.basis2, f.basis3], axis=1)
@@ -1734,17 +1819,19 @@ def test_the_array_gate_refuses_clusters_that_do_not_straddle_zero():
         "axis spectrum is unclassified (0, 0), not pair (1, 1)")
 
 
-def test_extract_falls_back_to_search_when_tracking_fails(pair_product,
-                                                          pair_verdict,
-                                                          monkeypatch):
-    """Extraction follows the axis through the same tracker as detect,
-    so a point where the Newton solve fails is searched in full."""
+def test_extract_solves_failed_rows_from_their_neighbours(pair_product,
+                                                           pair_verdict,
+                                                           monkeypatch):
+    """Extraction follows the axis through the same tracker as detect, so
+    the 13 rows whose Newton solve fails in the first round are solved in
+    the second from their accepted neighbours, with no search."""
     verdict, grid = pair_verdict
     tracked = decompose.extract_pair_factors(pair_product, verdict, grid)
-    _failing_tracker(monkeypatch, lambda rows: None)
+    sizes = _tracker_rounds(monkeypatch, grid[1::2], rounds=1)
     searches = _counted(monkeypatch, "find_axes")
     data = decompose.extract_pair_factors(pair_product, verdict, grid)
-    assert len(searches) == len(grid)
+    assert searches == []
+    assert sizes == [len(grid), 13]
     assert data.residuals.keys() == tracked.residuals.keys()
     for key, value in tracked.residuals.items():
         assert data.residuals[key] == pytest.approx(value, abs=1e-12), key
