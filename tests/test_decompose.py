@@ -858,9 +858,10 @@ def test_detect_tests_the_cross_block_at_every_tracked_point(pair_product,
                                                              monkeypatch):
     """A cross residual K(V,W) of 1e-3 at one tracked point refuses the
     product there, once a second round seeded from its neighbours accepts
-    no row; the tracker once tested K(V,W) only at the base point. The residual
-    is read as 1e-3 wherever K is that of the point, in the stacked gate
-    of the tracked points and in the structure of the search."""
+    no row; the tracker once tested K(V,W) only at the base point. The
+    residual is read as 1e-3 wherever K is that of the point, in the
+    stacked gate of the tracked points and in the structure of the
+    search."""
     grid = make_grid(-0.3, 0.3, 3, 3)
     k_at = blaschke.frames_on_grid(pair_product, grid).K_ortho[5]
     real = decompose._cross_residual
@@ -912,10 +913,10 @@ def test_a_round_that_accepts_no_row_names_its_first_point(pair_product,
     assert refused.kind is None
     assert refused.notes == ("the tracked axis solve fails at grid point "
                              f"{blaschke.format_point(grid[1])}",)
-    with pytest.raises(blaschke.GeometryError, match=(
-            r"^the tracked axis solve fails at grid point \(-0\.3, "
-            r"-0\.3, -0\.3\)$")):
+    with pytest.raises(blaschke.GeometryError) as refusal:
         decompose.extract_pair_factors(pair_product, verdict, grid)
+    assert str(refusal.value) == ("the tracked axis solve fails at grid "
+                                  f"point {blaschke.format_point(grid[0])}")
     assert len(searches) == 1
     assert sizes == [len(grid) - 1, len(grid)]
 
@@ -1569,9 +1570,9 @@ def test_continuation_detects_the_wide_bent_boxes(
     searched, once."""
     bent = _bent(request.getfixturevalue(product))
     grid = make_grid(-box, box, count, bent.nvars)
-    lams = ((0.0, 1.0, -1.0, 2.0) if product == "pair_product" else (
+    closed = ((0.0, 1.0, -1.0, 2.0) if product == "pair_product" else (
         math.sqrt(1.5) - math.sqrt(2 / 3), math.sqrt(1.5), -math.sqrt(2 / 3),
-        2.5))
+        2.5))    # lambda1, lambda2, lambda3 and the metric ratio
     sizes = _tracker_rounds(monkeypatch)
     searches = _counted(monkeypatch, "find_axes")
     blaschke.clear_frame_cache()
@@ -1580,7 +1581,7 @@ def test_continuation_detects_the_wide_bent_boxes(
     data = decompose.extract_pair_factors(bent, verdict, grid)
     s = verdict.spectrum
     assert (s.lambda1, s.lambda2, s.lambda3, data.metric_ratio) == (
-        pytest.approx(lams, abs=1e-9))
+        pytest.approx(closed, abs=1e-9))
     assert verdict.constancy_residual <= 1e-6
     assert max(data.residuals.values()) <= 1e-6
     assert len(searches) == 1
