@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, groupby
 
@@ -146,35 +145,50 @@ def format_point(u) -> str:
 MetricNormal = namedtuple("MetricNormal", "h xi")
 
 
-@dataclass(frozen=True, eq=False)
 class BlaschkeFrame:
     """Full second-order equiaffine data of an immersion at one point, or
     at P grid points with a leading grid-point axis on every field: u is
     then (P, n) and H, recon_residual and normal_defect are (P,). A
     batch has len P, and batch[p] is the frame at point p (a slice or an
-    index array gives a smaller batch)."""
+    index array gives a smaller batch). Read-only; built from FIELDS, in
+    order, by position or by name."""
 
-    u: np.ndarray
-    position: np.ndarray
-    tangent: np.ndarray          # rows are d_i phi
-    second: np.ndarray           # second[i, j] = d_i d_j phi, ambient vectors
-    h: np.ndarray
-    h_inv: np.ndarray
-    basis: np.ndarray            # h-orthonormal columns, basis^T h basis = id
-    K_ortho: np.ndarray          # C(b_i, b_j, b_k) over the columns b of basis
-    xi: np.ndarray
-    gamma: np.ndarray            # induced connection
-    gamma_hat: np.ndarray        # Levi-Civita connection of h
-    K: np.ndarray                # difference tensor
-    C: np.ndarray                # cubic form, fully covariant
-    S: np.ndarray                # shape operator as a matrix
-    H: float                     # affine mean curvature trace(S)/n
-    Rhat: np.ndarray             # curvature of h
-    nabla_K: np.ndarray          # hat nabla K
-    dh: np.ndarray               # dh[k, i, j] = d_k h_ij
-    dK: np.ndarray               # dK[m, i, j, k] = d_m K^k_ij
-    recon_residual: float        # | d_i d_j phi - Gamma d phi - h xi |
-    normal_defect: float         # transversal part of d_i xi
+    FIELDS = (
+        "u", "position",
+        "tangent",           # rows are d_i phi
+        "second",            # second[i, j] = d_i d_j phi, ambient vectors
+        "h", "h_inv",
+        "basis",             # h-orthonormal columns, basis^T h basis = id
+        "K_ortho",           # C(b_i, b_j, b_k) over the columns b of basis
+        "xi",
+        "gamma",             # induced connection
+        "gamma_hat",         # Levi-Civita connection of h
+        "K",                 # difference tensor
+        "C",                 # cubic form, fully covariant
+        "S",                 # shape operator as a matrix
+        "H",                 # affine mean curvature trace(S)/n, a float
+        "Rhat",              # curvature of h
+        "nabla_K",           # hat nabla K
+        "dh",                # dh[k, i, j] = d_k h_ij
+        "dK",                # dK[m, i, j, k] = d_m K^k_ij
+        "recon_residual",    # | d_i d_j phi - Gamma d phi - h xi |, a float
+        "normal_defect",     # transversal part of d_i xi, a float
+    )
+    __slots__ = FIELDS + ("__weakref__",)
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self.FIELDS, args), **kwargs)
+        if (len(values) != len(args) + len(kwargs)
+                or values.keys() != set(self.FIELDS)):
+            raise TypeError(f"BlaschkeFrame takes the fields {self.FIELDS}")
+        for name in self.FIELDS:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BlaschkeFrame is read-only: cannot set {name!r}")
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.FIELDS}
 
     @property
     def n(self) -> int:
@@ -184,9 +198,9 @@ class BlaschkeFrame:
         return len(self.H)
 
     def __getitem__(self, p) -> "BlaschkeFrame":
-        rows = {name: value[p] for name, value in vars(self).items()}
-        return BlaschkeFrame(**{name: row if np.ndim(row) else float(row)
-                                for name, row in rows.items()})
+        rows = (getattr(self, name)[p] for name in self.FIELDS)
+        return BlaschkeFrame(*(row if np.ndim(row) else float(row)
+                               for row in rows))
 
 
 # --- pipeline -------------------------------------------------------------
@@ -385,9 +399,9 @@ def _gather(entries) -> BlaschkeFrame:
     batch, rows = runs[0]
     if len(runs) == 1 and rows == list(range(rows[0], rows[0] + len(rows))):
         return batch if len(rows) == len(batch) else batch[rows[0]:rows[-1] + 1]
-    return BlaschkeFrame(**{name: np.concatenate([
+    return BlaschkeFrame(*(np.concatenate([
         getattr(batch, name)[rows] for batch, rows in runs])
-        for name in BlaschkeFrame.__dataclass_fields__})
+        for name in BlaschkeFrame.FIELDS))
 
 
 def _computed(parts, one_by_one: bool = True) -> BlaschkeFrame:
@@ -469,8 +483,8 @@ def homothetic_frames(scaled: ImmersionDef, frames: BlaschkeFrame,
                   position=1.0, tangent=1.0, second=1.0, xi=1.0 - a)
     fields = {name: getattr(frames, name) * c ** e
               for name, e in powers.items()}
-    mapped = replace(frames, **_orthonormal(fields["h"], fields["C"]),
-                     **fields)
+    mapped = BlaschkeFrame(**{**frames._asdict(), **fields,
+                              **_orthonormal(fields["h"], fields["C"])})
     for row, u in enumerate(_points(mapped.u)):
         if (scaled, u) not in _full_frame_cached.frames:
             _full_frame_cached.put((scaled, u), mapped, row)

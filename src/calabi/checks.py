@@ -12,7 +12,7 @@ criterion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,14 +30,9 @@ class GaugeError(GeometryError):
     """Check requires the H = -1 normalization."""
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    max_residual: float
-    tolerance: float
-    passed: bool
-    samples: int
-    worst_point: tuple
+class CheckReport(namedtuple("CheckReport", "name max_residual tolerance "
+                             "passed samples worst_point")):
+    __slots__ = ()
 
     @staticmethod
     def from_samples(name: str, residuals, points, tolerance: float) -> "CheckReport":

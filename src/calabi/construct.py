@@ -34,7 +34,7 @@ reconstruct the factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -52,21 +52,16 @@ class ProvenanceError(ValueError):
     """Operation needs product provenance metadata the def does not carry."""
 
 
-@dataclass(frozen=True)
-class SpectrumPrediction:
+class SpectrumPrediction(namedtuple("SpectrumPrediction",
+                                    "kind n2 n3 lambda1 lambda2 lambda3")):
     """Eigenstructure of K_T along the product axis.
 
-    lambda1 belongs to the axis direction T itself, lambda2 to the first
-    factor block (multiplicity n2) and lambda3 to the second block
-    (multiplicity n3; absent for point products, where the second block
-    is a constant vector)."""
+    kind is "point" or "pair". lambda1 belongs to the axis direction T
+    itself, lambda2 to the first factor block (multiplicity n2) and
+    lambda3 to the second block (multiplicity n3; None for point products,
+    where the second block is a constant vector)."""
 
-    kind: str  # "point" or "pair"
-    n2: int
-    n3: int
-    lambda1: float
-    lambda2: float
-    lambda3: float | None
+    __slots__ = ()
 
 
 def _rates(n2: int, n3: int) -> tuple[float, float]:

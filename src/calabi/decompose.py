@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,7 +53,6 @@ from .jets import JetDomainError
 
 QUADRIC_K_TOL = 1e-7
 QUADRIC_NOTE = "K ≈ 0: quadric, no canonical axis"
-AXIS_RESIDUAL_TOL = 1e-8
 CLUSTER_GAP = 1e-6
 MARGIN_MIN = 1e-3
 
@@ -108,19 +106,16 @@ def normalize_homothety(defn: ImmersionDef, grid) -> HomothetyResult:
 # axis search
 
 
-@dataclass(frozen=True)
-class CandidateAxis:
+class CandidateAxis(namedtuple("CandidateAxis", "T lambda1 axis_residual y",
+                               defaults=(None,))):
     """h-unit direction T with K(T,T) = lambda1 T, and T = B y in the
     h-orthonormal basis B of its frame (y None for an axis made by hand)."""
 
-    T: np.ndarray
-    lambda1: float
-    axis_residual: float
-    y: np.ndarray | None = None
+    __slots__ = ()
 
     def flipped(self) -> "CandidateAxis":
-        return replace(self, T=-self.T, lambda1=-self.lambda1,
-                       y=None if self.y is None else -self.y)
+        return CandidateAxis(-self.T, -self.lambda1, self.axis_residual,
+                             None if self.y is None else -self.y)
 
 
 def _axis_system(k_ortho: np.ndarray, y: np.ndarray):
@@ -144,16 +139,16 @@ def _axis_system(k_ortho: np.ndarray, y: np.ndarray):
 
 def _repeated(frame: BlaschkeFrame, rows: int) -> SimpleNamespace:
     """A one-point frame's u, basis and K_ortho as `rows` equal rows."""
-    return SimpleNamespace(**{
-        name: np.broadcast_to(v, (rows,) + v.shape) for name, v in
-        vars(frame).items() if name in ("u", "basis", "K_ortho")})
+    fields = {name: getattr(frame, name) for name in ("u", "basis", "K_ortho")}
+    return SimpleNamespace(**{name: np.broadcast_to(v, (rows,) + v.shape)
+                              for name, v in fields.items()})
 
 
 def _fields(frames: BlaschkeFrame, rows: np.ndarray):
     """The batch, or the u, h, basis and K_ortho of some of its rows."""
     return frames if len(rows) == len(frames) else SimpleNamespace(**{
-        name: v[rows] for name, v in vars(frames).items()
-        if name in ("u", "h", "basis", "K_ortho")})
+        name: getattr(frames, name)[rows]
+        for name in ("u", "h", "basis", "K_ortho")})
 
 
 def _norms(f: np.ndarray) -> np.ndarray:
@@ -233,8 +228,7 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
         if lead < 0.0:
             axis = axis.flipped()
         key = (round(axis.lambda1, 7),) + tuple(np.round(axis.y, 7))
-        if key not in found and axis.axis_residual <= AXIS_RESIDUAL_TOL:
-            found[key] = axis
+        found.setdefault(key, axis)
     return [found[key] for key in sorted(found)]
 
 
@@ -251,23 +245,18 @@ def is_quadric(frames: BlaschkeFrame) -> bool:
 # spectrum classification
 
 
-@dataclass(frozen=True)
-class SpectralStructure:
-    """Eigenstructure of K_T split off the axis eigenpair.
+class SpectralStructure(namedtuple(
+        "SpectralStructure", "axis clusters n2 n3 lambda2 lambda3 "
+        "cross_residual relation_residuals pattern")):
+    """Eigenstructure of K_T split off the axis eigenpair (a CandidateAxis).
 
     `clusters` holds (eigenvalue, multiplicity, basis) triples, ascending,
     each basis an array of h-orthonormal rows in parameter coordinates;
+    lambda2 and lambda3 are None where the pattern has no such block;
+    `relation_residuals` maps each eigenvalue relation to its residual;
     `pattern` is "point", "pair" or "unclassified" for any other spectrum."""
 
-    axis: CandidateAxis
-    clusters: tuple
-    n2: int
-    n3: int
-    lambda2: float | None
-    lambda3: float | None
-    cross_residual: float
-    relation_residuals: dict
-    pattern: str
+    __slots__ = ()
 
     @property
     def lambda1(self) -> float:
@@ -436,7 +425,7 @@ def classify_spectrum(frame: BlaschkeFrame, axis) -> SpectralStructure:
     detect would prefer, unclassified spectra included (`calabi
     analyze`)."""
     axes = [axis] if isinstance(axis, CandidateAxis) else axis
-    axes = [a if a.y is not None else replace(a, y=a.T @ frame.h @ frame.basis)
+    axes = [a if a.y is not None else a._replace(y=a.T @ frame.h @ frame.basis)
             for a in axes]
     g = _gate(_repeated(frame, len(axes)), axes)
     return _spectral_structure(g, _preferred(g, np.ones(len(axes), bool)))
@@ -469,21 +458,17 @@ def _axis_structures(defn: ImmersionDef, u, restarts: int, seed: int):
 # detection
 
 
-@dataclass(frozen=True)
-class DecompositionVerdict:
-    """`restarts` and `seed` are the axis search settings behind the
-    verdict; extraction searches with the same ones."""
+class DecompositionVerdict(namedtuple(
+        "DecompositionVerdict", "kind spectrum constancy_residual "
+        "orientation_ok evidence def_scaled scale notes restarts seed",
+        defaults=((), 32, 42))):
+    """`kind` is "PointProduct", "PairProduct" or None, with `notes` saying
+    why; `evidence` holds the CheckReports of the gates; `def_scaled` is
+    the input at H = -1, `scale` times it. `restarts` and `seed` are the
+    axis search settings behind the verdict; extraction searches with the
+    same ones."""
 
-    kind: str | None
-    spectrum: SpectralStructure | None
-    constancy_residual: float
-    orientation_ok: bool
-    evidence: tuple
-    def_scaled: ImmersionDef | None
-    scale: float
-    notes: tuple = ()
-    restarts: int = 32
-    seed: int = 42
+    __slots__ = ()
 
 
 def _none_verdict(note, evidence=(), orientation_ok=False, def_scaled=None,
@@ -628,16 +613,22 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
 # parallel cubic form gate
 
 
-@dataclass(frozen=True)
-class Theorem3Gate:
-    applies: bool = False
-    parallel: CheckReport | None = None
-    curvature_action_residual: float | None = None
-    derived_relations: dict = field(default_factory=dict)
-    margins: dict = field(default_factory=dict)
-    cross_residual: float | None = None
-    spectrum: SpectralStructure | None = None
-    note: str | None = None
+class Theorem3Gate(namedtuple(
+        "Theorem3Gate", "applies parallel curvature_action_residual "
+        "derived_relations margins cross_residual spectrum note",
+        defaults=(False,) + (None,) * 7)):
+    """`theorem3_gate`'s finding: whether the gate applies, the parallel
+    cubic form report, the residuals and margins behind it, and a note
+    when it does not apply."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        # a dict of its own for each unset derived_relations and margins
+        gate = super().__new__(cls, *args, **kwargs)
+        return gate._replace(**{name: {} for name in ("derived_relations",
+                                                      "margins")
+                                if getattr(gate, name) is None})
 
 
 def _curvature_action_residual(frames: BlaschkeFrame) -> float:
@@ -664,22 +655,20 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
 
     parallel = checks.parallel_cubic_residual(frames)
     rk = _curvature_action_residual(frames)
+    gate = Theorem3Gate(parallel=parallel, curvature_action_residual=rk)
     if is_quadric(frames):
-        return Theorem3Gate(
-            parallel=parallel, curvature_action_residual=rk,
+        return gate._replace(
             note="K ≈ 0: spectrum collapses, no (V, W) split to gate")
 
     try:
         gated = _axis_structures(work, frames.u[0], restarts, seed)
     except numerics.AsymmetricMatrixError as exc:
-        return Theorem3Gate(parallel=parallel, curvature_action_residual=rk,
-                            note=str(exc))
+        return gate._replace(note=str(exc))
     # pairs whose axis residual and shape pass
     p = None if gated is None else _preferred(
         gated, (gated.failures(tol)[0] > 1) & (gated.n3 > 0))
     if p is None:
-        return Theorem3Gate(parallel=parallel, curvature_action_residual=rk,
-                            note="no axis with a two-cluster spectrum")
+        return gate._replace(note="no axis with a two-cluster spectrum")
     best = _spectral_structure(gated, p)
 
     lam1, lam2, lam3 = best.lambda1, best.lambda2, best.lambda3
@@ -696,32 +685,25 @@ def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
                and all(r <= tol for r in derived.values())
                and all(m >= MARGIN_MIN for m in margins.values())
                and best.cross_residual <= tol)
-    return Theorem3Gate(
-        applies=bool(applies), parallel=parallel,
-        curvature_action_residual=float(rk), derived_relations=derived,
-        margins=margins, cross_residual=best.cross_residual,
-        spectrum=best, note=None,
-    )
+    return gate._replace(applies=bool(applies), derived_relations=derived,
+                         margins=margins, cross_residual=best.cross_residual,
+                         spectrum=best)
 
 
 # ---------------------------------------------------------------------------
 # factor extraction
 
 
-@dataclass(frozen=True)
-class FactorData:
-    kind: str
-    d1: float
-    d2: float
-    phi2_samples: np.ndarray
-    phi3_samples: np.ndarray
-    subspace2: np.ndarray
-    subspace3: np.ndarray
-    factor_defs: tuple | None
-    residuals: dict
-    metric_ratio: float
-    immersion_rate: float
-    failed_residuals: tuple = ()   # sorted names of residuals above tol
+class FactorData(namedtuple(
+        "FactorData", "kind d1 d2 phi2_samples phi3_samples subspace2 "
+        "subspace3 factor_defs residuals metric_ratio immersion_rate "
+        "failed_residuals", defaults=((),))):
+    """The factors read off a product: the sample clouds of phi2 and phi3
+    and the bases of their subspaces, the factor definitions (None when
+    the input carries no provenance), the residuals of the round trip,
+    and `failed_residuals`, the sorted names of those above tol."""
+
+    __slots__ = ()
 
 
 def _grid_fields(frames: BlaschkeFrame, rows: np.ndarray,
@@ -746,7 +728,7 @@ def _grid_fields(frames: BlaschkeFrame, rows: np.ndarray,
     rhs[:, n] = 0.5 * np.einsum("pdij,pi,pj->pd", frames.dh, T, T)
     d_t = frames.basis @ np.linalg.solve(jac, rhs)[:, :n]
     return SimpleNamespace(
-        **vars(frames), rows=rows, T=T, basis2=rows[:, 1:1 + n2],
+        **frames._asdict(), rows=rows, T=T, basis2=rows[:, 1:1 + n2],
         basis3=rows[:, 1 + n2:], dT=d_t.transpose(0, 2, 1))
 
 

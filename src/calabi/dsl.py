@@ -26,7 +26,6 @@ import math
 import operator
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from . import jets as _jets
 
@@ -45,25 +44,22 @@ class ImmersionValidationError(ValueError):
 # --- AST ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Expr:
-    pass
+    """The base of the node forms, each a named tuple of its fields."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Variable(Expr):
-    name: str
+class Variable(namedtuple("Variable", "name"), Expr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Constant(Expr):
-    value: float
+class Constant(namedtuple("Constant", "value"), Expr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Apply(Expr):
-    op: str  # "neg", a key of BINARY, or a name in FUNCTIONS
-    args: tuple[Expr, ...]
+class Apply(namedtuple("Apply", "op args"), Expr):
+    __slots__ = ()
 
 
 FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh")
@@ -73,15 +69,12 @@ BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Construction metadata carried by Calabi products."""
+class Provenance(namedtuple("Provenance", "kind n2 n3 axis factors")):
+    """Construction metadata carried by Calabi products: kind "point" or
+    "pair", the block dimensions n2 and n3, the axis variable and the
+    tuple of factor names."""
 
-    kind: str  # "point" or "pair"
-    n2: int
-    n3: int
-    axis: str
-    factors: tuple[str, ...]
+    __slots__ = ()
 
     def comment(self) -> str:
         facs = "|".join(self.factors)
@@ -91,39 +84,57 @@ class Provenance:
         )
 
 
-@dataclass(frozen=True)
 class ImmersionDef:
-    name: str
-    vars: tuple[str, ...]
-    components: tuple[Expr, ...]
-    provenance: Provenance | None = field(default=None)
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    """A validated definition: a name, its variables, one expression per
+    component and the provenance of a Calabi product, or None. Read-only,
+    equal over those four fields, and hashed once, as it keys the frame
+    cache."""
 
-    def __post_init__(self):
-        if not self.vars:
+    __slots__ = ("name", "vars", "components", "provenance", "_hash")
+
+    def __init__(self, name: str, vars: tuple[str, ...],
+                 components: tuple[Expr, ...],
+                 provenance: Provenance | None = None):
+        if not vars:
             raise ImmersionValidationError("immersion needs at least one variable")
-        if len(set(self.vars)) != len(self.vars):
+        if len(set(vars)) != len(vars):
             raise ImmersionValidationError("duplicate variable names")
-        for v in self.vars:
+        for v in vars:
             if not _IDENT.fullmatch(v):
                 raise ImmersionValidationError(f"invalid variable name {v!r}")
-        if not self.components:
+        if not components:
             raise ImmersionValidationError("immersion needs at least one component")
-        declared = set(self.vars)
-        for comp in self.components:
+        declared = set(vars)
+        for comp in components:
             _validate_expr(comp)
-            for name in _free_vars(comp):
-                if name not in declared:
+            for free in _free_vars(comp):
+                if free not in declared:
                     raise ImmersionValidationError(
-                        f"undeclared variable {name!r} in immersion {self.name!r}"
+                        f"undeclared variable {free!r} in immersion {name!r}"
                     )
+        for slot, value in zip(self.__slots__, (name, vars, components,
+                                                provenance, None)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ImmersionDef is read-only: cannot set {name!r}")
+
+    def _key(self) -> tuple:
+        return self.name, self.vars, self.components, self.provenance
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        # definitions key the frame cache: hash the expression trees once
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(
-                (self.name, self.vars, self.components, self.provenance)))
+            object.__setattr__(self, "_hash", hash(self._key()))
         return self._hash
+
+    def __repr__(self) -> str:
+        return ("ImmersionDef(name={!r}, vars={!r}, components={!r}, "
+                "provenance={!r})".format(*self._key()))
 
     @property
     def nvars(self) -> int:

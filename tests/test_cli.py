@@ -23,6 +23,17 @@ def run_cli(*args: str, cwd=None):
         env=dict(os.environ, PYTHONPATH=path), cwd=cwd)
 
 
+def test_importing_the_cli_leaves_dataclasses_unimported():
+    """Every CLI process imports the whole package first; its records are
+    named tuples and plain classes, because decorating frozen dataclasses
+    was the largest cost of that import after compiling the modules."""
+    probe = "import sys, calabi.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         check=True)
+    assert out.stdout.split() == ["False"]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory) -> Path:
     """Immersion files shared by the CLI tests: the two hyperbola factors,

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -98,7 +97,7 @@ def test_homothety_law_matches_recomputed_frames(request, product, c):
     exponents = {"h": a, "C": a, "dh": a, "recon_residual": a, "h_inv": -a,
                  "S": -a, "H": -a, "position": 1.0, "tangent": 1.0,
                  "second": 1.0, "xi": 1.0 - a}
-    for name in blaschke.BlaschkeFrame.__dataclass_fields__:
+    for name in blaschke.BlaschkeFrame.FIELDS:
         want = getattr(fresh, name)
         floor = max(np.max(np.abs(want)), c ** exponents.get(name, 0.0))
         error = np.max(np.abs(getattr(mapped, name) - want))
@@ -524,7 +523,8 @@ def test_extract_on_an_off_gauge_verdict_computes_no_frame(pair_product):
     """Extraction on `verdict.def_scaled` reads the rows that detection
     mapped; without provenance there are no factors to calibrate, so it
     computes no frame at all."""
-    anonymous = dataclasses.replace(pair_product, provenance=None)
+    anonymous = dsl.ImmersionDef(pair_product.name, pair_product.vars,
+                                 pair_product.components)
     grid = make_grid(-0.2, 0.2, 2, 3)
     blaschke.clear_frame_cache()
     verdict = decompose.detect(decompose._scaled_def(anonymous, 1.7), grid)
@@ -612,7 +612,7 @@ def test_merged_factor_batch_matches_separate_batches(request, product, dims):
         alone = blaschke._frame_batch([part])
         rows = merged[start:start + len(alone)]
         start += len(alone)
-        for name in blaschke.BlaschkeFrame.__dataclass_fields__:
+        for name in blaschke.BlaschkeFrame.FIELDS:
             got, want = getattr(rows, name), getattr(alone, name)
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
@@ -709,13 +709,13 @@ def test_roundtrip_factors_each_metric_once(point_product, pair_product,
 def _structures_built(monkeypatch) -> list:
     """The patterns of the `SpectralStructure`s built from now on."""
     built = []
-    real = decompose.SpectralStructure.__init__
+    real = decompose.SpectralStructure.__new__
 
-    def init(self, *args, **kwargs):
+    def new(cls, *args, **kwargs):
         built.append(kwargs.get("pattern"))
-        real(self, *args, **kwargs)
+        return real(cls, *args, **kwargs)
 
-    monkeypatch.setattr(decompose.SpectralStructure, "__init__", init)
+    monkeypatch.setattr(decompose.SpectralStructure, "__new__", new)
     return built
 
 
@@ -1010,9 +1010,9 @@ def test_restarts_solve_alike_in_one_stack_and_one_by_one(request, product,
     real = decompose._solve_axis
 
     def one_by_one(frames, x0):
-        return [real(SimpleNamespace(**{k: v[r:r + 1] for k, v in
-                                        vars(frames).items()}),
-                     x0[r:r + 1])[0] for r in range(len(x0))]
+        return [real(SimpleNamespace(**{
+            k: getattr(frames, k)[r:r + 1] for k in ("u", "basis", "K_ortho")
+        }), x0[r:r + 1])[0] for r in range(len(x0))]
 
     monkeypatch.setattr(decompose, "_solve_axis", one_by_one)
     for frame, reference in zip(frames, stacked):
@@ -1782,8 +1782,10 @@ def test_the_array_gate_agrees_with_gate_at_every_tracked_point(
                           axis=0)
         y_ref = ((t_ref[:, None] @ frames.h) @ frames.basis)[:, 0]
         axes = decompose._solve_axis(frames, y_ref)
-        solved = [p for p, axis in enumerate(axes) if axis is not None
-                  and axis.axis_residual <= decompose.AXIS_RESIDUAL_TOL]
+        solved = [p for p, axis in enumerate(axes) if axis is not None]
+        # a row is returned only at |F| <= 1e-11, and the axis residual is
+        # a part of F, so no residual test can drop a returned row
+        assert all(axes[p].axis_residual <= 1e-11 for p in solved)
         stack = decompose._gate(frames[solved], [axes[p] for p in solved])
         alone = [decompose._gate(frames[[p]], [axes[p]]) for p in solved]
         for i, row in enumerate(alone):
