@@ -190,6 +190,9 @@ class BlaschkeFrame:
     def _asdict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
 
+    def __reduce__(self):
+        return BlaschkeFrame, tuple(self._asdict().values())
+
     @property
     def n(self) -> int:
         return self.tangent.shape[-2]
@@ -198,9 +201,9 @@ class BlaschkeFrame:
         return len(self.H)
 
     def __getitem__(self, p) -> "BlaschkeFrame":
-        rows = (getattr(self, name)[p] for name in self.FIELDS)
-        return BlaschkeFrame(*(row if np.ndim(row) else float(row)
-                               for row in rows))
+        rows = [getattr(self, name)[p] for name in self.FIELDS]
+        return BlaschkeFrame(*[row if np.ndim(row) else float(row)
+                               for row in rows])
 
 
 # --- pipeline -------------------------------------------------------------
@@ -399,9 +402,9 @@ def _gather(entries) -> BlaschkeFrame:
     batch, rows = runs[0]
     if len(runs) == 1 and rows == list(range(rows[0], rows[0] + len(rows))):
         return batch if len(rows) == len(batch) else batch[rows[0]:rows[-1] + 1]
-    return BlaschkeFrame(*(np.concatenate([
+    return BlaschkeFrame(*[np.concatenate([
         getattr(batch, name)[rows] for batch, rows in runs])
-        for name in BlaschkeFrame.FIELDS))
+        for name in BlaschkeFrame.FIELDS])
 
 
 def _computed(parts, one_by_one: bool = True) -> BlaschkeFrame:

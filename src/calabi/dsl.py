@@ -132,9 +132,8 @@ class ImmersionDef:
             object.__setattr__(self, "_hash", hash(self._key()))
         return self._hash
 
-    def __repr__(self) -> str:
-        return ("ImmersionDef(name={!r}, vars={!r}, components={!r}, "
-                "provenance={!r})".format(*self._key()))
+    def __reduce__(self):
+        return ImmersionDef, self._key()
 
     @property
     def nvars(self) -> int:

@@ -1,6 +1,8 @@
 """The record types of calabi: read-only, equal by value where they key
 a cache, and free of shared mutable defaults."""
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -51,6 +53,18 @@ def test_a_record_refuses_assignment(records, kind):
     for name in filter(None, (FIELD[kind], "extra")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+
+
+@pytest.mark.parametrize("kind", sorted(FIELD))
+def test_a_record_survives_pickle_and_copy(records, kind):
+    record, name = records[kind], FIELD[kind]
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                  copy.deepcopy(record)):
+        assert type(clone) is type(record)
+        assert name is None or (repr(getattr(clone, name))
+                                == repr(getattr(record, name)))
+    if kind in ("ImmersionDef", "Provenance", "Variable", "Apply"):
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_equal_definitions_are_equal_and_share_frames():
