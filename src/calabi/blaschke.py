@@ -308,7 +308,7 @@ def _frame_batch(parts) -> BlaschkeFrame:
     K_jets = (sol[:, :n].reshape(P, n, n, n, -1).transpose(0, 2, 3, 1, 4)
               - gamma_hat[..., : sol.shape[-1]])
     K, gh, h_vals = _values(K_jets), _values(gamma_hat), _values(h)
-    C = np.einsum("pijl,plk->pijk", K, h_vals)
+    C = K @ h_vals[:, None]
 
     # shape operator from d_i xi = -S^k_i d_k phi (+ transversal defect)
     coeffs = np.linalg.solve(basis[..., 0], grad0(xi, n))
@@ -320,16 +320,14 @@ def _frame_batch(parts) -> BlaschkeFrame:
     dgh = grad0(gamma_hat, n).transpose(0, 4, 1, 2, 3)
     dK = grad0(K_jets, n).transpose(0, 4, 1, 2, 3)
 
-    # curvature: R[i,j,k,l] = d_i Gh[j,k,l] - d_j Gh[i,k,l]
-    #            + Gh[j,k,m] Gh[i,m,l] - Gh[i,k,m] Gh[j,m,l]
-    Rhat = (dgh - dgh.transpose(0, 2, 1, 3, 4)
-            + np.einsum("pjkm,piml->pijkl", gh, gh)
-            - np.einsum("pikm,pjml->pijkl", gh, gh))
+    # curvature R = A - A^(ij), A[i,j,k,l] = d_i Gh[j,k,l] + Gh[j,k,m] Gh[i,m,l]
+    A = dgh + gh[:, None] @ gh[:, :, None]
+    Rhat = A - A.swapaxes(1, 2)
 
-    # hat nabla K: dK + Gh K - K Gh - K Gh, all slots
-    nabla_K = (dK + np.einsum("piml,pjkm->pijkl", gh, K)
-               - np.einsum("pijm,pmkl->pijkl", gh, K)
-               - np.einsum("pikm,pjml->pijkl", gh, K))
+    # hat nabla K: dK + Gh K - K Gh - K Gh, all slots; K is symmetric in its
+    # lower slots, so the last term is the one before with j and k swapped
+    gh_k = (gh @ K.reshape(P, 1, n, n * n)).reshape(P, n, n, n, n)
+    nabla_K = dK + K[:, None] @ gh[:, :, None] - gh_k - gh_k.swapaxes(2, 3)
 
     position, tangent, second_vals = _values(comps), _values(tang), _values(second)
     h_inv_vals, xi_vals = _values(h_inv), _values(xi)

@@ -126,7 +126,8 @@ def _axis_system(k_ortho: np.ndarray, y: np.ndarray):
     matmuls round as one row alone does, so a row solves alike in any
     stack."""
     n = y.shape[-1]
-    k_y = np.einsum("...ijk,...i->...kj", k_ortho, y)
+    k_y = (y[..., None, :] @ k_ortho.reshape(k_ortho.shape[:-2] + (n * n,))
+           ).reshape(y.shape + (n,)).swapaxes(-1, -2)   # y^i K_ortho[i, j, k]
     k_yy = (k_y @ y[..., None])[..., 0]
     mu = (y[..., None, :] @ k_yy[..., None])[..., 0]
     y_y = (y[..., None, :] @ y[..., None])[..., 0]
@@ -156,7 +157,16 @@ def _norms(f: np.ndarray) -> np.ndarray:
     return np.sqrt((f[..., None, :] @ f[..., None])[..., 0, 0])
 
 
-def _solve_axis(frames, y0: np.ndarray) -> list[CandidateAxis | None]:
+def _classes(mu: np.ndarray, y: np.ndarray) -> dict:
+    """{key: (first row r, sign s)} of each class of solutions (mu, y), y
+    unit: s y has its first |y_i| > 1e-8 positive; key (s mu, s y), 7 digits."""
+    sign = np.sign(y[np.arange(len(y)), np.argmax(np.abs(y) > 1e-8, axis=1)])
+    keys = np.round(sign[:, None] * np.column_stack([mu, y]), 7).tolist()
+    return {tuple(key): (r, s) for r, s, key in reversed(
+        list(zip(range(len(y)), sign.tolist(), keys)))}
+
+
+def _solve_axis(frames, y0, classes: int = 0) -> list[CandidateAxis | None]:
     """The axis T = B y a damped Newton solve of `_axis_system` reaches
     from each row of y0, (R, n), in the basis B of frames[r]. The rows
     share one batched linear solve per iteration and each backtracks on
@@ -164,13 +174,18 @@ def _solve_axis(frames, y0: np.ndarray) -> list[CandidateAxis | None]:
     |F| <= 1e-13, at a singular Jacobian (an |eigenvalue| <= 1e-13 times
     the largest, the conditioning bound of `blaschke._solve`), or when
     backtracking cannot reduce |F|, which past 1e-13 is the rounding floor
-    of its point; None if it stops with |F| above 1e-11."""
+    of its point; None if it stops with |F| above 1e-11, or if it runs
+    when the rows at |F| <= 1e-13 hold `classes` of `_classes`."""
     k_ortho, y = frames.K_ortho, np.array(y0, dtype=float)
     f, jac, mu = _axis_system(k_ortho, y)
     norm = _norms(f)
     stopped = np.zeros(len(y), dtype=bool)
     for _ in range(80):
-        rows = np.flatnonzero(~stopped & (norm > 1e-13))
+        rows, conv = np.flatnonzero(~stopped & (norm > 1e-13)), norm <= 1e-13
+        if 0 < classes <= np.count_nonzero(conv) and classes <= len(_classes(
+                mu[conv], y[conv])):
+            norm[rows] = np.inf
+            break
         if rows.size:
             ev = np.abs(np.linalg.eigvalsh(jac[rows]))
             singular = ev.min(axis=1) <= 1e-13 * ev.max(axis=1)
@@ -215,21 +230,19 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
     y and -y solve together (with mu and -mu), so solutions are
     deduplicated by fixing the sign of the first significant coordinate
     of y, and ordered by that rounded key (mu, then y, to 7 digits),
-    which rounding in the solve does not change. Newton handles mu = 0
-    axes, which pure ascent on the cubic misses. The pipeline searches
-    only its base frames, each once, through the memo of `_axis_structures`.
+    which rounding in the solve does not change. It stops at 2^n - 1 keys,
+    all the eigenvector classes an order-3 tensor on C^n can have (D.
+    Cartwright and B. Sturmfels, Linear Algebra Appl. 438, 2013). Newton
+    handles mu = 0 axes, which pure ascent on the cubic misses. The
+    pipeline searches only its base frames, each once, via `_axis_structures`.
     """
     seeds = np.concatenate([np.eye(frame.n), _random_seeds(
         frame.n, restarts - frame.n, seed)])
-    found: dict[tuple, CandidateAxis] = {}
-    for axis in filter(None, _solve_axis(_repeated(frame, len(seeds)),
-                                         seeds)):
-        lead = next((comp for comp in axis.y if abs(comp) > 1e-8), 0.0)
-        if lead < 0.0:
-            axis = axis.flipped()
-        key = (round(axis.lambda1, 7),) + tuple(np.round(axis.y, 7))
-        found.setdefault(key, axis)
-    return [found[key] for key in sorted(found)]
+    axes = list(filter(None, _solve_axis(_repeated(frame, len(seeds)), seeds,
+                                         2 ** frame.n - 1)))
+    return [axes[r].flipped() if s < 0.0 else axes[r] for _, (r, s) in sorted(
+        _classes(np.array([a.lambda1 for a in axes]),
+                 np.reshape([a.y for a in axes], (-1, frame.n))).items())]
 
 
 def is_quadric(frames: BlaschkeFrame) -> bool:
@@ -288,6 +301,8 @@ class Gated(namedtuple("Gated", "y rows means lams n2 n3 tests")):
     and the last of those means); n2 and n3, 0 when unclassified; and the
     residuals of the first seven GATE_TESTS (0 where none applies)."""
 
+    __slots__ = ()
+
     def failures(self, tol: float, shape=None, y_ref=None):
         """The index in GATE_TESTS of the first test each row fails, or
         len(GATE_TESTS), and its residual (h for a row that passes): the
@@ -334,9 +349,10 @@ def _gate(frames, axes) -> Gated:
     share arrays, so a row rounds alike in any stack."""
     y, t, lam1, resid = (np.array([getattr(axis, name) for axis in axes])
                          for name in ("y", "T", "lambda1", "axis_residual"))
+    reduced = (y[:, None] @ frames.K_ortho.reshape(y.shape + (-1,))).reshape(
+        y.shape + y.shape[1:])                    # y^i K_ortho[i, j, k]
     try:
-        eig = numerics.solve_sym_eig_generalized(
-            np.einsum("pi,pijk->pjk", y, frames.K_ortho))
+        eig = numerics.solve_sym_eig_generalized(reduced)
     except numerics.AsymmetricMatrixError as exc:
         point = blaschke.format_point(frames.u[exc.index[0]])
         raise numerics.AsymmetricMatrixError(
@@ -433,6 +449,7 @@ def classify_spectrum(frame: BlaschkeFrame, axis) -> SpectralStructure:
 
 # cached frame -> {(restarts, seed): Gated or None}
 _STRUCTURES = weakref.WeakKeyDictionary()
+_TRACKED = weakref.WeakKeyDictionary()   # batch -> {(T, n2, n3, tol): rows}
 
 
 def _axis_structures(defn: ImmersionDef, u, restarts: int, seed: int):
@@ -566,7 +583,7 @@ def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
         return None, math.inf, ("no axis matches either product pattern "
                                 "within tolerance")
     base = _spectral_structure(gated, p)
-    _rows, lams, failure = _track(frames[1:], base, tol, frames.u[0])
+    rows, lams, failure = _track(frames[1:], base, tol, frames.u[0])
     if failure is not None:
         return None, math.inf, failure
     drifts = np.append(0.0, np.max(np.abs(lams - gated.lams[p]), axis=1))
@@ -575,6 +592,8 @@ def _follow_axis(work: ImmersionDef, frames: BlaschkeFrame, tol: float,
         return None, math.inf, (
             f"eigenvalues drift across the grid by {drifts[worst]:.3g} at "
             f"grid point {blaschke.format_point(frames.u[worst])}")
+    _TRACKED.setdefault(frames, {})[base.axis.T.tobytes(), base.n2, base.n3,
+                                    tol] = np.vstack([gated.rows[p:p + 1], rows])
     return base, float(drifts[worst]), None
 
 
@@ -632,10 +651,11 @@ class Theorem3Gate(namedtuple(
 
 
 def _curvature_action_residual(frames: BlaschkeFrame) -> float:
-    lhs = np.einsum("pijml,pzum->pijzul", frames.Rhat, frames.K)
-    rhs = (np.einsum("pijzm,pmul->pijzul", frames.Rhat, frames.K)
-           + np.einsum("pijum,pzml->pijzul", frames.Rhat, frames.K))
-    return float(np.max(np.abs(lhs - rhs)))
+    # R K(z,u) - K(Rz,u) - K(z,Ru); K(z,Ru) = K(Ru,z), the middle term z<->u
+    R, (P, n) = frames.Rhat, frames.K.shape[:2]
+    lhs = (frames.K.reshape(P, 1, 1, n * n, n) @ R).reshape(R.shape + (n,))
+    rhs = (R @ frames.K.reshape(P, 1, 1, n, n * n)).reshape(R.shape + (n,))
+    return float(np.max(np.abs(lhs - rhs - rhs.swapaxes(3, 4))))
 
 
 def theorem3_gate(defn: ImmersionDef, grid, tol: float = 1e-6,
@@ -901,14 +921,16 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
 
     frames = blaschke.frames_on_grid(defn, grid)
     prov = defn.provenance
-    axis_idx = t_ref = None
+    axis_idx, t_ref = None, spectrum.axis.T
     if prov is not None and prov.axis in defn.vars:
         axis_idx = defn.vars.index(prov.axis)
         t_ref, lam2_first = _provenance_aligned_axis(
             defn, frames, spectrum, tol, verdict.restarts, verdict.seed)
-    rows, _lams, failure = _track(frames, spectrum, tol, frames.u[0], t_ref)
-    if failure is not None:
-        raise GeometryError(failure)
+    rows = _TRACKED.get(frames, {}).get((t_ref.tobytes(), n2, n3, tol))
+    if rows is None:
+        rows, _, failure = _track(frames, spectrum, tol, frames.u[0], t_ref)
+        if failure is not None:
+            raise GeometryError(failure)
     f = _grid_fields(frames, rows, n2)
 
     t_amb = (f.T[:, None] @ f.tangent)[:, 0]

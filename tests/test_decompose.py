@@ -464,8 +464,8 @@ def _tracker_rounds(monkeypatch, failing=(), rounds=math.inf):
         finally:
             state.round = None
 
-    def solve(frames, y0):
-        axes = real_solve(frames, y0)
+    def solve(frames, y0, *args):
+        axes = real_solve(frames, y0, *args)
         if state.round is not None:
             state.round += 1
             state.sizes.append(len(y0))
@@ -693,8 +693,9 @@ def test_roundtrip_factors_each_metric_once(point_product, pair_product,
     symmetric bordered Jacobian of each Newton iteration with eigvalsh,
     where an SVD of the Jacobian read in the h-orthonormal frame ran
     (17 SVDs, 23 before the solve stopped before an SVD of no rows): 6
-    SVDs, all in the extraction's subspace ranks, and 20 eigvalsh, 4 in
-    the frame batches and 16 in the two searches' Newton iterations."""
+    SVDs, all in the extraction's subspace ranks, and 12 eigvalsh (20
+    before the searches stopped at 2^n - 1 classes and the extraction
+    of the point product read the rows detect tracked)."""
     counts = _linalg_calls(monkeypatch, "cholesky", "svd", "eigvalsh")
     blaschke.clear_frame_cache()
     g25, g27 = make_grid(-0.3, 0.3, 5, 2), make_grid(-0.3, 0.3, 3, 3)
@@ -703,7 +704,7 @@ def test_roundtrip_factors_each_metric_once(point_product, pair_product,
     v_pair = decompose.detect(pair_product, g27)
     assert decompose.theorem3_gate(pair_product, g27).applies
     decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
-    assert counts == {"cholesky": 7, "svd": 6, "eigvalsh": 20}
+    assert counts == {"cholesky": 7, "svd": 6, "eigvalsh": 12}
 
 
 def _structures_built(monkeypatch) -> list:
@@ -921,6 +922,55 @@ def test_a_round_that_accepts_no_row_names_its_first_point(pair_product,
     assert sizes == [len(grid) - 1, len(grid)]
 
 
+@pytest.fixture(scope="module")
+def point_pair_product(hyperbola, hyperbola_b):
+    """n = 4 with (n2, n3) = (1, 2): the point product of h2 as the first
+    factor of a pair."""
+    return construct.calabi_pair(construct.calabi_point(hyperbola),
+                                 hyperbola_b)
+
+
+@pytest.mark.parametrize("product, extract", [
+    ("point_product", decompose.extract_point_factor),
+    ("point_pair_product", decompose.extract_pair_factors),
+    ("pair_product", decompose.extract_pair_factors),
+])
+def test_extraction_reads_the_rows_detect_tracked(request, product, extract,
+                                                  monkeypatch):
+    """When the provenance-aligned axis is the verdict's own axis, on the
+    frames detect tracked, extraction reads the rows detect tracked and
+    makes no `_track` call, and reads what it reads when it tracks them
+    itself; at another tol, or for another axis, it tracks. On the pair
+    product of h2 and h2b the aligned axis is that of the other (1, 1)
+    structure; where two equivalent structures both keep to one block,
+    rounding in their scores picks one, so only the point product, with
+    one such structure, pins which case it is."""
+    defn = request.getfixturevalue(product)
+    grid = make_grid(-0.2, 0.2, 2, defn.nvars)
+    axes = []
+    real = decompose._provenance_aligned_axis
+    monkeypatch.setattr(decompose, "_provenance_aligned_axis",
+                        lambda *args: axes.append(real(*args)) or axes[-1])
+    calls = _counted(monkeypatch, "_track")
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(defn, grid)
+    calls.clear()
+    data = extract(verdict.def_scaled, verdict, grid)
+    own = np.array_equal(axes[0][0], verdict.spectrum.axis.T)
+    assert own or product != "point_product"
+    assert len(calls) == (0 if own else 1)
+    extract(verdict.def_scaled, verdict, grid, tol=1e-5)
+    assert len(calls) == (1 if own else 2)
+    decompose._TRACKED.clear()
+    tracked = extract(verdict.def_scaled, verdict, grid)
+    assert len(calls) == (2 if own else 3)
+    assert data.failed_residuals == tracked.failed_residuals
+    assert data.residuals == pytest.approx(tracked.residuals, abs=1e-12)
+    for name in ("phi2_samples", "phi3_samples", "metric_ratio"):
+        assert np.allclose(getattr(data, name), getattr(tracked, name),
+                           rtol=0, atol=1e-12), name
+
+
 def test_extract_with_another_tol_reuses_the_base_search(pair_product,
                                                          monkeypatch):
     grid = make_grid(-0.3, 0.3, 3, 3)
@@ -1009,7 +1059,7 @@ def test_restarts_solve_alike_in_one_stack_and_one_by_one(request, product,
         assert keys == sorted(keys)
     real = decompose._solve_axis
 
-    def one_by_one(frames, x0):
+    def one_by_one(frames, x0, classes):
         return [real(SimpleNamespace(**{
             k: getattr(frames, k)[r:r + 1] for k in ("u", "basis", "K_ortho")
         }), x0[r:r + 1])[0] for r in range(len(x0))]
@@ -1067,6 +1117,54 @@ def test_find_axes_evaluates_the_axis_system_at_most_12_times(
     assert len(calls) <= 12
 
 
+@pytest.mark.parametrize("product, count, evaluations", [
+    ("point_product", 3, 5),
+    ("pair_product", 7, 10),
+])
+def test_find_axes_stops_at_2n_minus_1_classes(request, product, count,
+                                              evaluations, monkeypatch):
+    """At the base point of a benchmark-shaped grid the search holds all
+    2^n - 1 classes (Cartwright and Sturmfels) before its rows stop: it
+    stops there, after 5 and 10 stacked evaluations of F and its Jacobian
+    on the point and the pair product, where it made 11 and 12."""
+    defn = request.getfixturevalue(product)
+    frame = blaschke.full_frame(defn, (-0.3,) * defn.nvars)
+    calls = _counted(monkeypatch, "_axis_system")
+    assert len(decompose.find_axes(frame)) == count == 2 ** frame.n - 1
+    assert len(calls) == evaluations
+
+
+def _class_keys(axes) -> list:
+    return [(round(a.lambda1, 7),) + tuple(np.round(a.y, 7)) for a in axes]
+
+
+@pytest.mark.parametrize("product, form", [
+    (product, form) for form in ("plain", "bent") for product in (
+        "point_product", "pair_product", "mixed_product",
+        "double_point_product")] + [("pair_product", "scaled")])
+def test_the_class_bound_stop_keeps_every_class(request, product, form,
+                                                monkeypatch):
+    """find_axes finds the same class keys, in the same order, whether
+    its solve stops at 2^n - 1 classes or runs every row to its end, on
+    the products, their bent forms and the pair scaled by 1.7, at four
+    points each; the candidates agree to 1e-12."""
+    defn = request.getfixturevalue(product)
+    defn = {"plain": defn, "bent": _bent(defn),
+            "scaled": decompose._scaled_def(defn, 1.7)}[form]
+    points = np.random.default_rng(3).uniform(-0.2, 0.2, (4, defn.nvars))
+    frames = [blaschke.full_frame(defn, tuple(u)) for u in points]
+    stopped = [decompose.find_axes(frame) for frame in frames]
+    real = decompose._solve_axis
+    monkeypatch.setattr(decompose, "_solve_axis",
+                        lambda frames, y0, classes: real(frames, y0))
+    for frame, axes in zip(frames, stopped):
+        full = decompose.find_axes(frame)
+        assert _class_keys(axes) == _class_keys(full)
+        for a, b in zip(axes, full):
+            assert abs(a.lambda1 - b.lambda1) <= 1e-12
+            assert np.allclose(a.T, b.T, rtol=0, atol=1e-12)
+
+
 def _loop_seeds(n: int, count: int, seed: int) -> np.ndarray:
     """The seed's standard normal draws in R^n, one vector at a time, each
     scaled to unit length."""
@@ -1106,7 +1204,8 @@ def test_find_axes_solves_from_the_seeds_of_the_loop(request, product, u, s,
     seen = []
     real = decompose._solve_axis
     monkeypatch.setattr(decompose, "_solve_axis",
-                        lambda frames, y0: seen.append(y0) or real(frames, y0))
+                        lambda frames, y0, *args: seen.append(y0)
+                        or real(frames, y0, *args))
     assert decompose.find_axes(frame)
     want = np.concatenate([np.eye(frame.n),
                            _loop_seeds(frame.n, 32 - frame.n, 42)])
@@ -1494,7 +1593,8 @@ def test_tracker_follows_the_moving_axis_of_a_bent_product(
     solve iterates from the base axis at every point. Detection and
     extraction still search only the base frame, every point keeps the
     base structure, and each tracked T is the candidate a full search
-    at that point finds closest to the base axis."""
+    at that point finds closest to the base axis. Extraction reads the
+    rows detection tracked on the same frames, so it tracks nothing."""
     bent = _bent(request.getfixturevalue(product))
     tracked = []
     real_track = decompose._track
@@ -1511,8 +1611,7 @@ def test_tracker_follows_the_moving_axis_of_a_bent_product(
     assert verdict.kind == "PairProduct", verdict.notes
     decompose.extract_pair_factors(bent, verdict, grid)
     assert len(searches) == 1
-    assert [len(frames) for frames, *_ in tracked] == [
-        len(grid) - 1, len(grid)]
+    assert [len(frames) for frames, *_ in tracked] == [len(grid) - 1]
     for frames, ref, rows, lams in tracked:
         assert np.max(np.abs(rows[-1, 0] - ref.axis.T)) > 0.1
         for p, (row, lam) in enumerate(zip(rows, lams)):
@@ -1538,15 +1637,17 @@ def test_failed_rows_on_a_bent_product_keep_the_tracked_axes(
     past the middle of the grid, each of them is solved in a later round
     from the axis of its nearest accepted point, which moves with the
     bend, and the extraction reads as with every row solved from the base
-    axis. Nothing is searched."""
+    axis. Nothing is searched, and the extraction reads the rows detect
+    tracked, in one `_track` call."""
     bent = _bent(request.getfixturevalue(product))
     verdict = decompose.detect(bent, grid)
     tracked = decompose.extract_pair_factors(bent, verdict, grid)
     sizes = _tracker_rounds(monkeypatch, grid[len(grid) // 2:], rounds=1)
     searches = _counted(monkeypatch, "find_axes")
+    verdict = decompose.detect(bent, grid)
     data = decompose.extract_pair_factors(bent, verdict, grid)
     assert searches == []
-    assert sizes == [len(grid), len(grid) - len(grid) // 2]
+    assert sizes == [len(grid) - 1, len(grid) - len(grid) // 2]
     assert data.metric_ratio == pytest.approx(tracked.metric_ratio,
                                               abs=1e-12)
     assert np.allclose(data.phi2_samples, tracked.phi2_samples, atol=1e-12)
@@ -1567,7 +1668,10 @@ def test_continuation_detects_the_wide_bent_boxes(
     nearest accepted points, `second` rows keep the base structure in a
     second round, in detect and in extraction alike. Both read the closed
     forms, every residual is at most 1e-6, and only the base frame is
-    searched, once."""
+    searched, once. On the mixed box detect works on the input itself,
+    so the extraction of it rereads the rows detect tracked; on the pair
+    boxes H is off -1 by 1.4e-12 at the base point, detect works on a
+    rescaled copy, and extracting the input tracks its own frames."""
     bent = _bent(request.getfixturevalue(product))
     grid = make_grid(-box, box, count, bent.nvars)
     closed = ((0.0, 1.0, -1.0, 2.0) if product == "pair_product" else (
@@ -1585,7 +1689,10 @@ def test_continuation_detects_the_wide_bent_boxes(
     assert verdict.constancy_residual <= 1e-6
     assert max(data.residuals.values()) <= 1e-6
     assert len(searches) == 1
-    assert sizes == [len(grid) - 1, second, len(grid), second]
+    reread = verdict.def_scaled is bent
+    assert reread == (product == "mixed_product")
+    assert sizes == [len(grid) - 1, second] + (
+        [] if reread else [len(grid), second])
 
 
 def test_the_bent_point_product_on_the_wide_box_is_refused_unsearched(

@@ -30,6 +30,7 @@ def records(pair_product):
         "CheckReport": checks.sphere_residual(pair_product, grid),
         "SpectrumPrediction": construct.predicted_spectrum("pair", 1, 1),
         "CandidateAxis": axes[0],
+        "Gated": decompose._gate(decompose._repeated(frame, len(axes)), axes),
         "SpectralStructure": decompose.classify_spectrum(frame, axes),
         "DecompositionVerdict": verdict,
         "Theorem3Gate": decompose.theorem3_gate(pair_product, grid),
@@ -41,7 +42,7 @@ def records(pair_product):
 FIELD = {"Expr": None, "Variable": "name", "Constant": "value",
          "Apply": "op", "Provenance": "kind", "ImmersionDef": "name",
          "BlaschkeFrame": "h", "CheckReport": "max_residual",
-         "SpectrumPrediction": "lambda1", "CandidateAxis": "T",
+         "SpectrumPrediction": "lambda1", "CandidateAxis": "T", "Gated": "y",
          "SpectralStructure": "pattern", "DecompositionVerdict": "kind",
          "Theorem3Gate": "applies", "FactorData": "residuals"}
 
