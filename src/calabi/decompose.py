@@ -174,8 +174,8 @@ def _solve_axis(frames, y0, classes: int = 0) -> list[CandidateAxis | None]:
     |F| <= 1e-13, at a singular Jacobian (an |eigenvalue| <= 1e-13 times
     the largest, the conditioning bound of `blaschke._solve`), or when
     backtracking cannot reduce |F|, which past 1e-13 is the rounding floor
-    of its point; None if it stops with |F| above 1e-11, or if it runs
-    when the rows at |F| <= 1e-13 hold `classes` of `_classes`."""
+    of its point; None if it stops with |F| above 1e-11, or if it still
+    runs once the rows at |F| <= 1e-13 hold `classes` `_classes`."""
     k_ortho, y = frames.K_ortho, np.array(y0, dtype=float)
     f, jac, mu = _axis_system(k_ortho, y)
     norm = _norms(f)

@@ -693,9 +693,9 @@ def test_roundtrip_factors_each_metric_once(point_product, pair_product,
     symmetric bordered Jacobian of each Newton iteration with eigvalsh,
     where an SVD of the Jacobian read in the h-orthonormal frame ran
     (17 SVDs, 23 before the solve stopped before an SVD of no rows): 6
-    SVDs, all in the extraction's subspace ranks, and 12 eigvalsh (20
-    before the searches stopped at 2^n - 1 classes and the extraction
-    of the point product read the rows detect tracked)."""
+    SVDs, all in the extraction's subspace ranks, and 12 eigvalsh, 4 in
+    the frame batches and 8 in the two searches' Newton iterations (16
+    before the searches stopped at 2^n - 1 classes)."""
     counts = _linalg_calls(monkeypatch, "cholesky", "svd", "eigvalsh")
     blaschke.clear_frame_cache()
     g25, g27 = make_grid(-0.3, 0.3, 5, 2), make_grid(-0.3, 0.3, 3, 3)
@@ -1637,8 +1637,8 @@ def test_failed_rows_on_a_bent_product_keep_the_tracked_axes(
     past the middle of the grid, each of them is solved in a later round
     from the axis of its nearest accepted point, which moves with the
     bend, and the extraction reads as with every row solved from the base
-    axis. Nothing is searched, and the extraction reads the rows detect
-    tracked, in one `_track` call."""
+    axis. Nothing is searched: detect, run again under the failing solve,
+    makes the one `_track` call, and the extraction reads its rows."""
     bent = _bent(request.getfixturevalue(product))
     verdict = decompose.detect(bent, grid)
     tracked = decompose.extract_pair_factors(bent, verdict, grid)
