@@ -175,20 +175,26 @@ def _solve_axis(frames, y0, classes: int = 0) -> list[CandidateAxis | None]:
     the largest, the conditioning bound of `blaschke._solve`), or when
     backtracking cannot reduce |F|, which past 1e-13 is the rounding floor
     of its point; None if it stops with |F| above 1e-11, or if it still
-    runs once the rows at |F| <= 1e-13 hold `classes` `_classes`."""
+    runs once the rows at |F| <= 1e-13 whose Jacobian is regular (each
+    |eigenvalue| above 1e-6 times the largest) hold `classes` `_classes`.
+    Those rows are isolated solutions; a row on a curve of solutions, as
+    on a quadric factor, has a null eigenvalue and does not count."""
     k_ortho, y = frames.K_ortho, np.array(y0, dtype=float)
     f, jac, mu = _axis_system(k_ortho, y)
     norm = _norms(f)
     stopped = np.zeros(len(y), dtype=bool)
     for _ in range(80):
         rows, conv = np.flatnonzero(~stopped & (norm > 1e-13)), norm <= 1e-13
-        if 0 < classes <= np.count_nonzero(conv) and classes <= len(_classes(
-                mu[conv], y[conv])):
-            norm[rows] = np.inf
-            break
-        if rows.size:
-            ev = np.abs(np.linalg.eigvalsh(jac[rows]))
-            singular = ev.min(axis=1) <= 1e-13 * ev.max(axis=1)
+        held = np.flatnonzero(conv) if 0 < classes <= np.count_nonzero(
+            conv) and classes <= len(_classes(mu[conv], y[conv])) else rows[:0]
+        if rows.size or held.size:
+            ev = np.abs(np.linalg.eigvalsh(jac[np.append(rows, held)]))
+            lo, hi = ev.min(axis=1), ev.max(axis=1)
+            held = held[lo[rows.size:] > 1e-6 * hi[rows.size:]]
+            if held.size and classes <= len(_classes(mu[held], y[held])):
+                norm[rows] = np.inf
+                break
+            singular = lo[:rows.size] <= 1e-13 * hi[:rows.size]
             stopped[rows[singular]], rows = True, rows[~singular]
         if rows.size == 0:
             break
@@ -230,9 +236,14 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
     y and -y solve together (with mu and -mu), so solutions are
     deduplicated by fixing the sign of the first significant coordinate
     of y, and ordered by that rounded key (mu, then y, to 7 digits),
-    which rounding in the solve does not change. It stops at 2^n - 1 keys,
-    all the eigenvector classes an order-3 tensor on C^n can have (D.
-    Cartwright and B. Sturmfels, Linear Algebra Appl. 438, 2013). Newton
+    which rounding in the solve does not change. It stops once 2^n - 1
+    keys are isolated solutions (a regular Jacobian): then there is no
+    other. Over C the classes are the points but [0 : 1] where n quadrics
+    K(x, x) = t x meet in P^n, so at most 2^n - 1 are isolated, whatever
+    else they hold (refined Bezout theorem, W. Fulton, Intersection Theory,
+    12.3); a tensor with finitely many has 2^n - 1 with multiplicity (D.
+    Cartwright and B. Sturmfels, Linear Algebra Appl. 438, 2013). A quadric
+    factor gives curves of solutions, whose keys do not count. Newton
     handles mu = 0 axes, which pure ascent on the cubic misses. The
     pipeline searches only its base frames, each once, via `_axis_structures`.
     """

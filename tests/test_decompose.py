@@ -43,6 +43,19 @@ def double_point_product(hyperbola, hyperbola_b):
 
 
 @pytest.fixture(scope="module")
+def point_quadric_product(quadric):
+    """n = 3 with a quadric factor: K(X,X) = mu X has curves of solutions
+    on the lambda2 block, as on the quadric itself."""
+    return construct.calabi_point(quadric)
+
+
+@pytest.fixture(scope="module")
+def pair_quadric_product(hyperbola, quadric):
+    """n = 4, (n2, n3) = (1, 2), the quadric factor in the lambda3 block."""
+    return construct.calabi_pair(hyperbola, quadric)
+
+
+@pytest.fixture(scope="module")
 def double_point_verdict(double_point_product):
     grid = make_grid(-0.2, 0.2, 2, 5)
     return decompose.detect(double_point_product, grid), grid
@@ -693,9 +706,10 @@ def test_roundtrip_factors_each_metric_once(point_product, pair_product,
     symmetric bordered Jacobian of each Newton iteration with eigvalsh,
     where an SVD of the Jacobian read in the h-orthonormal frame ran
     (17 SVDs, 23 before the solve stopped before an SVD of no rows): 6
-    SVDs, all in the extraction's subspace ranks, and 12 eigvalsh, 4 in
-    the frame batches and 8 in the two searches' Newton iterations (16
-    before the searches stopped at 2^n - 1 classes)."""
+    SVDs, all in the extraction's subspace ranks, and 14 eigvalsh, 4 in
+    the frame batches and 10 in the two searches' Newton iterations (16
+    before the searches stopped at 2^n - 1 classes; the pass that stops
+    reads the Jacobians of the rows it counts)."""
     counts = _linalg_calls(monkeypatch, "cholesky", "svd", "eigvalsh")
     blaschke.clear_frame_cache()
     g25, g27 = make_grid(-0.3, 0.3, 5, 2), make_grid(-0.3, 0.3, 3, 3)
@@ -704,7 +718,7 @@ def test_roundtrip_factors_each_metric_once(point_product, pair_product,
     v_pair = decompose.detect(pair_product, g27)
     assert decompose.theorem3_gate(pair_product, g27).applies
     decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
-    assert counts == {"cholesky": 7, "svd": 6, "eigvalsh": 12}
+    assert counts == {"cholesky": 7, "svd": 6, "eigvalsh": 14}
 
 
 def _structures_built(monkeypatch) -> list:
@@ -1141,13 +1155,16 @@ def _class_keys(axes) -> list:
 @pytest.mark.parametrize("product, form", [
     (product, form) for form in ("plain", "bent") for product in (
         "point_product", "pair_product", "mixed_product",
-        "double_point_product")] + [("pair_product", "scaled")])
+        "double_point_product")] + [("pair_product", "scaled"),
+                                    ("point_quadric_product", "plain"),
+                                    ("pair_quadric_product", "plain")])
 def test_the_class_bound_stop_keeps_every_class(request, product, form,
                                                 monkeypatch):
     """find_axes finds the same class keys, in the same order, whether
     its solve stops at 2^n - 1 classes or runs every row to its end, on
-    the products, their bent forms and the pair scaled by 1.7, at four
-    points each; the candidates agree to 1e-12."""
+    the products, their bent forms, the pair scaled by 1.7 and the two
+    products with a quadric factor, at four points each; the candidates
+    agree to 1e-12."""
     defn = request.getfixturevalue(product)
     defn = {"plain": defn, "bent": _bent(defn),
             "scaled": decompose._scaled_def(defn, 1.7)}[form]
@@ -1163,6 +1180,35 @@ def test_the_class_bound_stop_keeps_every_class(request, product, form,
         for a, b in zip(axes, full):
             assert abs(a.lambda1 - b.lambda1) <= 1e-12
             assert np.allclose(a.T, b.T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("product, kind, shape", [
+    ("point_quadric_product", "PointProduct", (2, 0)),
+    ("pair_quadric_product", "PairProduct", (1, 2)),
+])
+def test_a_quadric_factor_does_not_stop_the_search(request, product, kind,
+                                                   shape, monkeypatch):
+    """On a product with a quadric factor of dimension 2 every X = a T + W,
+    W in that factor's block with |W|^2 fixed by a, solves K(X,X) = mu X:
+    the search holds more than 2^n - 1 keys, 25 and 24 at the base point.
+    Rows on such a curve have a singular Jacobian and do not count toward
+    the bound, so a row still on its way to T is not cut off: detect
+    reads the same structure and axis with the stop as without it."""
+    defn = request.getfixturevalue(product)
+    grid = make_grid(-0.2, 0.2, 2, defn.nvars)
+    frame = blaschke.full_frame(defn, tuple(grid[0]))
+    assert len(decompose.find_axes(frame)) > 2 ** frame.n - 1
+    blaschke.clear_frame_cache()
+    verdict = decompose.detect(defn, grid)
+    assert verdict.kind == kind, verdict.notes
+    assert (verdict.spectrum.n2, verdict.spectrum.n3) == shape
+    real = decompose._solve_axis
+    monkeypatch.setattr(decompose, "_solve_axis",
+                        lambda frames, y0, classes=0: real(frames, y0))
+    blaschke.clear_frame_cache()
+    full = decompose.detect(defn, grid)
+    assert full.kind == kind
+    assert np.array_equal(full.spectrum.axis.T, verdict.spectrum.axis.T)
 
 
 def _loop_seeds(n: int, count: int, seed: int) -> np.ndarray:
@@ -1668,10 +1714,10 @@ def test_continuation_detects_the_wide_bent_boxes(
     nearest accepted points, `second` rows keep the base structure in a
     second round, in detect and in extraction alike. Both read the closed
     forms, every residual is at most 1e-6, and only the base frame is
-    searched, once. On the mixed box detect works on the input itself,
-    so the extraction of it rereads the rows detect tracked; on the pair
-    boxes H is off -1 by 1.4e-12 at the base point, detect works on a
-    rescaled copy, and extracting the input tracks its own frames."""
+    searched, once. Where detect works on the input itself (H = -1 to
+    rounding at the base point), the extraction of it rereads the rows
+    detect tracked; where it works on a rescaled copy, extracting the
+    input tracks its own frames in two more rounds."""
     bent = _bent(request.getfixturevalue(product))
     grid = make_grid(-box, box, count, bent.nvars)
     closed = ((0.0, 1.0, -1.0, 2.0) if product == "pair_product" else (
@@ -1690,7 +1736,6 @@ def test_continuation_detects_the_wide_bent_boxes(
     assert max(data.residuals.values()) <= 1e-6
     assert len(searches) == 1
     reread = verdict.def_scaled is bent
-    assert reread == (product == "mixed_product")
     assert sizes == [len(grid) - 1, second] + (
         [] if reread else [len(grid), second])
 
