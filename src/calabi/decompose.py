@@ -185,16 +185,17 @@ def _solve_axis(frames, y0, classes: int = 0) -> list[CandidateAxis | None]:
     stopped = np.zeros(len(y), dtype=bool)
     for _ in range(80):
         rows, conv = np.flatnonzero(~stopped & (norm > 1e-13)), norm <= 1e-13
-        held = np.flatnonzero(conv) if 0 < classes <= np.count_nonzero(
-            conv) and classes <= len(_classes(mu[conv], y[conv])) else rows[:0]
-        if rows.size or held.size:
-            ev = np.abs(np.linalg.eigvalsh(jac[np.append(rows, held)]))
-            lo, hi = ev.min(axis=1), ev.max(axis=1)
-            held = held[lo[rows.size:] > 1e-6 * hi[rows.size:]]
-            if held.size and classes <= len(_classes(mu[held], y[held])):
+        if 0 < classes <= np.count_nonzero(conv) and classes <= len(_classes(
+                mu[conv], y[conv])):
+            held = np.flatnonzero(conv)
+            ev = np.abs(np.linalg.eigvalsh(jac[held]))
+            held = held[ev.min(axis=1) > 1e-6 * ev.max(axis=1)]
+            if classes <= len(_classes(mu[held], y[held])):
                 norm[rows] = np.inf
                 break
-            singular = lo[:rows.size] <= 1e-13 * hi[:rows.size]
+        if rows.size:
+            ev = np.abs(np.linalg.eigvalsh(jac[rows]))
+            singular = ev.min(axis=1) <= 1e-13 * ev.max(axis=1)
             stopped[rows[singular]], rows = True, rows[~singular]
         if rows.size == 0:
             break
@@ -239,9 +240,9 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
     which rounding in the solve does not change. It stops once 2^n - 1
     keys are isolated solutions (a regular Jacobian): then there is no
     other. Over C the classes are the points but [0 : 1] where n quadrics
-    K(x, x) = t x meet in P^n, so at most 2^n - 1 are isolated, whatever
-    else they hold (refined Bezout theorem, W. Fulton, Intersection Theory,
-    12.3); a tensor with finitely many has 2^n - 1 with multiplicity (D.
+    K(x, x) = t x meet in P^n, so at most 2^n - 1 are isolated, even where
+    others lie on curves (refined Bezout theorem, W. Fulton, Intersection
+    Theory, 12.3); a tensor with finitely many has 2^n - 1 with multiplicity (D.
     Cartwright and B. Sturmfels, Linear Algebra Appl. 438, 2013). A quadric
     factor gives curves of solutions, whose keys do not count. Newton
     handles mu = 0 axes, which pure ascent on the cubic misses. The
