@@ -174,11 +174,10 @@ def _solve_axis(frames, y0, classes: int = 0) -> list[CandidateAxis | None]:
     |F| <= 1e-13, at a singular Jacobian (an |eigenvalue| <= 1e-13 times
     the largest, the conditioning bound of `blaschke._solve`), or when
     backtracking cannot reduce |F|, which past 1e-13 is the rounding floor
-    of its point; None if it stops with |F| above 1e-11, or if it still
-    runs once the rows at |F| <= 1e-13 whose Jacobian is regular (each
-    |eigenvalue| above 1e-6 times the largest) hold `classes` `_classes`.
-    Those rows are isolated solutions; a row on a curve of solutions, as
-    on a quadric factor, has a null eigenvalue and does not count."""
+    of its point; None if it stops with |F| above 1e-11, or still runs
+    once rows at |F| <= 1e-13 with a regular Jacobian (each |eigenvalue|
+    above 1e-6 times the largest: isolated solutions, not points of a
+    curve as on a quadric factor) hold `classes` `_classes`."""
     k_ortho, y = frames.K_ortho, np.array(y0, dtype=float)
     f, jac, mu = _axis_system(k_ortho, y)
     norm = _norms(f)
@@ -187,10 +186,9 @@ def _solve_axis(frames, y0, classes: int = 0) -> list[CandidateAxis | None]:
         rows, conv = np.flatnonzero(~stopped & (norm > 1e-13)), norm <= 1e-13
         if 0 < classes <= np.count_nonzero(conv) and classes <= len(_classes(
                 mu[conv], y[conv])):
-            held = np.flatnonzero(conv)
-            ev = np.abs(np.linalg.eigvalsh(jac[held]))
-            held = held[ev.min(axis=1) > 1e-6 * ev.max(axis=1)]
-            if classes <= len(_classes(mu[held], y[held])):
+            ev = np.abs(np.linalg.eigvalsh(jac[conv]))
+            iso = ev.min(axis=1) > 1e-6 * ev.max(axis=1)
+            if classes <= len(_classes(mu[conv][iso], y[conv][iso])):
                 norm[rows] = np.inf
                 break
         if rows.size:
@@ -238,16 +236,15 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
     deduplicated by fixing the sign of the first significant coordinate
     of y, and ordered by that rounded key (mu, then y, to 7 digits),
     which rounding in the solve does not change. It stops once 2^n - 1
-    keys are isolated solutions (a regular Jacobian): then there is no
-    other. Over C the classes are the points but [0 : 1] where n quadrics
-    K(x, x) = t x meet in P^n, so at most 2^n - 1 are isolated, even where
-    others lie on curves (refined Bezout theorem, W. Fulton, Intersection
-    Theory, 12.3); a tensor with finitely many has 2^n - 1 with multiplicity (D.
-    Cartwright and B. Sturmfels, Linear Algebra Appl. 438, 2013). A quadric
-    factor gives curves of solutions, whose keys do not count. Newton
-    handles mu = 0 axes, which pure ascent on the cubic misses. The
-    pipeline searches only its base frames, each once, via `_axis_structures`.
-    """
+    keys are isolated solutions (a regular Jacobian): besides [0 : 1] the
+    n quadrics K(x, x) = t x of P^n meet in at most 2^n - 1 isolated
+    points, even where curves of solutions, which do not count, run
+    through a quadric factor (refined Bezout theorem, W. Fulton,
+    Intersection Theory, 12.3; with finitely many classes, 2^n - 1 with
+    multiplicity: D. Cartwright and B. Sturmfels, Linear Algebra Appl. 438,
+    2013). Newton handles mu = 0 axes, which pure ascent on the cubic
+    misses. The pipeline searches only its base frames, each once, via
+    `_axis_structures`."""
     seeds = np.concatenate([np.eye(frame.n), _random_seeds(
         frame.n, restarts - frame.n, seed)])
     axes = list(filter(None, _solve_axis(_repeated(frame, len(seeds)), seeds,
