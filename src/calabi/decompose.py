@@ -468,9 +468,9 @@ def _axis_structures(defn: ImmersionDef, u, restarts: int, seed: int):
 
     Memoized for the lifetime of the cached frame `full_frame(defn, u)`,
     keyed on (restarts, seed): the frame cache makes frames unique per
-    (definition, point), so detection, the theorem 3 gate and extraction
-    at one base point share one search, and
-    `blaschke.clear_frame_cache()` drops the memo."""
+    (definition, point), so detection and the theorem 3 gate at one base
+    point share one search, and `blaschke.clear_frame_cache()` drops the
+    memo. Extraction makes no search."""
     frame = blaschke.full_frame(defn, u)
     memo = _STRUCTURES.setdefault(frame, {})
     if (restarts, seed) not in memo:
@@ -486,13 +486,10 @@ def _axis_structures(defn: ImmersionDef, u, restarts: int, seed: int):
 
 class DecompositionVerdict(namedtuple(
         "DecompositionVerdict", "kind spectrum constancy_residual "
-        "orientation_ok evidence def_scaled scale notes restarts seed",
-        defaults=((), 32, 42))):
+        "orientation_ok evidence def_scaled scale notes", defaults=((),))):
     """`kind` is "PointProduct", "PairProduct" or None, with `notes` saying
     why; `evidence` holds the CheckReports of the gates; `def_scaled` is
-    the input at H = -1, `scale` times it. `restarts` and `seed` are the
-    axis search settings behind the verdict; extraction searches with the
-    same ones."""
+    the input at H = -1, `scale` times it."""
 
     __slots__ = ()
 
@@ -633,7 +630,7 @@ def detect(defn: ImmersionDef, grid, tol: float = 1e-6,
     return DecompositionVerdict(
         kind=kind, spectrum=best, constancy_residual=drift,
         orientation_ok=True, evidence=tuple(evidence), def_scaled=work,
-        scale=scale, notes=(), restarts=restarts, seed=seed,
+        scale=scale, notes=(),
     )
 
 
@@ -812,42 +809,25 @@ def _metric_ratio(f: SimpleNamespace, lam2: float, lam3: float):
     return float(np.mean(np.diag(m))), worst
 
 
-def _provenance_aligned_axis(defn: ImmersionDef, frames: BlaschkeFrame,
-                             spectrum: SpectralStructure, tol: float,
-                             restarts: int, seed: int):
-    """The axis of a structure of the verdict's shape whose lambda2 block
-    spans a single recorded component block, and whether that block is
-    the first one, as (T, lambda2_first).
-
-    On surfaces with several equivalent product structures the detected
-    axis may belong to a grouping other than the recorded one; factor
-    reconstruction needs the recorded grouping, which is identified by
-    where the lambda2 eigenvectors point in ambient coordinates. Raises
-    GeometryError when no candidate keeps to one block."""
-    m2, n2 = defn.provenance.n2 + 1, spectrum.n2
-    best, best_score, lam2_first = None, math.inf, True
-    gated = _axis_structures(defn, frames.u[0], restarts, seed)
-    shaped = [] if gated is None else np.flatnonzero(gated.failures(
-        tol, (n2, spectrum.n3))[0] == len(GATE_TESTS))
-    for p in shaped:
-        lam1, lam2, lam3 = gated.lams[p]
-        if not spectrum.n3:
-            lam3 = lam1 - lam2      # the formal lambda3 of a point structure
-        mat = np.vstack([-lam3 * frames.position[0]
-                         + gated.rows[p, 0] @ frames.tangent[0],
-                         gated.rows[p, 1:1 + n2] @ frames.tangent[0]])
-        mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        first = float(np.sum(np.abs(mat[:, :m2])))
-        second = float(np.sum(np.abs(mat[:, m2:])))
-        if min(first, second) < best_score:
-            best, best_score = gated.rows[p, 0], min(first, second)
-            lam2_first = first >= second
-    if best is None or best_score > 1e-6:
+def _recorded_axis(defn: ImmersionDef, frames: BlaschkeFrame,
+                   spectrum: SpectralStructure):
+    """The axis of the recorded product at the base point, +-d_t/|d_t|_h,
+    and whether its lambda2 block is the first recorded block, as
+    (T, lambda2_first). The constructors emit (c1 e^(lambda2 t) psi1,
+    c2 e^(lambda3 t) psi2), so +d_t has the recorded blocks and rates and
+    -d_t has them swapped; a verdict of neither shape raises GeometryError.
+    `_track` gates every grid row from this seed, so a wrong provenance is
+    still refused."""
+    prov, shape = defn.provenance, (spectrum.n2, spectrum.n3)
+    first = shape == (prov.n2, prov.n3)
+    if not first and shape != (prov.n3, prov.n2):
         raise GeometryError(
-            "no axis with the verdict spectrum keeps its lambda2 block in "
-            "one recorded component block; the axis does not match the "
-            "recorded grouping")
-    return best, lam2_first
+            f"the verdict's blocks {shape} are not the recorded blocks "
+            f"{(prov.n2, prov.n3)} in either order")
+    t = defn.vars.index(prov.axis)
+    axis = np.zeros(defn.nvars)
+    axis[t] = (1.0 if first else -1.0) / math.sqrt(frames.h[0, t, t])
+    return axis, first
 
 
 def _slice_factor_def(defn: ImmersionDef, indices, label: str):
@@ -933,8 +913,7 @@ def _extract(defn: ImmersionDef, verdict: DecompositionVerdict, grid,
     axis_idx, t_ref = None, spectrum.axis.T
     if prov is not None and prov.axis in defn.vars:
         axis_idx = defn.vars.index(prov.axis)
-        t_ref, lam2_first = _provenance_aligned_axis(
-            defn, frames, spectrum, tol, verdict.restarts, verdict.seed)
+        t_ref, lam2_first = _recorded_axis(defn, frames, spectrum)
     rows = _TRACKED.get(frames, {}).get((t_ref.tobytes(), n2, n3, tol))
     if rows is None:
         rows, _, failure = _track(frames, spectrum, tol, frames.u[0], t_ref)

@@ -951,19 +951,18 @@ def point_pair_product(hyperbola, hyperbola_b):
 ])
 def test_extraction_reads_the_rows_detect_tracked(request, product, extract,
                                                   monkeypatch):
-    """When the provenance-aligned axis is the verdict's own axis, on the
-    frames detect tracked, extraction reads the rows detect tracked and
-    makes no `_track` call, and reads what it reads when it tracks them
-    itself; at another tol, or for another axis, it tracks. On the pair
-    product of h2 and h2b the aligned axis is that of the other (1, 1)
-    structure; where two equivalent structures both keep to one block,
-    rounding in their scores picks one, so only the point product, with
-    one such structure, pins which case it is."""
+    """When the recorded axis is the verdict's own axis, on the frames
+    detect tracked, extraction reads the rows detect tracked and makes no
+    `_track` call, and reads what it reads when it tracks them itself; at
+    another tol, or for another axis, it tracks. The verdict's axis is
+    the recorded +d_t/|d_t|_h on the point product only: on the pair
+    product of h2 and h2b it is that of the other (1, 1) structure, and on
+    the point-first pair it leaves the t direction."""
     defn = request.getfixturevalue(product)
     grid = make_grid(-0.2, 0.2, 2, defn.nvars)
     axes = []
-    real = decompose._provenance_aligned_axis
-    monkeypatch.setattr(decompose, "_provenance_aligned_axis",
+    real = decompose._recorded_axis
+    monkeypatch.setattr(decompose, "_recorded_axis",
                         lambda *args: axes.append(real(*args)) or axes[-1])
     calls = _counted(monkeypatch, "_track")
     blaschke.clear_frame_cache()
@@ -971,7 +970,7 @@ def test_extraction_reads_the_rows_detect_tracked(request, product, extract,
     calls.clear()
     data = extract(verdict.def_scaled, verdict, grid)
     own = np.array_equal(axes[0][0], verdict.spectrum.axis.T)
-    assert own or product != "point_product"
+    assert own == (product == "point_product")
     assert len(calls) == (0 if own else 1)
     extract(verdict.def_scaled, verdict, grid, tol=1e-5)
     assert len(calls) == (1 if own else 2)
@@ -983,6 +982,34 @@ def test_extraction_reads_the_rows_detect_tracked(request, product, extract,
     for name in ("phi2_samples", "phi3_samples", "metric_ratio"):
         assert np.allclose(getattr(data, name), getattr(tracked, name),
                            rtol=0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("lo, count", [(-0.2, 2), (-0.3, 3)])
+def test_point_first_pair_reads_the_constructor_gauge(point_pair_product,
+                                                      lo, count):
+    """The verdict's (n2, n3) = (1, 2) is the recorded (2, 1) swapped, so
+    the lambda2 block is the second factor, read along -d_t: the gauge
+    d1 = d2 = 1 the constructors emit, with no failed residual."""
+    grid = make_grid(lo, -lo, count, 4)
+    verdict = decompose.detect(point_pair_product, grid)
+    data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
+    assert data.failed_residuals == ()
+    assert data.d1 == pytest.approx(1.0, abs=1e-8)
+    assert data.d2 == pytest.approx(1.0, abs=1e-8)
+
+
+def test_extraction_refuses_a_verdict_of_another_shape(hyperbola):
+    """A point product of a point product detects as the pair of the two
+    inner blocks, a shape that is not the recorded (2, 0) in either
+    order; extraction refuses it and names both."""
+    nested = construct.calabi_point(construct.calabi_point(hyperbola))
+    grid = make_grid(-0.2, 0.2, 2, 3)
+    verdict = decompose.detect(nested, grid)
+    assert verdict.kind == "PairProduct"
+    assert (verdict.spectrum.n2, verdict.spectrum.n3) == (1, 1)
+    with pytest.raises(blaschke.GeometryError,
+                       match=r"\(1, 1\).*\(2, 0\)"):
+        decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
 
 
 def test_extract_with_another_tol_reuses_the_base_search(pair_product,
@@ -1996,10 +2023,9 @@ def test_extract_solves_failed_rows_from_their_neighbours(pair_product,
                                               abs=1e-12)
 
 
-def test_extract_searches_with_the_verdict_settings(pair_product,
-                                                    monkeypatch):
-    """detect and extraction share one base search, made with the
-    restarts and seed the verdict was found with."""
+def test_extract_makes_no_axis_search(pair_product, monkeypatch):
+    """detect searches its base frame once; extraction reads the recorded
+    axis and searches nothing."""
     grid = make_grid(-0.3, 0.3, 3, 3)
     searches = []
     real = decompose.find_axes
@@ -2011,7 +2037,6 @@ def test_extract_searches_with_the_verdict_settings(pair_product,
     monkeypatch.setattr(decompose, "find_axes", counted)
     blaschke.clear_frame_cache()
     verdict = decompose.detect(pair_product, grid, restarts=16, seed=7)
-    assert (verdict.restarts, verdict.seed) == (16, 7)
     data = decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
     assert data.metric_ratio == pytest.approx(2.0, abs=1e-12)
     assert searches == [(16, 7)]
