@@ -215,8 +215,7 @@ def _component_jets(definition: ImmersionDef, points, order: int) -> np.ndarray:
     if definition.ncomponents != n + 1:
         raise ArityError(
             f"hypersurface needs {n + 1} components for {n} variables, "
-            f"got {definition.ncomponents}"
-        )
+            f"got {definition.ncomponents}")
     out = np.zeros((len(points), n + 1, math.comb(n + order, order)))
     for k, c in enumerate(eval_jets(definition, points, order)):
         out[:, k] = c.c if isinstance(c, Jet) else Jet.constant(c, n, order).c
@@ -246,7 +245,8 @@ def _metric_and_levi(comps: np.ndarray, n: int):
     if (norm2 <= 1e-20 * lengths2).any():
         raise DegenerateSurfaceError("tangent map is degenerate at this point")
 
-    G = mul(zhat[:, None, None], second, n).sum(axis=3)
+    G = matmul(second.reshape(P, n * n, n + 1, -1), zhat[:, :, None],
+               n).reshape(P, n, n, -1)
     scale = abs(G[..., 0]).max((1, 2))
     G = G / np.where(scale > 0.0, scale, 1.0)[:, None, None, None]
     eig = np.linalg.eigvalsh(G[..., 0])           # symmetric by construction

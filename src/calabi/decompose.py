@@ -181,10 +181,12 @@ def _solve_axis(frames, y0, classes: int = 0) -> list[CandidateAxis | None]:
     k_ortho, y = frames.K_ortho, np.array(y0, dtype=float)
     f, jac, mu = _axis_system(k_ortho, y)
     norm = _norms(f)
-    stopped = np.zeros(len(y), dtype=bool)
+    stopped, held = np.zeros(len(y), dtype=bool), 0
     for _ in range(80):
         rows, conv = np.flatnonzero(~stopped & (norm > 1e-13)), norm <= 1e-13
-        if 0 < classes <= np.count_nonzero(conv) and classes <= len(_classes(
+        # converged rows stay as they are: key them again only when more
+        grew, held = np.count_nonzero(conv) > held, np.count_nonzero(conv)
+        if grew and 0 < classes <= held and classes <= len(_classes(
                 mu[conv], y[conv])):
             ev = np.abs(np.linalg.eigvalsh(jac[conv]))
             iso = ev.min(axis=1) > 1e-6 * ev.max(axis=1)
@@ -327,8 +329,8 @@ class Gated(namedtuple("Gated", "y rows means lams n2 n3 tests")):
         return first, np.concatenate([self.tests, h, h], axis=1)[
             np.arange(len(h)), first]
 
-    def refusal(self, p: int, tol: float, shape=None, y_ref=None):
-        """The note of the first test of `failures` that row p fails."""
+    def refusal(self, p: int, tol: float, shape=None, y_ref=None, ref="T_ref"):
+        """The note of the first test row p fails; ref names y_ref's axis."""
         failed, resid = self.failures(tol, shape, y_ref)
         test, r = GATE_TESTS[failed[p]], resid[p]
         n2, n3 = self.n2[p], self.n3[p]
@@ -338,7 +340,7 @@ class Gated(namedtuple("Gated", "y rows means lams n2 n3 tests")):
             return "axis spectrum is {} ({}, {}), not {}".format(
                 _pattern(n2, n3), n2, n3, want)
         if test == "orientation":
-            return f"h(T, T_ref) = {r:.3g} < 0"
+            return f"h(T, {ref}) = {r:.3g} < 0"
         name = {"axis": "axis residual", "cross": "cross residual K(V, W)"}
         return (f"{name.get(test, 'eigenvalue relation ' + test)} {r:.3g} "
                 f"exceeds tolerance {tol:.3g}")
@@ -549,7 +551,7 @@ def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
     Continuation Methods, 2003). A row passes with the shape of `ref` and
     y.y_s >= 0; a round that passes none refuses at its first pending one."""
     t_ref = ref.axis.T if t_ref is None else t_ref
-    shape, t_s = (ref.n2, ref.n3), t_ref
+    shape, t_s, seed = (ref.n2, ref.n3), t_ref, [0]   # near[seed]: seed points
     rows = np.empty((len(frames),) + t_ref.shape * 2)
     lams, ok = np.empty((len(frames), 3)), np.zeros(len(frames), bool)
     while not ok.all():
@@ -565,14 +567,16 @@ def _track(frames: BlaschkeFrame, ref: SpectralStructure, tol: float,
             passed = g.failures(tol, shape, y_s[solved])[0] == len(GATE_TESTS)
         if not passed.any():
             point = blaschke.format_point(frames.u[pending[0]])
+            name = f"T at {blaschke.format_point(near[seed[0]])}" if seed[0] else "T_ref"
             note = ("the tracked axis solve fails" if 0 not in solved
-                    else g.refusal(0, tol, shape, y_s[solved]))
+                    else g.refusal(0, tol, shape, y_s[solved], name))
             return None, None, f"{note} at grid point {point}"
         at = pending[solved][passed]
         ok[at], rows[at], lams[at] = True, g.rows[passed], g.lams[passed]
         near = np.vstack([u_ref, frames.u[ok]])
         dist = np.sum((frames.u[~ok, None] - near) ** 2, axis=-1)
-        t_s = np.vstack([t_ref, rows[ok, 0]])[np.argmin(dist, axis=1)]
+        seed = np.argmin(dist, axis=1)
+        t_s = np.vstack([t_ref, rows[ok, 0]])[seed]
     return rows, lams, None
 
 
@@ -835,9 +839,7 @@ def _slice_factor_def(defn: ImmersionDef, indices, label: str):
     zero = const(0.0)
     comps = tuple(substitute(defn.components[i], {prov.axis: zero})
                   for i in indices)
-    used = set()
-    for comp in comps:
-        used |= _free_vars(comp)
+    used = set().union(*map(_free_vars, comps))
     kept = tuple(v for v in defn.vars if v in used)
     if not kept:
         return None

@@ -1,10 +1,11 @@
 """Truncated multivariate Taylor (jet) arithmetic over batches of points.
 
 A jet stores the Taylor coefficients c_alpha = (d^alpha f / alpha!) of a
-scalar function at a point, for all multi-indices |alpha| <= order. Orders
-up to 4 and up to 8 variables are supported, which is what the Blaschke
-pipeline needs (metric and connection live at order <= 2 below the input,
-shape operator and curvature at order <= 4).
+scalar function at a point, for all multi-indices |alpha| <= order, in
+graded lexicographic order: the coefficients of every lower order form a
+prefix, so truncation is a slice and an array's order follows from its
+size. Orders up to 4 and up to 8 variables are supported, which is what
+the Blaschke pipeline needs (shape operator and curvature at order 4).
 
 Coefficient arrays carry leading batch axes, shape (..., size): one array
 holds a function, or a matrix of functions, at many points, and every
@@ -23,14 +24,19 @@ univariate Taylor series of the function at each point's constant term,
 an array (..., order+1), with the zero-constant part of the jet (Horner
 form, which is exact for truncated series).
 
-Multi-indices are enumerated in graded lexicographic order, so the
-coefficients of every lower order form a prefix of the last axis:
-truncation is a slice, and the order of an array follows from its size.
+A `Jet` is a function of its `vars`, increasing variable indices, in the
+space of that many variables (A. Griewank and A. Walther, Evaluating
+Derivatives, SIAM 2008, ch. 7 and 13): `eval_jets` seeds x_i over (i,),
+so exp(s) composes in one variable, and places each component among all
+variables at the end. Operands over other variables meet in the space of
+their union; a product over disjoint ones, c e^(a t) psi(s), is one term
+per coefficient. Each coefficient sums the full space's terms in order.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
@@ -59,29 +65,18 @@ class _JetSpace:
         self.indices = _multi_indices(nvars, order)
         self.size = len(self.indices)
         self.pos = {alpha: k for k, alpha in enumerate(self.indices)}
-        self.factorials = np.array([math.prod(map(math.factorial, alpha))
-                                    for alpha in self.indices], dtype=float)
-        ia, ib, iout = [], [], []
-        for p, ap in enumerate(self.indices):
-            dp = sum(ap)
-            for q, aq in enumerate(self.indices):
-                if dp + sum(aq) > order:
-                    continue
-                ia.append(p)
-                ib.append(q)
-                iout.append(self.pos[tuple(x + y for x, y in zip(ap, aq))])
-        by_out = np.argsort(iout, kind="stable")
-        self.mul_a = np.array(ia)[by_out]
-        self.mul_b = np.array(ib)[by_out]
-        self.mul_starts = np.searchsorted(np.array(iout)[by_out],
-                                          np.arange(self.size))
+        # the Cauchy product's terms (output, a, b), sorted by output
+        out, self.mul_a, self.mul_b = np.array(sorted(
+            (self.pos[tuple(map(sum, zip(ap, aq)))], p, q)
+            for p, ap in enumerate(self.indices) for q, aq in enumerate(self.indices)
+            if sum(ap) + sum(aq) <= order)).T.copy()
+        self.mul_starts = np.searchsorted(out, np.arange(self.size))
         # d/dx_i maps the parent space onto the order-1 lower prefix:
         # grad_src[i] are the source coefficients, grad_fac[i] the factors
         lower = [a for a in self.indices if sum(a) <= order - 1]
         self.grad_src = np.array([[self.pos[a[:i] + (a[i] + 1,) + a[i + 1:]]
                                    for a in lower] for i in range(nvars)], dtype=int)
-        self.grad_fac = np.array([[a[i] + 1 for a in lower] for i in range(nvars)],
-                                 dtype=float)
+        self.grad_fac = np.array([[a[i] + 1.0 for a in lower] for i in range(nvars)])
 
 
 def _space(nvars: int, order: int) -> _JetSpace:
@@ -100,6 +95,21 @@ def space_of(nvars: int, size: int) -> _JetSpace:
                      if math.comb(nvars + r, r) == size)
         sp = _SPACES[(nvars, size)] = _JetSpace(nvars, order)
     return sp
+
+
+@lru_cache(maxsize=None)
+def _union(va: tuple, vb: tuple, order: int):
+    """The union of the variables va and vb, its space at `order` and, for
+    each of va and vb, where its coefficients sit there and, for every
+    coefficient there, the index of its restriction to those variables."""
+    vars = tuple(sorted({*va, *vb}))
+    sp, tables = _space(len(vars), order), []
+    for sub in (va, vb):
+        slots, pos = [vars.index(v) for v in sub], _space(len(sub), order).pos
+        tables += [np.flatnonzero([sum(a) == sum(a[k] for k in slots)
+                                   for a in sp.indices]),
+                   np.array([pos[tuple(a[k] for k in slots)] for a in sp.indices])]
+    return (vars, sp, *tables)
 
 
 # --- coefficient-array operations (batched) --------------------------------
@@ -143,18 +153,21 @@ class JetDomainError(ArithmeticError):
     by a jet whose value vanishes)."""
 
 
-def _check_domain(a0: np.ndarray, bad: np.ndarray, what: str) -> None:
-    """Raise for the first point of the batch outside the domain."""
-    if bad.any():
-        raise JetDomainError(f"{what} {float(a0[bad][0])!r}")
+def _positive(a: "Jet", what: str) -> np.ndarray:
+    """The values of a; raise for the first point where one is not > 0."""
+    a0 = a.c[..., :1]
+    if (a0 <= 0.0).any():
+        raise JetDomainError(f"{what} {float(a0[a0 <= 0.0][0])!r}")
+    return a0
 
 
 class Jet:
-    __slots__ = ("space", "c")
+    __slots__ = ("space", "c", "vars")
 
-    def __init__(self, space: _JetSpace, coeffs: np.ndarray):
+    def __init__(self, space: _JetSpace, coeffs: np.ndarray, vars=None):
         self.space = space
         self.c = coeffs
+        self.vars = tuple(range(space.nvars)) if vars is None else vars
 
     # construction ---------------------------------------------------
 
@@ -191,13 +204,13 @@ class Jet:
 
     def partial(self, alpha: tuple[int, ...]) -> float:
         """Partial derivative d^alpha f (coefficient times alpha!)."""
-        k = self.space.pos[tuple(alpha)]
-        return float(self.c[..., k] * self.space.factorials[k])
+        return float(self.c[..., self.space.pos[tuple(alpha)]]
+                     * math.prod(map(math.factorial, alpha)))
 
     def deriv(self, i: int) -> "Jet":
         """Jet of d f / d x_i, one order lower."""
         d = grad(self.c, self.nvars)[..., i, :]
-        return Jet(space_of(self.nvars, d.shape[-1]), d)
+        return Jet(space_of(self.nvars, d.shape[-1]), d, self.vars)
 
     def __repr__(self) -> str:
         return (f"Jet(nvars={self.nvars}, order={self.order}, "
@@ -205,27 +218,36 @@ class Jet:
 
     # ring operations ------------------------------------------------
 
+    def _placed(self, vars: tuple, order: int):
+        """The space of `vars` (self's and more) at `order`, self placed in it."""
+        _, sp, where, *_ = _union(self.vars, vars, order)
+        if where.size == sp.size:
+            return sp, self.c[..., : sp.size]
+        out = np.zeros(self.c.shape[:-1] + (sp.size,))
+        out[..., where] = self.c[..., : where.size]
+        return sp, out
+
     def _pair(self, other: "Jet"):
-        """Space and coefficients of self and other at the common order."""
-        if other.space.nvars != self.space.nvars:
-            raise ValueError("jet variable counts differ")
-        sp = self.space if self.space.size <= other.space.size else other.space
-        return sp, self.c[..., : sp.size], other.c[..., : sp.size]
+        """Both jets' variables, their space at the lower order, both placed."""
+        vars = tuple(sorted({*self.vars, *other.vars}))
+        order = min(self.order, other.order)
+        (sp, a), (_, b) = self._placed(vars, order), other._placed(vars, order)
+        return vars, sp, a, b
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            sp, a, b = self._pair(other)
-            return Jet(sp, a + b)
+            vars, sp, a, b = self._pair(other)
+            return Jet(sp, a + b, vars)
         if isinstance(other, _SCALARS):
             c = self.c.copy()
             c[..., 0] += other
-            return Jet(self.space, c)
+            return Jet(self.space, c, self.vars)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, -self.c)
+        return Jet(self.space, -self.c, self.vars)
 
     def __sub__(self, other):
         if isinstance(other, (Jet,) + _SCALARS):
@@ -237,10 +259,14 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            sp, a, b = self._pair(other)
-            return Jet(sp, mul(a, b, sp.nvars))
+            if set(self.vars).isdisjoint(other.vars):   # one term each
+                vars, sp, _, ia, _, ib = _union(self.vars, other.vars,
+                                                min(self.order, other.order))
+                return Jet(sp, self.c.take(ia, -1) * other.c.take(ib, -1), vars)
+            vars, sp, a, b = self._pair(other)
+            return Jet(sp, mul(a, b, sp.nvars), vars)
         if isinstance(other, _SCALARS):
-            return Jet(self.space, self.c * other)
+            return Jet(self.space, self.c * other, self.vars)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -281,7 +307,7 @@ def _compose(a: Jet, series: np.ndarray) -> Jet:
         out[..., 0] += series[..., k]
         out = np.add.reduceat(out.take(sp.mul_a, -1) * ub, sp.mul_starts, -1)
     out[..., 0] += series[..., 0]
-    return Jet(sp, out)
+    return Jet(a.space, out, a.vars)
 
 
 def _reciprocal(b: Jet) -> Jet:
@@ -295,8 +321,7 @@ def _reciprocal(b: Jet) -> Jet:
 def _int_pow(a: Jet, p: int) -> Jet:
     if p < 0:
         return _reciprocal(_int_pow(a, -p))
-    result = Jet.constant(1.0, a.nvars, a.order)
-    base = a
+    result, base = Jet(a.space, Jet.constant(1.0, a.nvars, a.order).c, a.vars), a
     while p:
         if p & 1:
             result = result * base
@@ -306,8 +331,7 @@ def _int_pow(a: Jet, p: int) -> Jet:
 
 
 def _real_pow(a: Jet, p: float) -> Jet:
-    a0 = a.c[..., :1]
-    _check_domain(a0, a0 <= 0.0, "fractional power of nonpositive base")
+    a0 = _positive(a, "fractional power of nonpositive base")
     coef = np.array(list(accumulate([(p - k) / (k + 1) for k in range(a.order)],
                                     lambda c, f: c * f, initial=1.0)))
     return _compose(a, coef * a0 ** (p - np.arange(a.order + 1)))
@@ -324,8 +348,7 @@ def jet_exp(a: Jet) -> Jet:
 
 
 def jet_log(a: Jet) -> Jet:
-    a0 = a.c[..., :1]
-    _check_domain(a0, a0 <= 0.0, "log of nonpositive value")
+    a0 = _positive(a, "log of nonpositive value")
     k = np.arange(a.order + 1)
     series = (-1.0) ** (k + 1) / (np.maximum(k, 1) * a0 ** k)
     series[..., 0] = np.log(a0[..., 0])
@@ -347,21 +370,19 @@ _ELEMENTARY = {"exp": jet_exp, "log": jet_log, "sqrt": jet_sqrt, **{
 
 def jet_elementary(a: Jet, fn: str) -> Jet:
     """Apply a named elementary function to a jet."""
-    try:
-        impl = _ELEMENTARY[fn]
-    except KeyError:
-        raise ValueError(f"unknown elementary function {fn!r}") from None
-    return impl(a)
+    if fn not in _ELEMENTARY:
+        raise ValueError(f"unknown elementary function {fn!r}")
+    return _ELEMENTARY[fn](a)
 
 
 def eval_jets(definition, point, order: int) -> list:
     """Evaluate every component of an immersion as a jet at `point`.
 
     Returns one Jet per component, each carrying all partial
-    derivatives of that component up to `order`. `point` may also be an
-    array of points, shape (P, nvars): every jet then carries the batch
-    axis, coefficients of shape (P, size). A component without variables
-    evaluates to a plain float.
+    derivatives of that component up to `order`, over all the variables.
+    `point` may also be an array of points, shape (P, nvars): every jet
+    then carries the batch axis, coefficients of shape (P, size). A
+    component without variables evaluates to a plain float.
     """
     from . import dsl
 
@@ -370,9 +391,11 @@ def eval_jets(definition, point, order: int) -> list:
     if pts.shape[-1:] != (len(names),):
         raise ValueError(
             f"point has {pts.shape[-1] if pts.ndim else 0} coordinates, "
-            f"immersion has {len(names)} variables"
-        )
-    nvars = len(names)
-    env = {name: Jet.variable(pts[..., i], i, nvars, order)
-           for i, name in enumerate(names)}
-    return [dsl.eval_expr(comp, env) for comp in definition.components]
+            f"immersion has {len(names)} variables")
+    sp, seeds = _space(1, order), np.zeros(pts.shape + (order + 1,))  # x_i over (i,)
+    seeds[..., 0], seeds[..., 1:2] = pts, 1.0
+    env = {name: Jet(sp, seeds[..., i, :], (i,)) for i, name in enumerate(names)}
+    every = tuple(range(len(names)))     # where each component ends up
+    comps = [dsl.eval_expr(c, env) for c in definition.components]
+    return [Jet(*c._placed(every, c.order)) if isinstance(c, Jet) and c.vars != every
+            else c for c in comps]

@@ -13,7 +13,7 @@ import pytest
 from calabi import blaschke, construct, decompose, dsl, numerics
 from calabi.dsl import parse_immersion
 from calabi.jets import JetDomainError
-from conftest import make_grid
+from conftest import _bent, _linear_reparam, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -1209,6 +1209,30 @@ def test_the_class_bound_stop_keeps_every_class(request, product, form,
             assert np.allclose(a.T, b.T, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("product, keyed", [
+    ("mixed_product", [23, 28, 30, 30]),
+    ("pair_quadric_product", [20, 7, 22, 8, 28]),
+])
+def test_the_class_bound_keys_the_converged_rows_only_when_they_grow(
+        request, product, keyed, monkeypatch):
+    """Converged rows do not change, so the stop keys them with `_classes`
+    only in a Newton pass where more of them converged, then keys the
+    isolated ones when the keys reach the bound, and find_axes keys its
+    candidates once. Both products (n = 4) stay below the bound of 15
+    isolated classes at the base point. The mixed product converges more
+    rows in each pass it keys, as before. On the pair product with a
+    quadric factor the rows on its curves of solutions run all 80
+    passes, and the search keyed the same 22 rows and their 8 isolated
+    ones in 74 of them, 151 calls in all."""
+    defn = request.getfixturevalue(product)
+    frame = blaschke.full_frame(defn, (-0.2,) * 4)
+    sizes, real = [], decompose._classes
+    monkeypatch.setattr(decompose, "_classes",
+                        lambda mu, y: sizes.append(len(y)) or real(mu, y))
+    decompose.find_axes(frame)
+    assert sizes == keyed
+
+
 @pytest.mark.parametrize("product, kind, shape", [
     ("point_quadric_product", "PointProduct", (2, 0)),
     ("pair_quadric_product", "PairProduct", (1, 2)),
@@ -1352,20 +1376,6 @@ def test_a_solve_stopped_at_its_rounding_floor_is_kept(pair_product):
     f, _jac, _mu = decompose._axis_system(
         rows.K_ortho, np.stack([axis.y for axis in solved]))
     assert np.max(decompose._norms(f)) > 1e-13
-
-
-def _linear_reparam(defn: dsl.ImmersionDef, a: np.ndarray):
-    """The definition in coordinates u -> A u."""
-    sub = {}
-    for row, name in zip(a, defn.vars):
-        term = None
-        for coef, other in zip(row, defn.vars):
-            piece = dsl.mul(dsl.const(float(coef)), dsl.var(other))
-            term = piece if term is None else dsl.add(term, piece)
-        sub[name] = term
-    return dsl.ImmersionDef(
-        name=f"{defn.name}_mapped", vars=defn.vars,
-        components=tuple(dsl.substitute(c, sub) for c in defn.components))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -1639,23 +1649,6 @@ def test_metric_ratio_is_exact(request, product, verdict, ratio):
     assert data.residuals["metric_ratio"] <= 1e-12
 
 
-def _bent(defn: dsl.ImmersionDef) -> dsl.ImmersionDef:
-    """A nonlinear reparametrization u_i -> u_i + 0.3 u_j^2 + 0.2 u_j u_k
-    (j = i + 1, k = i + 2 cyclically); it mixes the factor coordinates
-    with each other and with the axis, and drops the provenance."""
-    names = defn.vars
-    sub = {}
-    for i, name in enumerate(names):
-        uj = dsl.var(names[(i + 1) % len(names)])
-        uk = dsl.var(names[(i + 2) % len(names)])
-        sub[name] = dsl.add(dsl.var(name), dsl.add(
-            dsl.mul(dsl.const(0.3), dsl.mul(uj, uj)),
-            dsl.mul(dsl.const(0.2), dsl.mul(uj, uk))))
-    return dsl.ImmersionDef(
-        name=f"{defn.name}_bent", vars=names,
-        components=tuple(dsl.substitute(c, sub) for c in defn.components))
-
-
 @pytest.mark.parametrize("product, grid", [
     ("pair_product", make_grid(-0.3, 0.3, 3, 3)),
     ("mixed_product", make_grid(-0.2, 0.2, 3, 4)),
@@ -1785,6 +1778,24 @@ def test_the_bent_point_product_on_the_wide_box_is_refused_unsearched(
         f"{blaschke.format_point(grid[1])}",)
     assert len(searches) == 1
     assert sizes == [8, 3, 2, 1]
+
+
+def test_a_later_round_names_the_point_whose_axis_seeds_it(point_product,
+                                                          monkeypatch):
+    """From its second round on the tracker seeds a row with the axis of
+    the nearest accepted point, and an orientation refusal names that
+    point's axis, not T_ref. The bent point product over [-0.8, 0.8]^2
+    from the base point (-0.8, 0.8), with the solve at (0.8, 0.0) failing
+    in the first two rounds: the second round holds that point and
+    (0.8, -0.8), seeded from (0.0, -0.8), and passes neither."""
+    grid = make_grid(-0.8, 0.8, 3, 2)
+    grid = np.vstack([grid[2], np.delete(grid, 2, axis=0)])
+    sizes = _tracker_rounds(monkeypatch, [(0.8, 0.0)], rounds=2)
+    verdict = decompose.detect(_bent(point_product), grid)
+    assert verdict.kind is None
+    assert sizes == [8, 2]
+    assert verdict.notes == ("h(T, T at (0.0, -0.8)) = -0.0483 < 0 at grid "
+                             "point (0.8, -0.8)",)
 
 
 @pytest.mark.parametrize("bend", [False, True])

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calabi import dsl
+from calabi import blaschke, construct, dsl, jets
 from calabi.jets import (_ELEMENTARY, Jet, JetDomainError, _real_pow, _space,
                          eval_jets, jet_exp, jet_log, jet_sqrt, matmul, mul)
+from conftest import _bent, _linear_reparam, make_grid
 
 
 def test_product_rule_second_order():
@@ -155,6 +156,107 @@ def test_batched_domain_error_names_the_first_bad_point():
         "immersion lg { vars: u; components: (u, log(u)); }")
     with pytest.raises(JetDomainError, match="-0.5"):
         eval_jets(defn, np.array([[0.2], [-0.5], [-0.7]]), order=2)
+
+
+def test_a_domain_error_over_some_variables_names_the_first_bad_point():
+    """log(v) is taken in the space of v alone, before u joins it."""
+    defn = dsl.parse_immersion(
+        "immersion lg2 { vars: u, v; components: (u, v, u * log(v)); }")
+    with pytest.raises(JetDomainError, match=r"log of nonpositive value -0\.5$"):
+        eval_jets(defn, np.array([[0.1, 0.2], [0.3, -0.5], [-0.4, -0.7]]), 2)
+
+
+# ---------------------------------------------------------------------------
+# jets over their own variables: the same coefficients as the full space
+
+
+_EVERY_OPERATION = (
+    "immersion every { vars: u, v, w; components: ("
+    "exp(u) * sin(v) * (u + w) - cosh(u) / (2 + v^2), "
+    "sqrt(1 + u*u) + log(2 + w) * cos(u*v) - sinh(-w), "
+    "(1.5 + v)^-2 + (2 - w)^1.5 * u^3 - v / (3 + u*w), "
+    "cos(0.3) * 2 - exp(1)); }")
+
+
+def _products(request):
+    hyperbola = request.getfixturevalue("hyperbola")
+    hyperbola_b = request.getfixturevalue("hyperbola_b")
+    double_point = construct.calabi_pair(construct.calabi_point(hyperbola),
+                                         construct.calabi_point(hyperbola_b))
+    return {"point": request.getfixturevalue("point_product"),
+            "pair": request.getfixturevalue("pair_product"),
+            "mixed": request.getfixturevalue("mixed_product"),
+            "double_point": double_point}
+
+
+@pytest.mark.parametrize("name", [
+    f"{product}{form}" for form in ("", "_bent")
+    for product in ("point", "pair", "mixed", "double_point")]
+    + ["pair_linear", "every_operation"])
+def test_component_jets_equal_the_full_space_evaluation(request, name):
+    """Each component, evaluated subexpression by subexpression over the
+    variables it holds, has bit for bit the coefficients of the same
+    expression evaluated over all n variables: products, their bent
+    forms (products and sums over overlapping variables), a product
+    under a linear map, and a definition with every operator and
+    function and a component without variables."""
+    if name == "every_operation":
+        defn = dsl.parse_immersion(_EVERY_OPERATION)
+    elif name == "pair_linear":
+        a = np.array([[1.0, 0.3, -0.2], [0.1, 0.9, 0.4], [-0.3, 0.2, 1.1]])
+        defn = _linear_reparam(request.getfixturevalue("pair_product"), a)
+    else:
+        defn = _products(request)[name.removesuffix("_bent")]
+        defn = _bent(defn) if name.endswith("_bent") else defn
+    n = defn.nvars
+    points = np.random.default_rng(n).uniform(-0.3, 0.3, (7, n))
+    env = {v: Jet.variable(points[:, i], i, n, 4)
+           for i, v in enumerate(defn.vars)}
+    want = np.stack([np.broadcast_to(
+        (c if isinstance(c, Jet) else Jet.constant(c, n, 4)).c,
+        (len(points), math.comb(n + 4, 4)))
+        for c in (dsl.eval_expr(comp, env) for comp in defn.components)], 1)
+    assert np.array_equal(blaschke._component_jets(defn, points, 4), want)
+
+
+def test_the_pair_product_composes_in_one_variable_and_multiplies_in_two(
+        pair_product, monkeypatch):
+    """c1 e^(a t) psi1(s) holds no subexpression of all three variables:
+    every exp composes in the space of t, of s or of r alone, and every
+    product of jets is taken in a space of at most two variables."""
+    composed, products = [], []
+    real_compose, real_mul = jets._compose, Jet.__mul__
+
+    def compose(a, series):
+        composed.append(a.vars)
+        return real_compose(a, series)
+
+    def product(self, other):
+        out = real_mul(self, other)
+        if isinstance(other, Jet):
+            products.append(out.vars)
+        return out
+
+    monkeypatch.setattr(jets, "_compose", compose)
+    monkeypatch.setattr(Jet, "__mul__", product)
+    comps = eval_jets(pair_product, make_grid(-0.3, 0.3, 3, 3), 4)
+    assert all(c.vars == (0, 1, 2) for c in comps)
+    assert sorted(set(composed)) == [(0,), (1,), (2,)]
+    assert sorted(set(products)) == [(0, 1), (0, 2)]
+
+
+def test_jets_of_different_variable_counts_meet_in_their_union():
+    """A jet made with nvars variables is a function of x_0 ... x_{nvars-1}:
+    one of 2 variables and one of 3 combine in the space of 3, where the
+    first is constant in x_2, bit for bit as if both were made there."""
+    u = Jet.variable(2.0, 1, 2, 3)
+    w = Jet.variable(3.0, 2, 3, 3)
+    got = u * w + u
+    u3 = Jet.variable(2.0, 1, 3, 3)
+    want = u3 * w + u3
+    assert got.vars == (0, 1, 2) and got.nvars == 3
+    assert np.array_equal(got.c, want.c)
+    assert got.partial((0, 1, 1)) == 1.0 and got.value == 8.0
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
