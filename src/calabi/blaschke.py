@@ -17,10 +17,9 @@ write on paper, and each differentiation lowers the jet order by one.
 The orders work out so that S, the curvature tensor and hat nabla K are
 still exact at the point; no finite differences are involved.
 
-A batch holds the points of one or more definitions of one n: only the
-component jets depend on the definition, and every later stage runs once
-over all the rows, with jet matrices as (points, rows, cols, size) and
-their products taken by `jets.matmul`. A jet matrix A = A0 + N, A0 its
+A batch holds the points of one definition: every stage runs once over
+all the rows, with jet matrices as (points, rows, cols, size) and their
+products taken by `jets.matmul`. A jet matrix A = A0 + N, A0 its
 constant term, is inverted as A^-1 = sum_{k <= order} (-A0^-1 N)^k A0^-1,
 exact at the jet order since N has no constant term, so LAPACK only
 inverts the A0. The cross product and det G use a division-free Laplace
@@ -31,10 +30,8 @@ Frames are cached per (definition, point) in an LRU of 4096 entries,
 `homothetic_frames` mapped from the frames of phi to those of c phi;
 `cache_info().misses` counts one miss per frame computed. `frames_on_grid`
 computes only its misses, in one batch, and returns the grid as one batch
-with a leading grid-point axis (the computed batch, or a slice of it,
-when the grid is a run of its rows); `cache_frames` computes the grids
-of several definitions in one batch, as extraction does for the factors
-of a pair. `full_frame` is the one-point case.
+(the computed batch itself when it is the whole grid) with a leading
+grid-point axis; `full_frame` is the one-point case.
 
 Index conventions for the stored arrays: tensors with one contravariant
 slot keep it last, so gamma[i, j, k] is Gamma^k_ij, K[i, j, k] is
@@ -47,7 +44,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from contextlib import suppress
 from functools import lru_cache
 from itertools import combinations, groupby
 
@@ -290,14 +286,10 @@ def _orthonormal(h: np.ndarray, C: np.ndarray) -> dict:
     return dict(basis=basis, K_ortho=(b_t @ c_b).reshape(C.shape))
 
 
-def _frame_batch(parts) -> BlaschkeFrame:
-    """Complete Blaschke frames (order-4 jets) at the points of each
-    (definition, points) part, definitions of one n, as one batch with the
-    rows of the parts in order; only the component jets are per part."""
-    n = parts[0][0].nvars
-    points = np.concatenate([pts for _, pts in parts])
-    P = len(points)
-    comps = np.concatenate([_component_jets(d, pts, 4) for d, pts in parts])
+def _frame_batch(definition: ImmersionDef, points) -> BlaschkeFrame:
+    """Complete Blaschke frames (order-4 jets) at an array of points."""
+    n, P = definition.nvars, len(points)
+    comps = _component_jets(definition, points, 4)
     tang, second, h, h_inv, dh, gamma_hat, xi = _metric_and_levi(comps, n)
 
     # induced connection: decompose second derivatives against (d phi, xi)
@@ -392,59 +384,38 @@ def _points(grid) -> list[tuple]:
 
 
 def _gather(entries) -> BlaschkeFrame:
-    """The rows entry[1] of the batches entry[0] as one batch: that batch
-    or a slice of it when the rows are consecutive rows of one batch,
-    else one gather per run of rows from one batch."""
+    """The rows entry[1] of the batches entry[0] as one batch: that batch if
+    they are all its rows in order, else one gather per run of one batch's rows."""
     runs = [(batch, [e[1] for e in run])
             for batch, run in groupby(entries, lambda e: e[0])]
     batch, rows = runs[0]
-    if len(runs) == 1 and rows == list(range(rows[0], rows[0] + len(rows))):
-        return batch if len(rows) == len(batch) else batch[rows[0]:rows[-1] + 1]
+    if len(runs) == 1 and rows == list(range(len(batch))):
+        return batch
     return BlaschkeFrame(*[np.concatenate([
         getattr(batch, name)[rows] for batch, rows in runs])
         for name in BlaschkeFrame.FIELDS])
 
 
-def _computed(parts, one_by_one: bool = True) -> BlaschkeFrame:
-    """Compute the frames at the points of each (definition, point tuples)
-    part in one batch, cache each row under its definition and return the
-    batch. A failed batch goes one point at a time, so the error raised
-    is that of the first failing point, unless not `one_by_one`."""
-    keys = [(d, u) for d, points in parts for u in points]
+def _computed(definition: ImmersionDef, points) -> BlaschkeFrame:
+    """The frames at the point tuples as one batch, each row cached; a failed
+    batch goes one point at a time, to raise at the first failing point."""
     try:
-        batch = _frame_batch([(d, np.array(points, dtype=float))
-                              for d, points in parts])
+        batch = _frame_batch(definition, np.array(points, dtype=float))
     except (GeometryError, JetDomainError):
-        if len(keys) == 1 or not one_by_one:
+        if len(points) == 1:
             raise
-        return _gather([(_computed([(d, [u])]), 0) for d, u in keys])
-    _full_frame_cached.misses += len(keys)
-    for row, key in enumerate(keys):
-        _full_frame_cached.put(key, batch, row)
+        return _gather([(_computed(definition, [u]), 0) for u in points])
+    _full_frame_cached.misses += len(points)
+    for row, u in enumerate(points):
+        _full_frame_cached.put((definition, u), batch, row)
     return batch
-
-
-def cache_frames(items) -> None:
-    """Compute the frames missing from the cache at the points of each
-    (definition, grid) of `items`, one batch per n, each row cached under
-    its own definition. A failed batch caches nothing: each definition
-    then computes its frames, and raises its error, on its own."""
-    groups = {}
-    for definition, grid in items:
-        missing = [u for u in dict.fromkeys(_points(grid))
-                   if (definition, u) not in _full_frame_cached.frames]
-        if missing:
-            groups.setdefault(definition.nvars, []).append((definition, missing))
-    for parts in groups.values():
-        with suppress(GeometryError, JetDomainError):
-            _computed(parts, one_by_one=False)
 
 
 def full_frame(definition: ImmersionDef, u) -> BlaschkeFrame:
     """Complete Blaschke frame at a point (order-4 jets), cached."""
     key = (definition, _points([u])[0])
     if _full_frame_cached.get(key) is None:
-        _computed([(definition, [key[1]])])
+        _computed(definition, [key[1]])
     entry = _full_frame_cached.frames[key]
     if entry[2] is None:
         entry[2] = entry[0][entry[1]]     # made once: one object per key
@@ -465,7 +436,7 @@ def frames_on_grid(definition: ImmersionDef, grid) -> BlaschkeFrame:
     found = [_full_frame_cached.get((definition, u)) for u in points]
     missing = list(dict.fromkeys(u for u, e in zip(points, found) if e is None))
     if missing:
-        batch = _computed([(definition, missing)])
+        batch = _computed(definition, missing)
         rows = {u: (batch, row) for row, u in enumerate(missing)}
         found = [e or rows[u] for u, e in zip(points, found)]
     return _gather(found)

@@ -142,6 +142,22 @@ def parallel_cubic_residual(definition_or_frames, grid=None,
                                     fr.u, tol)
 
 
+def centroaffine_solve(u, position, tangent, columns):
+    """det B and B^-1 columns at each point u, B = (d_1 psi, ..., d_n psi,
+    psi) from the rows of `tangent` and `position`: row n of B^-1 d_i d_j
+    psi is the g_ij of d_i d_j psi = Gamma^k_ij d_k psi + g_ij psi."""
+    basis = np.concatenate([tangent, position[:, None]], 1).swapaxes(1, 2)
+    det_basis = np.linalg.det(basis)
+    # Hadamard's bound: |det B| <= the product of its column lengths
+    bound = np.prod(np.linalg.norm(basis, axis=1), axis=1)
+    flat = np.flatnonzero(np.abs(det_basis) < 1e-12 * bound)
+    if flat.size:
+        where = blaschke.format_point(u[flat[0]])
+        raise DegenerateSurfaceError(
+            f"position is tangent to the surface at {where}")
+    return det_basis, np.linalg.solve(basis, columns)
+
+
 def unimodular_criterion(definition_or_frames, grid=None,
                          tol: float = 1e-8) -> CheckReport:
     """Determinant test for a hyperbolic affine sphere with xi = phi.
@@ -149,7 +165,8 @@ def unimodular_criterion(definition_or_frames, grid=None,
     With the position as transversal, write d_i d_j psi =
     Gamma^k_ij d_k psi + g_ij psi. The surface is such a sphere exactly
     when det(d_1 psi, ..., d_n psi, psi)^2 = det(g). One batched solve
-    against the basis B = (d_1 psi, ..., d_n psi, psi) gives every g.
+    against the basis B = (d_1 psi, ..., d_n psi, psi) gives every g
+    (`centroaffine_solve`).
     """
     fr = _frames(definition_or_frames, grid)
     n = fr.n
@@ -158,16 +175,7 @@ def unimodular_criterion(definition_or_frames, grid=None,
         where = blaschke.format_point(fr.u[offset[1]])
         raise GaugeError("unimodular_criterion requires the orientation "
                          f"xi = phi (offset {offset[0]:.3g} at {where})")
-    basis = np.concatenate([fr.tangent, fr.position[:, None]], 1).swapaxes(1, 2)
-    det_basis = np.linalg.det(basis)
-    # Hadamard's bound: |det B| <= the product of its column lengths
-    bound = np.prod(np.linalg.norm(basis, axis=1), axis=1)
-    flat = np.flatnonzero(np.abs(det_basis) < 1e-12 * bound)
-    if flat.size:
-        where = blaschke.format_point(fr.u[flat[0]])
-        raise DegenerateSurfaceError(
-            f"position is tangent to the surface at {where}")
-    second = fr.second.reshape(-1, n * n, n + 1).swapaxes(1, 2)
-    g = np.linalg.solve(basis, second)[:, n].reshape(-1, n, n)
-    res = np.abs(det_basis ** 2 - np.linalg.det(g))
+    det_basis, solved = centroaffine_solve(
+        fr.u, fr.position, fr.tangent, fr.second.reshape(-1, n * n, n + 1).swapaxes(1, 2))
+    res = np.abs(det_basis ** 2 - np.linalg.det(solved[:, n].reshape(-1, n, n)))
     return CheckReport.from_samples("unimodular", res, fr.u, tol)

@@ -45,11 +45,10 @@ import numpy as np
 
 from . import blaschke, checks, numerics
 from .blaschke import BlaschkeFrame, GeometryError
-from .checks import CheckReport
 from .construct import base_coefficients
 from .dsl import (ImmersionDef, const, eval_components, mul, substitute,
                   _free_vars)
-from .jets import JetDomainError
+from .jets import JetDomainError, grad, grad0
 
 QUADRIC_K_TOL = 1e-7
 QUADRIC_NOTE = "K ≈ 0: quadric, no canonical axis"
@@ -230,9 +229,10 @@ def _random_seeds(n: int, count: int, seed: int) -> np.ndarray:
 
 def find_axes(frame: BlaschkeFrame, restarts: int = 32,
               seed: int = 42) -> list[CandidateAxis]:
-    """All h-unit solutions of K(X,X) = mu X found from seeded restarts,
-    solved in y = B^-1 X together in one batched Newton call: the basis
-    vectors e_i, then the seed's normalized standard normal draws.
+    """All h-unit solutions of K(X,X) = mu X from seeded restarts, the basis
+    vectors e_i, then the seed's normalized standard normal draws, solved in
+    y = B^-1 X together in one batched Newton call on K_ortho / max|K_ortho|,
+    which phi -> c phi does not change (mu scaled back; not on a quadric).
 
     y and -y solve together (with mu and -mu), so solutions are
     deduplicated by fixing the sign of the first significant coordinate
@@ -249,11 +249,15 @@ def find_axes(frame: BlaschkeFrame, restarts: int = 32,
     `_axis_structures`."""
     seeds = np.concatenate([np.eye(frame.n), _random_seeds(
         frame.n, restarts - frame.n, seed)])
-    axes = list(filter(None, _solve_axis(_repeated(frame, len(seeds)), seeds,
-                                         2 ** frame.n - 1)))
-    return [axes[r].flipped() if s < 0.0 else axes[r] for _, (r, s) in sorted(
+    rows = _repeated(frame, len(seeds))
+    k = 1.0 if is_quadric(frame) else float(np.max(np.abs(frame.K_ortho)))
+    rows.K_ortho = rows.K_ortho / k
+    axes = list(filter(None, _solve_axis(rows, seeds, 2 ** frame.n - 1)))
+    axes = [axes[r].flipped() if s < 0.0 else axes[r] for _, (r, s) in sorted(
         _classes(np.array([a.lambda1 for a in axes]),
                  np.reshape([a.y for a in axes], (-1, frame.n))).items())]
+    return [a._replace(lambda1=k * a.lambda1, axis_residual=k * a.axis_residual)
+            for a in axes]
 
 
 def is_quadric(frames: BlaschkeFrame) -> bool:
@@ -834,64 +838,80 @@ def _recorded_axis(defn: ImmersionDef, frames: BlaschkeFrame,
     return axis, first
 
 
-def _slice_factor_def(defn: ImmersionDef, indices, label: str):
-    prov = defn.provenance
-    zero = const(0.0)
-    comps = tuple(substitute(defn.components[i], {prov.axis: zero})
+def _slice_factor(defn: ImmersionDef, indices, label: str, grid):
+    """The factor of the components `indices` at axis parameter zero and
+    the sorted distinct rows of its columns of the grid, to 12 digits, or
+    None for a block without variables."""
+    comps = tuple(substitute(defn.components[i], {defn.provenance.axis: const(0.0)})
                   for i in indices)
     used = set().union(*map(_free_vars, comps))
-    kept = tuple(v for v in defn.vars if v in used)
-    if not kept:
+    cols = [k for k, v in enumerate(defn.vars) if v in used]
+    if not cols:
         return None
-    return ImmersionDef(name=f"{defn.name}_{label}", vars=kept,
-                        components=comps, provenance=None)
+    rows = np.round(grid[:, cols], 12).tolist()
+    return (ImmersionDef(name=f"{defn.name}_{label}", components=comps,
+                         vars=tuple(defn.vars[k] for k in cols), provenance=None),
+            np.array(sorted(set(map(tuple, rows)))))
 
 
-def _factor_grid(defn: ImmersionDef, factor: ImmersionDef, grid):
-    """The sorted distinct rows of the factor's columns, to 12 digits."""
-    cols = [defn.vars.index(v) for v in factor.vars]
-    rows = np.round(np.atleast_2d(grid)[:, cols], 12).tolist()
-    return np.array(sorted(set(map(tuple, rows))))
+def _factor_sphere(factor: ImmersionDef, points):
+    """(scale, mean curvature residual, sphere residual) of a factor f from
+    its order-3 jets. With f_ij = Gamma^k_ij f_k + g_ij f and rho = det g /
+    det(f_1, ..., f_n, f)^2, f is an affine sphere centered at 0 exactly when
+    T = d ln rho vanishes, and then H = -rho^(1/(n+2)) (A.-M. Li, U. Simon
+    and G. Zhao, Global Affine Differential Geometry of Hypersurfaces, 1993).
+    scale = rho0^(1/(2(n+1))) brings f to H = -1; the residuals are the
+    largest |(rho/rho0)^(1/(n+2)) - 1| and |T|_g. g must be positive definite."""
+    n, npts = factor.nvars, len(points)
+    comps = blaschke._component_jets(factor, points, 3)
+    second = grad(grad(comps, n), n)
+    cols = [d.reshape(npts, n + 1, -1) for d in (second[..., 0], grad0(second, n))]
+    det_b, sol = checks.centroaffine_solve(
+        points, comps[..., 0], grad0(comps, n).swapaxes(1, 2), np.concatenate(cols, 2))
+    gamma, g = sol[:, :n, :n * n], sol[:, n, :n * n].reshape(npts, n, n)
+    minors = np.stack([np.linalg.det(g[:, :k, :k]) for k in range(1, n + 1)], 1)
+    bad = np.flatnonzero((minors <= 0.0).any(axis=1))
+    if bad.size:
+        raise NotHyperbolicError(
+            f"{factor.name!r} is not hyperbolic at {blaschke.format_point(points[bad[0]])}:"
+            " its centroaffine metric g is not positive definite")
+    # d_k g_ij = (B^-1 f_ijk)_n - Gamma^m_ij g_mk, T_k = tr(g^-1 d_k g) - 2 Gamma^m_mk
+    d_g = sol[:, n, n * n:].reshape(npts, n * n, n) - gamma.swapaxes(1, 2) @ g
+    g_inv = np.linalg.inv(g)
+    tcheb = ((g_inv.reshape(npts, 1, n * n) @ d_g)[:, 0] - 2.0 * np.trace(
+        gamma.reshape(npts, n, n, n), axis1=1, axis2=2))
+    rho = minors[:, -1] / det_b ** 2
+    sphere = float(np.max(tcheb[:, None] @ g_inv @ tcheb[..., None]))
+    return (float(rho[0] ** (1.0 / (2.0 * (n + 1)))),
+            _amax((rho / rho[0]) ** (1.0 / (n + 2)) - 1.0), math.sqrt(max(sphere, 0.0)))
 
 
-def _calibrate_from_provenance(defn: ImmersionDef, grid,
-                               lam2_first: bool, kind: str,
-                               n2: int, n3: int, residuals: dict):
-    """Reconstruct the factor defs and measure the translation gauge.
-
-    Provenance fixes the component block sizes, and `lam2_first` says
-    whether the first block holds the lambda2 eigenspace. The sliced
-    lambda2 block equals c1 * psi1 at axis parameter zero; normalizing
-    it back to H = -1 measures c1, and d1 is c1 over the base constant
-    the constructors emit. d2 then follows from the gauge constraint
-    d1^(n2+1) d2^(n3+1) = 1.
-    """
+def _calibrate_from_provenance(defn: ImmersionDef, grid, lam2_first: bool,
+                               kind: str, n2: int, n3: int, residuals: dict):
+    """The factor defs at H = -1 and the gauge (d1, d2). The sliced lambda2
+    block (the first if `lam2_first`) is c1 psi1 at axis parameter 0, psi1
+    at H = -1: `_factor_sphere` reads c1 and checks the factor from its jets.
+    d1 is c1 over the constructors' constant, and d1^(n2+1) d2^(n3+1) = 1."""
     c_base = base_coefficients(kind, n2, n3)
     m2 = defn.provenance.n2 + 1
     first, second = list(range(m2)), list(range(m2, defn.ncomponents))
     blocks = (first, second) if lam2_first else (second, first)
-    factors = [_slice_factor_def(defn, idx, f"factor{k + 1}")
-               for k, idx in enumerate(blocks)]
-    grids = {f: _factor_grid(defn, f, grid) for f in factors if f is not None}
-    blaschke.cache_frames(grids.items())   # factors of one n: one batch
     defs, gauges = [], []
-    for k, (idx, factor) in enumerate(zip(blocks, factors)):
+    for k, idx in enumerate(blocks):
         label = f"factor{k + 1}"
-        if factor is None:
+        sliced = _slice_factor(defn, idx, label, grid)
+        if sliced is None:
             # zero-dimensional block: a constant vector, gauge read directly
             vals = eval_components(defn, np.zeros(defn.nvars))
             gauges.append(float(np.linalg.norm([vals[i] for i in idx]))
                           / c_base[k])
             continue
-        # H + 1 and the sphere test over the factor grid, on mapped frames
-        norm = normalize_homothety(factor, grids[factor])
-        frames = blaschke.frames_on_grid(norm.def_scaled, grids[factor])
-        residuals[f"{label}_mean_curvature"] = float(
-            np.max(np.abs(frames.H + 1.0)))
-        residuals[f"{label}_sphere"] = checks.sphere_residual(
-            frames).max_residual
-        defs.append(norm.def_scaled)
-        gauges.append(1.0 / (norm.scale * c_base[k]))
+        factor, points = sliced
+        scale, residuals[f"{label}_mean_curvature"], \
+            residuals[f"{label}_sphere"] = _factor_sphere(factor, points)
+        scale = 1.0 if abs(scale - 1.0) < 1e-12 else scale
+        defs.append(factor if scale == 1.0 else _scaled_def(factor, scale))
+        gauges.append(1.0 / (scale * c_base[k]))
     d1 = gauges[0]
     d2 = d1 ** (-(n2 + 1.0) / (n3 + 1.0))
     residuals["gauge_consistency"] = abs(d2 - gauges[1])

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from calabi import blaschke, construct, decompose, dsl, numerics
+from calabi import blaschke, checks, construct, decompose, dsl, numerics
 from calabi.dsl import parse_immersion
 from calabi.jets import JetDomainError
 from conftest import _bent, _linear_reparam, make_grid
@@ -94,7 +95,7 @@ def test_homothety_law_matches_recomputed_frames(request, product, c):
     if product == "pair_product":
         defn = _bent(defn)
     grid = make_grid(-0.3, 0.3, 3, defn.nvars)
-    frames = blaschke._frame_batch([(defn, grid)])
+    frames = blaschke._frame_batch(defn, grid)
     scaled = decompose._scaled_def(defn, c)
     blaschke.clear_frame_cache()
     mapped = blaschke.homothetic_frames(scaled, frames, c)
@@ -105,7 +106,7 @@ def test_homothety_law_matches_recomputed_frames(request, product, c):
         assert np.array_equal(batch.basis,
                               numerics.metric_orthonormal_basis(batch.h))
     assert _frames_computed() == 0
-    fresh = blaschke._frame_batch([(scaled, grid)])
+    fresh = blaschke._frame_batch(scaled, grid)
     a = 2.0 * (defn.nvars + 1) / (defn.nvars + 2)
     exponents = {"h": a, "C": a, "dh": a, "recon_residual": a, "h_inv": -a,
                  "S": -a, "H": -a, "position": 1.0, "tangent": 1.0,
@@ -449,14 +450,13 @@ def _frames_computed() -> int:
 
 
 def _batches(monkeypatch) -> list:
-    """The sizes of the frame batches computed from now on; a batch of
-    several definitions counts once, with all its rows."""
+    """The sizes of the frame batches computed from now on."""
     sizes = []
     real = blaschke._frame_batch
 
-    def wrapper(parts):
-        sizes.append(sum(len(points) for _, points in parts))
-        return real(parts)
+    def wrapper(definition, points):
+        sizes.append(len(points))
+        return real(definition, points)
 
     monkeypatch.setattr(blaschke, "_frame_batch", wrapper)
     return sizes
@@ -576,11 +576,9 @@ def test_roundtrip_searches_each_base_frame_once(point_product,
                                                  pair_product, monkeypatch):
     """detect, the theorem 3 gate and extraction share the search of
     their base frame: two searches for the two products of a round
-    trip. The 63 frames of the trip come in 4 batches: one per product
-    grid, one for the factor grid of the point product, and one for both
-    factor grids of the pair product, whose factors have the same n.
-    Each factor is rescaled by the homothety law without computing its
-    frames again."""
+    trip. The 52 frames of the trip come in 2 batches, one per product
+    grid: each factor is checked from its order-3 jets, with no frame
+    (63 frames in 4 batches when the factor grids had frame batches)."""
     searches = _counted(monkeypatch, "find_axes")
     batches = _batches(monkeypatch)
     blaschke.clear_frame_cache()
@@ -590,7 +588,7 @@ def test_roundtrip_searches_each_base_frame_once(point_product,
     v_pair = decompose.detect(pair_product, g27)
     assert decompose.theorem3_gate(pair_product, g27).applies
     decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
-    assert (len(batches), sum(batches), _frames_computed()) == (4, 63, 63)
+    assert (len(batches), sum(batches), _frames_computed()) == (2, 52, 52)
     assert len(searches) == 2
     assert {id(args[0]) for args in searches} == {
         id(blaschke.full_frame(point_product, g25[0])),
@@ -604,65 +602,11 @@ def _factor_parts(defn, grid) -> list:
     m2 = defn.provenance.n2 + 1
     parts = []
     for k, idx in enumerate((range(m2), range(m2, defn.ncomponents))):
-        factor = decompose._slice_factor_def(defn, list(idx), f"factor{k + 1}")
-        if factor is not None:
-            parts.append((factor, decompose._factor_grid(defn, factor, grid)))
+        sliced = decompose._slice_factor(defn, list(idx), f"factor{k + 1}",
+                                         grid)
+        if sliced is not None:
+            parts.append(sliced)
     return parts
-
-
-@pytest.mark.parametrize("product, dims", [("pair_product", 3),
-                                           ("double_point_product", 5)])
-def test_merged_factor_batch_matches_separate_batches(request, product, dims):
-    """Both factors of a pair, of one n, share one batch after their
-    component jets. Every field of its rows equals, bit for bit, that of
-    the factor's own batch, and `cache_frames` caches each row under its
-    own definition for `frames_on_grid` to read."""
-    defn = request.getfixturevalue(product)
-    parts = _factor_parts(defn, make_grid(-0.3, 0.3, 3, dims) + 0.01)
-    merged = blaschke._frame_batch(parts)
-    start = 0
-    for part in parts:
-        alone = blaschke._frame_batch([part])
-        rows = merged[start:start + len(alone)]
-        start += len(alone)
-        for name in blaschke.BlaschkeFrame.FIELDS:
-            got, want = getattr(rows, name), getattr(alone, name)
-            assert got.shape == want.shape, name
-            assert got.tobytes() == want.tobytes(), name
-    assert start == len(merged)
-    blaschke.clear_frame_cache()
-    blaschke.cache_frames(parts)
-    assert _frames_computed() == len(merged)
-    for factor, grid in parts:
-        frames = blaschke.frames_on_grid(factor, grid)
-        assert np.array_equal(frames.u, grid)
-    assert _frames_computed() == len(merged)
-
-
-def test_a_failed_factor_batch_raises_from_its_own_factor(pair_verdict,
-                                                          monkeypatch):
-    """When the batch of both factors fails, nothing of it is cached:
-    each factor computes its own batch, in order, and the failing one
-    raises its error from the first failing point, as when every factor
-    had a batch of its own."""
-    verdict, grid = pair_verdict
-    real = blaschke._frame_batch
-    batches = []
-
-    def frame_batch(parts):
-        batches.append([(d.name[-7:], len(points)) for d, points in parts])
-        for d, points in parts:
-            if d.name.endswith("factor2") and np.any(points[:, 0] > 0.0):
-                raise JetDomainError(f"{d.name} fails")
-        return real(parts)
-
-    monkeypatch.setattr(blaschke, "_frame_batch", frame_batch)
-    blaschke.clear_frame_cache()
-    with pytest.raises(JetDomainError, match="factor2 fails"):
-        decompose.extract_pair_factors(verdict.def_scaled, verdict, grid)
-    assert batches[1:] == [[("factor1", 3), ("factor2", 3)], [("factor1", 3)],
-                           [("factor2", 3)], [("factor2", 1)],
-                           [("factor2", 1)], [("factor2", 1)]]
 
 
 def test_factor_grid_is_that_of_np_unique(point_product, pair_product):
@@ -699,17 +643,18 @@ def _linalg_calls(monkeypatch, *names) -> dict:
 def test_roundtrip_factors_each_metric_once(point_product, pair_product,
                                             monkeypatch):
     """A round trip shaped like the benchmark op factors h once per frame
-    batch and once per homothety map: 7 Cholesky factorizations for its
-    4 batches and 3 mapped factor batches, where the checks, the search,
-    the tracker and every eigensolve factored h again (23), and each
-    factor grid had a batch of its own (8). The axis solve tests the
-    symmetric bordered Jacobian of each Newton iteration with eigvalsh,
-    where an SVD of the Jacobian read in the h-orthonormal frame ran
-    (17 SVDs, 23 before the solve stopped before an SVD of no rows): 6
-    SVDs, all in the extraction's subspace ranks, and 14 eigvalsh, 4 in
-    the frame batches and 10 in the two searches' Newton iterations (16
-    before the searches stopped at 2^n - 1 classes; the pass that stops
-    reads the Jacobians of the rows it counts)."""
+    batch: 2 Cholesky factorizations for its 2 batches, where the checks,
+    the search, the tracker and every eigensolve factored h again (23),
+    and the factor frame batches and their homothety maps added 5 (7).
+    The factors are checked from their order-3 jets with neither. The
+    axis solve tests the symmetric bordered Jacobian of each Newton
+    iteration with eigvalsh, where an SVD of the Jacobian read in the
+    h-orthonormal frame ran (17 SVDs, 23 before the solve stopped before
+    an SVD of no rows): 6 SVDs, all in the extraction's subspace ranks,
+    and 12 eigvalsh, 2 in the frame batches and 10 in the two searches'
+    Newton iterations (14 with the 2 factor batches; 16 more before the
+    searches stopped at 2^n - 1 classes; the pass that stops reads the
+    Jacobians of the rows it counts)."""
     counts = _linalg_calls(monkeypatch, "cholesky", "svd", "eigvalsh")
     blaschke.clear_frame_cache()
     g25, g27 = make_grid(-0.3, 0.3, 5, 2), make_grid(-0.3, 0.3, 3, 3)
@@ -718,7 +663,7 @@ def test_roundtrip_factors_each_metric_once(point_product, pair_product,
     v_pair = decompose.detect(pair_product, g27)
     assert decompose.theorem3_gate(pair_product, g27).applies
     decompose.extract_pair_factors(v_pair.def_scaled, v_pair, g27)
-    assert counts == {"cholesky": 7, "svd": 6, "eigvalsh": 14}
+    assert counts == {"cholesky": 2, "svd": 6, "eigvalsh": 12}
 
 
 def _structures_built(monkeypatch) -> list:
@@ -1325,6 +1270,24 @@ def test_find_axes_finds_the_same_classes_under_a_rescale(pair_product):
     assert np.allclose(lams, lams[3], rtol=0, atol=1e-9)
 
 
+def test_find_axes_finds_the_same_classes_under_a_homothety(pair_product):
+    """phi -> c phi scales K_ortho by c^(-a/2), a = 2(n+1)/(n+2), against
+    the absolute Newton thresholds in y: the search found 4 and 1 classes
+    at c = 1e-6 and 1e-8 (max|K_ortho| 6.3e4 and 2.5e6). It solves on
+    K_ortho / max|K_ortho| and keys there, so it finds the 7 classes at
+    every c, with lambda1 scaled back."""
+    point = (0.1, 0.2, -0.15)
+    ref = decompose.find_axes(blaschke.full_frame(pair_product, point))
+    a = 2.0 * 4 / 5
+    for c in (1e-8, 1e-6, 1e-2, 1e4):
+        scaled = decompose._scaled_def(pair_product, c)
+        axes = decompose.find_axes(blaschke.full_frame(scaled, point))
+        assert len(axes) == 7, c
+        assert np.allclose([axis.lambda1 * c ** (a / 2) for axis in axes],
+                           [axis.lambda1 for axis in ref], rtol=0,
+                           atol=1e-9), c
+
+
 _DETECT_CHILD = """
 import json, sys
 import numpy as np
@@ -1874,19 +1837,18 @@ def test_double_point_product_detect_and_extract(double_point_product,
     ("pair_product", "pair_verdict"),
     ("double_point_product", "double_point_verdict"),
 ])
-def test_extract_computes_only_factor_frames(request, product, verdict):
-    """With the grid frames cached, extraction computes the frames of
-    each factor and nothing else, one per point of the factor grid: the
-    rescaled factor's frames are mapped from them."""
+def test_extract_computes_no_frame_after_detect(request, product, verdict):
+    """With the grid frames cached by detect, extraction computes no
+    frame: it reads the cached grid, and each factor is checked from its
+    order-3 jets (it computed one frame per point of each factor grid)."""
     defn = request.getfixturevalue(product)
     verdict, grid = request.getfixturevalue(verdict)
     blaschke.clear_frame_cache()
     decompose.detect(defn, grid)
     warm = _frames_computed()
     data = decompose.extract_pair_factors(defn, verdict, grid)
-    factor_frames = sum(len(decompose._factor_grid(defn, fac, grid))
-                        for fac in data.factor_defs)
-    assert _frames_computed() - warm == factor_frames
+    assert len(data.factor_defs) == 2
+    assert _frames_computed() == warm
 
 
 def test_array_forms_match_the_per_vector_loops(mixed_product, mixed_verdict):
@@ -2083,6 +2045,92 @@ def test_gauge_freedom_measured_and_harmless(hyperbola, hyperbola_b,
                 "phi3_axis", "phi3_cokernel", "phi3_immersion"):
         assert data.residuals[key] == pytest.approx(
             base.residuals[key], abs=1e-9)
+
+
+@pytest.mark.parametrize("src, c, dims", [
+    ("immersion h2 { vars: s; components: "
+     "(0.7071067811865476*exp(s), 0.7071067811865476*exp(-s)); }", 2.5, 1),
+    ("immersion h2 { vars: s; components: "
+     "(0.7071067811865476*exp(s), 0.7071067811865476*exp(-s)); }", 0.3, 1),
+    ("immersion orthant { vars: u, v; components: "
+     "(exp(u), exp(v), exp(-u-v)); }", 1.0, 2),
+])
+def test_factor_sphere_passes_centered_hyperbolic_spheres(src, c, dims):
+    """c h2 and the orthant surface xyz = 1 are hyperbolic affine spheres
+    centered at 0: both residuals are rounding, and the scale is that of
+    the frame's H at the first point, H0 = -scale^(2(n+1)/(n+2))."""
+    defn = decompose._scaled_def(parse_immersion(src), c)
+    grid = make_grid(-0.4, 0.3, 4, dims)
+    scale, mean_curvature, sphere = decompose._factor_sphere(defn, grid)
+    n = defn.nvars
+    h0 = -scale ** (2.0 * (n + 1) / (n + 2))
+    assert h0 == pytest.approx(blaschke.full_frame(defn, grid[0]).H,
+                               rel=0, abs=1e-12)
+    assert mean_curvature <= 1e-12
+    assert sphere <= 1e-12
+
+
+@pytest.mark.parametrize("components", ["(exp(s), exp(-2*s))",
+                                        "(exp(s) + 0.3, exp(-s))"])
+def test_factor_sphere_fails_a_curve_that_is_not_a_centered_sphere(
+        components):
+    """y = x^-2 is no affine sphere, |T|_g = sqrt(2) at every point. The
+    hyperbola centered at (0.3, 0) is an affine sphere, which the frame
+    check S = H id with H constant passes, but not one centered at 0,
+    which a factor of a product must be (xi = phi)."""
+    defn = parse_immersion(f"immersion c {{ vars: s; components: {components}; }}")
+    grid = make_grid(-0.3, 0.3, 5, 1)
+    _scale, _mean_curvature, sphere = decompose._factor_sphere(defn, grid)
+    assert sphere > 1e-6
+    if "0.3" in components:
+        assert checks.sphere_residual(defn, grid).passed
+    else:
+        assert sphere == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def _with_factor(hyperbola, factor):
+    """A pair product (with the provenance of one) of the hyperbola and
+    a factor taken as it is, at the coefficients of the d1 = d2 = 1 gauge."""
+    c1, c2 = construct.base_coefficients("pair", 1, 1)
+    return dsl.build_scaled_embedding(
+        [hyperbola, factor], weights=[(c1, 1.0), (c2, -1.0)], axis_var="t",
+        name="made", provenance=dsl.Provenance("pair", 1, 1, "t", ()))
+
+
+@pytest.mark.parametrize("src, point", [
+    ("immersion circle { vars: r; components: (cos(r), sin(r)); }",
+     "(0.1,)"),
+    ("immersion saddle { vars: a, b; components: (a, b, 1 + a*a - b*b); }",
+     "(0.1, 0.2)"),
+])
+def test_a_factor_with_g_not_positive_definite_is_not_hyperbolic(
+        hyperbola, src, point):
+    """The circle has g = -1 and the saddle an indefinite g: neither is a
+    hyperbolic sphere, and the error names the factor and the point."""
+    defn = _with_factor(hyperbola, parse_immersion(src))
+    grid = np.array([[0.0, 0.0, 0.1, 0.2][:defn.nvars]])
+    with pytest.raises(decompose.NotHyperbolicError, match=re.escape(
+            f"'made_factor2' is not hyperbolic at {point}")):
+        decompose._calibrate_from_provenance(defn, grid, True, "pair", 1, 1,
+                                             {})
+
+
+def test_a_factor_that_leaves_its_domain_raises_from_that_factor(hyperbola):
+    """The rational hyperbola (r, 1/(2r)) has no jet at r = 0, where the
+    other factor has one: the factor's own JetDomainError is raised. Off
+    r = 0 the factor is a hyperbolic sphere centered at 0."""
+    factor = parse_immersion(
+        "immersion rational { vars: r; components: (r, 0.5/r); }")
+    defn = _with_factor(hyperbola, factor)
+    grid = np.array([[0.0, 0.1, 0.2], [0.0, 0.1, 0.0]])
+    with pytest.raises(JetDomainError, match="division by a jet"):
+        decompose._calibrate_from_provenance(defn, grid, True, "pair", 1, 1,
+                                             {})
+    residuals = {}
+    decompose._calibrate_from_provenance(defn, grid[:1], True, "pair", 1, 1,
+                                         residuals)
+    assert residuals["factor1_sphere"] <= 1e-12
+    assert residuals["factor2_sphere"] <= 1e-12
 
 
 def test_point_round_trip(point_product, point_verdict):
