@@ -860,8 +860,8 @@ def _factor_sphere(factor: ImmersionDef, points):
     det(f_1, ..., f_n, f)^2, f is an affine sphere centered at 0 exactly when
     T = d ln rho vanishes, and then H = -rho^(1/(n+2)) (A.-M. Li, U. Simon
     and G. Zhao, Global Affine Differential Geometry of Hypersurfaces, 1993).
-    scale = rho0^(1/(2(n+1))) brings f to H = -1; the residuals are the
-    largest |(rho/rho0)^(1/(n+2)) - 1| and |T|_g. g must be positive definite."""
+    rho0^(1/(2(n+1))) is the scale to H = -1, the residuals the largest
+    |(rho/rho0)^(1/(n+2)) - 1| and |T|_g; g not positive definite: NotHyperbolicError."""
     n, npts = factor.nvars, len(points)
     comps = blaschke._component_jets(factor, points, 3)
     second = grad(grad(comps, n), n)
@@ -872,9 +872,9 @@ def _factor_sphere(factor: ImmersionDef, points):
     minors = np.stack([np.linalg.det(g[:, :k, :k]) for k in range(1, n + 1)], 1)
     bad = np.flatnonzero((minors <= 0.0).any(axis=1))
     if bad.size:
-        raise NotHyperbolicError(
-            f"{factor.name!r} is not hyperbolic at {blaschke.format_point(points[bad[0]])}:"
-            " its centroaffine metric g is not positive definite")
+        where = blaschke.format_point(points[bad[0]])
+        raise NotHyperbolicError(f"{factor.name!r} is not hyperbolic at {where}: its "
+                                 "centroaffine metric g is not positive definite")
     # d_k g_ij = (B^-1 f_ijk)_n - Gamma^m_ij g_mk, T_k = tr(g^-1 d_k g) - 2 Gamma^m_mk
     d_g = sol[:, n, n * n:].reshape(npts, n * n, n) - gamma.swapaxes(1, 2) @ g
     g_inv = np.linalg.inv(g)

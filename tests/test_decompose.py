@@ -2070,11 +2070,11 @@ def test_factor_sphere_passes_centered_hyperbolic_spheres(src, c, dims):
     assert sphere <= 1e-12
 
 
-@pytest.mark.parametrize("components", ["(exp(s), exp(-2*s))",
-                                        "(exp(s) + 0.3, exp(-s))"])
+@pytest.mark.parametrize("components, affine_sphere", [
+    ("(exp(s), exp(-2*s))", False), ("(exp(s) + 0.3, exp(-s))", True)])
 def test_factor_sphere_fails_a_curve_that_is_not_a_centered_sphere(
-        components):
-    """y = x^-2 is no affine sphere, |T|_g = sqrt(2) at every point. The
+        components, affine_sphere):
+    """y = x^-2 is no affine sphere: |T|_g = sqrt(2) at every point. The
     hyperbola centered at (0.3, 0) is an affine sphere, which the frame
     check S = H id with H constant passes, but not one centered at 0,
     which a factor of a product must be (xi = phi)."""
@@ -2082,9 +2082,8 @@ def test_factor_sphere_fails_a_curve_that_is_not_a_centered_sphere(
     grid = make_grid(-0.3, 0.3, 5, 1)
     _scale, _mean_curvature, sphere = decompose._factor_sphere(defn, grid)
     assert sphere > 1e-6
-    if "0.3" in components:
-        assert checks.sphere_residual(defn, grid).passed
-    else:
+    assert checks.sphere_residual(defn, grid).passed == affine_sphere
+    if not affine_sphere:
         assert sphere == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
