@@ -22,12 +22,13 @@ all the rows, with jet matrices as (points, rows, cols, size) and their
 products taken by `jets.matmul`. A jet matrix A = A0 + N, A0 its
 constant term, is inverted as A^-1 = sum_{k <= order} (-A0^-1 N)^k A0^-1,
 exact at the jet order since N has no constant term, so LAPACK only
-inverts the A0. The cross product and det G use a division-free Laplace
-expansion: minors that vanish at a point are harmless.
+inverts the A0, refused as singular past a conditioning of 1e13 read with
+its columns at unit size, which phi -> c phi does not move. The cross
+product and det G use a division-free Laplace expansion: minors that
+vanish at a point are harmless.
 
 Frames are cached per (definition, point) in an LRU of 4096 entries,
-`_full_frame_cached`, as rows of the batches that computed them, or that
-`homothetic_frames` mapped from the frames of phi to those of c phi;
+`_full_frame_cached`, as rows of the batches that computed them;
 `cache_info().misses` counts one miss per frame computed. `frames_on_grid`
 computes only its misses, in one batch, and returns the grid as one batch
 (the computed batch itself when it is the whole grid) with a leading
@@ -107,11 +108,13 @@ def _solve(a: np.ndarray, b, n: int) -> np.ndarray:
     a, a0 = a[..., :size], a[..., 0]
     try:
         inv0 = np.linalg.inv(a0)
-    except np.linalg.LinAlgError:
-        inv0 = np.full(a0.shape, np.inf)
-    # the conditioning of A0, not the size of its pivots: scale free
-    cond = abs(a0).sum(-1).max(-1) * abs(inv0).sum(-1).max(-1)
-    if not (cond <= 1e13).all():
+        # the 1-norm conditioning of A0 D^-1, D the column sums of |A0|, is
+        # |D A0^-1|_1: no scaling of a column moves it, as the tangent
+        # columns c and xi c^(1 - a) of c phi
+        cond = (abs(a0).sum(-2, keepdims=True) @ abs(inv0)).max()
+    except np.linalg.LinAlgError:     # exactly singular, a zero column too
+        cond = np.inf
+    if not cond <= 1e13:
         raise DegenerateSurfaceError("singular jet system (degenerate frame)")
     if b is None:
         y = np.zeros(a.shape)
@@ -275,17 +278,6 @@ def _metric_and_levi(comps: np.ndarray, n: int):
     return tang, second, h, h_inv, dh, gamma_hat, xi
 
 
-def _orthonormal(h: np.ndarray, C: np.ndarray) -> dict:
-    """The h-orthonormal basis B of each h of a batch and K_ortho = C(B, B, B)."""
-    try:
-        basis = numerics.metric_orthonormal_basis(h)
-    except numerics.NotPositiveDefiniteError as exc:
-        raise IndefiniteMetricError(f"affine {exc}") from None
-    b_t = basis.swapaxes(1, 2)
-    c_b = (b_t[:, None] @ C @ basis[:, None]).reshape(C.shape[:2] + (-1,))
-    return dict(basis=basis, K_ortho=(b_t @ c_b).reshape(C.shape))
-
-
 def _frame_batch(definition: ImmersionDef, points) -> BlaschkeFrame:
     """Complete Blaschke frames (order-4 jets) at an array of points."""
     n, P = definition.nvars, len(points)
@@ -324,9 +316,18 @@ def _frame_batch(definition: ImmersionDef, points) -> BlaschkeFrame:
     position, tangent, second_vals = _values(comps), _values(tang), _values(second)
     h_inv_vals, xi_vals = _values(h_inv), _values(xi)
     dh_vals = dh[..., 0].transpose(0, 3, 1, 2)    # dh[p, k, i, j] = d_k h_ij
+
+    # the h-orthonormal basis B of each h and K_ortho = C(B, B, B)
+    try:
+        ortho = numerics.metric_orthonormal_basis(h_vals)
+    except numerics.NotPositiveDefiniteError as exc:
+        raise IndefiniteMetricError(f"affine {exc}") from None
+    b_t = ortho.swapaxes(1, 2)
+    c_b = (b_t[:, None] @ C @ ortho[:, None]).reshape(P, n, -1)
     return BlaschkeFrame(
         u=points, position=position, tangent=tangent, second=second_vals,
-        h=h_vals, h_inv=h_inv_vals, **_orthonormal(h_vals, C), xi=xi_vals,
+        h=h_vals, h_inv=h_inv_vals, basis=ortho,
+        K_ortho=(b_t @ c_b).reshape(C.shape), xi=xi_vals,
         gamma=gamma, gamma_hat=gh, K=K, C=C, S=S, H=H, Rhat=Rhat, dh=dh_vals,
         nabla_K=nabla_K, dK=dK, recon_residual=recon, normal_defect=defect)
 
@@ -440,27 +441,6 @@ def frames_on_grid(definition: ImmersionDef, grid) -> BlaschkeFrame:
         rows = {u: (batch, row) for row, u in enumerate(missing)}
         found = [e or rows[u] for u, e in zip(points, found)]
     return _gather(found)
-
-
-def homothetic_frames(scaled: ImmersionDef, frames: BlaschkeFrame,
-                      c: float) -> BlaschkeFrame:
-    """The frames of `scaled` = c phi mapped from `frames`, those of phi,
-    and cached as rows of the mapped batch where a point has no entry yet.
-    With a = 2(n+1)/(n+2), h, C, dh and recon_residual scale by c^a, h_inv,
-    S and H by c^-a, position, tangent and second by c and xi by c^(1-a);
-    the rest does not change (K. Nomizu and T. Sasaki, Affine Differential
-    Geometry, Cambridge 1994, ch. II); basis and K_ortho are formed again."""
-    a = 2.0 * (frames.n + 1) / (frames.n + 2)
-    powers = dict(h=a, C=a, dh=a, recon_residual=a, h_inv=-a, S=-a, H=-a,
-                  position=1.0, tangent=1.0, second=1.0, xi=1.0 - a)
-    fields = {name: getattr(frames, name) * c ** e
-              for name, e in powers.items()}
-    mapped = BlaschkeFrame(**{**frames._asdict(), **fields,
-                              **_orthonormal(fields["h"], fields["C"])})
-    for row, u in enumerate(_points(mapped.u)):
-        if (scaled, u) not in _full_frame_cached.frames:
-            _full_frame_cached.put((scaled, u), mapped, row)
-    return mapped
 
 
 def clear_frame_cache() -> None:

@@ -7,11 +7,13 @@ with the residual, the tolerance and the worst sample point. Tolerances
 default to 1e-6 for quantities built from fourth derivatives (shape
 operator constancy, Gauss, Codazzi, parallel cubic form) and 1e-8 for
 quantities of order three and below (apolarity, the determinant
-criterion).
+criterion). `centroaffine_sphere` alone reads the order-3 jets of a
+definition instead of frames: it is the sphere test of a product factor.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from . import blaschke
 from .blaschke import BlaschkeFrame, DegenerateSurfaceError, GeometryError
 from .dsl import ImmersionDef
+from .jets import grad, grad0
 
 
 # Residuals below NOISE_FLOOR * tolerance are rounding: a worst point
@@ -28,6 +31,10 @@ NOISE_FLOOR = 1e-6
 
 class GaugeError(GeometryError):
     """Check requires the H = -1 normalization."""
+
+
+class NotHyperbolicError(GeometryError):
+    """H >= 0, or the centroaffine metric g is not positive definite."""
 
 
 class CheckReport(namedtuple("CheckReport", "name max_residual tolerance "
@@ -179,3 +186,33 @@ def unimodular_criterion(definition_or_frames, grid=None,
         fr.u, fr.position, fr.tangent, fr.second.reshape(-1, n * n, n + 1).swapaxes(1, 2))
     res = np.abs(det_basis ** 2 - np.linalg.det(solved[:, n].reshape(-1, n, n)))
     return CheckReport.from_samples("unimodular", res, fr.u, tol)
+
+
+def centroaffine_sphere(definition: ImmersionDef, points):
+    """(rho, sphere residual) of a hypersurface f at the points, from its
+    order-3 jets, without a frame. With f_ij = Gamma^k_ij f_k + g_ij f and
+    rho = det g / det(f_1, ..., f_n, f)^2 at each point, f is an affine
+    sphere centered at 0 exactly when T = d ln rho vanishes, and then
+    H = -rho^(1/(n+2)) and xi = -H f (A.-M. Li, U. Simon and G. Zhao, Global
+    Affine Differential Geometry of Hypersurfaces, 1993); the residual is
+    the largest |T|_g. g not positive definite: NotHyperbolicError."""
+    n, npts = definition.nvars, len(points)
+    comps = blaschke._component_jets(definition, points, 3)
+    second = grad(grad(comps, n), n)
+    cols = [d.reshape(npts, n + 1, -1) for d in (second[..., 0], grad0(second, n))]
+    det_b, sol = centroaffine_solve(
+        points, comps[..., 0], grad0(comps, n).swapaxes(1, 2), np.concatenate(cols, 2))
+    gamma, g = sol[:, :n, :n * n], sol[:, n, :n * n].reshape(npts, n, n)
+    minors = np.stack([np.linalg.det(g[:, :k, :k]) for k in range(1, n + 1)], 1)
+    bad = np.flatnonzero((minors <= 0.0).any(axis=1))
+    if bad.size:
+        where = blaschke.format_point(points[bad[0]])
+        raise NotHyperbolicError(f"{definition.name!r} is not hyperbolic at {where}: "
+                                 "its centroaffine metric g is not positive definite")
+    # d_k g_ij = (B^-1 f_ijk)_n - Gamma^m_ij g_mk, T_k = tr(g^-1 d_k g) - 2 Gamma^m_mk
+    d_g = sol[:, n, n * n:].reshape(npts, n * n, n) - gamma.swapaxes(1, 2) @ g
+    g_inv = np.linalg.inv(g)
+    tcheb = ((g_inv.reshape(npts, 1, n * n) @ d_g)[:, 0] - 2.0 * np.trace(
+        gamma.reshape(npts, n, n, n), axis1=1, axis2=2))
+    sphere = float(np.max(tcheb[:, None] @ g_inv @ tcheb[..., None]))
+    return minors[:, -1] / det_b ** 2, math.sqrt(max(sphere, 0.0))

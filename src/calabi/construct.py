@@ -38,7 +38,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import blaschke, checks
+from . import checks
 from .blaschke import GeometryError
 from .dsl import ImmersionDef, Provenance, build_scaled_embedding, fresh_name
 from .jets import eval_jets
@@ -87,26 +87,23 @@ _GATE_AXIS = np.array([-0.25, 0.25])
 
 
 def _check_factor(defn: ImmersionDef) -> None:
+    """A factor must be a hyperbolic affine sphere centered at 0 with
+    H = -1, so xi = phi: `checks.centroaffine_sphere` from its jets."""
     if defn.ncomponents != defn.nvars + 1:
         raise FactorGaugeError(
             f"factor {defn.name!r} must be a hypersurface immersion "
             f"({defn.nvars + 1} components for {defn.nvars} variables)"
         )
     grid = checks.mesh([_GATE_AXIS] * defn.nvars)
-    frames = blaschke.frames_on_grid(defn, grid)
-    report = checks.sphere_residual(frames)
-    worst_h = float(np.max(np.abs(frames.H + 1.0)))
-    if not report.passed or worst_h > 1e-6:
+    refusal = f"factor {defn.name!r} is not an affine sphere with H = -1"
+    try:
+        rho, sphere = checks.centroaffine_sphere(defn, grid)
+    except GeometryError as exc:     # g not definite, or phi tangent
+        raise FactorGaugeError(f"{refusal} ({exc})") from None
+    worst_h = float(np.max(np.abs(rho ** (1.0 / (defn.nvars + 2)) - 1.0)))
+    if not (sphere <= 1e-6 and worst_h <= 1e-6):
         raise FactorGaugeError(
-            f"factor {defn.name!r} is not an affine sphere with H = -1 "
-            f"(sphere residual {report.max_residual:.3g}, |H+1| {worst_h:.3g})"
-        )
-    offset = checks.xi_offset(frames)
-    if offset is not None:
-        raise FactorGaugeError(
-            f"factor {defn.name!r} does not satisfy xi = phi "
-            f"(offset {offset[0]:.3g}); recenter or rescale it first"
-        )
+            f"{refusal} (sphere residual {sphere:.3g}, |H+1| {worst_h:.3g})")
 
 
 def base_coefficients(kind: str, n2: int, n3: int = 0) -> tuple[float, float]:

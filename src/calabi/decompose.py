@@ -1,8 +1,8 @@
 """Detection and extraction of product structure from the difference tensor.
 
 Given a hyperbolic affine sphere, the pipeline is: rescale to mean
-curvature -1 (in closed form, with the frames mapped by the homothety
-law rather than computed again; see `normalize_homothety`), locate axis
+curvature -1 (in closed form from H at the first grid point, the frames
+of the rescaled sphere computed; see `normalize_homothety`), locate axis
 candidates T with K(T,T) = lambda1 T among h-unit directions, classify
 the spectrum of K_T, and test the eigenvalue relations that
 characterize the two product patterns:
@@ -45,19 +45,16 @@ import numpy as np
 
 from . import blaschke, checks, numerics
 from .blaschke import BlaschkeFrame, GeometryError
+from .checks import NotHyperbolicError
 from .construct import base_coefficients
 from .dsl import (ImmersionDef, const, eval_components, mul, substitute,
                   _free_vars)
-from .jets import JetDomainError, grad, grad0
+from .jets import JetDomainError
 
 QUADRIC_K_TOL = 1e-7
 QUADRIC_NOTE = "K ≈ 0: quadric, no canonical axis"
 CLUSTER_GAP = 1e-6
 MARGIN_MIN = 1e-3
-
-
-class NotHyperbolicError(GeometryError):
-    """Mean curvature is not negative."""
 
 
 class VerdictError(ValueError):
@@ -81,9 +78,9 @@ def normalize_homothety(defn: ImmersionDef, grid) -> HomothetyResult:
     """Rescale phi -> c phi so the mean curvature becomes -1.
 
     H(c phi) = c^(-2(n+1)/(n+2)) H(phi) (Nomizu and Sasaki 1994) gives c
-    from H at the first point of `grid`. The grid's frames are computed
-    once, at the input scale, and mapped to those of c phi
-    (`blaschke.homothetic_frames`), which callers read next.
+    from H at the first point of `grid`, read from the grid's frames at
+    the input scale. The frames of c phi are computed by whoever reads
+    them: the conditioning bound of the frame solve does not depend on c.
     """
     n = defn.nvars
     frames = blaschke.frames_on_grid(defn, grid)
@@ -96,9 +93,8 @@ def normalize_homothety(defn: ImmersionDef, grid) -> HomothetyResult:
     scale = abs(h0) ** ((n + 2) / (2.0 * (n + 1)))
     if abs(scale - 1.0) < 1e-12:
         return HomothetyResult(def_scaled=defn, scale=1.0)
-    scaled = _scaled_def(defn, scale)
-    blaschke.homothetic_frames(scaled, frames, scale)
-    return HomothetyResult(def_scaled=scaled, scale=float(scale))
+    return HomothetyResult(def_scaled=_scaled_def(defn, scale),
+                           scale=float(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -854,44 +850,13 @@ def _slice_factor(defn: ImmersionDef, indices, label: str, grid):
             np.array(sorted(set(map(tuple, rows)))))
 
 
-def _factor_sphere(factor: ImmersionDef, points):
-    """(scale, mean curvature residual, sphere residual) of a factor f from
-    its order-3 jets. With f_ij = Gamma^k_ij f_k + g_ij f and rho = det g /
-    det(f_1, ..., f_n, f)^2, f is an affine sphere centered at 0 exactly when
-    T = d ln rho vanishes, and then H = -rho^(1/(n+2)) (A.-M. Li, U. Simon
-    and G. Zhao, Global Affine Differential Geometry of Hypersurfaces, 1993).
-    rho0^(1/(2(n+1))) is the scale to H = -1, the residuals the largest
-    |(rho/rho0)^(1/(n+2)) - 1| and |T|_g; g not positive definite: NotHyperbolicError."""
-    n, npts = factor.nvars, len(points)
-    comps = blaschke._component_jets(factor, points, 3)
-    second = grad(grad(comps, n), n)
-    cols = [d.reshape(npts, n + 1, -1) for d in (second[..., 0], grad0(second, n))]
-    det_b, sol = checks.centroaffine_solve(
-        points, comps[..., 0], grad0(comps, n).swapaxes(1, 2), np.concatenate(cols, 2))
-    gamma, g = sol[:, :n, :n * n], sol[:, n, :n * n].reshape(npts, n, n)
-    minors = np.stack([np.linalg.det(g[:, :k, :k]) for k in range(1, n + 1)], 1)
-    bad = np.flatnonzero((minors <= 0.0).any(axis=1))
-    if bad.size:
-        where = blaschke.format_point(points[bad[0]])
-        raise NotHyperbolicError(f"{factor.name!r} is not hyperbolic at {where}: its "
-                                 "centroaffine metric g is not positive definite")
-    # d_k g_ij = (B^-1 f_ijk)_n - Gamma^m_ij g_mk, T_k = tr(g^-1 d_k g) - 2 Gamma^m_mk
-    d_g = sol[:, n, n * n:].reshape(npts, n * n, n) - gamma.swapaxes(1, 2) @ g
-    g_inv = np.linalg.inv(g)
-    tcheb = ((g_inv.reshape(npts, 1, n * n) @ d_g)[:, 0] - 2.0 * np.trace(
-        gamma.reshape(npts, n, n, n), axis1=1, axis2=2))
-    rho = minors[:, -1] / det_b ** 2
-    sphere = float(np.max(tcheb[:, None] @ g_inv @ tcheb[..., None]))
-    return (float(rho[0] ** (1.0 / (2.0 * (n + 1)))),
-            _amax((rho / rho[0]) ** (1.0 / (n + 2)) - 1.0), math.sqrt(max(sphere, 0.0)))
-
-
 def _calibrate_from_provenance(defn: ImmersionDef, grid, lam2_first: bool,
                                kind: str, n2: int, n3: int, residuals: dict):
     """The factor defs at H = -1 and the gauge (d1, d2). The sliced lambda2
     block (the first if `lam2_first`) is c1 psi1 at axis parameter 0, psi1
-    at H = -1: `_factor_sphere` reads c1 and checks the factor from its jets.
-    d1 is c1 over the constructors' constant, and d1^(n2+1) d2^(n3+1) = 1."""
+    at H = -1: `checks.centroaffine_sphere` reads c1 and checks the factor
+    from its jets, H = -rho^(1/(n+2)) giving c1 = rho0^(1/(2(n+1))). d1 is
+    c1 over the constructors' constant, and d1^(n2+1) d2^(n3+1) = 1."""
     c_base = base_coefficients(kind, n2, n3)
     m2 = defn.provenance.n2 + 1
     first, second = list(range(m2)), list(range(m2, defn.ncomponents))
@@ -907,8 +872,12 @@ def _calibrate_from_provenance(defn: ImmersionDef, grid, lam2_first: bool,
                           / c_base[k])
             continue
         factor, points = sliced
-        scale, residuals[f"{label}_mean_curvature"], \
-            residuals[f"{label}_sphere"] = _factor_sphere(factor, points)
+        rho, sphere = checks.centroaffine_sphere(factor, points)
+        n = factor.nvars
+        residuals[f"{label}_mean_curvature"] = _amax(
+            (rho / rho[0]) ** (1.0 / (n + 2)) - 1.0)
+        residuals[f"{label}_sphere"] = sphere
+        scale = float(rho[0] ** (1.0 / (2.0 * (n + 1))))
         scale = 1.0 if abs(scale - 1.0) < 1e-12 else scale
         defs.append(factor if scale == 1.0 else _scaled_def(factor, scale))
         gauges.append(1.0 / (scale * c_base[k]))

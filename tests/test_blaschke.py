@@ -200,6 +200,27 @@ def test_jet_matrix_inverse_is_exact_at_the_jet_order():
         assert np.max(np.abs(matmul(inv, a, nvars) - ident)) <= 1e-12
 
 
+def test_the_solve_bound_does_not_depend_on_the_size_of_a_column():
+    """Columns scaled by 1e-12 and 1e12, as the tangent and normal columns
+    of c phi are at c = 1e+-12, leave a well conditioned A0 regular, and
+    A D (A D)^-1 is the identity; a zero or a repeated column is singular."""
+    from calabi.jets import _space, matmul
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-1.0, 1.0, size=(3, 3, 3, _space(2, 4).size))
+    a[..., 0] += 3.0 * np.eye(3)
+    ident = np.zeros(a.shape)
+    ident[..., 0] = np.eye(3)
+    for scales in ([1e12, 1e12, 1e-12], [1e-12, 1.0, 1e12]):
+        scaled = a * np.array(scales)[:, None]
+        inv = blaschke._solve(scaled, None, 2)
+        assert np.max(np.abs(matmul(scaled, inv, 2) - ident)) <= 1e-12
+    for col in (0.0, a[:, :, 0]):
+        bad = a.copy()
+        bad[:, :, 2] = col
+        with pytest.raises(blaschke.DegenerateSurfaceError):
+            blaschke._solve(bad, None, 2)
+
+
 _FIELDS = blaschke.BlaschkeFrame.FIELDS
 
 

@@ -180,3 +180,43 @@ def test_array_checks_match_the_per_frame_loops(request, fixture, grid):
                                               reports[name].tolerance)
         assert reports[name].max_residual == ref.max_residual, name
         assert reports[name].worst_point == ref.worst_point, name
+
+
+@pytest.mark.parametrize("src, c, dims", [
+    ("immersion h2 { vars: s; components: "
+     "(0.7071067811865476*exp(s), 0.7071067811865476*exp(-s)); }", 2.5, 1),
+    ("immersion h2 { vars: s; components: "
+     "(0.7071067811865476*exp(s), 0.7071067811865476*exp(-s)); }", 0.3, 1),
+    ("immersion orthant { vars: u, v; components: "
+     "(exp(u), exp(v), exp(-u-v)); }", 1.0, 2),
+])
+def test_centroaffine_sphere_passes_centered_hyperbolic_spheres(src, c, dims):
+    """c h2 and the orthant surface xyz = 1 are hyperbolic affine spheres
+    centered at 0: rho is constant, |T|_g is rounding, and H = -rho^(1/(n+2))
+    is the H of the frames at every point."""
+    from calabi import decompose
+    defn = decompose._scaled_def(parse_immersion(src), c)
+    grid = make_grid(-0.4, 0.3, 4, dims)
+    rho, sphere = checks.centroaffine_sphere(defn, grid)
+    root = 1.0 / (defn.nvars + 2)
+    assert -rho ** root == pytest.approx(
+        blaschke.frames_on_grid(defn, grid).H, rel=0, abs=1e-12)
+    assert np.max(np.abs((rho / rho[0]) ** root - 1.0)) <= 1e-12
+    assert sphere <= 1e-12
+
+
+@pytest.mark.parametrize("components, affine_sphere", [
+    ("(exp(s), exp(-2*s))", False), ("(exp(s) + 0.3, exp(-s))", True)])
+def test_centroaffine_sphere_fails_a_curve_that_is_not_a_centered_sphere(
+        components, affine_sphere):
+    """y = x^-2 is no affine sphere: |T|_g = sqrt(2) at every point. The
+    hyperbola centered at (0.3, 0) is an affine sphere, which the frame
+    check S = H id with H constant passes, but not one centered at 0,
+    which a factor of a product must be (xi = phi)."""
+    defn = parse_immersion(f"immersion c {{ vars: s; components: {components}; }}")
+    grid = make_grid(-0.3, 0.3, 5, 1)
+    _rho, sphere = checks.centroaffine_sphere(defn, grid)
+    assert sphere > 1e-6
+    assert checks.sphere_residual(defn, grid).passed == affine_sphere
+    if not affine_sphere:
+        assert sphere == pytest.approx(np.sqrt(2.0), rel=1e-12)

@@ -80,13 +80,36 @@ def test_double_point_product_matches_exponential_chain(hyperbola):
 def test_factor_gate_rejects_wrong_gauge():
     bad = parse_immersion(
         "immersion hyp { vars: s; components: (exp(s), exp(-s)); }")
-    with pytest.raises(construct.FactorGaugeError):
+    with pytest.raises(construct.FactorGaugeError, match="factor 'hyp' is not"):
         construct.calabi_point(bad)
 
 
 def test_factor_gate_rejects_non_sphere(paraboloid):
-    with pytest.raises(construct.FactorGaugeError):
+    with pytest.raises(construct.FactorGaugeError,
+                       match="factor 'paraboloid' is not an affine sphere "
+                             "with H = -1 .* not hyperbolic"):
         construct.calabi_point(paraboloid)
+
+
+@pytest.mark.parametrize("components", [
+    "(0.7071067811865476*exp(s) + 0.3, 0.7071067811865476*exp(-s))",
+    "(s, s*s + 0.0625)"])
+def test_factor_gate_rejects_a_factor_off_the_origin(hyperbola, components):
+    """The hyperbola moved off the origin is an affine sphere with H = -1,
+    but xi = phi fails: no factor of a product. The parabola's position is
+    tangent to it at s = -0.25, a corner of the gate."""
+    moved = parse_immersion(f"immersion moved {{ vars: s; components: {components}; }}")
+    with pytest.raises(construct.FactorGaugeError,
+                       match="factor 'moved' is not an affine sphere"):
+        construct.calabi_pair(hyperbola, moved)
+
+
+def test_factor_gate_computes_no_frame(hyperbola, hyperbola_b):
+    """The gate reads each factor's order-3 jets, not its frames."""
+    misses = blaschke._full_frame_cached.cache_info().misses
+    construct.calabi_point(hyperbola)
+    construct.calabi_pair(hyperbola, hyperbola_b)
+    assert blaschke._full_frame_cached.cache_info().misses == misses
 
 
 def test_axis_variable_renamed_on_collision(hyperbola):

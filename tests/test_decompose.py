@@ -74,47 +74,41 @@ def test_normalize_homothety_closed_form(pair_product):
     frame = blaschke.full_frame(result.def_scaled, (0.3,))
     assert frame.H == pytest.approx(-1.0, abs=1e-9)
     # c * phi at H = -1 must come back with scale 1/c to rounding
-    for c in (1.7, 1e3, 1e6):
+    for c in (1e-12, 1.7, 1e3, 1e6, 1e12):
         scaled = decompose._scaled_def(pair_product, c)
         result = decompose.normalize_homothety(scaled, [(0.11, 0.22, 0.33)])
         assert abs(result.scale * c - 1.0) <= 1e-13, c
 
 
-@pytest.mark.parametrize("c", [1e-4, 1.7, 1e4])
+@pytest.mark.parametrize("c", [1e-12, 1e-4, 1.7, 1e4, 1e12])
 @pytest.mark.parametrize("product", ["pair_product", "quadric"])
 def test_homothety_law_matches_recomputed_frames(request, product, c):
-    """Every field of the frames of c phi mapped by the law agrees with
-    the frames computed from c phi, to 1e-12 relative to the field or to
-    c^e, e its exponent: rounding is all that fields zero in exact
-    arithmetic show (K on the quadric, Rhat and nabla_K on the products,
-    the residuals). The bent product has gamma_hat and dh, the quadric
-    Rhat. The mapped rows serve the rescaled definition as cached frames
-    and count as no frame computed; their basis is that of their h bit
-    for bit."""
+    """The frames computed from c phi are those of phi mapped by the
+    homothety law (Nomizu and Sasaki 1994, ch. II): with a = 2(n+1)/(n+2),
+    h, C, dh and recon_residual scale by c^a, h_inv, S and H by c^-a,
+    position, tangent and second by c, xi by c^(1-a), basis and K_ortho
+    by c^(-a/2), and the rest does not change. Every field agrees to
+    1e-12 relative to the field or to c^e, e its exponent: rounding is
+    all that fields zero in exact arithmetic show (K on the quadric, Rhat
+    and nabla_K on the products, the residuals). The bent product has
+    gamma_hat and dh, the quadric Rhat. A conditioning bound of the frame
+    solve that read the columns at their own size refused c = 1e+-12."""
     defn = request.getfixturevalue(product)
     if product == "pair_product":
         defn = _bent(defn)
     grid = make_grid(-0.3, 0.3, 3, defn.nvars)
     frames = blaschke._frame_batch(defn, grid)
-    scaled = decompose._scaled_def(defn, c)
-    blaschke.clear_frame_cache()
-    mapped = blaschke.homothetic_frames(scaled, frames, c)
-    assert blaschke.frames_on_grid(scaled, grid) is mapped
-    # the basis is factored from the mapped h, in every reading of the rows
-    for batch in (mapped, mapped[3:7], mapped[[8, 0, 8]],
-                  blaschke.full_frame(scaled, grid[-1])):
-        assert np.array_equal(batch.basis,
-                              numerics.metric_orthonormal_basis(batch.h))
-    assert _frames_computed() == 0
-    fresh = blaschke._frame_batch(scaled, grid)
+    fresh = blaschke._frame_batch(decompose._scaled_def(defn, c), grid)
     a = 2.0 * (defn.nvars + 1) / (defn.nvars + 2)
     exponents = {"h": a, "C": a, "dh": a, "recon_residual": a, "h_inv": -a,
                  "S": -a, "H": -a, "position": 1.0, "tangent": 1.0,
-                 "second": 1.0, "xi": 1.0 - a}
+                 "second": 1.0, "xi": 1.0 - a, "basis": -a / 2,
+                 "K_ortho": -a / 2}
     for name in blaschke.BlaschkeFrame.FIELDS:
-        want = getattr(fresh, name)
-        floor = max(np.max(np.abs(want)), c ** exponents.get(name, 0.0))
-        error = np.max(np.abs(getattr(mapped, name) - want))
+        power = c ** exponents.get(name, 0.0)
+        want = getattr(frames, name) * power
+        floor = max(np.max(np.abs(want)), power)
+        error = np.max(np.abs(getattr(fresh, name) - want))
         assert error <= 1e-12 * floor, name
     nonzero = ("gamma_hat", "dh") if product == "pair_product" else ("Rhat",)
     for name in nonzero:
@@ -389,14 +383,22 @@ def test_detect_refuses_a_non_sphere_with_h_not_negative():
     assert sphere.max_residual == pytest.approx(10.4, abs=0.05)
 
 
-def test_detect_is_scale_free_on_a_small_homothety(pair_product):
-    verdict = decompose.detect(decompose._scaled_def(pair_product, 1e-4),
-                               make_grid(-0.3, 0.3, 3, 3))
-    assert verdict.kind == "PairProduct", verdict.notes
-    s = verdict.spectrum
-    assert s.lambda1 == pytest.approx(0.0, abs=1e-6)
-    assert s.lambda2 == pytest.approx(1.0, abs=1e-6)
-    assert s.lambda3 == pytest.approx(-1.0, abs=1e-6)
+@pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1e8, 1e12])
+@pytest.mark.parametrize("product, count", [("pair_product", 3),
+                                            ("point_product", 5)])
+def test_detect_is_scale_free_on_a_small_homothety(request, product, count, c):
+    """c phi gives the verdict of phi. A conditioning bound of the frame
+    solve that read the columns at their own size refused the pair product
+    at c <= 1e-8 and c >= 1e8 as "singular jet system (degenerate frame)"."""
+    defn = request.getfixturevalue(product)
+    grid = make_grid(-0.3, 0.3, count, defn.nvars)
+    want = decompose.detect(defn, grid)
+    verdict = decompose.detect(decompose._scaled_def(defn, c), grid)
+    assert verdict.kind == want.kind, verdict.notes
+    s, w = verdict.spectrum, want.spectrum
+    assert (s.n2, s.n3) == (w.n2, w.n3)
+    for name in ("lambda1", "lambda2", "lambda3"):
+        assert getattr(s, name) == pytest.approx(getattr(w, name), abs=1e-6)
 
 
 @pytest.mark.parametrize("c", [0.7, 1.0, 1.3])
@@ -505,8 +507,8 @@ def test_detect_searches_once_and_computes_each_frame_once(pair_product,
 
 
 def test_normalize_homothety_computes_at_most_two_frames(pair_product):
-    """The probe frame is computed at the input scale; the frame of the
-    rescaled definition there is mapped from it."""
+    """The probe frame is computed at the input scale, and no frame of the
+    rescaled definition."""
     scaled = decompose._scaled_def(pair_product, 1.7)
     blaschke.clear_frame_cache()
     result = decompose.normalize_homothety(scaled, [(0.11, 0.22, 0.33)])
@@ -516,9 +518,9 @@ def test_normalize_homothety_computes_at_most_two_frames(pair_product):
 
 def test_detect_off_gauge_computes_each_grid_frame_once(pair_product,
                                                         monkeypatch):
-    """One batch computes the grid at the input scale, and the rescaled
-    grid is mapped from it. Mapping it again keeps the cached rows, so
-    the theorem 3 gate shares the search of detection."""
+    """One batch computes the grid at the input scale and one that of the
+    rescaled definition, whose cached rows the theorem 3 gate reads, so it
+    shares the search of detection."""
     scaled = decompose._scaled_def(pair_product, 1.7)
     batches = _batches(monkeypatch)
     searches = _counted(monkeypatch, "find_axes")
@@ -527,14 +529,14 @@ def test_detect_off_gauge_computes_each_grid_frame_once(pair_product,
     verdict = decompose.detect(scaled, grid)
     assert verdict.kind == "PairProduct"
     assert decompose.theorem3_gate(scaled, grid).applies
-    assert _frames_computed() == 8
-    assert batches == [8]
+    assert _frames_computed() == 16
+    assert batches == [8, 8]
     assert len(searches) == 1
 
 
 def test_extract_on_an_off_gauge_verdict_computes_no_frame(pair_product):
     """Extraction on `verdict.def_scaled` reads the rows that detection
-    mapped; without provenance there are no factors to calibrate, so it
+    computed; without provenance there are no factors to calibrate, so it
     computes no frame at all."""
     anonymous = dsl.ImmersionDef(pair_product.name, pair_product.vars,
                                  pair_product.components)
@@ -2045,46 +2047,6 @@ def test_gauge_freedom_measured_and_harmless(hyperbola, hyperbola_b,
                 "phi3_axis", "phi3_cokernel", "phi3_immersion"):
         assert data.residuals[key] == pytest.approx(
             base.residuals[key], abs=1e-9)
-
-
-@pytest.mark.parametrize("src, c, dims", [
-    ("immersion h2 { vars: s; components: "
-     "(0.7071067811865476*exp(s), 0.7071067811865476*exp(-s)); }", 2.5, 1),
-    ("immersion h2 { vars: s; components: "
-     "(0.7071067811865476*exp(s), 0.7071067811865476*exp(-s)); }", 0.3, 1),
-    ("immersion orthant { vars: u, v; components: "
-     "(exp(u), exp(v), exp(-u-v)); }", 1.0, 2),
-])
-def test_factor_sphere_passes_centered_hyperbolic_spheres(src, c, dims):
-    """c h2 and the orthant surface xyz = 1 are hyperbolic affine spheres
-    centered at 0: both residuals are rounding, and the scale is that of
-    the frame's H at the first point, H0 = -scale^(2(n+1)/(n+2))."""
-    defn = decompose._scaled_def(parse_immersion(src), c)
-    grid = make_grid(-0.4, 0.3, 4, dims)
-    scale, mean_curvature, sphere = decompose._factor_sphere(defn, grid)
-    n = defn.nvars
-    h0 = -scale ** (2.0 * (n + 1) / (n + 2))
-    assert h0 == pytest.approx(blaschke.full_frame(defn, grid[0]).H,
-                               rel=0, abs=1e-12)
-    assert mean_curvature <= 1e-12
-    assert sphere <= 1e-12
-
-
-@pytest.mark.parametrize("components, affine_sphere", [
-    ("(exp(s), exp(-2*s))", False), ("(exp(s) + 0.3, exp(-s))", True)])
-def test_factor_sphere_fails_a_curve_that_is_not_a_centered_sphere(
-        components, affine_sphere):
-    """y = x^-2 is no affine sphere: |T|_g = sqrt(2) at every point. The
-    hyperbola centered at (0.3, 0) is an affine sphere, which the frame
-    check S = H id with H constant passes, but not one centered at 0,
-    which a factor of a product must be (xi = phi)."""
-    defn = parse_immersion(f"immersion c {{ vars: s; components: {components}; }}")
-    grid = make_grid(-0.3, 0.3, 5, 1)
-    _scale, _mean_curvature, sphere = decompose._factor_sphere(defn, grid)
-    assert sphere > 1e-6
-    assert checks.sphere_residual(defn, grid).passed == affine_sphere
-    if not affine_sphere:
-        assert sphere == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def _with_factor(hyperbola, factor):
